@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -21,7 +21,6 @@ from .backend import (
     BackendError,
     BackendRequest,
     RetryPolicy,
-    SendResult,
     send,
 )
 from .prompts import PromptBundle
@@ -150,19 +149,7 @@ class AuditRecord:
     attempt_count: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "finding_id": self.finding_id,
-            "mode": self.mode,
-            "prompt_sha256": self.prompt_sha256,
-            "model": self.model,
-            "requested_at": self.requested_at,
-            "raw_response": self.raw_response,
-            "status": self.status,
-            "parsed": self.parsed,
-            "error": self.error,
-            "latency_ms": self.latency_ms,
-            "attempt_count": self.attempt_count,
-        }
+        return asdict(self)
 
 
 def _extract_outer_object(raw: str) -> str:
@@ -282,9 +269,12 @@ def _adjudicate_one(
     raw: str | None = None
     latency_ms = 0
     attempts = 0
+    adjudication: Adjudication | None = None
+    error: str | None = None
+    parsed: dict[str, Any] | None = None
     try:
-        result: SendResult = send(request, backend, retry)
-        raw, latency_ms, attempts = result.text, result.latency_ms, result.attempt_count
+        reply = send(request, backend, retry)
+        raw, latency_ms, attempts = reply.text, reply.latency_ms, reply.attempt_count
         if len(raw) > max_output_chars:
             raise ResponseValidationError(
                 f"response is {len(raw)} chars, limit is {max_output_chars}"
@@ -292,34 +282,22 @@ def _adjudicate_one(
         adjudication = validate_response(
             raw, finding_id=bundle.finding_id, latency_ms=latency_ms, attempt_count=attempts
         )
+        parsed = {
+            "verdict": adjudication.verdict.value,
+            "confidence": adjudication.confidence.value,
+            "reasoning": adjudication.reasoning,
+            "salvaged": adjudication.salvaged,
+        }
     except (BackendError, ResponseValidationError) as exc:
         error = f"{type(exc).__name__}: {exc}"
-        result_row = AdjudicationResult(
-            finding_id=bundle.finding_id,
-            mode=mode,
-            status=STATUS_UNEVALUATED,
-            error=error,
-        )
-        audit = AuditRecord(
-            finding_id=bundle.finding_id,
-            mode=mode,
-            prompt_sha256=bundle.prompt_sha256,
-            model=model,
-            requested_at=requested_at,
-            raw_response=raw,
-            status=STATUS_UNEVALUATED,
-            parsed=None,
-            error=error,
-            latency_ms=latency_ms,
-            attempt_count=attempts,
-        )
-        return result_row, audit
 
+    status = STATUS_UNEVALUATED if adjudication is None else STATUS_OK
     result_row = AdjudicationResult(
         finding_id=bundle.finding_id,
         mode=mode,
-        status=STATUS_OK,
+        status=status,
         adjudication=adjudication,
+        error=error,
     )
     audit = AuditRecord(
         finding_id=bundle.finding_id,
@@ -328,14 +306,9 @@ def _adjudicate_one(
         model=model,
         requested_at=requested_at,
         raw_response=raw,
-        status=STATUS_OK,
-        parsed={
-            "verdict": adjudication.verdict.value,
-            "confidence": adjudication.confidence.value,
-            "reasoning": adjudication.reasoning,
-            "salvaged": adjudication.salvaged,
-        },
-        error=None,
+        status=status,
+        parsed=parsed,
+        error=error,
         latency_ms=latency_ms,
         attempt_count=attempts,
     )

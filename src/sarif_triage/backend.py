@@ -25,7 +25,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -76,13 +76,7 @@ class BackendRequest:
 class BackendReply:
     text: str
     latency_ms: int
-
-
-@dataclass(frozen=True)
-class SendResult:
-    text: str
-    latency_ms: int
-    attempt_count: int
+    attempt_count: int = 1  # set by ``send`` to the attempt that succeeded
 
 
 @dataclass(frozen=True)
@@ -92,17 +86,14 @@ class RetryPolicy:
     sleep: Callable[[float], None] = time.sleep
 
 
-def send(request: BackendRequest, backend: "Backend", retry: RetryPolicy | None = None) -> SendResult:
+def send(request: BackendRequest, backend: "Backend", retry: RetryPolicy | None = None) -> BackendReply:
     """Issue one request, retrying transport errors and rate limits with
     exponential backoff up to ``retry.attempt_cap`` attempts."""
     retry = retry or RetryPolicy()
     last_error: BackendError | None = None
     for attempt in range(1, retry.attempt_cap + 1):
         try:
-            reply = backend.complete(request)
-            return SendResult(
-                text=reply.text, latency_ms=reply.latency_ms, attempt_count=attempt
-            )
+            return replace(backend.complete(request), attempt_count=attempt)
         except (TransportError, RateLimited) as exc:
             last_error = exc
             if attempt < retry.attempt_cap:
@@ -114,10 +105,6 @@ def send(request: BackendRequest, backend: "Backend", retry: RetryPolicy | None 
 
 class Backend:
     """Interface: answer one request with one reply."""
-
-    #: True when replies carry no wall-clock jitter (mock); the pipeline
-    #: relies on this for byte-identical reruns.
-    deterministic: bool = False
 
     def complete(self, request: BackendRequest) -> BackendReply:
         raise NotImplementedError
@@ -133,8 +120,6 @@ class HttpBackend(Backend):
     endpoint with a bearer token read from ``key_env`` and returns the first
     choice's message content.
     """
-
-    deterministic = False
 
     def __init__(
         self,
@@ -206,8 +191,6 @@ class _MockEntry:
 
 class MockBackend(Backend):
     """Deterministic scripted backend for tests and offline runs."""
-
-    deterministic = True
 
     def __init__(
         self,

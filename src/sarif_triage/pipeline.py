@@ -18,13 +18,27 @@ Each stage reads its inputs from disk, so deleting a downstream artifact
 and re-running reproduces it. With the mock backend every artifact except
 ``audit/`` (which records wall-clock timestamps) is byte-identical across
 reruns.
+
+Every stage runs through ``_run_stage``: it declares its inputs once, and
+``--resume`` skips it only when those inputs and the outputs recorded in
+its stamp still hash-match. The inputs each stamp keys on:
+
+    ingest      the SARIF file, cwe_map
+    context     findings.jsonl, every source file a finding names, limits,
+                baseline_style, prompt_mode
+    prompts     findings.jsonl, contexts*.jsonl, every rubric file,
+                prompt_mode, prompt_char_budget
+    adjudicate  prompts.jsonl, the backend config, the mock script,
+                max_output_chars
+    evaluate    findings.jsonl, adjudications.jsonl, the labels file,
+                write_csv
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -44,8 +58,6 @@ from .rubrics import default_rubric_dir, load_rubrics, rubric_for
 
 PROMPT_SYSTEM_HEADER = "=========SYSTEM========="
 PROMPT_USER_HEADER = "==========USER=========="
-
-STAGES = ("ingest", "context", "prompts", "adjudicate", "evaluate")
 
 
 class ConfigError(ValueError):
@@ -71,18 +83,6 @@ class BackendConfig:
     attempt_cap: int = 4
     backoff_base_s: float = 0.5
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "endpoint": self.endpoint,
-            "model": self.model,
-            "key_env": self.key_env,
-            "script_path": self.script_path,
-            "max_prompt_chars": self.max_prompt_chars,
-            "attempt_cap": self.attempt_cap,
-            "backoff_base_s": self.backoff_base_s,
-        }
-
 
 @dataclass
 class RunConfig:
@@ -106,29 +106,6 @@ class RunConfig:
             return [PromptMode.BASELINE, PromptMode.OPTIMIZED]
         return [PromptMode(self.prompt_mode)]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "sarif_path": str(self.sarif_path),
-            "source_root": str(self.source_root),
-            "output_dir": str(self.output_dir),
-            "prompt_mode": self.prompt_mode,
-            "baseline_style": self.baseline_style,
-            "backend": self.backend.to_dict(),
-            "limits": {
-                "max_total_lines": self.limits.max_total_lines,
-                "intermediate_elide_threshold": self.limits.intermediate_elide_threshold,
-                "elide_head_lines": self.limits.elide_head_lines,
-                "elide_tail_lines": self.limits.elide_tail_lines,
-            },
-            "prompt_char_budget": self.prompt_char_budget,
-            "max_output_chars": self.max_output_chars,
-            "parallelism": self.parallelism,
-            "labels_path": None if self.labels_path is None else str(self.labels_path),
-            "rubric_dir": None if self.rubric_dir is None else str(self.rubric_dir),
-            "cwe_map": dict(self.cwe_map),
-            "write_csv": self.write_csv,
-        }
-
 
 def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) -> RunConfig:
     """Read a JSON config file and apply flag overrides (flags win)."""
@@ -148,6 +125,16 @@ def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) ->
     return config_from_dict(merged, base_dir=path.parent)
 
 
+def _field_values(
+    cls: type, data: Mapping[str, Any], **convert: Callable[[Any], Any]
+) -> dict[str, Any]:
+    """The entries of ``data`` that name fields of the dataclass ``cls``,
+    each passed through ``convert[name]`` when given. Absent keys are left
+    out, so the dataclass supplies its own default."""
+    values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+    return {k: convert[k](v) if k in convert else v for k, v in values.items()}
+
+
 def config_from_dict(data: Mapping[str, Any], base_dir: Path | None = None) -> RunConfig:
     def resolve(p: str | None) -> Path | None:
         if p is None:
@@ -161,41 +148,29 @@ def config_from_dict(data: Mapping[str, Any], base_dir: Path | None = None) -> R
         if not data.get(required):
             raise ConfigError(f"config is missing required key: {required}")
 
-    backend_data = data.get("backend", {}) or {}
-    backend = BackendConfig(
-        kind=backend_data.get("kind", "mock"),
-        endpoint=backend_data.get("endpoint", ""),
-        model=backend_data.get("model", "mock"),
-        key_env=backend_data.get("key_env", "SARIF_TRIAGE_API_KEY"),
-        script_path=backend_data.get("script_path"),
-        max_prompt_chars=backend_data.get("max_prompt_chars"),
-        attempt_cap=int(backend_data.get("attempt_cap", 4)),
-        backoff_base_s=float(backend_data.get("backoff_base_s", 0.5)),
-    )
-    limits_data = data.get("limits", {}) or {}
-    limits = ContextLimits(
-        max_total_lines=int(limits_data.get("max_total_lines", 400)),
-        intermediate_elide_threshold=int(limits_data.get("intermediate_elide_threshold", 60)),
-        elide_head_lines=int(limits_data.get("elide_head_lines", 20)),
-        elide_tail_lines=int(limits_data.get("elide_tail_lines", 20)),
-    )
+    def backend(value: Mapping[str, Any] | None) -> BackendConfig:
+        return BackendConfig(
+            **_field_values(BackendConfig, value or {}, attempt_cap=int, backoff_base_s=float)
+        )
 
-    config = RunConfig(
-        sarif_path=resolve(data["sarif_path"]),
-        source_root=resolve(data["source_root"]),
-        output_dir=resolve(data["output_dir"]),
-        prompt_mode=str(data.get("prompt_mode", "OPTIMIZED")).upper(),
-        baseline_style=str(data.get("baseline_style", "WINDOW5")).upper(),
-        backend=backend,
-        limits=limits,
-        prompt_char_budget=data.get("prompt_char_budget"),
-        max_output_chars=int(data.get("max_output_chars", 16384)),
-        parallelism=int(data.get("parallelism", 1)),
-        labels_path=resolve(data.get("labels_path")),
-        rubric_dir=resolve(data.get("rubric_dir")),
-        cwe_map={str(k): str(v) for k, v in (data.get("cwe_map") or {}).items()},
-        write_csv=bool(data.get("write_csv", False)),
-    )
+    def limits(value: Mapping[str, Any] | None) -> ContextLimits:
+        values = _field_values(ContextLimits, value or {})
+        return ContextLimits(**{k: int(v) for k, v in values.items()})
+
+    def cwe_map(value: Mapping[str, Any] | None) -> dict[str, str]:
+        return {str(k): str(v) for k, v in (value or {}).items()}
+
+    def upper(value: Any) -> str:
+        return str(value).upper()
+
+    config = RunConfig(**_field_values(
+        RunConfig, data,
+        sarif_path=resolve, source_root=resolve, output_dir=resolve,
+        labels_path=resolve, rubric_dir=resolve,
+        prompt_mode=upper, baseline_style=upper,
+        backend=backend, limits=limits, cwe_map=cwe_map,
+        max_output_chars=int, parallelism=int, write_csv=bool,
+    ))
     validate_config(config)
     return config
 
@@ -286,6 +261,33 @@ def _stamp_matches(config: RunConfig, stage: str, inputs: dict[str, str]) -> boo
     return True
 
 
+def _run_stage(
+    config: RunConfig,
+    stage: str,
+    resume: bool,
+    inputs: dict[str, str],
+    body: Callable[[], list[Path]],
+) -> None:
+    """Run ``body`` unless ``resume`` is set and the stage's stamp still
+    matches ``inputs``; then stamp ``inputs`` with the paths ``body``
+    returned. Any failure in ``body`` surfaces as a ``StageError``."""
+    if resume and _stamp_matches(config, stage, inputs):
+        return
+    try:
+        outputs = body()
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(stage, str(exc)) from exc
+    _write_stamp(config, stage, inputs, outputs)
+
+
+def _require(stage: str, path: Path, producer: str) -> Path:
+    if not path.is_file():
+        raise StageError(stage, f"missing input {path}; run {producer} first")
+    return path
+
+
 # --------------------------------------------------------------------------
 # Prompt artifact files
 
@@ -318,26 +320,24 @@ def read_prompt_file(path: Path) -> tuple[str, str]:
 def write_config_echo(config: RunConfig) -> None:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     (config.output_dir / "run_config.json").write_text(
-        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(asdict(config), indent=2, sort_keys=True, default=str) + "\n",
+        encoding="utf-8",
     )
 
 
-def stage_ingest(config: RunConfig, resume: bool = False) -> list[Finding]:
+def stage_ingest(config: RunConfig, resume: bool = False) -> None:
     inputs = {
         "sarif": _sha256_file(config.sarif_path),
         "cwe_map": _sha256_text(json.dumps(config.cwe_map, sort_keys=True)),
     }
-    out_path = config.output_dir / "findings.jsonl"
-    if resume and _stamp_matches(config, "ingest", inputs):
-        return load_findings_jsonl(out_path)
-    try:
+
+    def body() -> list[Path]:
+        out_path = config.output_dir / "findings.jsonl"
         doc = parse_sarif(config.sarif_path.read_bytes())
-        findings = canonicalize(doc, config.cwe_map)
-    except Exception as exc:
-        raise StageError("ingest", str(exc)) from exc
-    write_findings_jsonl(findings, out_path)
-    _write_stamp(config, "ingest", inputs, [out_path])
-    return findings
+        write_findings_jsonl(canonicalize(doc, config.cwe_map), out_path)
+        return [out_path]
+
+    _run_stage(config, "ingest", resume, inputs, body)
 
 
 def _context_inputs(config: RunConfig, findings: list[Finding]) -> dict[str, str]:
@@ -347,7 +347,7 @@ def _context_inputs(config: RunConfig, findings: list[Finding]) -> dict[str, str
     for uri in uris:
         path = config.source_root / uri
         inputs[f"src:{uri}"] = _sha256_file(path) if path.is_file() else "missing"
-    inputs["limits"] = _sha256_text(json.dumps(config.to_dict()["limits"], sort_keys=True))
+    inputs["limits"] = _sha256_text(json.dumps(asdict(config.limits), sort_keys=True))
     inputs["baseline_style"] = config.baseline_style
     inputs["prompt_mode"] = config.prompt_mode
     return inputs
@@ -383,24 +383,21 @@ def load_contexts_jsonl(path: Path) -> dict[str, CodeContext]:
 
 
 def stage_context(config: RunConfig, resume: bool = False) -> None:
-    findings_path = config.output_dir / "findings.jsonl"
-    if not findings_path.is_file():
-        raise StageError("context", f"missing input {findings_path}; run ingest first")
-    findings = load_findings_jsonl(findings_path)
-    inputs = _context_inputs(config, findings)
-    if resume and _stamp_matches(config, "context", inputs):
-        return
-    try:
+    findings = load_findings_jsonl(
+        _require("context", config.output_dir / "findings.jsonl", "ingest")
+    )
+
+    def body() -> list[Path]:
         outputs: list[Path] = []
         modes = config.modes()
-        if any(m is PromptMode.OPTIMIZED for m in modes):
+        if PromptMode.OPTIMIZED in modes:
             contexts = [
                 extract_context(f, config.source_root, config.limits) for f in findings
             ]
             outputs += _write_contexts(
                 contexts, config.output_dir / "contexts", config.output_dir / "contexts.jsonl"
             )
-        if any(m is PromptMode.BASELINE for m in modes):
+        if PromptMode.BASELINE in modes:
             baseline = [
                 extract_baseline_context(
                     f, config.source_root, BaselineMode(config.baseline_style), config.limits
@@ -412,19 +409,19 @@ def stage_context(config: RunConfig, resume: bool = False) -> None:
                 config.output_dir / "contexts_baseline",
                 config.output_dir / "contexts_baseline.jsonl",
             )
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("context", str(exc)) from exc
-    _write_stamp(config, "context", inputs, outputs)
+        return outputs
+
+    _run_stage(config, "context", resume, _context_inputs(config, findings), body)
+
+
+_CONTEXT_FILES = {
+    PromptMode.OPTIMIZED: "contexts.jsonl",
+    PromptMode.BASELINE: "contexts_baseline.jsonl",
+}
 
 
 def stage_prompts(config: RunConfig, resume: bool = False) -> None:
-    findings_path = config.output_dir / "findings.jsonl"
-    if not findings_path.is_file():
-        raise StageError("prompts", f"missing input {findings_path}; run ingest first")
-    findings = load_findings_jsonl(findings_path)
-
+    findings_path = _require("prompts", config.output_dir / "findings.jsonl", "ingest")
     rubric_dir = config.rubric_dir or default_rubric_dir()
     rubric_inputs = {
         f"rubric:{p.name}": _sha256_file(p) for p in sorted(Path(rubric_dir).glob("*.rubric"))
@@ -432,28 +429,20 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
     inputs = {"findings": _sha256_file(findings_path), **rubric_inputs}
     inputs["prompt_mode"] = config.prompt_mode
     inputs["budget"] = str(config.prompt_char_budget)
-    for name in ("contexts.jsonl", "contexts_baseline.jsonl"):
+    for name in _CONTEXT_FILES.values():
         path = config.output_dir / name
         if path.is_file():
             inputs[name] = _sha256_file(path)
-    if resume and _stamp_matches(config, "prompts", inputs):
-        return
 
-    try:
+    def body() -> list[Path]:
+        findings = load_findings_jsonl(findings_path)
         store = load_rubrics(rubric_dir)
         modes = config.modes()
-        contexts_by_mode: dict[PromptMode, dict[str, CodeContext]] = {}
-        if any(m is PromptMode.OPTIMIZED for m in modes):
-            path = config.output_dir / "contexts.jsonl"
-            if not path.is_file():
-                raise StageError("prompts", f"missing input {path}; run context first")
-            contexts_by_mode[PromptMode.OPTIMIZED] = load_contexts_jsonl(path)
-        if any(m is PromptMode.BASELINE for m in modes):
-            path = config.output_dir / "contexts_baseline.jsonl"
-            if not path.is_file():
-                raise StageError("prompts", f"missing input {path}; run context first")
-            contexts_by_mode[PromptMode.BASELINE] = load_contexts_jsonl(path)
-
+        contexts_by_mode = {
+            mode: load_contexts_jsonl(_require("prompts", config.output_dir / name, "context"))
+            for mode, name in _CONTEXT_FILES.items()
+            if mode in modes
+        }
         prompts_dir = config.output_dir / "prompts"
         prompts_dir.mkdir(parents=True, exist_ok=True)
         outputs: list[Path] = []
@@ -488,19 +477,14 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
                         + "\n"
                     )
         outputs.append(index_path)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("prompts", str(exc)) from exc
-    _write_stamp(config, "prompts", inputs, outputs)
+        return outputs
+
+    _run_stage(config, "prompts", resume, inputs, body)
 
 
 def load_prompt_bundles(config: RunConfig) -> list[PromptBundle]:
-    index_path = config.output_dir / "prompts.jsonl"
-    if not index_path.is_file():
-        raise StageError("adjudicate", f"missing input {index_path}; run prompts first")
     bundles: list[PromptBundle] = []
-    with index_path.open("r", encoding="utf-8") as fh:
+    with (config.output_dir / "prompts.jsonl").open("r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
@@ -529,25 +513,24 @@ def load_prompt_bundles(config: RunConfig) -> list[PromptBundle]:
 def stage_adjudicate(
     config: RunConfig, resume: bool = False, sleep: Callable[[float], None] | None = None
 ) -> None:
-    bundles = load_prompt_bundles(config)
+    index_path = _require("adjudicate", config.output_dir / "prompts.jsonl", "prompts")
     inputs = {
-        "prompts": _sha256_file(config.output_dir / "prompts.jsonl"),
-        "backend": _sha256_text(json.dumps(config.backend.to_dict(), sort_keys=True)),
+        "prompts": _sha256_file(index_path),
+        "backend": _sha256_text(json.dumps(asdict(config.backend), sort_keys=True)),
+        "max_output_chars": str(config.max_output_chars),
     }
     if config.backend.kind == "mock" and config.backend.script_path:
         inputs["script"] = _sha256_file(Path(config.backend.script_path))
-    if resume and _stamp_matches(config, "adjudicate", inputs):
-        return
-    try:
-        backend = build_backend(config)
+
+    def body() -> list[Path]:
         retry = RetryPolicy(
             attempt_cap=config.backend.attempt_cap,
             backoff_base_s=config.backend.backoff_base_s,
             **({"sleep": sleep} if sleep is not None else {}),
         )
         results, audits = adj.adjudicate_all(
-            bundles,
-            backend,
+            load_prompt_bundles(config),
+            build_backend(config),
             parallelism=config.parallelism,
             model=config.backend.model,
             retry=retry,
@@ -566,30 +549,26 @@ def stage_adjudicate(
                 encoding="utf-8",
             )
             outputs.append(path)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("adjudicate", str(exc)) from exc
-    _write_stamp(config, "adjudicate", inputs, outputs)
+        return outputs
+
+    _run_stage(config, "adjudicate", resume, inputs, body)
 
 
-def stage_evaluate(config: RunConfig, resume: bool = False) -> dict[str, Any]:
+def stage_evaluate(config: RunConfig, resume: bool = False) -> None:
     if config.labels_path is None:
         raise ConfigError("evaluate requires labels_path in the config")
-    findings_path = config.output_dir / "findings.jsonl"
-    adjudications_path = config.output_dir / "adjudications.jsonl"
-    for needed in (findings_path, adjudications_path):
-        if not needed.is_file():
-            raise StageError("evaluate", f"missing input {needed}")
+    findings_path = _require("evaluate", config.output_dir / "findings.jsonl", "ingest")
+    adjudications_path = _require(
+        "evaluate", config.output_dir / "adjudications.jsonl", "adjudicate"
+    )
     inputs = {
         "findings": _sha256_file(findings_path),
         "adjudications": _sha256_file(adjudications_path),
         "labels": _sha256_file(config.labels_path),
+        "write_csv": str(config.write_csv),
     }
-    report_path = config.output_dir / "report.json"
-    if resume and _stamp_matches(config, "evaluate", inputs) and report_path.is_file():
-        return json.loads(report_path.read_text(encoding="utf-8"))
-    try:
+
+    def body() -> list[Path]:
         findings = load_findings_jsonl(findings_path)
         results = adj.load_adjudications_jsonl(adjudications_path)
         truths = ev.load_labels_jsonl(config.labels_path)
@@ -608,6 +587,7 @@ def stage_evaluate(config: RunConfig, resume: bool = False) -> dict[str, Any]:
         }
         if deltas is not None:
             payload["delta"] = [row.to_dict() for row in deltas]
+        report_path = config.output_dir / "report.json"
         report_path.write_text(
             json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
@@ -619,12 +599,9 @@ def stage_evaluate(config: RunConfig, resume: bool = False) -> dict[str, Any]:
             csv_path = config.output_dir / "report.csv"
             ev.write_report_csv(reports, csv_path)
             outputs.append(csv_path)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("evaluate", str(exc)) from exc
-    _write_stamp(config, "evaluate", inputs, outputs)
-    return payload
+        return outputs
+
+    _run_stage(config, "evaluate", resume, inputs, body)
 
 
 def run_all(

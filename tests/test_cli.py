@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from corpus import build_corpus, write_config
 from sarif_triage.cli import EXIT_OK, EXIT_STAGE_FAILURE, EXIT_USAGE, main
+from sarif_triage.context import ContextLimits
+from sarif_triage.pipeline import BackendConfig, load_config
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +72,39 @@ def test_missing_sarif_path_exits_2(tmp_path, capsys):
     )
     assert main(["ingest", "--config", str(config)]) == EXIT_USAGE
     assert "absent.sarif" in capsys.readouterr().err
+
+
+def test_config_values_are_coerced_and_absent_keys_keep_their_defaults(corpus, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "sarif_path": str(corpus.sarif_path),
+                "source_root": str(corpus.source_root),
+                "output_dir": "out",
+                "prompt_mode": "both",
+                "parallelism": "2",
+                "backend": {"script_path": str(corpus.mock_script_path), "attempt_cap": "3"},
+                "limits": {"max_total_lines": "50"},
+                "cwe_map": {"vendor/rule": 89},
+                "not_a_setting": True,
+            }
+        )
+    )
+    config = load_config(config_path)
+    assert config.output_dir == tmp_path / "out"
+    assert (config.prompt_mode, config.parallelism) == ("BOTH", 2)
+    assert config.backend == BackendConfig(
+        script_path=str(corpus.mock_script_path), attempt_cap=3
+    )
+    assert config.limits == ContextLimits(max_total_lines=50)
+    assert config.cwe_map == {"vendor/rule": "89"}
+    assert (config.baseline_style, config.max_output_chars, config.write_csv) == (
+        "WINDOW5",
+        16384,
+        False,
+    )
+    assert config.labels_path is None and config.rubric_dir is None
 
 
 def test_ingest_schema_error_exits_2_but_run_stage_failure_exits_1(corpus, tmp_path, capsys):
@@ -160,12 +196,39 @@ def test_prompt_mode_flag_overrides_config(corpus, tmp_path):
 
 def test_resume_skips_unchanged_stages(corpus, tmp_path):
     out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="BOTH")
+    assert main(["run", "--config", str(config), "--csv"]) == EXIT_OK
+    # Every output but the config echo is backdated, so any rewrite shows
+    # as a new mtime however coarse the filesystem clock is.
+    outputs = [p for p in out.rglob("*") if p.is_file() and p.name != "run_config.json"]
+    assert out / "report.csv" in outputs
+    for path in outputs:
+        os.utime(path, ns=(10**9, 10**9))
+    assert main(["run", "--config", str(config), "--resume", "--csv"]) == EXIT_OK
+    rewritten = [str(p.relative_to(out)) for p in outputs if p.stat().st_mtime_ns != 10**9]
+    assert rewritten == []
+    assert sorted(p for p in out.rglob("*") if p.is_file() and p.name != "run_config.json") \
+        == sorted(outputs)
+
+
+def test_resume_with_csv_writes_the_csv(corpus, tmp_path):
+    out = tmp_path / "out"
     config = write_config(corpus, out)
     assert main(["run", "--config", str(config)]) == EXIT_OK
-    before = (out / "adjudications.jsonl").stat().st_mtime_ns
+    assert not (out / "report.csv").exists()
+    assert main(["run", "--config", str(config), "--resume", "--csv"]) == EXIT_OK
+    assert (out / "report.csv").is_file()
+
+
+def test_resume_revalidates_under_a_lower_max_output_chars(corpus, tmp_path):
+    out = tmp_path / "out"
+    config = write_config(corpus, out)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    config = write_config(corpus, out, extra={"max_output_chars": 10})
     assert main(["run", "--config", str(config), "--resume"]) == EXIT_OK
-    after = (out / "adjudications.jsonl").stat().st_mtime_ns
-    assert before == after  # stage skipped, file untouched
+    rows = [json.loads(line) for line in (out / "adjudications.jsonl").read_text().splitlines()]
+    assert len(rows) == 20
+    assert all(r["status"] == "UNEVALUATED" for r in rows)
 
 
 def test_stage_isolation_reproduces_deleted_downstream_dirs(corpus, tmp_path):

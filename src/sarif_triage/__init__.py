@@ -37,6 +37,7 @@ from .context import (
     ContextLimits,
     ContextSegment,
     SegmentReason,
+    SourceSnapshot,
     extract_baseline_context,
     extract_context,
 )

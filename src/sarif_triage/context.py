@@ -6,12 +6,15 @@ a method, and method signatures plus call sites when a flow crosses method
 boundaries. A windowed and a whole-file baseline extractor are provided for
 comparison runs.
 
-Line endings are normalized to LF before any offset math. Per-finding
-extraction is pure over its inputs and safe to parallelize.
+Source text comes from one ``SourceSnapshot`` per run, shared by both
+extractors and the context stamp. Line endings are normalized to LF before
+any offset math. Extraction is pure over (finding, snapshot, limits).
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -112,27 +115,40 @@ class CodeContext:
         )
 
 
-class _SourceCache:
-    """Immutable per-run snapshot of source files and their method tables."""
+class SourceSnapshot:
+    """Read-only view of the source tree for one run: each file is read,
+    hashed and method-scanned at most once. A URI that lexically leaves
+    ``root`` (an absolute path elsewhere, or too many ``..``) reads as
+    missing; symlinks are not resolved, so those inside the tree work."""
 
-    def __init__(self, source_root: Path):
-        self.root = Path(source_root)
-        self._lines: dict[str, list[str] | None] = {}
+    def __init__(self, root: Path | str):
+        self.root = os.path.abspath(root)
+        self._files: dict[str, tuple[str, list[str]] | None] = {}
         self._methods: dict[str, list[MethodRecord]] = {}
 
-    def lines(self, uri: str) -> list[str] | None:
-        if uri not in self._lines:
-            path = self.root / uri
-            if not path.is_file():
-                self._lines[uri] = None
+    def _file(self, uri: str) -> tuple[str, list[str]] | None:
+        """The file's SHA-256 hex digest and its lines, or None."""
+        if uri not in self._files:
+            path = os.path.abspath(os.path.join(self.root, uri))
+            if os.path.commonpath([self.root, path]) != self.root or not os.path.isfile(path):
+                self._files[uri] = None
             else:
-                text = path.read_text(encoding="utf-8", errors="replace")
+                data = Path(path).read_bytes()
+                text = data.decode("utf-8", errors="replace")
                 text = text.replace("\r\n", "\n").replace("\r", "\n")
                 lines = text.split("\n")
                 if lines and lines[-1] == "":
                     lines.pop()  # trailing newline is not an extra line
-                self._lines[uri] = lines
-        return self._lines[uri]
+                self._files[uri] = (hashlib.sha256(data).hexdigest(), lines)
+        return self._files[uri]
+
+    def sha256(self, uri: str) -> str:
+        file = self._file(uri)
+        return "missing" if file is None else file[0]
+
+    def lines(self, uri: str) -> list[str] | None:
+        file = self._file(uri)
+        return None if file is None else file[1]
 
     def methods(self, uri: str) -> list[MethodRecord]:
         if uri not in self._methods:
@@ -192,11 +208,11 @@ def _resolved_step_locations(finding: Finding) -> list[tuple[int | None, CodeLoc
 
 
 def _probe_step(
-    collector: _Collector, cache: _SourceCache, idx: int | None, loc: CodeLocation
+    collector: _Collector, source: SourceSnapshot, idx: int | None, loc: CodeLocation
 ) -> bool:
     """Check that the step's file and line exist, recording a note (and
     marking the context partial) when they do not."""
-    lines = cache.lines(loc.uri)
+    lines = source.lines(loc.uri)
     label = f"step {idx}" if idx is not None else "primary location"
     if lines is None:
         collector.note(f"missing file: {loc.uri} ({label})")
@@ -210,9 +226,9 @@ def _probe_step(
 
 
 def _emit_step_line(
-    collector: _Collector, cache: _SourceCache, idx: int | None, loc: CodeLocation
+    collector: _Collector, source: SourceSnapshot, idx: int | None, loc: CodeLocation
 ) -> None:
-    lines = cache.lines(loc.uri)
+    lines = source.lines(loc.uri)
     end = min(loc.end_line, len(lines))
     if end < loc.end_line:
         label = f"step {idx}" if idx is not None else "primary location"
@@ -222,7 +238,7 @@ def _emit_step_line(
 
 def _add_intermediate(
     collector: _Collector,
-    cache: _SourceCache,
+    source: SourceSnapshot,
     uri: str,
     lo_end: int,
     hi_start: int,
@@ -232,7 +248,7 @@ def _add_intermediate(
     start, end = lo_end + 1, hi_start - 1
     if start > end:
         return
-    lines = cache.lines(uri)
+    lines = source.lines(uri)
     assert lines is not None  # caller resolved both step lines already
     span = end - start + 1
     if span > limits.intermediate_elide_threshold:
@@ -249,14 +265,11 @@ def _add_intermediate(
 
 
 def _add_method_signature(
-    collector: _Collector, cache: _SourceCache, method: MethodRecord
+    collector: _Collector, source: SourceSnapshot, method: MethodRecord
 ) -> None:
-    lines = cache.lines(method.file)
-    if lines is None:
-        return
     collector.add(
         _segment(
-            lines,
+            source.lines(method.file),
             method.file,
             method.start_line,
             method.signature_end_line,
@@ -267,7 +280,7 @@ def _add_method_signature(
 
 def _add_call_site(
     collector: _Collector,
-    cache: _SourceCache,
+    source: SourceSnapshot,
     caller: MethodRecord,
     callee_name: str,
     from_line: int,
@@ -276,9 +289,7 @@ def _add_call_site(
 ) -> None:
     """First line in the caller's body between the step lines that mentions
     the callee followed by an opening paren; omitted when none matches."""
-    lines = cache.lines(caller.file)
-    if lines is None:
-        return
+    lines = source.lines(caller.file)
     start = max(from_line, caller.start_line)
     end = min(to_line, caller.end_line, len(lines))
     pattern = re.compile(r"\b" + re.escape(callee_name) + r"\s*\(")
@@ -315,7 +326,7 @@ def _apply_line_cap(
 
 def extract_context(
     finding: Finding,
-    source_root: Path | str,
+    source: SourceSnapshot,
     limits: ContextLimits = ContextLimits(),
 ) -> CodeContext:
     """Build the ordered code context for one finding.
@@ -323,46 +334,38 @@ def extract_context(
     Missing files and out-of-range lines mark the context as partial but
     never abort extraction.
     """
-    cache = _SourceCache(Path(source_root))
     collector = _Collector(limits=limits)
     steps = _resolved_step_locations(finding)
 
-    resolved = [_probe_step(collector, cache, idx, loc) for idx, loc in steps]
+    resolved = [_probe_step(collector, source, idx, loc) for idx, loc in steps]
     for pos, (idx, loc) in enumerate(steps):
         # Between-pair segments come before the later step line, keeping
         # segment order a stable refinement of trace order.
         if pos > 0 and resolved[pos - 1] and resolved[pos]:
-            prev_idx, prev_loc = steps[pos - 1]
-            link_index = prev_idx
-            same_method = False
-            if prev_loc.uri == loc.uri:
-                methods = cache.methods(loc.uri)
-                m_prev = enclosing_method(methods, prev_loc.start_line)
-                m_cur = enclosing_method(methods, loc.start_line)
-                same_method = m_prev is not None and m_prev == m_cur
-            else:
-                m_prev = enclosing_method(cache.methods(prev_loc.uri), prev_loc.start_line)
-                m_cur = enclosing_method(cache.methods(loc.uri), loc.start_line)
-            if same_method:
+            link_index, prev_loc = steps[pos - 1]
+            m_prev = enclosing_method(source.methods(prev_loc.uri), prev_loc.start_line)
+            m_cur = enclosing_method(source.methods(loc.uri), loc.start_line)
+            # Records carry their file, so methods in different files differ.
+            if m_prev is not None and m_prev == m_cur:
                 lo, hi = sorted(
                     [(prev_loc.start_line, prev_loc.end_line), (loc.start_line, loc.end_line)]
                 )
-                _add_intermediate(collector, cache, loc.uri, lo[1], hi[0], link_index, limits)
+                _add_intermediate(collector, source, loc.uri, lo[1], hi[0], link_index, limits)
             else:
                 # Different methods (or files): capture both enclosing
                 # signatures plus the call site when identifiable.
                 if m_prev is not None:
-                    _add_method_signature(collector, cache, m_prev)
+                    _add_method_signature(collector, source, m_prev)
                 if m_cur is not None:
-                    _add_method_signature(collector, cache, m_cur)
+                    _add_method_signature(collector, source, m_cur)
                 if m_prev is not None and m_cur is not None:
                     to_line = loc.start_line if prev_loc.uri == loc.uri else m_prev.end_line
                     _add_call_site(
-                        collector, cache, m_prev, m_cur.name,
+                        collector, source, m_prev, m_cur.name,
                         prev_loc.start_line, to_line, link_index,
                     )
         if resolved[pos]:
-            _emit_step_line(collector, cache, idx, loc)
+            _emit_step_line(collector, source, idx, loc)
 
     segments, truncated, total = _apply_line_cap(collector, limits)
     return CodeContext(
@@ -377,19 +380,18 @@ def extract_context(
 
 def extract_baseline_context(
     finding: Finding,
-    source_root: Path | str,
+    source: SourceSnapshot,
     mode: BaselineMode,
     limits: ContextLimits = ContextLimits(),
 ) -> CodeContext:
     """Minimal-context baselines: an 11-line window around each step, or one
     whole-file segment per distinct file in the trace."""
-    cache = _SourceCache(Path(source_root))
     collector = _Collector(limits=limits)
     steps = _resolved_step_locations(finding)
 
     if mode is BaselineMode.WINDOW5:
         for idx, loc in steps:
-            lines = cache.lines(loc.uri)
+            lines = source.lines(loc.uri)
             label = f"step {idx}" if idx is not None else "primary location"
             if lines is None:
                 collector.note(f"missing file: {loc.uri} ({label})")
@@ -406,7 +408,7 @@ def extract_baseline_context(
             if loc.uri in seen_files:
                 continue
             seen_files.add(loc.uri)
-            lines = cache.lines(loc.uri)
+            lines = source.lines(loc.uri)
             if lines is None:
                 collector.note(f"missing file: {loc.uri}")
                 continue

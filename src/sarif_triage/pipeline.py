@@ -21,7 +21,9 @@ reruns.
 
 Every stage runs through ``_run_stage``: it declares its inputs once, and
 ``--resume`` skips it only when those inputs and the outputs recorded in
-its stamp still hash-match. The inputs each stamp keys on:
+its stamp still hash-match. A stage that runs deletes the outputs its
+previous stamp recorded and it no longer writes. The inputs each stamp
+keys on:
 
     ingest      the SARIF file, cwe_map
     context     findings.jsonl, every source file a finding names, limits,
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -49,6 +52,7 @@ from .context import (
     BaselineMode,
     CodeContext,
     ContextLimits,
+    SourceSnapshot,
     extract_baseline_context,
     extract_context,
 )
@@ -244,14 +248,17 @@ def _write_stamp(config: RunConfig, stage: str, inputs: dict[str, str], outputs:
     path.write_text(json.dumps(stamp, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _stamp_matches(config: RunConfig, stage: str, inputs: dict[str, str]) -> bool:
+def _read_stamp(config: RunConfig, stage: str) -> dict[str, Any] | None:
     path = _stamp_path(config, stage)
     if not path.is_file():
-        return False
+        return None
     try:
-        stamp = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError:
-        return False
+        return None
+
+
+def _stamp_matches(config: RunConfig, stamp: dict[str, Any], inputs: dict[str, str]) -> bool:
     if stamp.get("inputs") != inputs:
         return False
     for rel, expected in stamp.get("outputs", {}).items():
@@ -269,9 +276,11 @@ def _run_stage(
     body: Callable[[], list[Path]],
 ) -> None:
     """Run ``body`` unless ``resume`` is set and the stage's stamp still
-    matches ``inputs``; then stamp ``inputs`` with the paths ``body``
+    matches ``inputs``; then delete what the previous stamp recorded and
+    ``body`` no longer wrote, and stamp ``inputs`` with the paths ``body``
     returned. Any failure in ``body`` surfaces as a ``StageError``."""
-    if resume and _stamp_matches(config, stage, inputs):
+    previous = _read_stamp(config, stage)
+    if resume and previous is not None and _stamp_matches(config, previous, inputs):
         return
     try:
         outputs = body()
@@ -279,7 +288,28 @@ def _run_stage(
         raise
     except Exception as exc:
         raise StageError(stage, str(exc)) from exc
+    if previous is not None:
+        _remove_stale_outputs(config, previous, outputs)
     _write_stamp(config, stage, inputs, outputs)
+
+
+def _remove_stale_outputs(config: RunConfig, stamp: dict[str, Any], outputs: list[Path]) -> None:
+    """Delete each file ``stamp`` recorded that is not in ``outputs``, and
+    any directory that leaves empty. Paths that lexically leave
+    ``output_dir`` are never touched."""
+    root = os.path.abspath(config.output_dir)
+    kept = {os.path.abspath(p) for p in outputs}
+    emptied = set()
+    for rel in stamp.get("outputs", {}):
+        path = os.path.abspath(os.path.join(root, rel))
+        if path in kept or os.path.commonpath([root, path]) != root:
+            continue
+        if os.path.isfile(path):
+            os.remove(path)
+            emptied.add(os.path.dirname(path))
+    for directory in sorted(emptied - {root}, reverse=True):
+        if not os.listdir(directory):
+            os.rmdir(directory)
 
 
 def _require(stage: str, path: Path, producer: str) -> Path:
@@ -340,13 +370,14 @@ def stage_ingest(config: RunConfig, resume: bool = False) -> None:
     _run_stage(config, "ingest", resume, inputs, body)
 
 
-def _context_inputs(config: RunConfig, findings: list[Finding]) -> dict[str, str]:
+def _context_inputs(
+    config: RunConfig, findings: list[Finding], source: SourceSnapshot
+) -> dict[str, str]:
     inputs = {"findings": _sha256_file(config.output_dir / "findings.jsonl")}
     uris = sorted({step.location.uri for f in findings for step in f.trace}
                   | {f.primary_location.uri for f in findings})
     for uri in uris:
-        path = config.source_root / uri
-        inputs[f"src:{uri}"] = _sha256_file(path) if path.is_file() else "missing"
+        inputs[f"src:{uri}"] = source.sha256(uri)
     inputs["limits"] = _sha256_text(json.dumps(asdict(config.limits), sort_keys=True))
     inputs["baseline_style"] = config.baseline_style
     inputs["prompt_mode"] = config.prompt_mode
@@ -386,24 +417,19 @@ def stage_context(config: RunConfig, resume: bool = False) -> None:
     findings = load_findings_jsonl(
         _require("context", config.output_dir / "findings.jsonl", "ingest")
     )
+    source = SourceSnapshot(config.source_root)
 
     def body() -> list[Path]:
         outputs: list[Path] = []
         modes = config.modes()
         if PromptMode.OPTIMIZED in modes:
-            contexts = [
-                extract_context(f, config.source_root, config.limits) for f in findings
-            ]
+            contexts = [extract_context(f, source, config.limits) for f in findings]
             outputs += _write_contexts(
                 contexts, config.output_dir / "contexts", config.output_dir / "contexts.jsonl"
             )
         if PromptMode.BASELINE in modes:
-            baseline = [
-                extract_baseline_context(
-                    f, config.source_root, BaselineMode(config.baseline_style), config.limits
-                )
-                for f in findings
-            ]
+            style = BaselineMode(config.baseline_style)
+            baseline = [extract_baseline_context(f, source, style, config.limits) for f in findings]
             outputs += _write_contexts(
                 baseline,
                 config.output_dir / "contexts_baseline",
@@ -411,7 +437,7 @@ def stage_context(config: RunConfig, resume: bool = False) -> None:
             )
         return outputs
 
-    _run_stage(config, "context", resume, _context_inputs(config, findings), body)
+    _run_stage(config, "context", resume, _context_inputs(config, findings, source), body)
 
 
 _CONTEXT_FILES = {

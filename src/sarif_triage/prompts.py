@@ -7,7 +7,9 @@ identical inputs produce byte-identical prompts and hashes.
 
 Evidence is wrapped in fixed 24-character sentinel lines so instruction-like
 text inside code or traces can never be mistaken for part of the prompt
-structure.
+structure: an evidence line that would itself read as a sentinel is
+prefixed with ``FENCE_LOOKALIKE``, and analyzer text substituted outside
+the fences is folded onto one line.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ class PromptMode(str, Enum):
 # analyzed code.
 EVIDENCE_OPEN = "=====BEGIN-EVIDENCE====="
 EVIDENCE_CLOSE = "======END-EVIDENCE======"
+# Prefix for an evidence line whose stripped text equals a sentinel, so it
+# can no longer open or close a fence.
+FENCE_LOOKALIKE = "[fence look-alike] "
 
 LINE_UNAVAILABLE = "<line unavailable>"
 
@@ -228,6 +233,17 @@ def _format_location(finding: Finding) -> str:
     return f"{loc.uri}:{loc.start_line}"
 
 
+def _fence_safe(evidence: str) -> str:
+    return "".join(
+        FENCE_LOOKALIKE + line if line.strip() in (EVIDENCE_OPEN, EVIDENCE_CLOSE) else line
+        for line in evidence.splitlines(keepends=True)
+    )
+
+
+def _one_line(text: str) -> str:
+    return " ".join(text.splitlines())
+
+
 def _substitute(template: str, values: dict[str, str]) -> str:
     # Single-pass substitution: values are never rescanned, so placeholder-
     # looking text inside evidence cannot trigger a second expansion.
@@ -259,7 +275,7 @@ def compile_prompt(
     annotated trace is never truncated.
     """
     if finding.trace:
-        trace_text = render_trace(finding, ctx).rendered
+        trace_text = _fence_safe(render_trace(finding, ctx).rendered)
     else:
         trace_text = "(no dataflow trace was reported for this alert)"
 
@@ -267,10 +283,10 @@ def compile_prompt(
     while True:
         values = {
             "cwe_id": finding.cwe_id,
-            "rule_id": finding.rule_id,
-            "message": finding.message,
-            "vulnerability_location": _format_location(finding),
-            "code_snippet": render_snippet(segments),
+            "rule_id": _one_line(finding.rule_id),
+            "message": _one_line(finding.message),
+            "vulnerability_location": _one_line(_format_location(finding)),
+            "code_snippet": _fence_safe(render_snippet(segments)),
             "annotated_trace": trace_text,
             "rubric": _render_rubric(rubric),
             "checklist": _render_checklist(rubric),

@@ -231,6 +231,36 @@ def test_resume_revalidates_under_a_lower_max_output_chars(corpus, tmp_path):
     assert all(r["status"] == "UNEVALUATED" for r in rows)
 
 
+def test_rerun_removes_artifacts_the_new_config_no_longer_writes(corpus, tmp_path):
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="BOTH")
+    assert main(["run", "--config", str(config), "--csv"]) == EXIT_OK
+    assert (out / "report.csv").is_file()
+    config = write_config(corpus, out, prompt_mode="OPTIMIZED")
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    assert not (out / "report.csv").exists()
+    assert not (out / "contexts_baseline.jsonl").exists()
+    assert not (out / "contexts_baseline").exists()
+    assert list((out / "prompts").glob("*.baseline.txt")) == []
+    assert list((out / "audit").glob("*.baseline.json")) == []
+    assert len(list((out / "prompts").glob("*.optimized.txt"))) == 20
+    assert json.loads((out / "report.json").read_text())["modes"].keys() == {"OPTIMIZED"}
+
+
+def test_rerun_deletes_nothing_outside_the_output_dir(corpus, tmp_path):
+    out = tmp_path / "out"
+    config = write_config(corpus, out)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    keep = tmp_path / "keep.txt"
+    keep.write_text("not an artifact\n")
+    stamp_path = out / ".stamps" / "evaluate.json"
+    stamp = json.loads(stamp_path.read_text())
+    stamp["outputs"]["../keep.txt"] = "0" * 64
+    stamp_path.write_text(json.dumps(stamp))
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    assert keep.read_text() == "not an artifact\n"
+
+
 def test_stage_isolation_reproduces_deleted_downstream_dirs(corpus, tmp_path):
     import shutil
 

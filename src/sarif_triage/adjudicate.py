@@ -9,8 +9,9 @@ fails is marked UNEVALUATED, never dropped.
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -325,22 +326,35 @@ def adjudicate_all(
 ) -> tuple[list[AdjudicationResult], list[AuditRecord]]:
     """Adjudicate every bundle exactly once.
 
-    At most ``parallelism`` calls are in flight; output order equals input
-    order regardless of completion order, and one audit record exists per
-    bundle whatever happens.
+    At most ``parallelism`` calls are in flight: each bundle's work holds one
+    of ``parallelism`` slots, and a backoff wait between retries gives its
+    slot back, so a throttled call never idles one. Up to
+    ``parallelism * retry.attempt_cap`` threads run, enough for others to
+    fill the slots while some wait. Output order equals input order
+    regardless of completion order, and one audit record exists per bundle
+    whatever happens.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     retry = retry or RetryPolicy()
+    slots = threading.BoundedSemaphore(parallelism)
+
+    def pause(seconds: float) -> None:
+        slots.release()
+        try:
+            retry.sleep(seconds)
+        finally:
+            slots.acquire()
+
+    paced = replace(retry, sleep=pause)
 
     def work(bundle: PromptBundle) -> tuple[AdjudicationResult, AuditRecord]:
-        return _adjudicate_one(bundle, backend, model, retry, max_output_chars)
+        with slots:
+            return _adjudicate_one(bundle, backend, model, paced, max_output_chars)
 
-    if parallelism == 1 or len(bundles) <= 1:
-        pairs = [work(b) for b in bundles]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            pairs = list(pool.map(work, bundles))
+    workers = max(1, min(len(bundles), parallelism * retry.attempt_cap))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pairs = list(pool.map(work, bundles))
 
     results = [pair[0] for pair in pairs]
     audits = [pair[1] for pair in pairs]

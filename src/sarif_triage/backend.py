@@ -2,8 +2,11 @@
 
 Every backend answers a ``BackendRequest`` (two-message conversation at
 temperature 0) with a ``BackendReply``. ``send`` adds retry with
-exponential backoff for transport errors and rate limiting; context
-overflow is never retried.
+exponential backoff for transport errors and rate limiting, waiting longer
+when a throttling reply asks for it (``retry-after-ms`` or ``Retry-After``);
+context overflow is never retried. ``send`` waits through
+``RetryPolicy.sleep``, which ``adjudicate_all`` wraps so that a waiting call
+gives its ``parallelism`` slot to another.
 
 The mock backend is driven by a JSON script file mapping finding keys (or
 prompt hashes) to canned responses, optionally with scripted failures:
@@ -43,7 +46,12 @@ class TransportError(BackendError):
 
 
 class RateLimited(BackendError):
-    """Throttled by the provider; retryable."""
+    """Throttled by the provider; retryable. ``retry_after_s`` is the wait
+    the provider asked for, 0 when it named none."""
+
+    def __init__(self, message: str, retry_after_s: float = 0.0):
+        super().__init__(message)
+        self.retry_after_s = retry_after_s
 
 
 class ContextOverflow(BackendError):
@@ -88,7 +96,8 @@ class RetryPolicy:
 
 def send(request: BackendRequest, backend: "Backend", retry: RetryPolicy | None = None) -> BackendReply:
     """Issue one request, retrying transport errors and rate limits with
-    exponential backoff up to ``retry.attempt_cap`` attempts."""
+    exponential backoff up to ``retry.attempt_cap`` attempts. A rate limit
+    waits for the longer of the backoff and the provider's ``retry_after_s``."""
     retry = retry or RetryPolicy()
     last_error: BackendError | None = None
     for attempt in range(1, retry.attempt_cap + 1):
@@ -97,7 +106,10 @@ def send(request: BackendRequest, backend: "Backend", retry: RetryPolicy | None 
         except (TransportError, RateLimited) as exc:
             last_error = exc
             if attempt < retry.attempt_cap:
-                retry.sleep(retry.backoff_base_s * (2 ** (attempt - 1)))
+                wait = retry.backoff_base_s * (2 ** (attempt - 1))
+                if isinstance(exc, RateLimited):
+                    wait = max(wait, exc.retry_after_s)
+                retry.sleep(wait)
     raise Exhausted(
         f"gave up after {retry.attempt_cap} attempts: {last_error}"
     ) from last_error
@@ -111,6 +123,21 @@ class Backend:
 
 
 _RETRYABLE_STATUSES = {429, 502, 503, 504}
+RETRY_AFTER_CAP_S = 60.0  # longest wait a provider's retry header can ask for
+
+
+def _retry_after_s(headers: Mapping[str, str]) -> float:
+    """The wait a throttling reply asks for: ``retry-after-ms``, or failing
+    that ``Retry-After`` as delta-seconds, clamped to ``RETRY_AFTER_CAP_S``.
+    An absent, negative or unparsable value (an HTTP-date included) is 0."""
+    for name, per_second in (("retry-after-ms", 1000.0), ("Retry-After", 1.0)):
+        try:
+            seconds = float(headers.get(name, "")) / per_second
+        except ValueError:
+            continue
+        if seconds >= 0:  # also false for NaN
+            return min(seconds, RETRY_AFTER_CAP_S)
+    return 0.0
 
 
 class HttpBackend(Backend):
@@ -162,7 +189,10 @@ class HttpBackend(Backend):
         latency_ms = int((time.monotonic() - started) * 1000)
 
         if response.status_code in _RETRYABLE_STATUSES:
-            raise RateLimited(f"HTTP {response.status_code}: {response.text[:200]}")
+            raise RateLimited(
+                f"HTTP {response.status_code}: {response.text[:200]}",
+                retry_after_s=_retry_after_s(response.headers),
+            )
         if response.status_code == 400 and _looks_like_overflow(response.text):
             raise ContextOverflow(f"HTTP 400: {response.text[:200]}")
         if response.status_code != 200:

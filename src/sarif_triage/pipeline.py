@@ -635,7 +635,8 @@ def run_all(
 ) -> None:
     """Execute ingest -> context -> prompts -> adjudicate (-> evaluate when
     labels are configured), writing every stage's outputs before the next
-    stage begins."""
+    stage begins. Without labels, the report an earlier run left is deleted
+    so that it cannot pass for this run's."""
     write_config_echo(config)
     stage_ingest(config, resume)
     stage_context(config, resume)
@@ -643,3 +644,8 @@ def run_all(
     stage_adjudicate(config, resume, sleep=sleep)
     if config.labels_path is not None:
         stage_evaluate(config, resume)
+    else:
+        previous = _read_stamp(config, "evaluate")
+        if previous is not None:
+            _remove_stale_outputs(config, previous, [])
+        _stamp_path(config, "evaluate").unlink(missing_ok=True)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -115,14 +118,31 @@ def test_adjudicate_all_matches_scripted_labels():
         assert audit.status == STATUS_OK
 
 
+def _flaky_script(verdicts: dict[str, str]) -> dict:
+    """The oracle script with every third finding failing its first one or
+    two attempts, alternating transport errors and rate limits."""
+    script: dict = _oracle_script(verdicts)
+    for i, fid in enumerate(verdicts):
+        if i % 3 == 0:
+            script[fid] = {
+                "response": script[fid],
+                "fail_first": 1 + i % 2,
+                "failure": "rate_limited" if i % 2 else "transport",
+            }
+    return script
+
+
 def test_parallelism_does_not_change_serialized_output(tmp_path):
     verdicts = {f"f{i}": ("TRUE_POSITIVE" if i % 2 else "FALSE_POSITIVE") for i in range(12)}
     bundles = [_bundle(fid) for fid in verdicts]
+    # Real (short) backoff sleeps let retried findings finish out of order.
+    retry = RetryPolicy(attempt_cap=4, backoff_base_s=0.002)
 
     paths = []
     for parallelism in (1, 4):
-        backend = MockBackend(responses=_oracle_script(verdicts))
-        results, _ = adjudicate_all(bundles, backend, parallelism=parallelism, retry=NO_SLEEP)
+        backend = MockBackend(responses=_flaky_script(verdicts))
+        results, _ = adjudicate_all(bundles, backend, parallelism=parallelism, retry=retry)
+        assert [r.adjudication.attempt_count for r in results][:4] == [2, 1, 1, 3]
         path = tmp_path / f"adjudications_{parallelism}.jsonl"
         write_adjudications_jsonl(results, path)
         paths.append(path)
@@ -201,3 +221,91 @@ def test_every_persisted_verdict_passed_validation():
     assert results[0].status == STATUS_OK
     assert results[1].status == STATUS_UNEVALUATED
     assert results[1].adjudication is None
+
+
+class _CountingBackend(MockBackend):
+    """Records how many ``complete`` calls overlap and which threads make
+    them. Each call waits (briefly, bounded) until ``parallelism`` calls are
+    in flight at once, so the bound is reached whenever it is allowed."""
+
+    def __init__(self, responses, parallelism: int):
+        super().__init__(responses=responses)
+        self.parallelism = parallelism
+        self.in_flight = 0
+        self.peak = 0
+        self.threads: set[int] = set()
+        self.full = threading.Event()
+        self.count_lock = threading.Lock()
+
+    def complete(self, request):
+        with self.count_lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.threads.add(threading.get_ident())
+            if self.in_flight == self.parallelism:
+                self.full.set()
+        try:
+            self.full.wait(timeout=0.5)
+            time.sleep(0.002)
+            return super().complete(request)
+        finally:
+            with self.count_lock:
+                self.in_flight -= 1
+
+
+def test_a_backoff_does_not_hold_a_slot():
+    # One slot: while f0 backs off, f1's call must still go out.
+    verdicts = {"f0": "TRUE_POSITIVE", "f1": "FALSE_POSITIVE"}
+    script = _oracle_script(verdicts)
+    script["f0"] = {"response": script["f0"], "fail_first": 1}
+    f1_called = threading.Event()
+
+    class Backend(MockBackend):
+        def complete(self, request):
+            if request.tag.startswith("f1."):
+                f1_called.set()
+            return super().complete(request)
+
+    waited: list[bool] = []
+    retry = RetryPolicy(attempt_cap=2, backoff_base_s=0.0,
+                        sleep=lambda _: waited.append(f1_called.wait(timeout=5)))
+    results, audits = adjudicate_all(
+        [_bundle(fid) for fid in verdicts], Backend(responses=script), parallelism=1, retry=retry
+    )
+    assert waited == [True]
+    assert [r.status for r in results] == [STATUS_OK, STATUS_OK]
+    assert [a.attempt_count for a in audits] == [2, 1]
+
+
+def test_in_flight_calls_never_exceed_parallelism_while_retrying():
+    verdicts = {f"f{i}": "TRUE_POSITIVE" for i in range(24)}
+    backend = _CountingBackend(_flaky_script(verdicts), parallelism=3)
+    retry = RetryPolicy(attempt_cap=4, backoff_base_s=0.002)
+    # Frequent thread switches make a lost slot release or a double
+    # acquire show as a wrong peak.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results, _ = adjudicate_all(
+            [_bundle(fid) for fid in verdicts], backend, parallelism=3, retry=retry
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r.status == STATUS_OK for r in results)
+    assert backend.peak == 3
+
+
+def test_worker_threads_are_bounded_by_parallelism_times_attempt_cap():
+    verdicts = {f"f{i}": "TRUE_POSITIVE" for i in range(40)}
+    script = {
+        fid: {"response": reply, "fail_first": 1, "failure": "rate_limited"}
+        for fid, reply in _oracle_script(verdicts).items()
+    }
+    backend = _CountingBackend(script, parallelism=2)
+    retry = RetryPolicy(attempt_cap=2, backoff_base_s=0.005)
+    results, _ = adjudicate_all(
+        [_bundle(fid) for fid in verdicts], backend, parallelism=2, retry=retry
+    )
+    assert [r.adjudication.attempt_count for r in results] == [2] * 40
+    assert backend.peak <= 2
+    assert len(backend.threads) <= 2 * 2

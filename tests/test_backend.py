@@ -14,6 +14,7 @@ from sarif_triage.backend import (
     Exhausted,
     HttpBackend,
     MockBackend,
+    RETRY_AFTER_CAP_S,
     RateLimited,
     RetryPolicy,
     TransportError,
@@ -136,7 +137,8 @@ def test_mock_script_file_round_trip(tmp_path):
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "stub"
-    script: list[tuple[int, dict | str]] = []
+    # (status, payload) or (status, payload, extra response headers)
+    script: list[tuple] = []
     seen: list[dict] = []
 
     def do_POST(self):
@@ -145,12 +147,14 @@ class _Handler(BaseHTTPRequestHandler):
         _Handler.seen.append(
             {"body": body, "auth": self.headers.get("Authorization")}
         )
-        status, payload = (
+        status, payload, *extra = (
             _Handler.script.pop(0) if _Handler.script else (200, _reply("ok"))
         )
         data = json.dumps(payload).encode() if isinstance(payload, dict) else payload.encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
@@ -166,12 +170,13 @@ def _reply(text):
 @pytest.fixture()
 def http_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     _Handler.script = []
     _Handler.seen = []
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
@@ -198,6 +203,30 @@ def test_http_backend_retries_rate_limit_then_succeeds(http_server):
     result = send(_request(), backend, NO_SLEEP)
     assert result.text == "eventually"
     assert result.attempt_count == 2
+
+
+@pytest.mark.parametrize(
+    "headers, backoff_base_s, expected",
+    [
+        ({"retry-after-ms": "300"}, 0.0, 0.3),
+        ({"Retry-After": "2"}, 0.0, 2.0),
+        ({"retry-after-ms": "soon", "Retry-After": "1"}, 0.0, 1.0),
+        ({"retry-after-ms": "100"}, 0.5, 0.5),
+        ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, 0.5, 0.5),
+        ({"Retry-After": "garbage"}, 0.5, 0.5),
+        ({"Retry-After": "-3"}, 0.5, 0.5),
+        ({"Retry-After": "3600"}, 0.0, RETRY_AFTER_CAP_S),
+    ],
+)
+def test_retry_after_header_sets_the_wait_when_longer_than_the_backoff(
+    http_server, headers, backoff_base_s, expected
+):
+    sleeps: list[float] = []
+    backend = HttpBackend(endpoint=http_server)
+    _Handler.script = [(429, {"error": "slow down"}, headers), (200, _reply("ok"))]
+    policy = RetryPolicy(attempt_cap=2, backoff_base_s=backoff_base_s, sleep=sleeps.append)
+    assert send(_request(), backend, policy).attempt_count == 2
+    assert sleeps == [expected]
 
 
 def test_http_backend_maps_overflow_and_other_errors(http_server):

@@ -247,6 +247,18 @@ def test_rerun_removes_artifacts_the_new_config_no_longer_writes(corpus, tmp_pat
     assert json.loads((out / "report.json").read_text())["modes"].keys() == {"OPTIMIZED"}
 
 
+def test_unlabelled_rerun_removes_the_earlier_report(corpus, tmp_path):
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="OPTIMIZED")
+    assert main(["run", "--config", str(config), "--csv"]) == EXIT_OK
+    assert (out / "report.csv").is_file()
+    config = write_config(corpus, out, prompt_mode="BASELINE", with_labels=False)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    for name in ("report.json", "report.txt", "report.csv", ".stamps/evaluate.json"):
+        assert not (out / name).exists(), name
+    assert len(list((out / "prompts").glob("*.baseline.txt"))) == 20
+
+
 def test_rerun_deletes_nothing_outside_the_output_dir(corpus, tmp_path):
     out = tmp_path / "out"
     config = write_config(corpus, out)

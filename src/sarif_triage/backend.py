@@ -8,6 +8,14 @@ context overflow is never retried. ``send`` waits through
 ``RetryPolicy.sleep``, which ``adjudicate_all`` wraps so that a waiting call
 gives its ``parallelism`` slot to another.
 
+The HTTP backend speaks HTTP/1.1 through the standard library's
+``http.client``: it keeps finished connections alive in a pool it owns and
+closes them in ``close()``, takes proxies from ``http_proxy``/
+``https_proxy``/``no_proxy``, and verifies HTTPS certificates and host names
+against the system trust store (``SSL_CERT_FILE``/``SSL_CERT_DIR`` override
+it). Redirects, ``.netrc`` credentials and compressed replies are not
+supported.
+
 The mock backend is driven by a JSON script file mapping finding keys (or
 prompt hashes) to canned responses, optionally with scripted failures:
 
@@ -24,15 +32,18 @@ prompt hashes) to canned responses, optionally with scripted failures:
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
 import os
+import ssl
 import threading
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
-
-import requests
 
 from .prompts import prompt_sha256
 
@@ -121,15 +132,19 @@ class Backend:
     def complete(self, request: BackendRequest) -> BackendReply:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release the connections the backend keeps open between calls."""
+
 
 _RETRYABLE_STATUSES = {429, 502, 503, 504}
 RETRY_AFTER_CAP_S = 60.0  # longest wait a provider's retry header can ask for
 
 
-def _retry_after_s(headers: Mapping[str, str]) -> float:
+def _retry_after_s(headers: http.client.HTTPMessage) -> float:
     """The wait a throttling reply asks for: ``retry-after-ms``, or failing
-    that ``Retry-After`` as delta-seconds, clamped to ``RETRY_AFTER_CAP_S``.
-    An absent, negative or unparsable value (an HTTP-date included) is 0."""
+    that ``Retry-After`` as delta-seconds, clamped to ``RETRY_AFTER_CAP_S``;
+    header names match in any case. An absent, negative or unparsable value
+    (an HTTP-date included) is 0."""
     for name, per_second in (("retry-after-ms", 1000.0), ("Retry-After", 1.0)):
         try:
             seconds = float(headers.get(name, "")) / per_second
@@ -140,12 +155,38 @@ def _retry_after_s(headers: Mapping[str, str]) -> float:
     return 0.0
 
 
+def _proxy_for(
+    url: urllib.parse.SplitResult,
+) -> tuple[tuple[str, int | None] | None, dict[str, str]]:
+    """The ``(host, port)`` of the proxy that ``*_proxy``/``no_proxy`` name
+    for ``url`` (None for a direct connection) and the headers it needs."""
+    proxy_url = urllib.request.getproxies().get(url.scheme)
+    if not proxy_url or urllib.request.proxy_bypass(url.netloc):
+        return None, {}
+    proxy = urllib.parse.urlsplit(proxy_url if "://" in proxy_url else "http://" + proxy_url)
+    if proxy.scheme != "http" or not proxy.hostname:
+        raise ValueError(f"unsupported {url.scheme} proxy: {proxy_url!r}")
+    headers = {}
+    if proxy.username is not None:
+        user_pass = ":".join(
+            urllib.parse.unquote(part or "") for part in (proxy.username, proxy.password)
+        )
+        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(user_pass.encode()).decode()
+    return (proxy.hostname, proxy.port), headers
+
+
+# A reused keep-alive connection the server closed while it sat idle fails
+# with one of these before any status line arrives.
+_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
 class HttpBackend(Backend):
     """Chat-completions style HTTP backend.
 
     POSTs ``{"model", "messages": [system, user], "temperature": 0}`` to the
     endpoint with a bearer token read from ``key_env`` and returns the first
-    choice's message content.
+    choice's message content. Connections are kept alive and reused; a call
+    never shares one with another call in flight.
     """
 
     def __init__(
@@ -154,20 +195,82 @@ class HttpBackend(Backend):
         key_env: str = "SARIF_TRIAGE_API_KEY",
         timeout_s: float = 120.0,
         max_prompt_chars: int | None = None,
-        session: requests.Session | None = None,
     ):
+        url = urllib.parse.urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"backend endpoint must be an http(s) URL with a host: {endpoint!r}")
+        if url.username is not None:
+            raise ValueError("backend endpoint must not carry credentials; use key_env")
         self.endpoint = endpoint
         self.key_env = key_env
         self.timeout_s = timeout_s
         self.max_prompt_chars = max_prompt_chars
-        self._session = session or requests.Session()
+        self._https = url.scheme == "https"
+        self._host, self._port = url.hostname, url.port  # ``port`` rejects a bad one
+        self._target = url.path or "/"
+        if url.query:
+            self._target += "?" + url.query
+        self._headers = {"Content-Type": "application/json", "User-Agent": "sarif-triage"}
+        self._proxy, self._proxy_headers = _proxy_for(url)
+        if self._proxy is not None and not self._https:
+            self._target = f"http://{url.netloc}{self._target}"  # absolute form
+            self._headers.update(self._proxy_headers)
+        self._ssl = ssl.create_default_context() if self._https else None
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def _connect(self) -> http.client.HTTPConnection:
+        host, port = self._proxy or (self._host, self._port)
+        if not self._https:
+            return http.client.HTTPConnection(host, port, timeout=self.timeout_s)
+        conn = http.client.HTTPSConnection(host, port, timeout=self.timeout_s, context=self._ssl)
+        if self._proxy is not None:
+            conn.set_tunnel(self._host, self._port, headers=self._proxy_headers)
+        return conn
+
+    def _post(
+        self, body: bytes, headers: dict[str, str]
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """POST ``body`` on a pooled or new connection; the response and its
+        whole body. Any network failure closes the connection and raises
+        ``TransportError``."""
+        with self._lock:
+            pooled = self._idle.pop() if self._idle else None
+        conn = pooled or self._connect()
+        try:
+            try:
+                conn.request("POST", self._target, body=body, headers=headers)
+                response = conn.getresponse()
+            except _STALE_CONNECTION:
+                if conn is not pooled:
+                    raise
+                conn.close()  # dropped while idle: one retry on a fresh connection
+                conn = self._connect()
+                conn.request("POST", self._target, body=body, headers=headers)
+                response = conn.getresponse()
+            data = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise TransportError(f"{type(exc).__name__}: {exc}") from exc
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return response, data
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def complete(self, request: BackendRequest) -> BackendReply:
         if self.max_prompt_chars is not None and request.prompt_chars > self.max_prompt_chars:
             raise ContextOverflow(
                 f"prompt is {request.prompt_chars} chars, limit is {self.max_prompt_chars}"
             )
-        headers = {"Content-Type": "application/json"}
+        headers = dict(self._headers)
         api_key = os.environ.get(self.key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
@@ -180,25 +283,21 @@ class HttpBackend(Backend):
             "temperature": 0,
         }
         started = time.monotonic()
-        try:
-            response = self._session.post(
-                self.endpoint, json=payload, headers=headers, timeout=self.timeout_s
-            )
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
+        response, data = self._post(json.dumps(payload).encode(), headers)
         latency_ms = int((time.monotonic() - started) * 1000)
 
-        if response.status_code in _RETRYABLE_STATUSES:
+        text = data.decode("utf-8", errors="replace")
+        if response.status in _RETRYABLE_STATUSES:
             raise RateLimited(
-                f"HTTP {response.status_code}: {response.text[:200]}",
+                f"HTTP {response.status}: {text[:200]}",
                 retry_after_s=_retry_after_s(response.headers),
             )
-        if response.status_code == 400 and _looks_like_overflow(response.text):
-            raise ContextOverflow(f"HTTP 400: {response.text[:200]}")
-        if response.status_code != 200:
-            raise BackendError(f"HTTP {response.status_code}: {response.text[:200]}")
+        if response.status == 400 and _looks_like_overflow(text):
+            raise ContextOverflow(f"HTTP 400: {text[:200]}")
+        if response.status != 200:
+            raise BackendError(f"HTTP {response.status}: {text[:200]}")
         try:
-            body = response.json()
+            body = json.loads(text)
             content = body["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import urllib.parse
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -202,6 +203,7 @@ def _normalize_uri(uri: str) -> str:
     uri = uri.replace("\\", "/")
     if uri.startswith("file://"):
         uri = uri[len("file://"):]
+    uri = urllib.parse.unquote(uri)  # a URI reference (SARIF 2.1.0 §3.4.3)
     if uri.startswith("./"):
         uri = uri[2:]
     return uri

@@ -554,14 +554,18 @@ def stage_adjudicate(
             backoff_base_s=config.backend.backoff_base_s,
             **({"sleep": sleep} if sleep is not None else {}),
         )
-        results, audits = adj.adjudicate_all(
-            load_prompt_bundles(config),
-            build_backend(config),
-            parallelism=config.parallelism,
-            model=config.backend.model,
-            retry=retry,
-            max_output_chars=config.max_output_chars,
-        )
+        backend = build_backend(config)
+        try:
+            results, audits = adj.adjudicate_all(
+                load_prompt_bundles(config),
+                backend,
+                parallelism=config.parallelism,
+                model=config.backend.model,
+                retry=retry,
+                max_output_chars=config.max_output_chars,
+            )
+        finally:
+            backend.close()
         out_path = config.output_dir / "adjudications.jsonl"
         adj.write_adjudications_jsonl(results, out_path)
         audit_dir = config.output_dir / "audit"

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from corpus import build_corpus, write_config
+from sarif_triage import pipeline
 from sarif_triage.cli import EXIT_OK, EXIT_STAGE_FAILURE, EXIT_USAGE, main
 from sarif_triage.context import ContextLimits
 from sarif_triage.pipeline import BackendConfig, load_config
@@ -311,3 +314,31 @@ def test_retry_path_through_config(tmp_path):
     assert len(flaky) == 1
     assert flaky[0]["attempt_count"] == 3
     assert all(r["status"] == "OK" for r in rows)
+
+
+def test_cli_import_loads_no_third_party_http_stack():
+    # Every CI invocation is a fresh process; a mock or resumed run never
+    # makes an HTTP call and must not pay for an HTTP library's import.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sarif_triage.cli, sys; print(sorted(m for m in "
+            "('requests', 'urllib3', 'charset_normalizer') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_adjudicate_closes_the_backend_it_built(corpus, tmp_path, monkeypatch):
+    closed = []
+    build_backend = pipeline.build_backend
+
+    def spy(config):
+        backend = build_backend(config)
+        backend.close = lambda: closed.append(backend)
+        return backend
+
+    monkeypatch.setattr(pipeline, "build_backend", spy)
+    config = write_config(corpus, tmp_path / "out", with_labels=False)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    assert len(closed) == 1

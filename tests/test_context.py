@@ -231,7 +231,11 @@ def test_uris_that_leave_the_source_root_read_as_missing(tmp_path):
     (root / "app").mkdir(parents=True)
     (root / "app" / "Inside.java").write_text("class Inside {}\n")
     (tmp_path / "secret.txt").write_text("TOP-SECRET\n")
-    uris = [(tmp_path / "secret.txt").as_uri(), "../secret.txt", "app/../../secret.txt"]
+    uris = [
+        (tmp_path / "secret.txt").as_uri(), "../secret.txt", "app/../../secret.txt",
+        # Percent-encoded dot segments decode to ``..`` and stay confined.
+        "%2E%2E/%2E/secret.txt", "%2E%2E/%2E%2E/etc/hostname",
+    ]
     _write_sarif(tmp_path / "alerts.sarif", uris)
     out = tmp_path / "out"
     config = RunConfig(
@@ -244,15 +248,38 @@ def test_uris_that_leave_the_source_root_read_as_missing(tmp_path):
         text = (out / name).read_text(encoding="utf-8")
         assert "TOP-SECRET" not in text
         rows = [json.loads(line) for line in text.splitlines()]
-        assert len(rows) == 3
+        assert len(rows) == len(uris)
         for row in rows:
             assert row["segments"] == []
             assert row["partial"] is True
             assert any(note.startswith("missing file") for note in row["notes"])
     stamp = json.loads((out / ".stamps" / "context.json").read_text(encoding="utf-8"))
     sources = {k: v for k, v in stamp["inputs"].items() if k.startswith("src:")}
-    assert len(sources) == 3
+    assert len(sources) == len(uris)
     assert set(sources.values()) == {"missing"}
+
+
+def test_percent_encoded_uris_name_the_decoded_file(tmp_path):
+    # SARIF's artifactLocation.uri is a URI reference: a space arrives as %20.
+    root = tmp_path / "src"
+    (root / "a b").mkdir(parents=True)
+    (root / "a b" / "Foo.java").write_text("class Foo {\n    void run() {}\n}\n")
+    _write_sarif(tmp_path / "alerts.sarif", ["a%20b/Foo.java"])
+    out = tmp_path / "out"
+    config = RunConfig(
+        sarif_path=tmp_path / "alerts.sarif", source_root=root, output_dir=out,
+        prompt_mode="BOTH", baseline_style="WHOLE_FILE",
+    )
+    stage_ingest(config)
+    stage_context(config)
+    findings = [json.loads(line) for line in (out / "findings.jsonl").read_text().splitlines()]
+    assert [f["primary_location"]["uri"] for f in findings] == ["a b/Foo.java"]
+    for name in ("contexts.jsonl", "contexts_baseline.jsonl"):
+        rows = [json.loads(line) for line in (out / name).read_text().splitlines()]
+        assert len(rows) == 1
+        assert rows[0]["partial"] is False
+        assert rows[0]["segments"]
+        assert not any(note.startswith("missing file") for note in rows[0]["notes"])
 
 
 def test_one_method_scan_per_distinct_file_per_run(tmp_path, monkeypatch):

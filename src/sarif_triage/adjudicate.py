@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
@@ -334,6 +333,9 @@ def adjudicate_all(
     regardless of completion order, and one audit record exists per bundle
     whatever happens.
     """
+    # Imported here: evaluate reads this module's rows and never needs a pool.
+    from concurrent.futures import ThreadPoolExecutor
+
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     retry = retry or RetryPolicy()

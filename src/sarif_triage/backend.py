@@ -32,20 +32,20 @@ prompt hashes) to canned responses, optionally with scripted failures:
 
 from __future__ import annotations
 
-import base64
-import http.client
 import json
 import os
-import ssl
 import threading
 import time
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
+from .config import parse_endpoint
 from .prompts import prompt_sha256
+
+if TYPE_CHECKING:
+    import http.client
 
 
 class BackendError(Exception):
@@ -160,6 +160,9 @@ def _proxy_for(
 ) -> tuple[tuple[str, int | None] | None, dict[str, str]]:
     """The ``(host, port)`` of the proxy that ``*_proxy``/``no_proxy`` name
     for ``url`` (None for a direct connection) and the headers it needs."""
+    import base64
+    import urllib.request
+
     proxy_url = urllib.request.getproxies().get(url.scheme)
     if not proxy_url or urllib.request.proxy_bypass(url.netloc):
         return None, {}
@@ -176,8 +179,9 @@ def _proxy_for(
 
 
 # A reused keep-alive connection the server closed while it sat idle fails
-# with one of these before any status line arrives.
-_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+# with one of these before any status line arrives (``http.client``'s
+# ``RemoteDisconnected`` is a ``ConnectionResetError``).
+_STALE_CONNECTION = (ConnectionResetError, BrokenPipeError)
 
 
 class HttpBackend(Backend):
@@ -196,17 +200,19 @@ class HttpBackend(Backend):
         timeout_s: float = 120.0,
         max_prompt_chars: int | None = None,
     ):
-        url = urllib.parse.urlsplit(endpoint)
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise ValueError(f"backend endpoint must be an http(s) URL with a host: {endpoint!r}")
-        if url.username is not None:
-            raise ValueError("backend endpoint must not carry credentials; use key_env")
+        # Only a live backend needs the transport, so only its construction
+        # pays for importing it; the calls reach it through ``self._http``.
+        import http.client
+        import ssl
+
+        url = parse_endpoint(endpoint)
+        self._http = http.client
         self.endpoint = endpoint
         self.key_env = key_env
         self.timeout_s = timeout_s
         self.max_prompt_chars = max_prompt_chars
         self._https = url.scheme == "https"
-        self._host, self._port = url.hostname, url.port  # ``port`` rejects a bad one
+        self._host, self._port = url.hostname, url.port
         self._target = url.path or "/"
         if url.query:
             self._target += "?" + url.query
@@ -222,8 +228,8 @@ class HttpBackend(Backend):
     def _connect(self) -> http.client.HTTPConnection:
         host, port = self._proxy or (self._host, self._port)
         if not self._https:
-            return http.client.HTTPConnection(host, port, timeout=self.timeout_s)
-        conn = http.client.HTTPSConnection(host, port, timeout=self.timeout_s, context=self._ssl)
+            return self._http.HTTPConnection(host, port, timeout=self.timeout_s)
+        conn = self._http.HTTPSConnection(host, port, timeout=self.timeout_s, context=self._ssl)
         if self._proxy is not None:
             conn.set_tunnel(self._host, self._port, headers=self._proxy_headers)
         return conn
@@ -249,7 +255,7 @@ class HttpBackend(Backend):
                 conn.request("POST", self._target, body=body, headers=headers)
                 response = conn.getresponse()
             data = response.read()
-        except (OSError, http.client.HTTPException) as exc:
+        except (OSError, self._http.HTTPException) as exc:
             conn.close()
             raise TransportError(f"{type(exc).__name__}: {exc}") from exc
         if response.will_close:

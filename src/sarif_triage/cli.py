@@ -6,6 +6,9 @@ chain. All of them read a JSON config file; a handful of flags override
 config values (flags win).
 
 Exit codes: 0 success, 1 stage failure, 2 usage or configuration error.
+
+Only ``config`` is imported up front; the pipeline is imported when a
+subcommand runs, so a bad config is rejected before any stage is loaded.
 """
 
 from __future__ import annotations
@@ -14,21 +17,7 @@ import argparse
 import sys
 from collections import Counter
 
-from .ingest import MalformedJson, NotSarif, load_findings_jsonl
-from .pipeline import (
-    ConfigError,
-    RunConfig,
-    StageError,
-    load_config,
-    run_all,
-    stage_adjudicate,
-    stage_context,
-    stage_evaluate,
-    stage_ingest,
-    stage_prompts,
-    validate_config,
-    write_config_echo,
-)
+from .config import ConfigError, RunConfig, load_config, validate_config
 
 EXIT_OK = 0
 EXIT_STAGE_FAILURE = 1
@@ -94,6 +83,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _print_ingest_summary(config: RunConfig) -> None:
+    from .ingest import load_findings_jsonl
+
     findings = load_findings_jsonl(config.output_dir / "findings.jsonl")
     by_cwe = Counter(f.cwe_id for f in findings)
     print(f"ingested {len(findings)} findings from {config.sarif_path}")
@@ -110,39 +101,42 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    from . import ingest, pipeline
+
     try:
         if args.command == "ingest":
-            write_config_echo(config)
-            stage_ingest(config, args.resume)
+            pipeline.write_config_echo(config)
+            pipeline.stage_ingest(config, args.resume)
             _print_ingest_summary(config)
         elif args.command == "context":
-            write_config_echo(config)
-            stage_context(config, args.resume)
+            pipeline.write_config_echo(config)
+            pipeline.stage_context(config, args.resume)
             print(f"contexts written under {config.output_dir}")
         elif args.command == "prompts":
-            write_config_echo(config)
-            stage_prompts(config, args.resume)
+            pipeline.write_config_echo(config)
+            pipeline.stage_prompts(config, args.resume)
             print(f"prompts written under {config.output_dir / 'prompts'}")
         elif args.command == "adjudicate":
-            write_config_echo(config)
-            stage_adjudicate(config, args.resume)
+            pipeline.write_config_echo(config)
+            pipeline.stage_adjudicate(config, args.resume)
             print(f"adjudications written to {config.output_dir / 'adjudications.jsonl'}")
         elif args.command == "evaluate":
-            write_config_echo(config)
-            stage_evaluate(config, args.resume)
+            pipeline.write_config_echo(config)
+            pipeline.stage_evaluate(config, args.resume)
             print(f"report written to {config.output_dir / 'report.json'}")
             print((config.output_dir / "report.txt").read_text(encoding="utf-8"))
         elif args.command == "run":
-            run_all(config, args.resume)
+            pipeline.run_all(config, args.resume)
             print(f"pipeline complete; artifacts under {config.output_dir}")
             report_txt = config.output_dir / "report.txt"
             if report_txt.is_file():
                 print(report_txt.read_text(encoding="utf-8"))
-    except StageError as exc:
+    except pipeline.StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # An unparseable or non-SARIF input to `ingest` is a usage problem,
         # not a pipeline failure.
-        if args.command == "ingest" and isinstance(exc.__cause__, (MalformedJson, NotSarif)):
+        unusable_input = (ingest.MalformedJson, ingest.NotSarif)
+        if args.command == "ingest" and isinstance(exc.__cause__, unusable_input):
             return EXIT_USAGE
         return EXIT_STAGE_FAILURE
     except ConfigError as exc:

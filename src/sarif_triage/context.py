@@ -21,6 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping
 
+from .config import ContextLimits
 from .ingest import CodeLocation, Finding
 from .methods import MethodRecord, enclosing_method, locate_methods
 
@@ -35,16 +36,6 @@ class SegmentReason(str, Enum):
 class BaselineMode(str, Enum):
     WINDOW5 = "WINDOW5"
     WHOLE_FILE = "WHOLE_FILE"
-
-
-@dataclass(frozen=True)
-class ContextLimits:
-    max_total_lines: int = 400
-    # Intermediate spans longer than the threshold are cut to head + tail,
-    # with the elided count recorded on the head segment.
-    intermediate_elide_threshold: int = 60
-    elide_head_lines: int = 20
-    elide_tail_lines: int = 20
 
 
 @dataclass(frozen=True)

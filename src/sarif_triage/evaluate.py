@@ -8,7 +8,6 @@ before precision/recall/F1 are computed) and printed at three decimals.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -398,6 +397,8 @@ def render_report_text(
 
 def write_report_csv(reports: dict[str, EvalReport], path: Path | str) -> None:
     """Per-CWE metric rows, one per (mode, cwe), for heatmap plotting."""
+    import csv
+
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -14,6 +14,11 @@ Artifact tree under ``output_dir``::
     report.json / report.txt     metrics (when labels are configured)
     .stamps/<stage>.json         input/output hashes for --resume
 
+The run configuration (``RunConfig``, ``BackendConfig``, ``load_config``)
+lives in ``config``; this module re-exports it. The adjudicate and evaluate
+stages import ``adjudicate``, ``backend`` and ``evaluate`` only when they
+run, so a ``--resume`` that skips them never loads the HTTP transport.
+
 Each stage reads its inputs from disk, so deleting a downstream artifact
 and re-running reproduces it. With the mock backend every artifact except
 ``audit/`` (which records wall-clock timestamps) is byte-identical across
@@ -41,17 +46,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable
 
-from . import adjudicate as adj
-from . import evaluate as ev
-from .backend import Backend, HttpBackend, MockBackend, RetryPolicy
+from .config import BackendConfig, ConfigError, RunConfig, load_config  # noqa: F401 (re-exported)
 from .context import (
     BaselineMode,
     CodeContext,
-    ContextLimits,
     SourceSnapshot,
     extract_baseline_context,
     extract_context,
@@ -60,12 +62,11 @@ from .ingest import Finding, canonicalize, load_findings_jsonl, parse_sarif, wri
 from .prompts import PromptBundle, PromptMode, compile_prompt, prompt_sha256
 from .rubrics import default_rubric_dir, load_rubrics, rubric_for
 
+if TYPE_CHECKING:
+    from .backend import Backend
+
 PROMPT_SYSTEM_HEADER = "=========SYSTEM========="
 PROMPT_USER_HEADER = "==========USER=========="
-
-
-class ConfigError(ValueError):
-    """Unusable run configuration; maps to exit code 2."""
 
 
 class StageError(RuntimeError):
@@ -76,134 +77,9 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-@dataclass
-class BackendConfig:
-    kind: str = "mock"  # "mock" or "live"
-    endpoint: str = ""
-    model: str = "mock"
-    key_env: str = "SARIF_TRIAGE_API_KEY"
-    script_path: str | None = None
-    max_prompt_chars: int | None = None
-    attempt_cap: int = 4
-    backoff_base_s: float = 0.5
-
-
-@dataclass
-class RunConfig:
-    sarif_path: Path
-    source_root: Path
-    output_dir: Path
-    prompt_mode: str = "OPTIMIZED"  # OPTIMIZED | BASELINE | BOTH
-    baseline_style: str = "WINDOW5"  # WINDOW5 | WHOLE_FILE
-    backend: BackendConfig = field(default_factory=BackendConfig)
-    limits: ContextLimits = field(default_factory=ContextLimits)
-    prompt_char_budget: int | None = None
-    max_output_chars: int = 16384
-    parallelism: int = 1
-    labels_path: Path | None = None
-    rubric_dir: Path | None = None
-    cwe_map: dict[str, str] = field(default_factory=dict)
-    write_csv: bool = False
-
-    def modes(self) -> list[PromptMode]:
-        if self.prompt_mode == "BOTH":
-            return [PromptMode.BASELINE, PromptMode.OPTIMIZED]
-        return [PromptMode(self.prompt_mode)]
-
-
-def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) -> RunConfig:
-    """Read a JSON config file and apply flag overrides (flags win)."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must contain a JSON object")
-    merged = dict(data)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    return config_from_dict(merged, base_dir=path.parent)
-
-
-def _field_values(
-    cls: type, data: Mapping[str, Any], **convert: Callable[[Any], Any]
-) -> dict[str, Any]:
-    """The entries of ``data`` that name fields of the dataclass ``cls``,
-    each passed through ``convert[name]`` when given. Absent keys are left
-    out, so the dataclass supplies its own default."""
-    values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-    return {k: convert[k](v) if k in convert else v for k, v in values.items()}
-
-
-def config_from_dict(data: Mapping[str, Any], base_dir: Path | None = None) -> RunConfig:
-    def resolve(p: str | None) -> Path | None:
-        if p is None:
-            return None
-        candidate = Path(p)
-        if not candidate.is_absolute() and base_dir is not None:
-            candidate = base_dir / candidate
-        return candidate
-
-    for required in ("sarif_path", "source_root", "output_dir"):
-        if not data.get(required):
-            raise ConfigError(f"config is missing required key: {required}")
-
-    def backend(value: Mapping[str, Any] | None) -> BackendConfig:
-        return BackendConfig(
-            **_field_values(BackendConfig, value or {}, attempt_cap=int, backoff_base_s=float)
-        )
-
-    def limits(value: Mapping[str, Any] | None) -> ContextLimits:
-        values = _field_values(ContextLimits, value or {})
-        return ContextLimits(**{k: int(v) for k, v in values.items()})
-
-    def cwe_map(value: Mapping[str, Any] | None) -> dict[str, str]:
-        return {str(k): str(v) for k, v in (value or {}).items()}
-
-    def upper(value: Any) -> str:
-        return str(value).upper()
-
-    config = RunConfig(**_field_values(
-        RunConfig, data,
-        sarif_path=resolve, source_root=resolve, output_dir=resolve,
-        labels_path=resolve, rubric_dir=resolve,
-        prompt_mode=upper, baseline_style=upper,
-        backend=backend, limits=limits, cwe_map=cwe_map,
-        max_output_chars=int, parallelism=int, write_csv=bool,
-    ))
-    validate_config(config)
-    return config
-
-
-def validate_config(config: RunConfig) -> None:
-    if config.prompt_mode not in ("OPTIMIZED", "BASELINE", "BOTH"):
-        raise ConfigError(f"prompt_mode must be OPTIMIZED, BASELINE, or BOTH, got {config.prompt_mode}")
-    if config.baseline_style not in ("WINDOW5", "WHOLE_FILE"):
-        raise ConfigError(f"baseline_style must be WINDOW5 or WHOLE_FILE, got {config.baseline_style}")
-    if config.parallelism < 1:
-        raise ConfigError("parallelism must be >= 1")
-    if not config.sarif_path.is_file():
-        raise ConfigError(f"sarif_path does not exist: {config.sarif_path}")
-    if not config.source_root.is_dir():
-        raise ConfigError(f"source_root does not exist: {config.source_root}")
-    if config.labels_path is not None and not config.labels_path.is_file():
-        raise ConfigError(f"labels_path does not exist: {config.labels_path}")
-    if config.backend.kind not in ("mock", "live"):
-        raise ConfigError(f"backend.kind must be mock or live, got {config.backend.kind}")
-    if config.backend.kind == "mock":
-        if not config.backend.script_path:
-            raise ConfigError("mock backend requires backend.script_path")
-        if not Path(config.backend.script_path).is_file():
-            raise ConfigError(f"mock script not found: {config.backend.script_path}")
-    if config.backend.kind == "live" and not config.backend.endpoint:
-        raise ConfigError("live backend requires backend.endpoint")
-
-
 def build_backend(config: RunConfig) -> Backend:
+    from .backend import HttpBackend, MockBackend
+
     if config.backend.kind == "mock":
         backend = MockBackend.from_script_file(config.backend.script_path)
         if config.backend.max_prompt_chars is not None:
@@ -549,6 +425,9 @@ def stage_adjudicate(
         inputs["script"] = _sha256_file(Path(config.backend.script_path))
 
     def body() -> list[Path]:
+        from . import adjudicate as adj
+        from .backend import RetryPolicy
+
         retry = RetryPolicy(
             attempt_cap=config.backend.attempt_cap,
             backoff_base_s=config.backend.backoff_base_s,
@@ -599,6 +478,9 @@ def stage_evaluate(config: RunConfig, resume: bool = False) -> None:
     }
 
     def body() -> list[Path]:
+        from . import adjudicate as adj
+        from . import evaluate as ev
+
         findings = load_findings_jsonl(findings_path)
         results = adj.load_adjudications_jsonl(adjudications_path)
         truths = ev.load_labels_jsonl(config.labels_path)

@@ -4,8 +4,9 @@ Standard library only, and no pipeline stage, so a process that only loads
 a config (or fails on a bad one) imports nothing else of the package.
 Relative paths in the config file (``sarif_path``, ``source_root``,
 ``output_dir``, ``labels_path``, ``rubric_dir``, ``backend.script_path``)
-resolve against the file's directory. A live backend's endpoint is checked
-here, before any stage runs.
+resolve against the file's directory; an ``output_dir`` given as a flag
+override resolves against the working directory. A live backend's endpoint
+is checked here, before any stage runs.
 """
 
 from __future__ import annotations
@@ -87,7 +88,9 @@ def parse_endpoint(endpoint: str) -> urllib.parse.SplitResult:
 
 
 def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) -> RunConfig:
-    """Read a JSON config file and apply flag overrides (flags win)."""
+    """Read a JSON config file and apply flag overrides (flags win). A
+    relative ``output_dir`` override is taken from the working directory,
+    where the command line that gave it runs."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -100,7 +103,7 @@ def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) ->
     merged = dict(data)
     for key, value in (overrides or {}).items():
         if value is not None:
-            merged[key] = value
+            merged[key] = str(Path(value).absolute()) if key == "output_dir" else value
     return config_from_dict(merged, base_dir=path.parent)
 
 

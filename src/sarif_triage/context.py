@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -23,7 +24,7 @@ from typing import Any, Mapping
 
 from .config import ContextLimits
 from .ingest import CodeLocation, Finding
-from .methods import MethodRecord, enclosing_method, locate_methods
+from .methods import MethodRecord, UnbalancedBraces, enclosing_method, locate_methods
 
 
 class SegmentReason(str, Enum):
@@ -115,7 +116,7 @@ class SourceSnapshot:
     def __init__(self, root: Path | str):
         self.root = os.path.abspath(root)
         self._files: dict[str, tuple[str, list[str]] | None] = {}
-        self._methods: dict[str, list[MethodRecord]] = {}
+        self._scans: dict[str, tuple[list[MethodRecord], str | None]] = {}
 
     def _file(self, uri: str) -> tuple[str, list[str]] | None:
         """The file's SHA-256 hex digest and its lines, or None."""
@@ -141,14 +142,20 @@ class SourceSnapshot:
         file = self._file(uri)
         return None if file is None else file[1]
 
-    def methods(self, uri: str) -> list[MethodRecord]:
-        if uri not in self._methods:
+    def methods(self, uri: str) -> tuple[list[MethodRecord], str | None]:
+        """The file's method records, and the scanner's message when the
+        file ended unbalanced (some methods may be missing), else None."""
+        if uri not in self._scans:
             lines = self.lines(uri)
-            if lines is None:
-                self._methods[uri] = []
-            else:
-                self._methods[uri] = locate_methods("\n".join(lines), uri)
-        return self._methods[uri]
+            # The scanner reports an unbalanced file by warning; the warning
+            # is kept here so every context that uses the file can say so.
+            # catch_warnings swaps process-wide state: scan on one thread.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UnbalancedBraces)
+                records = [] if lines is None else locate_methods("\n".join(lines), uri)
+            problems = [str(w.message) for w in caught if issubclass(w.category, UnbalancedBraces)]
+            self._scans[uri] = (records, "; ".join(problems) or None)
+        return self._scans[uri]
 
 
 def _segment(
@@ -188,6 +195,15 @@ class _Collector:
     def note(self, message: str) -> None:
         self.notes.append(message)
         self.partial = True
+
+
+def _methods(collector: _Collector, source: SourceSnapshot, uri: str) -> list[MethodRecord]:
+    """The file's method records. A scan that ended unbalanced may have lost
+    some, so it marks the context partial, with one note per file."""
+    records, problem = source.methods(uri)
+    if problem is not None and f"unbalanced braces: {problem}" not in collector.notes:
+        collector.note(f"unbalanced braces: {problem}")
+    return records
 
 
 def _resolved_step_locations(finding: Finding) -> list[tuple[int | None, CodeLocation]]:
@@ -334,8 +350,10 @@ def extract_context(
         # segment order a stable refinement of trace order.
         if pos > 0 and resolved[pos - 1] and resolved[pos]:
             link_index, prev_loc = steps[pos - 1]
-            m_prev = enclosing_method(source.methods(prev_loc.uri), prev_loc.start_line)
-            m_cur = enclosing_method(source.methods(loc.uri), loc.start_line)
+            m_prev = enclosing_method(
+                _methods(collector, source, prev_loc.uri), prev_loc.start_line
+            )
+            m_cur = enclosing_method(_methods(collector, source, loc.uri), loc.start_line)
             # Records carry their file, so methods in different files differ.
             if m_prev is not None and m_prev == m_cur:
                 lo, hi = sorted(

@@ -2,13 +2,18 @@
 
 Finds every method and constructor with a brace-delimited body and reports
 its name, normalized declaration text, and exact start/end lines. The
-scanner is purely lexical: it tracks line and block comments, string and
-char literals, and brace depth. It does not build an AST, so dynamic
-dispatch, overload resolution, and exotic grammar corners are out of scope.
+scanner is purely lexical and works on tokens, not characters: line and
+block comments, text blocks (JEP 378), string and char literals, braces,
+parens and semicolons, each found by one regular-expression match. Brace
+depth is tracked over those tokens, and line numbers are counted only
+where a record needs one. It does not build an AST, so dynamic dispatch,
+overload resolution, and exotic grammar corners are out of scope.
 
-Bodies nested inside a method body (lambdas, anonymous classes, local
-classes) never produce separate records; they belong to the enclosing
-method.
+Declaration text is collected only at top level and in type bodies,
+where a declaration can start. Inside a method body only braces and
+parens matter, so one match skips to the next of them. Bodies nested
+inside a method body (lambdas, anonymous classes, local classes) never
+produce separate records; they belong to the enclosing method.
 """
 
 from __future__ import annotations
@@ -49,18 +54,32 @@ _NON_METHOD_NAMES = {
 }
 _IDENT = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 _ANNOTATION = re.compile(r"@\s*[A-Za-z_$][A-Za-z0-9_$.]*")
+_TRAILING_IDENT = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*$")
+# Comments and literals, whose braces and parens do not count. One left
+# open runs to the end of the file.
+_OPAQUE = (
+    r"//[^\n]*"
+    r"|/\*[\s\S]*?(?:\*/|\Z)"
+    r'|"""(?:[^"\\]|\\[\s\S]?|"(?!""))*(?:"""|\Z)'
+    r'|"[^"\\]*(?:\\[\s\S]?[^"\\]*)*(?:"|\Z)'
+    r"|'[^'\\]*(?:\\[\s\S]?[^'\\]*)*(?:'|\Z)"
+)
+# Where a declaration can start, every token counts.
+_TOKEN = re.compile(_OPAQUE + r"|[{}();]")
+# In a method body only braces and parens change the scan's state, so this
+# skips, in one match, everything up to the next one: code, comments,
+# literals, and paren groups with no paren, brace, quote or slash inside.
+_BODY_SKIP = re.compile(r"(?:[^/\"'{}()]+|/(?![/*])|" + _OPAQUE + r"""|\([^(){}"'/]*\))*""")
 
 # Scanner contexts: what kind of brace-delimited region we are inside.
-_TOP = "top"
 _TYPE = "type"
 _METHOD = "method"
 _BLOCK = "block"
 
 
 def _normalize_signature(raw: str) -> str:
-    sig = re.sub(r"\s+", " ", raw).strip()
-    sig = sig.replace("( ", "(").replace(" )", ")")
-    return sig
+    sig = " ".join(raw.split())
+    return sig.replace("( ", "(").replace(" )", ")")
 
 
 def _strip_leading_annotations(sig: str) -> str:
@@ -97,7 +116,7 @@ def _is_type_declaration(body: str) -> bool:
     if body.startswith("@interface") or body.startswith("@ interface"):
         return True
     tokens = _tokens_before_paren(body)
-    if any(t in _TYPE_KEYWORDS for t in tokens):
+    if not _TYPE_KEYWORDS.isdisjoint(tokens):
         return True
     # `record Point(...)` is a type; `Record record(...)` is a method named
     # record, so only a non-final `record` token marks a declaration.
@@ -106,30 +125,16 @@ def _is_type_declaration(body: str) -> bool:
     return False
 
 
-def _method_signature(buf: str) -> tuple[str, str] | None:
-    """Return (name, normalized signature) when ``buf`` reads as a method or
-    constructor declaration, else None."""
-    sig = _normalize_signature(buf)
-    if not sig:
-        return None
-    body = _strip_leading_annotations(sig)
-    if not body:
-        return None
-    if _is_type_declaration(body):
-        return None
+def _method_name(body: str) -> str | None:
+    """The declared name when ``body``, a declaration that is not a type
+    and has no leading annotations, reads as a method or constructor."""
     paren = body.find("(")
-    if paren < 0:
+    if paren < 0 or "=" in body[:paren]:
+        return None  # no parameter list, or a field or variable initializer
+    m = _TRAILING_IDENT.search(body[:paren].rstrip())
+    if m is None or m.group() in _NON_METHOD_NAMES:
         return None
-    if "=" in body[:paren]:
-        return None  # field or variable initializer
-    head = body[:paren].rstrip()
-    m = re.search(r"([A-Za-z_$][A-Za-z0-9_$]*)$", head)
-    if m is None:
-        return None
-    name = m.group(1)
-    if name in _NON_METHOD_NAMES:
-        return None
-    return name, sig
+    return m.group()
 
 
 def locate_methods(source_text: str, file: str) -> list[MethodRecord]:
@@ -140,185 +145,109 @@ def locate_methods(source_text: str, file: str) -> list[MethodRecord]:
     """
     text = source_text.replace("\r\n", "\n").replace("\r", "\n")
     records: list[MethodRecord] = []
-    stack: list[tuple[str, dict | None]] = []
+    # One entry per open brace block; a method's holds its name, signature,
+    # first line and the line of its opening brace.
+    stack: list[tuple[str, tuple[str, str, int, int] | None]] = []
+    declaring = True  # at top level or in a type body
+    # The declaration read since the last `;`, `{` or `}`, kept only while
+    # declaring: code between tokens, literals verbatim, each block comment
+    # as one space. `pending_start` is the offset of its first non-space.
     pending: list[str] = []
-    pending_start_line: int | None = None
-    paren_depth = 0  # parens inside the pending declaration (annotation args)
+    pending_start: int | None = None
+    paren_depth = 0  # parens since the last `;`, `{` or `}` (annotation args)
     expr_brace_depth = 0  # braces inside those parens, e.g. @Foo({"a"})
+    pos = 0  # where the next token search starts
+    line, counted = 1, 0  # the line at offset `counted`; offsets only grow
 
-    i = 0
-    line = 1
-    n = len(text)
-    state = "code"
+    def line_at(offset: int) -> int:
+        nonlocal line, counted
+        line += text.count("\n", counted, offset)
+        counted = offset
+        return line
 
-    def clear_pending() -> None:
-        nonlocal pending_start_line, paren_depth
-        pending.clear()
-        pending_start_line = None
-        paren_depth = 0
+    size = len(text)
+    while True:
+        if declaring:
+            match = _TOKEN.search(text, pos)
+            if match is None:
+                break
+            at = match.start()
+            if at > pos:
+                code = text[pos:at]
+                if pending_start is None and not code.isspace():
+                    pending_start = at - len(code.lstrip())
+                pending.append(code)
+            pos = match.end()
+        else:
+            at = _BODY_SKIP.match(text, pos).end()
+            if at == size:
+                break
+            pos = at + 1
+        kind = text[at]
 
-    def push_char(ch: str) -> None:
-        nonlocal pending_start_line
-        if pending_start_line is None and not ch.isspace():
-            pending_start_line = line
-        pending.append(ch)
-
-    while i < n:
-        ch = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-
-        if state == "line_comment":
-            if ch == "\n":
-                state = "code"
-                line += 1
-                push_char(" ")
-            i += 1
-            continue
-        if state == "block_comment":
-            if ch == "*" and nxt == "/":
-                state = "code"
-                i += 2
-                push_char(" ")
-                continue
-            if ch == "\n":
-                line += 1
-            i += 1
-            continue
-        if state == "string":
-            # Literal text stays part of the pending declaration buffer, but
-            # braces inside it are never interpreted.
-            if ch == "\\":
-                pending.append(ch)
-                if nxt:
-                    pending.append(nxt)
-                i += 2
-                continue
-            if ch == '"':
-                state = "code"
-            elif ch == "\n":
-                line += 1  # unterminated string literal; keep line count sane
-            pending.append(ch)
-            i += 1
-            continue
-        if state == "char":
-            if ch == "\\":
-                pending.append(ch)
-                if nxt:
-                    pending.append(nxt)
-                i += 2
-                continue
-            if ch == "'":
-                state = "code"
-            elif ch == "\n":
-                line += 1
-            pending.append(ch)
-            i += 1
-            continue
-
-        # state == "code"
-        if ch == "/" and nxt == "/":
-            state = "line_comment"
-            i += 2
-            continue
-        if ch == "/" and nxt == "*":
-            state = "block_comment"
-            i += 2
-            continue
-        if ch == '"':
-            state = "string"
-            push_char('"')
-            i += 1
-            continue
-        if ch == "'":
-            state = "char"
-            push_char("'")
-            i += 1
-            continue
-        if ch == "\n":
-            push_char("\n")
-            line += 1
-            i += 1
-            continue
-
-        if ch == "(":
+        if kind == "(":
             paren_depth += 1
-            push_char(ch)
-            i += 1
-            continue
-        if ch == ")":
-            paren_depth = max(0, paren_depth - 1)
-            push_char(ch)
-            i += 1
-            continue
-
-        if ch == "{":
-            if paren_depth > 0:
-                # Array-valued annotation argument, e.g. @Foo({"a", "b"}).
+        elif kind == ")":
+            if paren_depth:
+                paren_depth -= 1
+        elif kind == ";":  # seen only while declaring
+            if paren_depth == 0:
+                pending.clear()
+                pending_start = None
+                continue
+        elif kind == "{":
+            if paren_depth:
                 expr_brace_depth += 1
-                push_char(ch)
-                i += 1
-                continue
-            ctx = stack[-1][0] if stack else _TOP
-            buf = "".join(pending)
-            if ctx in (_TOP, _TYPE):
-                sig = _method_signature(buf) if ctx == _TYPE else None
-                if _is_type_declaration(_strip_leading_annotations(_normalize_signature(buf))):
-                    stack.append((_TYPE, None))
-                elif sig is not None:
-                    name, signature = sig
-                    stack.append(
-                        (
-                            _METHOD,
-                            {
-                                "name": name,
-                                "signature": signature,
-                                "start_line": pending_start_line or line,
-                                "signature_end_line": line,
-                            },
-                        )
-                    )
-                else:
-                    stack.append((_BLOCK, None))
             else:
-                stack.append((_BLOCK, None))
-            clear_pending()
-            i += 1
-            continue
-
-        if ch == "}":
-            if expr_brace_depth > 0:
+                opened: tuple[str, tuple[str, str, int, int] | None] = (_BLOCK, None)
+                if declaring:
+                    sig = _normalize_signature("".join(pending))
+                    body = _strip_leading_annotations(sig)
+                    if _is_type_declaration(body):
+                        opened = (_TYPE, None)
+                    elif stack and (name := _method_name(body)) is not None:
+                        first = line_at(at if pending_start is None else pending_start)
+                        opened = (_METHOD, (name, sig, first, line_at(at)))
+                    pending.clear()
+                    pending_start = None
+                stack.append(opened)
+                declaring = opened[0] == _TYPE
+                continue
+        elif kind == "}":
+            if expr_brace_depth:
                 expr_brace_depth -= 1
-                push_char(ch)
-                i += 1
-                continue
-            if stack:
-                ctx, payload = stack.pop()
-                if ctx == _METHOD and payload is not None:
-                    records.append(
-                        MethodRecord(
-                            name=payload["name"],
-                            signature_line=payload["signature"],
-                            start_line=payload["start_line"],
-                            end_line=line,
-                            file=file,
-                            signature_end_line=payload["signature_end_line"],
-                        )
-                    )
             else:
-                warnings.warn(
-                    UnbalancedBraces(f"{file}:{line}: unmatched closing brace")
-                )
-            clear_pending()
-            i += 1
+                if stack:
+                    _, method = stack.pop()
+                    declaring = not stack or stack[-1][0] == _TYPE
+                    if method is not None:
+                        name, signature, first, brace_line = method
+                        records.append(MethodRecord(
+                            name=name,
+                            signature_line=signature,
+                            start_line=first,
+                            end_line=line_at(at),
+                            file=file,
+                            signature_end_line=brace_line,
+                        ))
+                else:
+                    warnings.warn(
+                        UnbalancedBraces(f"{file}:{line_at(at)}: unmatched closing brace")
+                    )
+                pending.clear()
+                pending_start = None
+                paren_depth = 0
+                continue
+        elif kind == "/":  # a comment, seen only while declaring
+            if text[at + 1] == "*":
+                pending.append(" ")
             continue
-
-        if ch == ";" and paren_depth == 0:
-            clear_pending()
-            i += 1
-            continue
-
-        push_char(ch)
-        i += 1
+        # A literal, a paren, or a `{`, `}` or `;` inside parens: part of
+        # the declaration text.
+        if declaring:
+            if pending_start is None:
+                pending_start = at
+            pending.append(match.group())
 
     if stack:
         warnings.warn(

@@ -4,9 +4,8 @@ Artifact tree under ``output_dir``::
 
     run_config.json              resolved configuration echo
     findings.jsonl               one canonical finding per line
-    contexts/<fid>.json          per-alert optimized context
-    contexts.jsonl               combined optimized contexts
-    contexts_baseline/ + .jsonl  baseline contexts (when baseline runs)
+    contexts.jsonl               one optimized context per finding
+    contexts_baseline.jsonl      one baseline context per finding (when baseline runs)
     prompts/<fid>.<mode>.txt     exact prompt bytes (system + user)
     prompts.jsonl                prompt index with hashes
     adjudications.jsonl          one verdict/UNEVALUATED row per (finding, mode)
@@ -260,22 +259,18 @@ def _context_inputs(
     return inputs
 
 
-def _write_contexts(
-    contexts: list[CodeContext], directory: Path, combined: Path
-) -> list[Path]:
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    with combined.open("w", encoding="utf-8", newline="\n") as fh:
+_CONTEXT_FILES = {
+    PromptMode.OPTIMIZED: "contexts.jsonl",
+    PromptMode.BASELINE: "contexts_baseline.jsonl",
+}
+
+
+def _write_contexts(config: RunConfig, mode: PromptMode, contexts: list[CodeContext]) -> Path:
+    path = config.output_dir / _CONTEXT_FILES[mode]
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
         for ctx in contexts:
             fh.write(json.dumps(ctx.to_dict(), ensure_ascii=False) + "\n")
-            per_alert = directory / f"{ctx.finding_id}.json"
-            per_alert.write_text(
-                json.dumps(ctx.to_dict(), ensure_ascii=False, indent=2) + "\n",
-                encoding="utf-8",
-            )
-            written.append(per_alert)
-    written.append(combined)
-    return written
+    return path
 
 
 def load_contexts_jsonl(path: Path) -> dict[str, CodeContext]:
@@ -300,26 +295,14 @@ def stage_context(config: RunConfig, resume: bool = False) -> None:
         modes = config.modes()
         if PromptMode.OPTIMIZED in modes:
             contexts = [extract_context(f, source, config.limits) for f in findings]
-            outputs += _write_contexts(
-                contexts, config.output_dir / "contexts", config.output_dir / "contexts.jsonl"
-            )
+            outputs.append(_write_contexts(config, PromptMode.OPTIMIZED, contexts))
         if PromptMode.BASELINE in modes:
             style = BaselineMode(config.baseline_style)
             baseline = [extract_baseline_context(f, source, style, config.limits) for f in findings]
-            outputs += _write_contexts(
-                baseline,
-                config.output_dir / "contexts_baseline",
-                config.output_dir / "contexts_baseline.jsonl",
-            )
+            outputs.append(_write_contexts(config, PromptMode.BASELINE, baseline))
         return outputs
 
     _run_stage(config, "context", resume, _context_inputs(config, findings, source), body)
-
-
-_CONTEXT_FILES = {
-    PromptMode.OPTIMIZED: "contexts.jsonl",
-    PromptMode.BASELINE: "contexts_baseline.jsonl",
-}
 
 
 def stage_prompts(config: RunConfig, resume: bool = False) -> None:

@@ -143,6 +143,22 @@ def test_a_relative_script_path_resolves_against_the_config_files_directory(
     assert load_config(config_path).backend.script_path == str(config_dir / "mock_script.json")
 
 
+def test_a_relative_output_flag_resolves_against_the_working_directory(
+    corpus, tmp_path, monkeypatch
+):
+    config_dir = tmp_path / "config"
+    config_dir.mkdir()
+    config_path = config_dir / "config.json"
+    config_path.write_text(write_config(corpus, tmp_path / "out").read_text())
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["run", "--config", str(config_path), "--output", "rel_out"]) == EXIT_OK
+    assert (elsewhere / "rel_out" / "report.json").is_file()
+    assert not (config_dir / "rel_out").exists()
+    assert not (tmp_path / "out").exists()
+
+
 def test_ingest_schema_error_exits_2_but_run_stage_failure_exits_1(corpus, tmp_path, capsys):
     bad_sarif = tmp_path / "bad.sarif"
     bad_sarif.write_text('{"version": "2.1.0"}')  # missing runs
@@ -190,9 +206,11 @@ def test_full_run_with_perfect_oracle_reports_ones(corpus, tmp_path):
     assert overall["f1"] == 1.0
     assert (out / "run_config.json").is_file()
     assert (out / "report.txt").is_file()
-    # one context file and one audit record per alert
+    # one context row and one audit record per alert; no per-alert copies
     fids = [f.finding_id for f in corpus.findings]
-    assert sorted(p.stem for p in (out / "contexts").glob("*.json")) == sorted(fids)
+    rows = [json.loads(line) for line in (out / "contexts.jsonl").read_text().splitlines()]
+    assert sorted(row["finding_id"] for row in rows) == sorted(fids)
+    assert not (out / "contexts").exists()
     assert len(list((out / "audit").glob("*.optimized.json"))) == 20
 
 
@@ -281,6 +299,31 @@ def test_rerun_removes_artifacts_the_new_config_no_longer_writes(corpus, tmp_pat
     assert list((out / "audit").glob("*.baseline.json")) == []
     assert len(list((out / "prompts").glob("*.optimized.txt"))) == 20
     assert json.loads((out / "report.json").read_text())["modes"].keys() == {"OPTIMIZED"}
+
+
+def test_a_plain_run_deletes_the_per_alert_context_copies_an_old_run_left(corpus, tmp_path):
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="BOTH")
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    # The layout older runs wrote: one indented copy of each context row,
+    # recorded as an output in the context stamp.
+    stamp_path = out / ".stamps" / "context.json"
+    stamp = json.loads(stamp_path.read_text())
+    for directory, rows in (("contexts", "contexts.jsonl"),
+                            ("contexts_baseline", "contexts_baseline.jsonl")):
+        (out / directory).mkdir()
+        for line in (out / rows).read_text().splitlines():
+            row = json.loads(line)
+            copy = out / directory / f"{row['finding_id']}.json"
+            copy.write_text(json.dumps(row, indent=2) + "\n")
+            stamp["outputs"][f"{directory}/{copy.name}"] = pipeline._sha256_file(copy)
+    stamp_path.write_text(json.dumps(stamp))
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    assert not (out / "contexts").exists()
+    assert not (out / "contexts_baseline").exists()
+    assert set(json.loads(stamp_path.read_text())["outputs"]) == {
+        "contexts.jsonl", "contexts_baseline.jsonl"
+    }
 
 
 def test_unlabelled_rerun_removes_the_earlier_report(corpus, tmp_path):

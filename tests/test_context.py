@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from conftest import JAVA_DIR, OWASP_SRC
+from conftest import FIXTURES, JAVA_DIR, OWASP_SRC
 from corpus import build_corpus, write_config
 from sarif_triage import context as context_module
 from sarif_triage.context import (
@@ -320,3 +320,15 @@ def test_snapshot_keeps_absolute_uris_and_symlinks_inside_the_root(tmp_path):
     assert source.lines("../shared/B.java") is None
     assert source.sha256("../shared/B.java") == "missing"
     assert source.sha256("app/Nowhere.java") == "missing"
+
+
+def test_context_using_an_unbalanced_files_methods_is_partial_and_names_it():
+    # Unbalanced.java ends inside `dangling`, so its scan cannot close it.
+    source = SourceSnapshot(FIXTURES / "java_bad")
+    ctx = extract_context(_finding("Unbalanced.java", [5, 9]), source)
+    assert ctx.partial is True
+    assert ctx.notes == (
+        "unbalanced braces: Unbalanced.java: file ends inside 2 unclosed brace block(s)",
+    )
+    assert (SegmentReason.STEP_LINE, 5, 5) in _reasons(ctx)
+    assert (SegmentReason.STEP_LINE, 9, 9) in _reasons(ctx)

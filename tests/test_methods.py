@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -68,7 +69,7 @@ def test_nested_bodies_never_produce_records():
 
 def test_full_boundary_table_equivalence():
     table = json.loads(BOUNDARY_TABLE.read_text())
-    assert len(table) == 12
+    assert len(table) == 13
     for file_name, expected in sorted(table.items()):
         records = _records(file_name)
         got = [
@@ -81,6 +82,23 @@ def test_full_boundary_table_equivalence():
             for r in records
         ]
         assert got == expected, file_name
+
+
+def test_text_block_with_a_lone_quote_and_a_brace_keeps_both_methods():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = _records("TextBlock.java")
+    assert caught == []
+    assert [(r.name, r.start_line, r.signature_end_line, r.end_line) for r in records] == [
+        ("banner", 8, 8, 10),
+        ("query", 12, 12, 17),
+    ]
+
+
+def test_unterminated_text_block_runs_to_the_end_of_the_file():
+    source = 'class A {\n void m() {\n  String s = """\n   } }\n'
+    with pytest.warns(UnbalancedBraces, match="2 unclosed"):
+        assert locate_methods(source, "Open.java") == []
 
 
 def test_unbalanced_file_warns_and_returns_closed_methods():

@@ -115,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "prompts":
             pipeline.write_config_echo(config)
             pipeline.stage_prompts(config, args.resume)
-            print(f"prompts written under {config.output_dir / 'prompts'}")
+            print(f"prompts written to {config.output_dir / 'prompts.jsonl'}")
         elif args.command == "adjudicate":
             pipeline.write_config_echo(config)
             pipeline.stage_adjudicate(config, args.resume)

@@ -108,13 +108,33 @@ def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) ->
 
 
 def _field_values(
-    cls: type, data: Mapping[str, Any], **convert: Callable[[Any], Any]
+    cls: type, data: Mapping[str, Any], prefix: str = "", **convert: Callable[[Any], Any]
 ) -> dict[str, Any]:
     """The entries of ``data`` that name fields of the dataclass ``cls``,
     each passed through ``convert[name]`` when given. Absent keys are left
-    out, so the dataclass supplies its own default."""
+    out, so the dataclass supplies its own default. A conversion that fails
+    raises ``ConfigError`` naming the key, written ``prefix + name``."""
     values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-    return {k: convert[k](v) if k in convert else v for k, v in values.items()}
+    for key, value in values.items():
+        if key not in convert:
+            continue
+        try:
+            values[key] = convert[key](value)
+        except ConfigError:
+            raise
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {prefix}{key} has an unusable value: {exc}") from exc
+    return values
+
+
+def _optional_int(value: Any) -> int | None:
+    return None if value is None else int(value)
+
+
+def _boolean(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
 
 
 def config_from_dict(data: Mapping[str, Any], base_dir: Path | None = None) -> RunConfig:
@@ -135,13 +155,15 @@ def config_from_dict(data: Mapping[str, Any], base_dir: Path | None = None) -> R
 
     def backend(value: Mapping[str, Any] | None) -> BackendConfig:
         return BackendConfig(**_field_values(
-            BackendConfig, value or {},
+            BackendConfig, value or {}, "backend.",
             attempt_cap=int, backoff_base_s=float, script_path=script_path,
+            max_prompt_chars=_optional_int,
         ))
 
     def limits(value: Mapping[str, Any] | None) -> ContextLimits:
-        values = _field_values(ContextLimits, value or {})
-        return ContextLimits(**{k: int(v) for k, v in values.items()})
+        return ContextLimits(**_field_values(
+            ContextLimits, value or {}, "limits.", **{f.name: int for f in fields(ContextLimits)}
+        ))
 
     def cwe_map(value: Mapping[str, Any] | None) -> dict[str, str]:
         return {str(k): str(v) for k, v in (value or {}).items()}
@@ -155,7 +177,8 @@ def config_from_dict(data: Mapping[str, Any], base_dir: Path | None = None) -> R
         labels_path=resolve, rubric_dir=resolve,
         prompt_mode=upper, baseline_style=upper,
         backend=backend, limits=limits, cwe_map=cwe_map,
-        max_output_chars=int, parallelism=int, write_csv=bool,
+        max_output_chars=int, parallelism=int, prompt_char_budget=_optional_int,
+        write_csv=_boolean,
     ))
     validate_config(config)
     return config

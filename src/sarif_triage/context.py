@@ -179,7 +179,6 @@ def _segment(
 
 @dataclass
 class _Collector:
-    limits: ContextLimits
     segments: list[ContextSegment] = field(default_factory=list)
     seen: set[tuple[str, int, int]] = field(default_factory=set)
     notes: list[str] = field(default_factory=list)
@@ -341,7 +340,7 @@ def extract_context(
     Missing files and out-of-range lines mark the context as partial but
     never abort extraction.
     """
-    collector = _Collector(limits=limits)
+    collector = _Collector()
     steps = _resolved_step_locations(finding)
 
     resolved = [_probe_step(collector, source, idx, loc) for idx, loc in steps]
@@ -395,7 +394,7 @@ def extract_baseline_context(
 ) -> CodeContext:
     """Minimal-context baselines: an 11-line window around each step, or one
     whole-file segment per distinct file in the trace."""
-    collector = _Collector(limits=limits)
+    collector = _Collector()
     steps = _resolved_step_locations(finding)
 
     if mode is BaselineMode.WINDOW5:

@@ -104,14 +104,6 @@ class GroupMetrics:
 
 
 @dataclass(frozen=True)
-class ScoredFinding:
-    finding_id: str
-    cwe_id: str
-    mode: str
-    outcome: Outcome
-
-
-@dataclass(frozen=True)
 class EvalReport:
     mode: str
     overall: GroupMetrics
@@ -174,23 +166,6 @@ def counts_from_outcomes(outcomes: Iterable[Outcome]) -> ConfusionCounts:
     )
 
 
-def aggregate(scored: list[ScoredFinding], group: str) -> dict[str, GroupMetrics]:
-    """Micro-aggregate scored findings by ``group``: "overall", "cwe", or
-    "mode". Counts are summed within each group before metrics."""
-    if group == "overall":
-        keyfn = lambda s: "overall"
-    elif group == "cwe":
-        keyfn = lambda s: s.cwe_id
-    elif group == "mode":
-        keyfn = lambda s: s.mode
-    else:
-        raise ValueError(f"unknown group key: {group}")
-    buckets: dict[str, list[Outcome]] = {}
-    for item in scored:
-        buckets.setdefault(keyfn(item), []).append(item.outcome)
-    return {key: metrics_from_counts(counts_from_outcomes(v)) for key, v in buckets.items()}
-
-
 def cwe_sort_key(cwe_id: str) -> tuple[int, str]:
     try:
         return (CWE_REPORT_ORDER.index(cwe_id), cwe_id)
@@ -248,7 +223,7 @@ def build_report(
     by_fid = {f.finding_id: f for f in findings}
     matched = match_truth(findings, truths)
 
-    scored: list[ScoredFinding] = []
+    outcomes_by_cwe: dict[str, list[Outcome]] = {}
     unevaluated = 0
     unmatched = 0
     for row in results:
@@ -261,23 +236,16 @@ def build_report(
             continue
         finding = by_fid.get(row.finding_id)
         cwe = finding.cwe_id if finding is not None else "CWE-UNKNOWN"
-        scored.append(
-            ScoredFinding(
-                finding_id=row.finding_id,
-                cwe_id=cwe,
-                mode=mode,
-                outcome=score(row.adjudication.verdict, truth.label),
-            )
-        )
+        outcomes_by_cwe.setdefault(cwe, []).append(score(row.adjudication.verdict, truth.label))
 
-    per_cwe_raw = aggregate(scored, "cwe")
     per_cwe = {
-        cwe: per_cwe_raw[cwe] for cwe in sorted(per_cwe_raw, key=cwe_sort_key)
+        cwe: metrics_from_counts(counts_from_outcomes(outcomes_by_cwe[cwe]))
+        for cwe in sorted(outcomes_by_cwe, key=cwe_sort_key)
     }
-    overall = metrics_from_counts(counts_from_outcomes(s.outcome for s in scored))
+    overall = sum((m.counts for m in per_cwe.values()), ConfusionCounts())
     return EvalReport(
         mode=mode,
-        overall=overall,
+        overall=metrics_from_counts(overall),
         per_cwe=per_cwe,
         unevaluated_count=unevaluated,
         unmatched_count=unmatched,

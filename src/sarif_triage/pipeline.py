@@ -6,8 +6,7 @@ Artifact tree under ``output_dir``::
     findings.jsonl               one canonical finding per line
     contexts.jsonl               one optimized context per finding
     contexts_baseline.jsonl      one baseline context per finding (when baseline runs)
-    prompts/<fid>.<mode>.txt     exact prompt bytes (system + user)
-    prompts.jsonl                prompt index with hashes
+    prompts.jsonl                one prompt per (finding, mode): hash and exact text
     adjudications.jsonl          one verdict/UNEVALUATED row per (finding, mode)
     audit/<fid>.<mode>.json      full audit record per call
     report.json / report.txt     metrics (when labels are configured)
@@ -63,9 +62,6 @@ from .rubrics import default_rubric_dir, load_rubrics, rubric_for
 
 if TYPE_CHECKING:
     from .backend import Backend
-
-PROMPT_SYSTEM_HEADER = "=========SYSTEM========="
-PROMPT_USER_HEADER = "==========USER=========="
 
 
 class StageError(RuntimeError):
@@ -194,31 +190,6 @@ def _require(stage: str, path: Path, producer: str) -> Path:
 
 
 # --------------------------------------------------------------------------
-# Prompt artifact files
-
-
-def write_prompt_file(path: Path, system_text: str, user_text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    content = (
-        f"{PROMPT_SYSTEM_HEADER}\n{system_text}\n{PROMPT_USER_HEADER}\n{user_text}"
-    )
-    path.write_text(content, encoding="utf-8", newline="\n")
-
-
-def read_prompt_file(path: Path) -> tuple[str, str]:
-    text = path.read_text(encoding="utf-8")
-    header = PROMPT_SYSTEM_HEADER + "\n"
-    if not text.startswith(header):
-        raise StageError("adjudicate", f"prompt file {path} lacks the system header")
-    rest = text[len(header):]
-    marker = "\n" + PROMPT_USER_HEADER + "\n"
-    split_at = rest.find(marker)
-    if split_at < 0:
-        raise StageError("adjudicate", f"prompt file {path} lacks the user header")
-    return rest[:split_at], rest[split_at + len(marker):]
-
-
-# --------------------------------------------------------------------------
 # Stages
 
 
@@ -328,11 +299,8 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
             for mode, name in _CONTEXT_FILES.items()
             if mode in modes
         }
-        prompts_dir = config.output_dir / "prompts"
-        prompts_dir.mkdir(parents=True, exist_ok=True)
-        outputs: list[Path] = []
-        index_path = config.output_dir / "prompts.jsonl"
-        with index_path.open("w", encoding="utf-8", newline="\n") as fh:
+        out_path = config.output_dir / "prompts.jsonl"
+        with out_path.open("w", encoding="utf-8", newline="\n") as fh:
             for finding in findings:
                 for mode in modes:
                     ctx = contexts_by_mode[mode].get(finding.finding_id)
@@ -344,30 +312,15 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
                     bundle = compile_prompt(
                         finding, ctx, rubric, mode, config.prompt_char_budget
                     )
-                    rel = f"prompts/{finding.finding_id}.{mode.value.lower()}.txt"
-                    prompt_path = config.output_dir / rel
-                    write_prompt_file(prompt_path, bundle.system_text, bundle.user_text)
-                    outputs.append(prompt_path)
-                    fh.write(
-                        json.dumps(
-                            {
-                                "finding_id": bundle.finding_id,
-                                "mode": bundle.mode.value,
-                                "path": rel,
-                                "prompt_sha256": bundle.prompt_sha256,
-                                "placeholders_used": list(bundle.placeholders_used),
-                            },
-                            ensure_ascii=False,
-                        )
-                        + "\n"
-                    )
-        outputs.append(index_path)
-        return outputs
+                    fh.write(json.dumps(bundle.to_dict(), ensure_ascii=False) + "\n")
+        return [out_path]
 
     _run_stage(config, "prompts", resume, inputs, body)
 
 
 def load_prompt_bundles(config: RunConfig) -> list[PromptBundle]:
+    """The bundles ``prompts.jsonl`` holds, each checked against its
+    ``prompt_sha256``."""
     bundles: list[PromptBundle] = []
     with (config.output_dir / "prompts.jsonl").open("r", encoding="utf-8") as fh:
         for line in fh:
@@ -375,23 +328,18 @@ def load_prompt_bundles(config: RunConfig) -> list[PromptBundle]:
             if not line:
                 continue
             row = json.loads(line)
-            system_text, user_text = read_prompt_file(config.output_dir / row["path"])
-            digest = prompt_sha256(system_text, user_text)
-            if digest != row["prompt_sha256"]:
+            name = f"finding {row.get('finding_id')} ({row.get('mode')})"
+            try:
+                bundle = PromptBundle.from_dict(row)
+            except KeyError as exc:
                 raise StageError(
-                    "adjudicate",
-                    f"prompt file {row['path']} does not match its recorded hash",
+                    "adjudicate", f"prompts.jsonl row for {name} has no {exc}; run prompts again"
+                ) from exc
+            if prompt_sha256(bundle.system_text, bundle.user_text) != bundle.prompt_sha256:
+                raise StageError(
+                    "adjudicate", f"prompt for {name} does not match its recorded hash"
                 )
-            bundles.append(
-                PromptBundle(
-                    finding_id=row["finding_id"],
-                    mode=PromptMode(row["mode"]),
-                    system_text=system_text,
-                    user_text=user_text,
-                    prompt_sha256=digest,
-                    placeholders_used=tuple(row.get("placeholders_used", [])),
-                )
-            )
+            bundles.append(bundle)
     return bundles
 
 
@@ -416,10 +364,11 @@ def stage_adjudicate(
             backoff_base_s=config.backend.backoff_base_s,
             **({"sleep": sleep} if sleep is not None else {}),
         )
+        bundles = load_prompt_bundles(config)
         backend = build_backend(config)
         try:
             results, audits = adj.adjudicate_all(
-                load_prompt_bundles(config),
+                bundles,
                 backend,
                 parallelism=config.parallelism,
                 model=config.backend.model,

@@ -18,6 +18,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Mapping
 
 from .context import CodeContext, ContextSegment, SegmentReason
 from .ingest import Finding, TraceStep
@@ -144,6 +145,27 @@ class PromptBundle:
     user_text: str
     prompt_sha256: str
     placeholders_used: tuple[str, ...]
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "finding_id": self.finding_id,
+            "mode": self.mode.value,
+            "prompt_sha256": self.prompt_sha256,
+            "placeholders_used": list(self.placeholders_used),
+            "system_text": self.system_text,
+            "user_text": self.user_text,
+        }
+
+    @classmethod
+    def from_dict(cls, d: Mapping[str, Any]) -> "PromptBundle":
+        return cls(
+            finding_id=d["finding_id"],
+            mode=PromptMode(d["mode"]),
+            system_text=d["system_text"],
+            user_text=d["user_text"],
+            prompt_sha256=d["prompt_sha256"],
+            placeholders_used=tuple(d["placeholders_used"]),
+        )
 
 
 def prompt_sha256(system_text: str, user_text: str) -> str:

@@ -143,13 +143,10 @@ def test_criterion_2_delta_reproduction():
 
 
 def _artifact_bytes(out: Path) -> dict[str, bytes]:
-    snapshot: dict[str, bytes] = {}
-    for name in ("adjudications.jsonl", "report.json"):
-        snapshot[name] = (out / name).read_bytes()
-    for path in sorted((out / "prompts").rglob("*")):
-        if path.is_file():
-            snapshot[str(path.relative_to(out))] = path.read_bytes()
-    return snapshot
+    return {
+        name: (out / name).read_bytes()
+        for name in ("prompts.jsonl", "adjudications.jsonl", "report.json")
+    }
 
 
 def test_criterion_3_determinism(tmp_path):
@@ -161,7 +158,7 @@ def test_criterion_3_determinism(tmp_path):
         run_all(config)
         snapshots.append(_artifact_bytes(out))
     assert snapshots[0] == snapshots[1]
-    _ok(3, "two full mock-backend runs produced byte-identical prompts/, adjudications.jsonl, report.json")
+    _ok(3, "two full mock-backend runs produced byte-identical prompts.jsonl, adjudications.jsonl, report.json")
 
 
 # --- 4. Trace format fidelity -----------------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,18 @@ def _tree_bytes(root: Path, *names: str) -> dict[str, bytes]:
                 if child.is_file():
                     snapshot[str(child.relative_to(root))] = child.read_bytes()
     return snapshot
+
+
+def _prompt_rows(out: Path) -> list[dict]:
+    with (out / "prompts.jsonl").open(encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def _prompt_modes(out: Path) -> dict[str, int]:
+    """Rows of ``prompts.jsonl`` per mode; the prompts stage writes no
+    ``prompts/`` directory."""
+    assert not (out / "prompts").exists()
+    return dict(Counter(row["mode"] for row in _prompt_rows(out)))
 
 
 def test_ingest_writes_one_line_per_result(corpus, tmp_path, capsys):
@@ -88,7 +101,9 @@ def test_config_values_are_coerced_and_absent_keys_keep_their_defaults(corpus, t
                 "output_dir": "out",
                 "prompt_mode": "both",
                 "parallelism": "2",
-                "backend": {"script_path": str(corpus.mock_script_path), "attempt_cap": "3"},
+                "prompt_char_budget": "5000",
+                "backend": {"script_path": str(corpus.mock_script_path), "attempt_cap": "3",
+                            "max_prompt_chars": "40000"},
                 "limits": {"max_total_lines": "50"},
                 "cwe_map": {"vendor/rule": 89},
                 "not_a_setting": True,
@@ -97,9 +112,11 @@ def test_config_values_are_coerced_and_absent_keys_keep_their_defaults(corpus, t
     )
     config = load_config(config_path)
     assert config.output_dir == tmp_path / "out"
-    assert (config.prompt_mode, config.parallelism) == ("BOTH", 2)
+    assert (config.prompt_mode, config.parallelism, config.prompt_char_budget) == (
+        "BOTH", 2, 5000
+    )
     assert config.backend == BackendConfig(
-        script_path=str(corpus.mock_script_path), attempt_cap=3
+        script_path=str(corpus.mock_script_path), attempt_cap=3, max_prompt_chars=40000
     )
     assert config.limits == ContextLimits(max_total_lines=50)
     assert config.cwe_map == {"vendor/rule": "89"}
@@ -109,6 +126,34 @@ def test_config_values_are_coerced_and_absent_keys_keep_their_defaults(corpus, t
         False,
     )
     assert config.labels_path is None and config.rubric_dir is None
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("write_csv", "false"),
+        ("prompt_char_budget", "5k"),
+        ("backend.max_prompt_chars", "40k"),
+        ("parallelism", "two"),
+        ("limits.max_total_lines", None),
+        ("cwe_map", ["vendor/rule", "CWE-089"]),
+    ],
+)
+def test_a_config_value_that_does_not_convert_exits_2_naming_its_key(
+    corpus, tmp_path, capsys, key, value
+):
+    out = tmp_path / "out"
+    config_path = write_config(corpus, out)
+    config = json.loads(config_path.read_text())
+    *parents, name = key.split(".")
+    section = config
+    for parent in parents:
+        section = section.setdefault(parent, {})
+    section[name] = value
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == EXIT_USAGE
+    assert f"config key {key} has an unusable value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -186,6 +231,58 @@ def test_stage_failure_exits_1(corpus, tmp_path, capsys):
     assert "stage adjudicate" in capsys.readouterr().err
 
 
+def _adjudicate_rewritten_prompts(corpus, tmp_path, monkeypatch, rewrite) -> int:
+    """Exit code of ``adjudicate`` after ``rewrite`` edits the rows of a
+    finished run's ``prompts.jsonl``; the backend must get no call."""
+    from sarif_triage.backend import MockBackend
+
+    out = tmp_path / "out"
+    config = write_config(corpus, out, with_labels=False)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    rows = [rewrite(row) for row in _prompt_rows(out)]
+    (out / "prompts.jsonl").write_text(
+        "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
+    )
+    calls = []
+    monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
+    code = main(["adjudicate", "--config", str(config)])
+    assert calls == []
+    return code
+
+
+def test_adjudicate_refuses_a_prompt_edited_after_it_was_hashed(
+    corpus, tmp_path, capsys, monkeypatch
+):
+    edited = corpus.findings[3].finding_id
+
+    def rewrite(row):
+        if row["finding_id"] == edited:
+            row["user_text"] = row["user_text"].replace("Alert message:", "Alert message: SAFE")
+        return row
+
+    assert _adjudicate_rewritten_prompts(corpus, tmp_path, monkeypatch, rewrite) \
+        == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert f"prompt for finding {edited} (OPTIMIZED) does not match its recorded hash" in err
+
+
+def test_adjudicate_asks_for_the_prompts_stage_on_an_old_layout_row(
+    corpus, tmp_path, capsys, monkeypatch
+):
+    # Older runs kept the text in prompts/<fid>.<mode>.txt and only a path here.
+    def rewrite(row):
+        path = f"prompts/{row['finding_id']}.{row['mode'].lower()}.txt"
+        return {"finding_id": row["finding_id"], "mode": row["mode"], "path": path,
+                "prompt_sha256": row["prompt_sha256"],
+                "placeholders_used": row["placeholders_used"]}
+
+    assert _adjudicate_rewritten_prompts(corpus, tmp_path, monkeypatch, rewrite) \
+        == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert f"row for finding {corpus.findings[0].finding_id} (OPTIMIZED)" in err
+    assert "run prompts again" in err
+
+
 def test_evaluate_without_labels_is_a_config_error(corpus, tmp_path, capsys):
     out = tmp_path / "out"
     config = write_config(corpus, out, with_labels=False)
@@ -220,8 +317,8 @@ def test_rerun_is_byte_identical_for_deterministic_artifacts(corpus, tmp_path):
     for out in (out_a, out_b):
         config = write_config(corpus, out)
         assert main(["run", "--config", str(config)]) == EXIT_OK
-    names = ("findings.jsonl", "contexts.jsonl", "prompts.jsonl", "prompts",
-             "adjudications.jsonl", "report.json")
+    names = ("findings.jsonl", "contexts.jsonl", "prompts.jsonl", "adjudications.jsonl",
+             "report.json")
     assert _tree_bytes(out_a, *names) == _tree_bytes(out_b, *names)
 
 
@@ -234,18 +331,35 @@ def test_both_modes_produce_delta_table(corpus, tmp_path):
     assert report["delta"][0]["group"] == "overall"
     text = (out / "report.txt").read_text()
     assert "mode delta" in text
-    baseline_prompts = list((out / "prompts").glob("*.baseline.txt"))
-    optimized_prompts = list((out / "prompts").glob("*.optimized.txt"))
-    assert len(baseline_prompts) == 20
-    assert len(optimized_prompts) == 20
+    assert _prompt_modes(out) == {"BASELINE": 20, "OPTIMIZED": 20}
+
+
+def test_carriage_returns_in_step_messages_reach_the_prompt_verbatim(tmp_path):
+    corpus = build_corpus(tmp_path / "corpus")
+    sarif = json.loads(corpus.sarif_path.read_text(encoding="utf-8"))
+    steps = sarif["runs"][0]["results"][0]["codeFlows"][0]["threadFlows"][0]["locations"]
+    messages = ("param\r: String", "param.trim\r\n: String")
+    for step, text in zip(steps, messages):
+        step["location"]["message"]["text"] = text
+    corpus.sarif_path.write_text(json.dumps(sarif), encoding="utf-8")
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="BOTH")
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    rows = _prompt_rows(out)
+    fids = [f.finding_id for f in corpus.findings]
+    assert sorted((r["finding_id"], r["mode"]) for r in rows) == sorted(
+        (fid, mode) for fid in fids for mode in ("BASELINE", "OPTIMIZED")
+    )
+    (first,) = [r for r in rows if (r["finding_id"], r["mode"]) == (fids[0], "OPTIMIZED")]
+    for text in messages:
+        assert f"Message: {text}\n" in first["user_text"]
 
 
 def test_prompt_mode_flag_overrides_config(corpus, tmp_path):
     out = tmp_path / "out"
     config = write_config(corpus, out, prompt_mode="OPTIMIZED")
     assert main(["run", "--config", str(config), "--prompt-mode", "BASELINE"]) == EXIT_OK
-    assert list((out / "prompts").glob("*.optimized.txt")) == []
-    assert len(list((out / "prompts").glob("*.baseline.txt"))) == 20
+    assert _prompt_modes(out) == {"BASELINE": 20}
 
 
 def test_resume_skips_unchanged_stages(corpus, tmp_path):
@@ -295,35 +409,64 @@ def test_rerun_removes_artifacts_the_new_config_no_longer_writes(corpus, tmp_pat
     assert not (out / "report.csv").exists()
     assert not (out / "contexts_baseline.jsonl").exists()
     assert not (out / "contexts_baseline").exists()
-    assert list((out / "prompts").glob("*.baseline.txt")) == []
+    assert _prompt_modes(out) == {"OPTIMIZED": 20}
     assert list((out / "audit").glob("*.baseline.json")) == []
-    assert len(list((out / "prompts").glob("*.optimized.txt"))) == 20
     assert json.loads((out / "report.json").read_text())["modes"].keys() == {"OPTIMIZED"}
 
 
-def test_a_plain_run_deletes_the_per_alert_context_copies_an_old_run_left(corpus, tmp_path):
+def _old_context_copies(out: Path) -> list[tuple[str, str]]:
+    """One indented copy of each context row."""
+    copies = []
+    for directory, rows in (("contexts", "contexts.jsonl"),
+                            ("contexts_baseline", "contexts_baseline.jsonl")):
+        for line in (out / rows).read_text().splitlines():
+            row = json.loads(line)
+            rel = f"{directory}/{row['finding_id']}.json"
+            copies.append((rel, json.dumps(row, indent=2) + "\n"))
+    return copies
+
+
+def _old_prompt_files(out: Path) -> list[tuple[str, str]]:
+    """One file per prompt: a system header line, the system text, a user
+    header line, the user text."""
+    return [
+        (f"prompts/{row['finding_id']}.{row['mode'].lower()}.txt",
+         f"=========SYSTEM=========\n{row['system_text']}\n"
+         f"==========USER==========\n{row['user_text']}")
+        for row in _prompt_rows(out)
+    ]
+
+
+# stage: (the per-row files older runs wrote, the outputs the stage writes now)
+_OLD_LAYOUTS = {
+    "context": (_old_context_copies, {"contexts.jsonl", "contexts_baseline.jsonl"}),
+    "prompts": (_old_prompt_files, {"prompts.jsonl"}),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_OLD_LAYOUTS))
+def test_a_plain_run_deletes_the_per_alert_context_copies_an_old_run_left(
+    corpus, tmp_path, stage
+):
     out = tmp_path / "out"
     config = write_config(corpus, out, prompt_mode="BOTH")
     assert main(["run", "--config", str(config)]) == EXIT_OK
-    # The layout older runs wrote: one indented copy of each context row,
-    # recorded as an output in the context stamp.
-    stamp_path = out / ".stamps" / "context.json"
+    # The layout older runs wrote, recorded as outputs in the stage's stamp.
+    old_files, outputs = _OLD_LAYOUTS[stage]
+    files = old_files(out)
+    assert len(files) == 40
+    stamp_path = out / ".stamps" / f"{stage}.json"
     stamp = json.loads(stamp_path.read_text())
-    for directory, rows in (("contexts", "contexts.jsonl"),
-                            ("contexts_baseline", "contexts_baseline.jsonl")):
-        (out / directory).mkdir()
-        for line in (out / rows).read_text().splitlines():
-            row = json.loads(line)
-            copy = out / directory / f"{row['finding_id']}.json"
-            copy.write_text(json.dumps(row, indent=2) + "\n")
-            stamp["outputs"][f"{directory}/{copy.name}"] = pipeline._sha256_file(copy)
+    for rel, text in files:
+        path = out / rel
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="\n")
+        stamp["outputs"][rel] = pipeline._sha256_file(path)
     stamp_path.write_text(json.dumps(stamp))
     assert main(["run", "--config", str(config)]) == EXIT_OK
-    assert not (out / "contexts").exists()
-    assert not (out / "contexts_baseline").exists()
-    assert set(json.loads(stamp_path.read_text())["outputs"]) == {
-        "contexts.jsonl", "contexts_baseline.jsonl"
-    }
+    for directory in {rel.split("/")[0] for rel, _ in files}:
+        assert not (out / directory).exists(), directory
+    assert set(json.loads(stamp_path.read_text())["outputs"]) == outputs
 
 
 def test_unlabelled_rerun_removes_the_earlier_report(corpus, tmp_path):
@@ -335,7 +478,7 @@ def test_unlabelled_rerun_removes_the_earlier_report(corpus, tmp_path):
     assert main(["run", "--config", str(config)]) == EXIT_OK
     for name in ("report.json", "report.txt", "report.csv", ".stamps/evaluate.json"):
         assert not (out / name).exists(), name
-    assert len(list((out / "prompts").glob("*.baseline.txt"))) == 20
+    assert _prompt_modes(out) == {"BASELINE": 20}
 
 
 def test_rerun_deletes_nothing_outside_the_output_dir(corpus, tmp_path):
@@ -353,19 +496,17 @@ def test_rerun_deletes_nothing_outside_the_output_dir(corpus, tmp_path):
 
 
 def test_stage_isolation_reproduces_deleted_downstream_dirs(corpus, tmp_path):
-    import shutil
-
     out = tmp_path / "out"
     config = write_config(corpus, out)
     assert main(["run", "--config", str(config)]) == EXIT_OK
-    names = ("prompts.jsonl", "prompts", "adjudications.jsonl", "report.json")
+    names = ("prompts.jsonl", "adjudications.jsonl", "report.json")
     first = _tree_bytes(out, *names)
-    shutil.rmtree(out / "prompts")
-    (out / "prompts.jsonl").unlink()
-    (out / "adjudications.jsonl").unlink()
-    (out / "report.json").unlink()
+    assert _prompt_modes(out) == {"OPTIMIZED": 20}
+    for name in names:
+        (out / name).unlink()
     assert main(["run", "--config", str(config)]) == EXIT_OK
     assert _tree_bytes(out, *names) == first
+    assert _prompt_modes(out) == {"OPTIMIZED": 20}
 
 
 def test_csv_export_flag(corpus, tmp_path):

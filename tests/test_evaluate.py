@@ -18,7 +18,6 @@ from sarif_triage.evaluate import (
     Label,
     MismatchedSets,
     Outcome,
-    aggregate,
     build_report,
     compare_modes,
     counts_from_outcomes,
@@ -27,7 +26,6 @@ from sarif_triage.evaluate import (
     match_truth,
     metrics_from_counts,
     score,
-    ScoredFinding,
 )
 from sarif_triage.ingest import CodeLocation, Finding
 
@@ -73,35 +71,54 @@ def test_f1_zero_denominators():
     assert zero.precision == 0.0 and zero.recall == 0.0 and zero.f1 == 0.0
 
 
+# The (verdict, label) pair that scores as each outcome.
+_PAIRS = {
+    Outcome.TP: (Verdict.FALSE_POSITIVE, Label.FALSE_POSITIVE),
+    Outcome.FP: (Verdict.FALSE_POSITIVE, Label.TRUE_VULNERABILITY),
+    Outcome.FN: (Verdict.TRUE_POSITIVE, Label.FALSE_POSITIVE),
+    Outcome.TN: (Verdict.TRUE_POSITIVE, Label.TRUE_VULNERABILITY),
+}
+
+
+def _report_of(scored: list[tuple[str, Outcome]]):
+    """``build_report`` over one labelled finding per (CWE, outcome) pair."""
+    findings, results, truths = [], [], []
+    for i, (cwe, outcome) in enumerate(scored):
+        verdict, label = _PAIRS[outcome]
+        findings.append(_finding(f"f{i}", cwe=cwe, uri=f"F{i}.java"))
+        results.append(_ok(f"f{i}", verdict))
+        truths.append(GroundTruth(label=label, finding_id=f"f{i}"))
+    return build_report(findings, results, truths, "OPTIMIZED")
+
+
 def test_aggregate_micro_sums_counts_before_metrics():
-    scored = (
-        [ScoredFinding("a", "CWE-089", "OPTIMIZED", Outcome.TP)] * 2
-        + [ScoredFinding("b", "CWE-089", "OPTIMIZED", Outcome.FN)] * 1
-        + [ScoredFinding("c", "CWE-079", "OPTIMIZED", Outcome.TP)] * 3
-        + [ScoredFinding("d", "CWE-079", "OPTIMIZED", Outcome.FP)] * 1
+    report = _report_of(
+        [("CWE-089", Outcome.TP)] * 2
+        + [("CWE-089", Outcome.FN)] * 1
+        + [("CWE-079", Outcome.TP)] * 3
+        + [("CWE-079", Outcome.FP)] * 1
     )
-    overall = aggregate(scored, "overall")["overall"]
+    overall = report.overall
     # Hand computation: tp=5, fp=1, fn=1 -> P = R = 5/6
     assert overall.counts == ConfusionCounts(tp=5, fp=1, tn=0, fn=1)
     assert overall.precision == pytest.approx(5 / 6)
     assert overall.recall == pytest.approx(5 / 6)
     assert overall.f1 == pytest.approx(5 / 6)
-    per_cwe = aggregate(scored, "cwe")
+    per_cwe = report.per_cwe
     assert per_cwe["CWE-089"].counts == ConfusionCounts(tp=2, fp=0, tn=0, fn=1)
     assert per_cwe["CWE-079"].counts == ConfusionCounts(tp=3, fp=1, tn=0, fn=0)
 
 
 def test_empty_outcomes_give_zero_report():
-    assert aggregate([], "overall") == {}
+    report = _report_of([])
+    assert report.per_cwe == {}
+    assert report.overall == metrics_from_counts(ConfusionCounts())
     assert metrics_from_counts(counts_from_outcomes([])).f1 == 0.0
 
 
 def test_single_group_equals_overall():
-    scored = [
-        ScoredFinding("a", "CWE-089", "OPTIMIZED", Outcome.TP),
-        ScoredFinding("b", "CWE-089", "OPTIMIZED", Outcome.TN),
-    ]
-    assert aggregate(scored, "cwe")["CWE-089"] == aggregate(scored, "overall")["overall"]
+    report = _report_of([("CWE-089", Outcome.TP), ("CWE-089", Outcome.TN)])
+    assert report.per_cwe == {"CWE-089": report.overall}
 
 
 def _loc(uri="A.java", line=3):

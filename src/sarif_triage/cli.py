@@ -101,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    from . import ingest, pipeline
+    from . import pipeline
 
     try:
         if args.command == "ingest":
@@ -135,9 +135,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         # An unparseable or non-SARIF input to `ingest` is a usage problem,
         # not a pipeline failure.
-        unusable_input = (ingest.MalformedJson, ingest.NotSarif)
-        if args.command == "ingest" and isinstance(exc.__cause__, unusable_input):
-            return EXIT_USAGE
+        if args.command == "ingest":
+            from .ingest import MalformedJson, NotSarif
+
+            if isinstance(exc.__cause__, (MalformedJson, NotSarif)):
+                return EXIT_USAGE
         return EXIT_STAGE_FAILURE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,25 +6,24 @@ a method, and method signatures plus call sites when a flow crosses method
 boundaries. A windowed and a whole-file baseline extractor are provided for
 comparison runs.
 
-Source text comes from one ``SourceSnapshot`` per run, shared by both
-extractors and the context stamp. Line endings are normalized to LF before
+Source text comes from one ``SourceSnapshot`` (``source``) per run, shared
+by both extractors and the context stamp; the method scan of each file is
+made here, once per snapshot. Line endings are normalized to LF before
 any offset math. Extraction is pure over (finding, snapshot, limits).
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import re
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from pathlib import Path
 from typing import Any, Mapping
 
 from .config import ContextLimits
 from .ingest import CodeLocation, Finding
 from .methods import MethodRecord, UnbalancedBraces, enclosing_method, locate_methods
+from .source import SourceSnapshot
 
 
 class SegmentReason(str, Enum):
@@ -107,57 +106,6 @@ class CodeContext:
         )
 
 
-class SourceSnapshot:
-    """Read-only view of the source tree for one run: each file is read,
-    hashed and method-scanned at most once. A URI that lexically leaves
-    ``root`` (an absolute path elsewhere, or too many ``..``) reads as
-    missing; symlinks are not resolved, so those inside the tree work."""
-
-    def __init__(self, root: Path | str):
-        self.root = os.path.abspath(root)
-        self._files: dict[str, tuple[str, list[str]] | None] = {}
-        self._scans: dict[str, tuple[list[MethodRecord], str | None]] = {}
-
-    def _file(self, uri: str) -> tuple[str, list[str]] | None:
-        """The file's SHA-256 hex digest and its lines, or None."""
-        if uri not in self._files:
-            path = os.path.abspath(os.path.join(self.root, uri))
-            if os.path.commonpath([self.root, path]) != self.root or not os.path.isfile(path):
-                self._files[uri] = None
-            else:
-                data = Path(path).read_bytes()
-                text = data.decode("utf-8", errors="replace")
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
-                lines = text.split("\n")
-                if lines and lines[-1] == "":
-                    lines.pop()  # trailing newline is not an extra line
-                self._files[uri] = (hashlib.sha256(data).hexdigest(), lines)
-        return self._files[uri]
-
-    def sha256(self, uri: str) -> str:
-        file = self._file(uri)
-        return "missing" if file is None else file[0]
-
-    def lines(self, uri: str) -> list[str] | None:
-        file = self._file(uri)
-        return None if file is None else file[1]
-
-    def methods(self, uri: str) -> tuple[list[MethodRecord], str | None]:
-        """The file's method records, and the scanner's message when the
-        file ended unbalanced (some methods may be missing), else None."""
-        if uri not in self._scans:
-            lines = self.lines(uri)
-            # The scanner reports an unbalanced file by warning; the warning
-            # is kept here so every context that uses the file can say so.
-            # catch_warnings swaps process-wide state: scan on one thread.
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", UnbalancedBraces)
-                records = [] if lines is None else locate_methods("\n".join(lines), uri)
-            problems = [str(w.message) for w in caught if issubclass(w.category, UnbalancedBraces)]
-            self._scans[uri] = (records, "; ".join(problems) or None)
-        return self._scans[uri]
-
-
 def _segment(
     lines: list[str],
     uri: str,
@@ -197,9 +145,20 @@ class _Collector:
 
 
 def _methods(collector: _Collector, source: SourceSnapshot, uri: str) -> list[MethodRecord]:
-    """The file's method records. A scan that ended unbalanced may have lost
-    some, so it marks the context partial, with one note per file."""
-    records, problem = source.methods(uri)
+    """The file's method records, scanned once per snapshot. A scan that
+    ended unbalanced may have lost some, so it marks the context partial,
+    with one note per file."""
+    if uri not in source.method_scans:
+        lines = source.lines(uri)
+        # The scanner reports an unbalanced file by warning; the warning is
+        # kept here so every context that uses the file can say so.
+        # catch_warnings swaps process-wide state: scan on one thread.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UnbalancedBraces)
+            records = [] if lines is None else locate_methods("\n".join(lines), uri)
+        problems = [str(w.message) for w in caught if issubclass(w.category, UnbalancedBraces)]
+        source.method_scans[uri] = (records, "; ".join(problems) or None)
+    records, problem = source.method_scans[uri]
     if problem is not None and f"unbalanced braces: {problem}" not in collector.notes:
         collector.note(f"unbalanced braces: {problem}")
     return records

@@ -13,9 +13,11 @@ Artifact tree under ``output_dir``::
     .stamps/<stage>.json         input/output hashes for --resume
 
 The run configuration (``RunConfig``, ``BackendConfig``, ``load_config``)
-lives in ``config``; this module re-exports it. The adjudicate and evaluate
-stages import ``adjudicate``, ``backend`` and ``evaluate`` only when they
-run, so a ``--resume`` that skips them never loads the HTTP transport.
+lives in ``config``; this module re-exports it. Each stage imports the
+modules it runs on (``ingest``, ``context``, ``prompts``, ``rubrics``,
+``adjudicate``, ``backend``, ``evaluate``) only when its body runs, so a
+``--resume`` loads only the modules of the stages it runs; one that skips
+every stage loads none of them.
 
 Each stage reads its inputs from disk, so deleting a downstream artifact
 and re-running reproduces it. With the mock backend every artifact except
@@ -37,31 +39,52 @@ keys on:
                 max_output_chars
     evaluate    findings.jsonl, adjudications.jsonl, the labels file,
                 write_csv
+
+While ``findings.jsonl`` still hashes to the value the context stamp
+recorded, ``--resume`` takes the source files to hash from that stamp's
+``src:<uri>`` keys instead of parsing the findings to list them again.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib
 import json
 import os
+import sys
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from .config import BackendConfig, ConfigError, RunConfig, load_config  # noqa: F401 (re-exported)
-from .context import (
-    BaselineMode,
-    CodeContext,
-    SourceSnapshot,
-    extract_baseline_context,
-    extract_context,
-)
-from .ingest import Finding, canonicalize, load_findings_jsonl, parse_sarif, write_findings_jsonl
-from .prompts import PromptBundle, PromptMode, compile_prompt, prompt_sha256
-from .rubrics import default_rubric_dir, load_rubrics, rubric_for
 
 if TYPE_CHECKING:
     from .backend import Backend
+    from .context import CodeContext
+    from .ingest import Finding
+    from .prompts import PromptBundle
+
+# The stage functions a stage body calls by these names, looked up on this
+# module when called: a wrapper set here (a tracer, a test's counter) is the
+# one that runs. PEP 562 loads each from its home module on first use.
+_STAGE_FUNCTIONS = {
+    "parse_sarif": "ingest",
+    "canonicalize": "ingest",
+    "extract_context": "context",
+    "extract_baseline_context": "context",
+    "compile_prompt": "prompts",
+}
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str) -> Any:
+    home = _STAGE_FUNCTIONS.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __package__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
 
 
 class StageError(RuntimeError):
@@ -103,6 +126,10 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+# {"inputs": {name: hash or value}, "outputs": {path under output_dir: hash}}
+Stamp = dict[str, dict[str, str]]
+
+
 def _stamp_path(config: RunConfig, stage: str) -> Path:
     return config.output_dir / ".stamps" / f"{stage}.json"
 
@@ -119,20 +146,33 @@ def _write_stamp(config: RunConfig, stage: str, inputs: dict[str, str], outputs:
     path.write_text(json.dumps(stamp, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _read_stamp(config: RunConfig, stage: str) -> dict[str, Any] | None:
+def _is_str_map(value: Any) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(k, str) and isinstance(v, str) for k, v in value.items()
+    )
+
+
+def _read_stamp(config: RunConfig, stage: str) -> Stamp | None:
+    """The stage's stamp, or None when there is none or it is not an object
+    whose ``inputs`` and ``outputs`` map strings to strings; a stamp that
+    cannot be trusted reads as absent, so the stage runs again."""
     path = _stamp_path(config, stage)
     if not path.is_file():
         return None
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        stamp = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError:
         return None
+    if not (isinstance(stamp, dict) and _is_str_map(stamp.get("inputs"))
+            and _is_str_map(stamp.get("outputs"))):
+        return None
+    return stamp
 
 
-def _stamp_matches(config: RunConfig, stamp: dict[str, Any], inputs: dict[str, str]) -> bool:
-    if stamp.get("inputs") != inputs:
+def _stamp_matches(config: RunConfig, stamp: Stamp, inputs: dict[str, str]) -> bool:
+    if stamp["inputs"] != inputs:
         return False
-    for rel, expected in stamp.get("outputs", {}).items():
+    for rel, expected in stamp["outputs"].items():
         target = config.output_dir / rel
         if not target.is_file() or _sha256_file(target) != expected:
             return False
@@ -143,14 +183,20 @@ def _run_stage(
     config: RunConfig,
     stage: str,
     resume: bool,
-    inputs: dict[str, str],
+    inputs: dict[str, str] | Callable[[dict[str, str] | None], dict[str, str]],
     body: Callable[[], list[Path]],
 ) -> None:
     """Run ``body`` unless ``resume`` is set and the stage's stamp still
     matches ``inputs``; then delete what the previous stamp recorded and
     ``body`` no longer wrote, and stamp ``inputs`` with the paths ``body``
-    returned. Any failure in ``body`` surfaces as a ``StageError``."""
+    returned. Any failure in ``body`` surfaces as a ``StageError``.
+
+    ``inputs`` may be a function of the inputs the previous stamp recorded
+    (None when there is none to trust or ``resume`` is off), for a stage
+    whose stamp lists what else it depends on."""
     previous = _read_stamp(config, stage)
+    if callable(inputs):
+        inputs = inputs(previous["inputs"] if resume and previous is not None else None)
     if resume and previous is not None and _stamp_matches(config, previous, inputs):
         return
     try:
@@ -164,14 +210,14 @@ def _run_stage(
     _write_stamp(config, stage, inputs, outputs)
 
 
-def _remove_stale_outputs(config: RunConfig, stamp: dict[str, Any], outputs: list[Path]) -> None:
+def _remove_stale_outputs(config: RunConfig, stamp: Stamp, outputs: list[Path]) -> None:
     """Delete each file ``stamp`` recorded that is not in ``outputs``, and
     any directory that leaves empty. Paths that lexically leave
     ``output_dir`` are never touched."""
     root = os.path.abspath(config.output_dir)
     kept = {os.path.abspath(p) for p in outputs}
     emptied = set()
-    for rel in stamp.get("outputs", {}):
+    for rel in stamp["outputs"]:
         path = os.path.abspath(os.path.join(root, rel))
         if path in kept or os.path.commonpath([root, path]) != root:
             continue
@@ -208,35 +254,32 @@ def stage_ingest(config: RunConfig, resume: bool = False) -> None:
     }
 
     def body() -> list[Path]:
+        from .ingest import write_findings_jsonl
+
         out_path = config.output_dir / "findings.jsonl"
-        doc = parse_sarif(config.sarif_path.read_bytes())
-        write_findings_jsonl(canonicalize(doc, config.cwe_map), out_path)
+        doc = _module.parse_sarif(config.sarif_path.read_bytes())
+        write_findings_jsonl(_module.canonicalize(doc, config.cwe_map), out_path)
         return [out_path]
 
     _run_stage(config, "ingest", resume, inputs, body)
 
 
-def _context_inputs(
-    config: RunConfig, findings: list[Finding], source: SourceSnapshot
-) -> dict[str, str]:
-    inputs = {"findings": _sha256_file(config.output_dir / "findings.jsonl")}
-    uris = sorted({step.location.uri for f in findings for step in f.trace}
+def _load_findings(path: Path) -> list[Finding]:
+    from .ingest import load_findings_jsonl
+
+    return load_findings_jsonl(path)
+
+
+def _source_uris(findings: list[Finding]) -> list[str]:
+    """Every file a finding's primary location or trace names, sorted."""
+    return sorted({step.location.uri for f in findings for step in f.trace}
                   | {f.primary_location.uri for f in findings})
-    for uri in uris:
-        inputs[f"src:{uri}"] = source.sha256(uri)
-    inputs["limits"] = _sha256_text(json.dumps(asdict(config.limits), sort_keys=True))
-    inputs["baseline_style"] = config.baseline_style
-    inputs["prompt_mode"] = config.prompt_mode
-    return inputs
 
 
-_CONTEXT_FILES = {
-    PromptMode.OPTIMIZED: "contexts.jsonl",
-    PromptMode.BASELINE: "contexts_baseline.jsonl",
-}
+_CONTEXT_FILES = {"OPTIMIZED": "contexts.jsonl", "BASELINE": "contexts_baseline.jsonl"}
 
 
-def _write_contexts(config: RunConfig, mode: PromptMode, contexts: list[CodeContext]) -> Path:
+def _write_contexts(config: RunConfig, mode: str, contexts: list[CodeContext]) -> Path:
     path = config.output_dir / _CONTEXT_FILES[mode]
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for ctx in contexts:
@@ -245,6 +288,8 @@ def _write_contexts(config: RunConfig, mode: PromptMode, contexts: list[CodeCont
 
 
 def load_contexts_jsonl(path: Path) -> dict[str, CodeContext]:
+    from .context import CodeContext
+
     contexts: dict[str, CodeContext] = {}
     with path.open("r", encoding="utf-8") as fh:
         for line in fh:
@@ -256,31 +301,54 @@ def load_contexts_jsonl(path: Path) -> dict[str, CodeContext]:
 
 
 def stage_context(config: RunConfig, resume: bool = False) -> None:
-    findings = load_findings_jsonl(
-        _require("context", config.output_dir / "findings.jsonl", "ingest")
-    )
+    from .source import SourceSnapshot
+
+    findings_path = _require("context", config.output_dir / "findings.jsonl", "ingest")
+    findings_sha = _sha256_file(findings_path)
     source = SourceSnapshot(config.source_root)
+    findings = functools.cache(lambda: _load_findings(findings_path))
+
+    def inputs(stamped: dict[str, str] | None) -> dict[str, str]:
+        if stamped is not None and stamped.get("findings") == findings_sha:
+            # The stamp of these same findings lists the files they name.
+            uris = [key[len("src:"):] for key in stamped if key.startswith("src:")]
+        else:
+            uris = _source_uris(findings())
+        return {
+            "findings": findings_sha,
+            **{f"src:{uri}": source.sha256(uri) for uri in uris},
+            "limits": _sha256_text(json.dumps(asdict(config.limits), sort_keys=True)),
+            "baseline_style": config.baseline_style,
+            "prompt_mode": config.prompt_mode,
+        }
 
     def body() -> list[Path]:
+        from .context import BaselineMode
+
         outputs: list[Path] = []
         modes = config.modes()
-        if PromptMode.OPTIMIZED in modes:
-            contexts = [extract_context(f, source, config.limits) for f in findings]
-            outputs.append(_write_contexts(config, PromptMode.OPTIMIZED, contexts))
-        if PromptMode.BASELINE in modes:
+        if "OPTIMIZED" in modes:
+            contexts = [_module.extract_context(f, source, config.limits) for f in findings()]
+            outputs.append(_write_contexts(config, "OPTIMIZED", contexts))
+        if "BASELINE" in modes:
             style = BaselineMode(config.baseline_style)
-            baseline = [extract_baseline_context(f, source, style, config.limits) for f in findings]
-            outputs.append(_write_contexts(config, PromptMode.BASELINE, baseline))
+            baseline = [
+                _module.extract_baseline_context(f, source, style, config.limits)
+                for f in findings()
+            ]
+            outputs.append(_write_contexts(config, "BASELINE", baseline))
         return outputs
 
-    _run_stage(config, "context", resume, _context_inputs(config, findings, source), body)
+    _run_stage(config, "context", resume, inputs, body)
 
 
 def stage_prompts(config: RunConfig, resume: bool = False) -> None:
     findings_path = _require("prompts", config.output_dir / "findings.jsonl", "ingest")
-    rubric_dir = config.rubric_dir or default_rubric_dir()
+    # The shipped rubrics are the ``rubrics`` package's files; naming their
+    # directory does not import it.
+    rubric_dir = Path(config.rubric_dir or Path(__file__).with_name("rubrics"))
     rubric_inputs = {
-        f"rubric:{p.name}": _sha256_file(p) for p in sorted(Path(rubric_dir).glob("*.rubric"))
+        f"rubric:{p.name}": _sha256_file(p) for p in sorted(rubric_dir.glob("*.rubric"))
     }
     inputs = {"findings": _sha256_file(findings_path), **rubric_inputs}
     inputs["prompt_mode"] = config.prompt_mode
@@ -291,7 +359,9 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
             inputs[name] = _sha256_file(path)
 
     def body() -> list[Path]:
-        findings = load_findings_jsonl(findings_path)
+        from .rubrics import load_rubrics, rubric_for
+
+        findings = _load_findings(findings_path)
         store = load_rubrics(rubric_dir)
         modes = config.modes()
         contexts_by_mode = {
@@ -303,13 +373,13 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
         with out_path.open("w", encoding="utf-8", newline="\n") as fh:
             for finding in findings:
                 for mode in modes:
-                    ctx = contexts_by_mode[mode].get(finding.finding_id)
+                    ctx = contexts_by_mode[mode.value].get(finding.finding_id)
                     if ctx is None:
                         raise StageError(
                             "prompts", f"no context for finding {finding.finding_id}"
                         )
                     rubric = rubric_for(finding.cwe_id, store)
-                    bundle = compile_prompt(
+                    bundle = _module.compile_prompt(
                         finding, ctx, rubric, mode, config.prompt_char_budget
                     )
                     fh.write(json.dumps(bundle.to_dict(), ensure_ascii=False) + "\n")
@@ -321,6 +391,8 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
 def load_prompt_bundles(config: RunConfig) -> list[PromptBundle]:
     """The bundles ``prompts.jsonl`` holds, each checked against its
     ``prompt_sha256``."""
+    from .prompts import PromptBundle, prompt_sha256
+
     bundles: list[PromptBundle] = []
     with (config.output_dir / "prompts.jsonl").open("r", encoding="utf-8") as fh:
         for line in fh:
@@ -413,7 +485,7 @@ def stage_evaluate(config: RunConfig, resume: bool = False) -> None:
         from . import adjudicate as adj
         from . import evaluate as ev
 
-        findings = load_findings_jsonl(findings_path)
+        findings = _load_findings(findings_path)
         results = adj.load_adjudications_jsonl(adjudications_path)
         truths = ev.load_labels_jsonl(config.labels_path)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -14,6 +15,7 @@ from corpus import build_corpus, write_config
 from sarif_triage import pipeline
 from sarif_triage.cli import EXIT_OK, EXIT_STAGE_FAILURE, EXIT_USAGE, main
 from sarif_triage.context import ContextLimits
+from sarif_triage.ingest import canonicalize, parse_sarif
 from sarif_triage.pipeline import BackendConfig, load_config
 
 
@@ -399,6 +401,156 @@ def test_resume_revalidates_under_a_lower_max_output_chars(corpus, tmp_path):
     assert all(r["status"] == "UNEVALUATED" for r in rows)
 
 
+_STAGES = ("ingest", "context", "prompts", "adjudicate", "evaluate")
+
+
+def _stamp_texts(out: Path) -> dict[str, str]:
+    return {stage: (out / ".stamps" / f"{stage}.json").read_text() for stage in _STAGES}
+
+
+# Stamps that parse as JSON but have the wrong shape, made from the real one.
+_WRONG_SHAPES = {
+    "list": lambda stamp: [],
+    "outputs-list": lambda stamp: {**stamp, "outputs": []},
+    "number-input": lambda stamp: {**stamp, "inputs": {**stamp["inputs"], "extra": 1}},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_WRONG_SHAPES))
+def test_resume_reruns_a_stage_whose_stamp_has_the_wrong_shape(corpus, tmp_path, shape):
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="BOTH")
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    stamps = _stamp_texts(out)
+    artifacts = _tree_bytes(out, "findings.jsonl", "contexts.jsonl", "contexts_baseline.jsonl",
+                            "prompts.jsonl", "adjudications.jsonl", "report.json")
+    for stage, text in stamps.items():
+        (out / ".stamps" / f"{stage}.json").write_text(
+            json.dumps(_WRONG_SHAPES[shape](json.loads(text))))
+    assert main(["run", "--config", str(config), "--resume"]) == EXIT_OK
+    # Audit records hold wall-clock times, so only their names repeat.
+    for stage, text in _stamp_texts(out).items():
+        old, new = json.loads(stamps[stage]), json.loads(text)
+        assert (new["inputs"], new["outputs"].keys()) == (old["inputs"], old["outputs"].keys())
+    assert _tree_bytes(out, *artifacts) == artifacts
+
+
+def _move_a_middle_step_to_a_helper(corpus) -> None:
+    """Move the middle trace step of the corpus's first finding to
+    ``gen/Helper.java``, a file no other location names; the labels and the
+    mock script follow the finding's new id."""
+    helper = corpus.source_root / "gen" / "Helper.java"
+    helper.write_text("package gen;\n\nclass Helper {\n    String pass(String v) {\n"
+                      "        return v.trim();\n    }\n}\n", encoding="utf-8")
+    sarif = json.loads(corpus.sarif_path.read_text(encoding="utf-8"))
+    middle = sarif["runs"][0]["results"][0]["codeFlows"][0]["threadFlows"][0]["locations"][1]
+    middle["location"]["physicalLocation"] = {
+        "artifactLocation": {"uri": "gen/Helper.java"},
+        "region": {"startLine": 5, "endLine": 5, "startColumn": 16, "endColumn": 24},
+    }
+    corpus.sarif_path.write_text(json.dumps(sarif, indent=2) + "\n", encoding="utf-8")
+    old_id = corpus.findings[0].finding_id
+    new_id = canonicalize(parse_sarif(corpus.sarif_path.read_bytes()))[0].finding_id
+    for path in (corpus.labels_path, corpus.mock_script_path):
+        path.write_text(path.read_text(encoding="utf-8").replace(old_id, new_id),
+                        encoding="utf-8")
+
+
+def _stage_outputs(out: Path) -> dict[str, list[Path]]:
+    return {stage: [out / rel for rel in json.loads(text)["outputs"]]
+            for stage, text in _stamp_texts(out).items()}
+
+
+def _backdate(outputs: dict[str, list[Path]]) -> None:
+    """Backdate every output, so that any rewrite shows as a new mtime
+    however coarse the filesystem clock is."""
+    for path in (p for paths in outputs.values() for p in paths):
+        os.utime(path, ns=(10**9, 10**9))
+
+
+def _rewritten(outputs: dict[str, list[Path]]) -> set[str]:
+    return {stage for stage, paths in outputs.items()
+            if any(p.stat().st_mtime_ns != 10**9 for p in paths)}
+
+
+def _edit_helper(corpus, rubric_dir):
+    path = corpus.source_root / "gen" / "Helper.java"
+    path.write_text(path.read_text().replace("v.trim()", "v.strip()"))
+
+
+def _reformat_sarif(corpus, rubric_dir):
+    sarif = json.loads(corpus.sarif_path.read_text())
+    corpus.sarif_path.write_text(json.dumps(sarif, separators=(",", ":")))
+
+
+def _edit_sarif_message(corpus, rubric_dir):
+    sarif = json.loads(corpus.sarif_path.read_text())
+    sarif["runs"][0]["results"][3]["message"]["text"] = "Edited alert text."
+    corpus.sarif_path.write_text(json.dumps(sarif))
+
+
+def _edit_rubric(corpus, rubric_dir):
+    path = rubric_dir / "cwe-089.rubric"
+    path.write_text(path.read_text().replace("is dangerous.", "is always dangerous.", 1))
+
+
+def _edit_label(corpus, rubric_dir):
+    lines = corpus.labels_path.read_text().splitlines(keepends=True)
+    row = json.loads(lines[0])
+    row["label"] = "TRUE_VULNERABILITY" if row["label"] == "FALSE_POSITIVE" else "FALSE_POSITIVE"
+    corpus.labels_path.write_text(json.dumps(row) + "\n" + "".join(lines[1:]))
+
+
+def _edit_mock_script(corpus, rubric_dir):
+    path = corpus.mock_script_path
+    path.write_text(path.read_text().replace("verdict for case 05", "verdict for case five"))
+
+
+# edited input: (the edit, the stages whose outputs the resume rewrites)
+_INPUT_EDITS = {
+    "middle-step-source": (_edit_helper, {"context", "prompts", "adjudicate"}),
+    "sarif-reformatted": (_reformat_sarif, {"ingest"}),
+    "sarif-message": (_edit_sarif_message, set(_STAGES)),
+    "rubric": (_edit_rubric, {"prompts", "adjudicate"}),
+    "labels": (_edit_label, {"evaluate"}),
+    "mock-script": (_edit_mock_script, {"adjudicate", "evaluate"}),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_INPUT_EDITS))
+def test_resume_reruns_exactly_the_stages_an_edited_input_reaches(tmp_path, edit):
+    corpus = build_corpus(tmp_path / "corpus")
+    _move_a_middle_step_to_a_helper(corpus)
+    rubric_dir = tmp_path / "rubrics"
+    shutil.copytree(Path(pipeline.__file__).with_name("rubrics"), rubric_dir,
+                    ignore=shutil.ignore_patterns("*.py", "__pycache__"))
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="BOTH",
+                          extra={"rubric_dir": str(rubric_dir)})
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    assert "src:gen/Helper.java" in json.loads(_stamp_texts(out)["context"])["inputs"]
+    outputs = _stage_outputs(out)
+    _backdate(outputs)
+    change, stages = _INPUT_EDITS[edit]
+    change(corpus, rubric_dir)
+    assert main(["run", "--config", str(config), "--resume"]) == EXIT_OK
+    assert _rewritten(outputs) == stages
+
+
+def test_resume_after_a_sarif_edit_watches_the_files_the_new_findings_name(tmp_path):
+    corpus = build_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    config = write_config(corpus, out)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    _move_a_middle_step_to_a_helper(corpus)
+    assert main(["run", "--config", str(config), "--resume"]) == EXIT_OK
+    outputs = _stage_outputs(out)
+    _backdate(outputs)
+    _edit_helper(corpus, None)
+    assert main(["run", "--config", str(config), "--resume"]) == EXIT_OK
+    assert _rewritten(outputs) == {"context", "prompts", "adjudicate"}
+
+
 def test_rerun_removes_artifacts_the_new_config_no_longer_writes(corpus, tmp_path):
     out = tmp_path / "out"
     config = write_config(corpus, out, prompt_mode="BOTH")
@@ -556,14 +708,16 @@ _LEAF_IMPORTS = ("requests", "urllib3", "charset_normalizer", "http.client", "ss
                  "urllib.request", "concurrent.futures", "csv")
 
 # case: (code run in a fresh interpreter with the config path as argv[1],
-#        the sarif_triage modules it may load (None: any), the ones it must not)
+#        the sarif_triage modules it loads)
 _IMPORT_BUDGETS = {
     "load_config": ("import sarif_triage.cli as cli; cli.load_config(sys.argv[1])",
-                    {"sarif_triage", "sarif_triage.cli", "sarif_triage.config"}, ()),
+                    {"sarif_triage", "sarif_triage.cli", "sarif_triage.config"}),
+    # A finished run's resume checks every stamp and runs no stage.
     "resume": ("from sarif_triage.cli import main; "
                "assert main(['run', '--resume', '--config', sys.argv[1]]) == 0",
-               None, ("sarif_triage.adjudicate", "sarif_triage.backend", "sarif_triage.evaluate")),
-    "package": ("import sarif_triage", {"sarif_triage"}, ()),
+               {"sarif_triage", "sarif_triage.cli", "sarif_triage.config",
+                "sarif_triage.pipeline", "sarif_triage.source"}),
+    "package": ("import sarif_triage", {"sarif_triage"}),
 }
 
 
@@ -571,7 +725,7 @@ _IMPORT_BUDGETS = {
 def test_a_fresh_process_imports_only_what_its_command_runs(corpus, tmp_path, case):
     # Every CI invocation is a fresh process, which pays for each module it
     # imports; earlier tests have imported every module into this one.
-    code, allowed, forbidden = _IMPORT_BUDGETS[case]
+    code, allowed = _IMPORT_BUDGETS[case]
     config = write_config(corpus, tmp_path / "out")
     if case == "resume":
         assert main(["run", "--config", str(config)]) == EXIT_OK
@@ -582,9 +736,8 @@ def test_a_fresh_process_imports_only_what_its_command_runs(corpus, tmp_path, ca
     done = subprocess.run([sys.executable, "-c", script, str(config)], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     loaded = set(json.loads(done.stdout.splitlines()[-1]))
-    assert sorted(loaded & {*_LEAF_IMPORTS, *forbidden}) == []
-    if allowed is not None:
-        assert sorted(m for m in loaded if m.split(".")[0] == "sarif_triage") == sorted(allowed)
+    assert sorted(loaded & set(_LEAF_IMPORTS)) == []
+    assert sorted(m for m in loaded if m.split(".")[0] == "sarif_triage") == sorted(allowed)
     if case == "package":
         import sarif_triage
 
@@ -596,6 +749,31 @@ def test_a_fresh_process_imports_only_what_its_command_runs(corpus, tmp_path, ca
                 assert name in dir(sarif_triage)
         with pytest.raises(AttributeError):
             sarif_triage.no_such_name
+
+
+# The stage functions perfbench/tracing.py wraps on ``pipeline``, with the
+# calls a BOTH run over the 20-finding corpus makes to each.
+_WRAPPED_STAGE_FUNCTIONS = {
+    "parse_sarif": 1, "canonicalize": 1, "extract_context": 20,
+    "extract_baseline_context": 20, "compile_prompt": 40,
+}
+
+
+def test_stages_call_their_functions_through_the_pipeline_module(corpus, tmp_path,
+                                                                  monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in _WRAPPED_STAGE_FUNCTIONS:
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    config = write_config(corpus, tmp_path / "out", prompt_mode="BOTH", with_labels=False)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    assert dict(calls) == _WRAPPED_STAGE_FUNCTIONS
 
 
 def test_adjudicate_closes_the_backend_it_built(corpus, tmp_path, monkeypatch):

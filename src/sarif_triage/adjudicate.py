@@ -13,7 +13,6 @@ import threading
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
-from pathlib import Path
 from typing import Any, Mapping
 
 from .backend import (
@@ -263,7 +262,6 @@ def _adjudicate_one(
         model=model,
         system_text=bundle.system_text,
         user_text=bundle.user_text,
-        max_output_chars=max_output_chars,
         tag=f"{bundle.finding_id}.{mode}",
     )
     raw: str | None = None
@@ -362,20 +360,3 @@ def adjudicate_all(
     audits = [pair[1] for pair in pairs]
     return results, audits
 
-
-def write_adjudications_jsonl(results: list[AdjudicationResult], path: Path | str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for row in results:
-            fh.write(json.dumps(row.to_dict(), ensure_ascii=False) + "\n")
-
-
-def load_adjudications_jsonl(path: Path | str) -> list[AdjudicationResult]:
-    rows = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(AdjudicationResult.from_dict(json.loads(line)))
-    return rows

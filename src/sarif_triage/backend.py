@@ -78,13 +78,7 @@ class BackendRequest:
     model: str
     system_text: str
     user_text: str
-    max_output_chars: int = 16384
     tag: str = ""  # "<finding_id>.<mode>"; used for audit and mock lookup
-    temperature: int = 0
-
-    def __post_init__(self) -> None:
-        if self.temperature != 0:
-            raise ValueError("temperature is fixed at 0 for deterministic output")
 
     @property
     def prompt_chars(self) -> int:

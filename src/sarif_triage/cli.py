@@ -83,11 +83,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _print_ingest_summary(config: RunConfig) -> None:
-    from .ingest import load_findings_jsonl
+    from .pipeline import read_rows
 
-    findings = load_findings_jsonl(config.output_dir / "findings.jsonl")
-    by_cwe = Counter(f.cwe_id for f in findings)
-    print(f"ingested {len(findings)} findings from {config.sarif_path}")
+    by_cwe = Counter(row["cwe_id"] for row in read_rows(config.output_dir / "findings.jsonl"))
+    print(f"ingested {by_cwe.total()} findings from {config.sarif_path}")
     for cwe in sorted(by_cwe):
         print(f"  {cwe}: {by_cwe[cwe]}")
 

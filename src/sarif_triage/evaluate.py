@@ -8,7 +8,6 @@ before precision/recall/F1 are computed) and printed at three decimals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -16,20 +15,7 @@ from typing import Any, Iterable, Mapping
 
 from .adjudicate import AdjudicationResult, STATUS_OK, Verdict
 from .ingest import Finding
-
-#: Canonical per-CWE reporting order; unknown CWEs follow alphabetically.
-CWE_REPORT_ORDER = (
-    "CWE-022",
-    "CWE-078",
-    "CWE-079",
-    "CWE-089",
-    "CWE-090",
-    "CWE-327",
-    "CWE-330",
-    "CWE-501",
-    "CWE-614",
-    "CWE-643",
-)
+from .rubrics import SHIPPED_CWES
 
 
 class Label(str, Enum):
@@ -167,10 +153,11 @@ def counts_from_outcomes(outcomes: Iterable[Outcome]) -> ConfusionCounts:
 
 
 def cwe_sort_key(cwe_id: str) -> tuple[int, str]:
+    """Shipped CWEs in their reporting order, then the rest alphabetically."""
     try:
-        return (CWE_REPORT_ORDER.index(cwe_id), cwe_id)
+        return (SHIPPED_CWES.index(cwe_id), cwe_id)
     except ValueError:
-        return (len(CWE_REPORT_ORDER), cwe_id)
+        return (len(SHIPPED_CWES), cwe_id)
 
 
 def match_truth(
@@ -318,16 +305,6 @@ def compare_modes(
             )
         )
     return rows
-
-
-def load_labels_jsonl(path: Path | str) -> list[GroundTruth]:
-    truths = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                truths.append(GroundTruth.from_dict(json.loads(line)))
-    return truths
 
 
 def _metrics_line(name: str, m: GroupMetrics) -> str:

@@ -17,7 +17,6 @@ import re
 import urllib.parse
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 
@@ -209,25 +208,60 @@ def _normalize_uri(uri: str) -> str:
     return uri
 
 
-def _location_from_sarif(obj: Mapping[str, Any], where: str) -> CodeLocation:
-    phys = obj.get("physicalLocation")
+def _object(value: Any, where: str) -> Mapping[str, Any]:
+    if not isinstance(value, dict):
+        raise NotSarif(f"{where} is not an object")
+    return value
+
+
+def _member(obj: Mapping[str, Any], key: str, where: str) -> Mapping[str, Any]:
+    """``obj[key]`` when it is an object, ``{}`` when absent or null."""
+    value = obj.get(key)
+    return {} if value is None else _object(value, f"{where}.{key}")
+
+
+def _string(obj: Mapping[str, Any], key: str, where: str) -> str:
+    """``obj[key]`` when it is a string, ``""`` when absent."""
+    value = obj.get(key, "")
+    if not isinstance(value, str):
+        raise NotSarif(f"{where}.{key} is not a string")
+    return value
+
+
+def _position(region: Mapping[str, Any], key: str, where: str) -> int | None:
+    """``region[key]`` as a 1-based line or column, None when absent."""
+    if key not in region:
+        return None
+    value = region[key]
+    # bool is a subclass of int, but ``true`` is not line 1.
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise NotSarif(f"{where}.{key} is not an integer >= 1: {value!r}")
+    return value
+
+
+def _location_from_sarif(obj: Any, where: str) -> CodeLocation:
+    phys = _object(obj, where).get("physicalLocation")
     if not isinstance(phys, dict):
         raise NotSarif(f"{where}: missing physicalLocation")
-    artifact = phys.get("artifactLocation", {})
-    uri = artifact.get("uri")
+    where = f"{where}.physicalLocation"
+    artifact = _member(phys, "artifactLocation", where)
+    uri = _string(artifact, "uri", f"{where}.artifactLocation")
     if not uri:
         raise NotSarif(f"{where}: missing artifactLocation.uri")
-    region = phys.get("region", {})
-    start_line = region.get("startLine")
-    if not isinstance(start_line, int):
-        raise NotSarif(f"{where}: missing region.startLine")
-    end_line = region.get("endLine", start_line)
+    region = _member(phys, "region", where)
+    where = f"{where}.region"
+    start_line = _position(region, "startLine", where)
+    if start_line is None:
+        raise NotSarif(f"{where}: missing startLine")
+    end_line = _position(region, "endLine", where) or start_line
+    if end_line < start_line:
+        raise NotSarif(f"{where}.endLine {end_line} precedes startLine {start_line}")
     return CodeLocation(
         uri=_normalize_uri(uri),
         start_line=start_line,
         end_line=end_line,
-        start_column=region.get("startColumn"),
-        end_column=region.get("endColumn"),
+        start_column=_position(region, "startColumn", where),
+        end_column=_position(region, "endColumn", where),
     )
 
 
@@ -246,11 +280,12 @@ def _rule_cwes_from_driver(driver: Mapping[str, Any]) -> dict[str, str]:
     return out
 
 
-def _parse_result(obj: Mapping[str, Any], where: str) -> SarifResult:
-    rule_id = obj.get("ruleId")
+def _parse_result(obj: Any, where: str) -> SarifResult:
+    obj = _object(obj, where)
+    rule_id = _string(obj, "ruleId", where)
     if not rule_id:
         raise NotSarif(f"{where}: missing ruleId")
-    message = (obj.get("message") or {}).get("text", "")
+    message = _string(_member(obj, "message", where), "text", f"{where}.message")
     raw_locations = obj.get("locations") or []
     if not raw_locations:
         raise NotSarif(f"{where}: result has no locations")
@@ -262,14 +297,17 @@ def _parse_result(obj: Mapping[str, Any], where: str) -> SarifResult:
     code_flows = obj.get("codeFlows") or []
     steps: list[ThreadFlowStep] = []
     if code_flows:
-        thread_flows = (code_flows[0].get("threadFlows") or [])
+        thread_flows = _object(code_flows[0], f"{where}.codeFlows[0]").get("threadFlows") or []
         if thread_flows:
-            for j, tfl in enumerate(thread_flows[0].get("locations") or []):
-                loc_obj = tfl.get("location") or {}
-                location = _location_from_sarif(
-                    loc_obj, f"{where}.codeFlows[0].threadFlows[0].locations[{j}]"
+            flow_where = f"{where}.codeFlows[0].threadFlows[0]"
+            for j, tfl in enumerate(_object(thread_flows[0], flow_where).get("locations") or []):
+                step_where = f"{flow_where}.locations[{j}]"
+                loc_obj = _member(_object(tfl, step_where), "location", step_where)
+                step_where += ".location"
+                location = _location_from_sarif(loc_obj, step_where)
+                step_message = _string(
+                    _member(loc_obj, "message", step_where), "text", f"{step_where}.message"
                 )
-                step_message = (loc_obj.get("message") or {}).get("text", "")
                 steps.append(ThreadFlowStep(location=location, message=step_message))
     return SarifResult(
         rule_id=rule_id,
@@ -286,7 +324,11 @@ def parse_sarif(raw: bytes | str) -> SarifDocument:
     Raises ``MalformedJson`` for byte streams that are not JSON and
     ``NotSarif`` for JSON that violates the SARIF shape this pipeline
     depends on (missing ``runs``, results without ``ruleId`` or locations,
-    thread-flow steps without a physical location).
+    thread-flow steps without a physical location) or that gives a field
+    the wrong type: results, locations and flow steps must be objects,
+    ``uri``, ``ruleId`` and ``message.text`` strings, lines and columns
+    integers >= 1 (not booleans), and ``endLine`` no less than
+    ``startLine``. The error names the JSON path.
     """
     if isinstance(raw, bytes):
         try:
@@ -420,19 +462,3 @@ def canonicalize(
             origin_index += 1
     return findings
 
-
-def write_findings_jsonl(findings: Iterable[Finding], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for f in findings:
-            fh.write(json.dumps(f.to_dict(), ensure_ascii=False) + "\n")
-
-
-def load_findings_jsonl(path: Path) -> list[Finding]:
-    findings = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                findings.append(Finding.from_dict(json.loads(line)))
-    return findings

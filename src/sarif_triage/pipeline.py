@@ -12,6 +12,12 @@ Artifact tree under ``output_dir``::
     report.json / report.txt     metrics (when labels are configured)
     .stamps/<stage>.json         input/output hashes for --resume
 
+Every ``*.jsonl`` artifact, and the labels file, goes through this
+module's one writer and one reader: ``write_rows`` takes each stage's rows
+from its types' ``to_dict`` and writes the file whole or not at all (a
+sibling temporary file replaces it once every row is written), and
+``read_rows`` yields the rows each stage maps back through ``from_dict``.
+
 The run configuration (``RunConfig``, ``BackendConfig``, ``load_config``)
 lives in ``config``; this module re-exports it. Each stage imports the
 modules it runs on (``ingest``, ``context``, ``prompts``, ``rubrics``,
@@ -55,13 +61,12 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from .config import BackendConfig, ConfigError, RunConfig, load_config  # noqa: F401 (re-exported)
 
 if TYPE_CHECKING:
     from .backend import Backend
-    from .context import CodeContext
     from .ingest import Finding
     from .prompts import PromptBundle
 
@@ -229,6 +234,32 @@ def _remove_stale_outputs(config: RunConfig, stamp: Stamp, outputs: list[Path]) 
             os.rmdir(directory)
 
 
+def write_rows(path: Path, rows: Iterable[dict[str, Any]]) -> Path:
+    """Write ``rows`` to ``path`` as JSON Lines (UTF-8, ``\\n`` line ends,
+    non-ASCII kept), whole or not at all: the rows go to a sibling temporary
+    file that replaces ``path`` only once every row is written, and is
+    deleted if writing fails."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+            for row in rows:
+                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def read_rows(path: Path) -> Iterator[dict[str, Any]]:
+    """The JSON object on each non-blank line of ``path``, in order."""
+    with path.open("r", encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                yield json.loads(line)
+
+
 def _require(stage: str, path: Path, producer: str) -> Path:
     if not path.is_file():
         raise StageError(stage, f"missing input {path}; run {producer} first")
@@ -254,20 +285,17 @@ def stage_ingest(config: RunConfig, resume: bool = False) -> None:
     }
 
     def body() -> list[Path]:
-        from .ingest import write_findings_jsonl
-
-        out_path = config.output_dir / "findings.jsonl"
         doc = _module.parse_sarif(config.sarif_path.read_bytes())
-        write_findings_jsonl(_module.canonicalize(doc, config.cwe_map), out_path)
-        return [out_path]
+        findings = _module.canonicalize(doc, config.cwe_map)
+        return [write_rows(config.output_dir / "findings.jsonl", (f.to_dict() for f in findings))]
 
     _run_stage(config, "ingest", resume, inputs, body)
 
 
 def _load_findings(path: Path) -> list[Finding]:
-    from .ingest import load_findings_jsonl
+    from .ingest import Finding
 
-    return load_findings_jsonl(path)
+    return [Finding.from_dict(row) for row in read_rows(path)]
 
 
 def _source_uris(findings: list[Finding]) -> list[str]:
@@ -277,27 +305,6 @@ def _source_uris(findings: list[Finding]) -> list[str]:
 
 
 _CONTEXT_FILES = {"OPTIMIZED": "contexts.jsonl", "BASELINE": "contexts_baseline.jsonl"}
-
-
-def _write_contexts(config: RunConfig, mode: str, contexts: list[CodeContext]) -> Path:
-    path = config.output_dir / _CONTEXT_FILES[mode]
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for ctx in contexts:
-            fh.write(json.dumps(ctx.to_dict(), ensure_ascii=False) + "\n")
-    return path
-
-
-def load_contexts_jsonl(path: Path) -> dict[str, CodeContext]:
-    from .context import CodeContext
-
-    contexts: dict[str, CodeContext] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                ctx = CodeContext.from_dict(json.loads(line))
-                contexts[ctx.finding_id] = ctx
-    return contexts
 
 
 def stage_context(config: RunConfig, resume: bool = False) -> None:
@@ -325,19 +332,16 @@ def stage_context(config: RunConfig, resume: bool = False) -> None:
     def body() -> list[Path]:
         from .context import BaselineMode
 
-        outputs: list[Path] = []
-        modes = config.modes()
-        if "OPTIMIZED" in modes:
-            contexts = [_module.extract_context(f, source, config.limits) for f in findings()]
-            outputs.append(_write_contexts(config, "OPTIMIZED", contexts))
-        if "BASELINE" in modes:
-            style = BaselineMode(config.baseline_style)
-            baseline = [
-                _module.extract_baseline_context(f, source, style, config.limits)
-                for f in findings()
-            ]
-            outputs.append(_write_contexts(config, "BASELINE", baseline))
-        return outputs
+        style = BaselineMode(config.baseline_style)
+        extract = {
+            "OPTIMIZED": lambda f: _module.extract_context(f, source, config.limits),
+            "BASELINE": lambda f: _module.extract_baseline_context(f, source, style, config.limits),
+        }
+        return [
+            write_rows(config.output_dir / name, (extract[mode](f).to_dict() for f in findings()))
+            for mode, name in _CONTEXT_FILES.items()
+            if mode in config.modes()
+        ]
 
     _run_stage(config, "context", resume, inputs, body)
 
@@ -359,18 +363,22 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
             inputs[name] = _sha256_file(path)
 
     def body() -> list[Path]:
+        from .context import CodeContext
         from .rubrics import load_rubrics, rubric_for
 
         findings = _load_findings(findings_path)
         store = load_rubrics(rubric_dir)
         modes = config.modes()
         contexts_by_mode = {
-            mode: load_contexts_jsonl(_require("prompts", config.output_dir / name, "context"))
+            mode: {
+                row["finding_id"]: CodeContext.from_dict(row)
+                for row in read_rows(_require("prompts", config.output_dir / name, "context"))
+            }
             for mode, name in _CONTEXT_FILES.items()
             if mode in modes
         }
-        out_path = config.output_dir / "prompts.jsonl"
-        with out_path.open("w", encoding="utf-8", newline="\n") as fh:
+
+        def rows() -> Iterator[dict[str, Any]]:
             for finding in findings:
                 for mode in modes:
                     ctx = contexts_by_mode[mode.value].get(finding.finding_id)
@@ -382,8 +390,9 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
                     bundle = _module.compile_prompt(
                         finding, ctx, rubric, mode, config.prompt_char_budget
                     )
-                    fh.write(json.dumps(bundle.to_dict(), ensure_ascii=False) + "\n")
-        return [out_path]
+                    yield bundle.to_dict()
+
+        return [write_rows(config.output_dir / "prompts.jsonl", rows())]
 
     _run_stage(config, "prompts", resume, inputs, body)
 
@@ -394,24 +403,19 @@ def load_prompt_bundles(config: RunConfig) -> list[PromptBundle]:
     from .prompts import PromptBundle, prompt_sha256
 
     bundles: list[PromptBundle] = []
-    with (config.output_dir / "prompts.jsonl").open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            name = f"finding {row.get('finding_id')} ({row.get('mode')})"
-            try:
-                bundle = PromptBundle.from_dict(row)
-            except KeyError as exc:
-                raise StageError(
-                    "adjudicate", f"prompts.jsonl row for {name} has no {exc}; run prompts again"
-                ) from exc
-            if prompt_sha256(bundle.system_text, bundle.user_text) != bundle.prompt_sha256:
-                raise StageError(
-                    "adjudicate", f"prompt for {name} does not match its recorded hash"
-                )
-            bundles.append(bundle)
+    for row in read_rows(config.output_dir / "prompts.jsonl"):
+        name = f"finding {row.get('finding_id')} ({row.get('mode')})"
+        try:
+            bundle = PromptBundle.from_dict(row)
+        except KeyError as exc:
+            raise StageError(
+                "adjudicate", f"prompts.jsonl row for {name} has no {exc}; run prompts again"
+            ) from exc
+        if prompt_sha256(bundle.system_text, bundle.user_text) != bundle.prompt_sha256:
+            raise StageError(
+                "adjudicate", f"prompt for {name} does not match its recorded hash"
+            )
+        bundles.append(bundle)
     return bundles
 
 
@@ -449,11 +453,10 @@ def stage_adjudicate(
             )
         finally:
             backend.close()
-        out_path = config.output_dir / "adjudications.jsonl"
-        adj.write_adjudications_jsonl(results, out_path)
+        outputs = [write_rows(config.output_dir / "adjudications.jsonl",
+                              (r.to_dict() for r in results))]
         audit_dir = config.output_dir / "audit"
         audit_dir.mkdir(parents=True, exist_ok=True)
-        outputs = [out_path]
         # Audit writing is serialized here, one record per (finding, mode).
         for record in audits:
             path = audit_dir / f"{record.finding_id}.{record.mode.lower()}.json"
@@ -486,8 +489,8 @@ def stage_evaluate(config: RunConfig, resume: bool = False) -> None:
         from . import evaluate as ev
 
         findings = _load_findings(findings_path)
-        results = adj.load_adjudications_jsonl(adjudications_path)
-        truths = ev.load_labels_jsonl(config.labels_path)
+        results = [adj.AdjudicationResult.from_dict(row) for row in read_rows(adjudications_path)]
+        truths = [ev.GroundTruth.from_dict(row) for row in read_rows(config.labels_path)]
 
         reports: dict[str, ev.EvalReport] = {}
         for mode in config.modes():

@@ -10,17 +10,17 @@ import pytest
 from sarif_triage.adjudicate import (
     STATUS_OK,
     STATUS_UNEVALUATED,
+    AdjudicationResult,
     BadEnum,
     Confidence,
     MissingField,
     NotJson,
     Verdict,
     adjudicate_all,
-    load_adjudications_jsonl,
     validate_response,
-    write_adjudications_jsonl,
 )
 from sarif_triage.backend import MockBackend, RetryPolicy
+from sarif_triage.pipeline import read_rows, write_rows
 from sarif_triage.prompts import PromptBundle, PromptMode, prompt_sha256
 
 NO_SLEEP = RetryPolicy(attempt_cap=4, backoff_base_s=0.0, sleep=lambda _: None)
@@ -144,7 +144,7 @@ def test_parallelism_does_not_change_serialized_output(tmp_path):
         results, _ = adjudicate_all(bundles, backend, parallelism=parallelism, retry=retry)
         assert [r.adjudication.attempt_count for r in results][:4] == [2, 1, 1, 3]
         path = tmp_path / f"adjudications_{parallelism}.jsonl"
-        write_adjudications_jsonl(results, path)
+        write_rows(path, (r.to_dict() for r in results))
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -203,8 +203,8 @@ def test_adjudications_jsonl_round_trip(tmp_path):
     backend = MockBackend(responses=_oracle_script({"f1": "FALSE_POSITIVE"}))
     results, _ = adjudicate_all([_bundle("f1")], backend, retry=NO_SLEEP)
     path = tmp_path / "adjudications.jsonl"
-    write_adjudications_jsonl(results, path)
-    loaded = load_adjudications_jsonl(path)
+    write_rows(path, (r.to_dict() for r in results))
+    loaded = [AdjudicationResult.from_dict(row) for row in read_rows(path)]
     assert loaded == results
 
 

@@ -35,12 +35,6 @@ def _request(tag="fid.OPTIMIZED", user="user text"):
     return BackendRequest(model="m", system_text="system text", user_text=user, tag=tag)
 
 
-def test_temperature_is_pinned_to_zero():
-    with pytest.raises(ValueError):
-        BackendRequest(model="m", system_text="s", user_text="u", temperature=1)
-    assert _request().temperature == 0
-
-
 def test_mock_returns_scripted_reply_verbatim():
     backend = MockBackend(responses={"fid.OPTIMIZED": "canned reply"})
     result = send(_request(), backend, NO_SLEEP)

@@ -233,6 +233,131 @@ def test_stage_failure_exits_1(corpus, tmp_path, capsys):
     assert "stage adjudicate" in capsys.readouterr().err
 
 
+def test_a_failed_stage_leaves_no_partial_artifact(corpus, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    config = write_config(corpus, out, with_labels=False)
+    compile_prompt = pipeline.compile_prompt
+    calls = []
+
+    def fail_on_second_call(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise TypeError("second prompt does not compile")
+        return compile_prompt(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "compile_prompt", fail_on_second_call)
+    assert main(["run", "--config", str(config)]) == EXIT_STAGE_FAILURE
+    assert "stage prompts" in capsys.readouterr().err
+    # Neither the artifact nor the temporary file it was written through.
+    assert sorted(p.name for p in out.iterdir() if "prompts" in p.name) == []
+    assert main(["adjudicate", "--config", str(config)]) == EXIT_STAGE_FAILURE
+    assert "missing input" in capsys.readouterr().err
+    assert not (out / "adjudications.jsonl").exists()
+
+
+_SEGMENT_KEYS = ["file", "start_line", "end_line", "reason", "step_index", "elided_after", "text"]
+_CONTEXT_KEYS = ["finding_id", "segments", "truncated", "total_lines", "partial", "notes"]
+# file: (key order per row, keyed by the row's status where the order depends on it)
+_ROW_KEYS = {
+    "contexts.jsonl": _CONTEXT_KEYS,
+    "contexts_baseline.jsonl": _CONTEXT_KEYS,
+    "prompts.jsonl": ["finding_id", "mode", "prompt_sha256", "placeholders_used",
+                      "system_text", "user_text"],
+    "adjudications.jsonl": {
+        "OK": ["finding_id", "mode", "status", "verdict", "confidence", "reasoning",
+               "salvaged", "raw_response", "latency_ms", "attempt_count"],
+        "UNEVALUATED": ["finding_id", "mode", "status", "error"],
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def both_run(corpus, tmp_path_factory):
+    """Output of a ``BOTH`` run whose first finding gets an invalid reply."""
+    root = tmp_path_factory.mktemp("both_run")
+    script = json.loads(corpus.mock_script_path.read_text(encoding="utf-8"))
+    script["responses"][corpus.findings[0].finding_id] = "not json"
+    script_path = root / "script.json"
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    config = json.loads(write_config(corpus, root / "out", prompt_mode="BOTH").read_text())
+    config["backend"]["script_path"] = str(script_path)
+    config_path = root / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    return root / "out"
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_KEYS))
+def test_every_artifact_row_keeps_its_documented_key_order(both_run, name):
+    rows = [json.loads(line) for line in (both_run / name).read_text().splitlines()]
+    assert len(rows) == (40 if name in ("prompts.jsonl", "adjudications.jsonl") else 20)
+    expected = _ROW_KEYS[name]
+    for row in rows:
+        keys = expected[row["status"]] if isinstance(expected, dict) else expected
+        assert list(row) == keys
+        for segment in row.get("segments", []):
+            assert list(segment) == _SEGMENT_KEYS
+    if name == "adjudications.jsonl":
+        assert Counter(row["status"] for row in rows) == {"OK": 38, "UNEVALUATED": 2}
+    if name.startswith("contexts"):
+        assert all(row["segments"] for row in rows)
+
+
+def _set_at(obj, path: str, value) -> None:
+    """Set the member at ``path`` (dot-separated keys and list indices)."""
+    *parents, leaf = path.split(".")
+    for key in parents:
+        obj = obj[int(key)] if isinstance(obj, list) else obj[key]
+    obj[int(leaf) if isinstance(obj, list) else leaf] = value
+
+
+_LOCATION = "locations.0.physicalLocation"
+_FLOW = "codeFlows.0.threadFlows.0"
+_STEP = f"{_FLOW}.locations.1.location"
+
+
+# case: (JSON path under the second result, value, what the error names)
+_BAD_SARIF_FIELDS = {
+    "startColumn-string": (f"{_LOCATION}.region.startColumn", "4",
+                           "locations[0].physicalLocation.region.startColumn"),
+    "ruleId-int": ("ruleId", 7, "results[1].ruleId"),
+    "message-text-int": ("message.text", 5, "results[1].message.text"),
+    "endLine-string": (f"{_LOCATION}.region.endLine", "5", "region.endLine"),
+    "endLine-null": (f"{_LOCATION}.region.endLine", None, "region.endLine"),
+    "endLine-before-startLine": (f"{_LOCATION}.region.endLine", 1, "region.endLine"),
+    "startLine-zero": (f"{_LOCATION}.region.startLine", 0, "region.startLine"),
+    "startLine-true": (f"{_LOCATION}.region.startLine", True, "region.startLine"),
+    "uri-int": (f"{_LOCATION}.artifactLocation.uri", 5, "artifactLocation.uri"),
+    "message-string": ("message", "hi", "results[1].message"),
+    "step-endColumn-zero": (f"{_STEP}.physicalLocation.region.endColumn", 0,
+                            "locations[1].location.physicalLocation.region.endColumn"),
+    "step-message-text-list": (f"{_STEP}.message.text", ["x"],
+                               "locations[1].location.message.text"),
+    "result-string": ("", "x", "results[1] is not an object"),
+    "location-string": ("locations.0", "x", "results[1].locations[0] is not an object"),
+    "codeFlow-string": ("codeFlows.0", "x", "results[1].codeFlows[0] is not an object"),
+    "threadFlow-list": (_FLOW, [], "codeFlows[0].threadFlows[0] is not an object"),
+    "step-int": (f"{_FLOW}.locations.1", 3, "threadFlows[0].locations[1] is not an object"),
+    "step-location-string": (_STEP, "x", "locations[1].location is not an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SARIF_FIELDS))
+def test_ingest_refuses_a_sarif_field_of_the_wrong_type(corpus, tmp_path, capsys, case):
+    path, value, named = _BAD_SARIF_FIELDS[case]
+    sarif = json.loads(corpus.sarif_path.read_text(encoding="utf-8"))
+    _set_at(sarif["runs"][0], f"results.1.{path}".rstrip("."), value)
+    bad_sarif = tmp_path / "bad.sarif"
+    bad_sarif.write_text(json.dumps(sarif), encoding="utf-8")
+    shared = json.loads(write_config(corpus, tmp_path / "out", with_labels=False).read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**shared, "sarif_path": str(bad_sarif)}), encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "runs[0].results[1]" in err and named in err
+    assert not (tmp_path / "out" / "findings.jsonl").exists()
+
+
 def _adjudicate_rewritten_prompts(corpus, tmp_path, monkeypatch, rewrite) -> int:
     """Exit code of ``adjudicate`` after ``rewrite`` edits the rows of a
     finished run's ``prompts.jsonl``; the backend must get no call."""

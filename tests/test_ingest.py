@@ -16,11 +16,10 @@ from sarif_triage.ingest import (
     canonicalize,
     compute_finding_id,
     finding_id,
-    load_findings_jsonl,
     normalize_cwe,
     parse_sarif,
-    write_findings_jsonl,
 )
+from sarif_triage.pipeline import read_rows, write_rows
 
 OWASP_GOLDEN_ID = "ed24fe20eea0c733ea6ac7cbf739c8b1a4997ac666722f4856d411f334c5ea75"
 
@@ -184,8 +183,8 @@ def test_round_trip_and_jsonl_serialization(tmp_path, owasp_finding, minimal_fin
     assert once == twice
 
     path = tmp_path / "findings.jsonl"
-    write_findings_jsonl([owasp_finding, minimal_finding], path)
-    loaded = load_findings_jsonl(path)
+    write_rows(path, (f.to_dict() for f in [owasp_finding, minimal_finding]))
+    loaded = [Finding.from_dict(row) for row in read_rows(path)]
     assert loaded == [owasp_finding, minimal_finding]
     # documented fixed key order
     first = json.loads(path.read_text().splitlines()[0])

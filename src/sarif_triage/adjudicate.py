@@ -63,7 +63,6 @@ STATUS_UNEVALUATED = "UNEVALUATED"
 
 @dataclass(frozen=True)
 class Adjudication:
-    finding_id: str
     verdict: Verdict
     confidence: Confidence
     reasoning: str
@@ -74,7 +73,6 @@ class Adjudication:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "finding_id": self.finding_id,
             "verdict": self.verdict.value,
             "confidence": self.confidence.value,
             "reasoning": self.reasoning,
@@ -92,9 +90,12 @@ class AdjudicationResult:
 
     finding_id: str
     mode: str
-    status: str  # STATUS_OK or STATUS_UNEVALUATED
     adjudication: Adjudication | None = None
     error: str | None = None
+
+    @property
+    def status(self) -> str:
+        return STATUS_UNEVALUATED if self.adjudication is None else STATUS_OK
 
     def to_dict(self) -> dict[str, Any]:
         row: dict[str, Any] = {
@@ -103,9 +104,7 @@ class AdjudicationResult:
             "status": self.status,
         }
         if self.adjudication is not None:
-            row.update(
-                {k: v for k, v in self.adjudication.to_dict().items() if k != "finding_id"}
-            )
+            row.update(self.adjudication.to_dict())
         if self.error is not None:
             row["error"] = self.error
         return row
@@ -115,7 +114,6 @@ class AdjudicationResult:
         adjudication = None
         if d.get("status") == STATUS_OK:
             adjudication = Adjudication(
-                finding_id=d["finding_id"],
                 verdict=Verdict(d["verdict"]),
                 confidence=Confidence(d["confidence"]),
                 reasoning=d["reasoning"],
@@ -127,7 +125,6 @@ class AdjudicationResult:
         return cls(
             finding_id=d["finding_id"],
             mode=d["mode"],
-            status=d["status"],
             adjudication=adjudication,
             error=d.get("error"),
         )
@@ -209,7 +206,6 @@ def _validate_object(obj: Any) -> tuple[Verdict, Confidence, str]:
 
 def validate_response(
     raw: str,
-    finding_id: str = "",
     latency_ms: int = 0,
     attempt_count: int = 1,
 ) -> Adjudication:
@@ -234,7 +230,6 @@ def validate_response(
         salvaged = True
     verdict, confidence, reasoning = _validate_object(obj)
     return Adjudication(
-        finding_id=finding_id,
         verdict=verdict,
         confidence=confidence,
         reasoning=reasoning,
@@ -277,9 +272,7 @@ def _adjudicate_one(
             raise ResponseValidationError(
                 f"response is {len(raw)} chars, limit is {max_output_chars}"
             )
-        adjudication = validate_response(
-            raw, finding_id=bundle.finding_id, latency_ms=latency_ms, attempt_count=attempts
-        )
+        adjudication = validate_response(raw, latency_ms=latency_ms, attempt_count=attempts)
         parsed = {
             "verdict": adjudication.verdict.value,
             "confidence": adjudication.confidence.value,
@@ -289,13 +282,8 @@ def _adjudicate_one(
     except (BackendError, ResponseValidationError) as exc:
         error = f"{type(exc).__name__}: {exc}"
 
-    status = STATUS_UNEVALUATED if adjudication is None else STATUS_OK
     result_row = AdjudicationResult(
-        finding_id=bundle.finding_id,
-        mode=mode,
-        status=status,
-        adjudication=adjudication,
-        error=error,
+        finding_id=bundle.finding_id, mode=mode, adjudication=adjudication, error=error
     )
     audit = AuditRecord(
         finding_id=bundle.finding_id,
@@ -304,7 +292,7 @@ def _adjudicate_one(
         model=model,
         requested_at=requested_at,
         raw_response=raw,
-        status=status,
+        status=result_row.status,
         parsed=parsed,
         error=error,
         latency_ms=latency_ms,

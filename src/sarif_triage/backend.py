@@ -123,8 +123,17 @@ def send(request: BackendRequest, backend: "Backend", retry: RetryPolicy | None 
 class Backend:
     """Interface: answer one request with one reply."""
 
+    max_prompt_chars: int | None = None
+
     def complete(self, request: BackendRequest) -> BackendReply:
         raise NotImplementedError
+
+    def _check_prompt_size(self, request: BackendRequest) -> None:
+        """Refuse, before sending it, a prompt longer than ``max_prompt_chars``."""
+        if self.max_prompt_chars is not None and request.prompt_chars > self.max_prompt_chars:
+            raise ContextOverflow(
+                f"prompt is {request.prompt_chars} chars, limit is {self.max_prompt_chars}"
+            )
 
     def close(self) -> None:
         """Release the connections the backend keeps open between calls."""
@@ -266,10 +275,7 @@ class HttpBackend(Backend):
             conn.close()
 
     def complete(self, request: BackendRequest) -> BackendReply:
-        if self.max_prompt_chars is not None and request.prompt_chars > self.max_prompt_chars:
-            raise ContextOverflow(
-                f"prompt is {request.prompt_chars} chars, limit is {self.max_prompt_chars}"
-            )
+        self._check_prompt_size(request)
         headers = dict(self._headers)
         api_key = os.environ.get(self.key_env, "")
         if api_key:
@@ -363,10 +369,7 @@ class MockBackend(Backend):
         return None
 
     def complete(self, request: BackendRequest) -> BackendReply:
-        if self.max_prompt_chars is not None and request.prompt_chars > self.max_prompt_chars:
-            raise ContextOverflow(
-                f"prompt is {request.prompt_chars} chars, limit is {self.max_prompt_chars}"
-            )
+        self._check_prompt_size(request)
         found = self._lookup(request)
         if found is None:
             raise BackendError(f"mock script has no entry for {request.tag or 'request'}")

@@ -268,25 +268,30 @@ def _add_call_site(
             return
 
 
+def drop_longest_intermediate(segments: list[ContextSegment]) -> ContextSegment | None:
+    """Remove and return the longest ``INTERMEDIATE`` segment, the earliest
+    starting of equal ones; None when there is none. Step lines, signatures
+    and call sites are never shed."""
+    candidates = [s for s in segments if s.reason is SegmentReason.INTERMEDIATE]
+    if not candidates:
+        return None
+    victim = max(candidates, key=lambda s: (s.line_count(), -s.start_line))
+    segments.remove(victim)
+    return victim
+
+
 def _apply_line_cap(
     collector: _Collector, limits: ContextLimits
 ) -> tuple[list[ContextSegment], bool, int]:
     segments = list(collector.segments)
     total = sum(s.line_count() for s in segments)
-    if total <= limits.max_total_lines:
-        return segments, False, total
-    # Shed intermediate spans, longest first; step lines, signatures, and
-    # call sites are never dropped.
-    droppable = sorted(
-        (s for s in segments if s.reason is SegmentReason.INTERMEDIATE),
-        key=lambda s: (-s.line_count(), s.start_line),
-    )
-    for victim in droppable:
-        segments.remove(victim)
-        total -= victim.line_count()
-        if total <= limits.max_total_lines:
+    truncated = total > limits.max_total_lines
+    while total > limits.max_total_lines:
+        victim = drop_longest_intermediate(segments)
+        if victim is None:
             break
-    return segments, True, total
+        total -= victim.line_count()
+    return segments, truncated, total
 
 
 def extract_context(

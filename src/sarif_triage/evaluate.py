@@ -13,7 +13,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .adjudicate import AdjudicationResult, STATUS_OK, Verdict
+from .adjudicate import AdjudicationResult, Verdict
 from .ingest import Finding
 from .rubrics import SHIPPED_CWES
 
@@ -214,7 +214,7 @@ def build_report(
     unevaluated = 0
     unmatched = 0
     for row in results:
-        if row.status != STATUS_OK or row.adjudication is None:
+        if row.adjudication is None:
             unevaluated += 1
             continue
         truth = matched.get(row.finding_id)

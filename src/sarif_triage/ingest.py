@@ -165,37 +165,25 @@ class Finding:
 
 
 @dataclass(frozen=True)
-class ThreadFlowStep:
-    """A raw threadFlow location prior to canonicalization."""
-
-    location: CodeLocation
-    message: str
-
-
-@dataclass(frozen=True)
 class SarifResult:
+    """One result as read from the document, before it gets its id."""
+
     rule_id: str
+    cwe_id: str | None  # from the run's driver metadata
     message: str
-    locations: tuple[CodeLocation, ...]
-    thread_flow: tuple[ThreadFlowStep, ...]
+    primary_location: CodeLocation
+    trace: tuple[TraceStep, ...]  # from codeFlows[0].threadFlows[0]
     code_flow_count: int
-
-
-@dataclass(frozen=True)
-class SarifRun:
-    tool_name: str
-    rule_cwes: Mapping[str, str]  # rule id -> normalized CWE, from driver metadata
-    results: tuple[SarifResult, ...]
 
 
 @dataclass(frozen=True)
 class SarifDocument:
     version: str
-    runs: tuple[SarifRun, ...]
+    results: tuple[SarifResult, ...]  # every run's, in file order
 
     @property
     def result_count(self) -> int:
-        return sum(len(run.results) for run in self.runs)
+        return len(self.results)
 
 
 def _normalize_uri(uri: str) -> str:
@@ -218,6 +206,16 @@ def _member(obj: Mapping[str, Any], key: str, where: str) -> Mapping[str, Any]:
     """``obj[key]`` when it is an object, ``{}`` when absent or null."""
     value = obj.get(key)
     return {} if value is None else _object(value, f"{where}.{key}")
+
+
+def _items(obj: Mapping[str, Any], key: str, where: str) -> list[Any]:
+    """``obj[key]`` when it is an array, ``[]`` when absent or null."""
+    value = obj.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise NotSarif(f"{where}.{key} is not an array")
+    return value
 
 
 def _string(obj: Mapping[str, Any], key: str, where: str) -> str:
@@ -265,14 +263,16 @@ def _location_from_sarif(obj: Any, where: str) -> CodeLocation:
     )
 
 
-def _rule_cwes_from_driver(driver: Mapping[str, Any]) -> dict[str, str]:
+def _rule_cwes_from_driver(driver: Mapping[str, Any], where: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    for rule in driver.get("rules", []) or []:
-        rule_id = rule.get("id")
+    for i, rule in enumerate(_items(driver, "rules", where)):
+        rule_where = f"{where}.rules[{i}]"
+        rule = _object(rule, rule_where)
+        rule_id = _string(rule, "id", rule_where)
         if not rule_id:
             continue
-        tags = (rule.get("properties") or {}).get("tags", []) or []
-        for tag in tags:
+        properties = _member(rule, "properties", rule_where)
+        for tag in _items(properties, "tags", f"{rule_where}.properties"):
             cwe = normalize_cwe(str(tag))
             if cwe != CWE_UNKNOWN:
                 out[rule_id] = cwe
@@ -280,40 +280,56 @@ def _rule_cwes_from_driver(driver: Mapping[str, Any]) -> dict[str, str]:
     return out
 
 
-def _parse_result(obj: Any, where: str) -> SarifResult:
+def _step_kind(index: int, length: int) -> StepKind:
+    # Degenerate single-step traces render as SOURCE only.
+    if index == 1:
+        return StepKind.SOURCE
+    if index == length:
+        return StepKind.SINK
+    return StepKind.STEP
+
+
+def _trace_step(obj: Any, index: int, length: int, where: str) -> TraceStep:
+    location = _member(_object(obj, where), "location", where)
+    where += ".location"
+    return TraceStep(
+        index=index,
+        kind=_step_kind(index, length),
+        location=_location_from_sarif(location, where),
+        step_message=_string(_member(location, "message", where), "text", f"{where}.message"),
+    )
+
+
+def _parse_result(obj: Any, where: str, rule_cwes: Mapping[str, str]) -> SarifResult:
     obj = _object(obj, where)
     rule_id = _string(obj, "ruleId", where)
     if not rule_id:
         raise NotSarif(f"{where}: missing ruleId")
     message = _string(_member(obj, "message", where), "text", f"{where}.message")
-    raw_locations = obj.get("locations") or []
-    if not raw_locations:
-        raise NotSarif(f"{where}: result has no locations")
-    locations = tuple(
+    locations = [
         _location_from_sarif(loc, f"{where}.locations[{i}]")
-        for i, loc in enumerate(raw_locations)
-    )
+        for i, loc in enumerate(_items(obj, "locations", where))
+    ]
+    if not locations:
+        raise NotSarif(f"{where}: result has no locations")
 
-    code_flows = obj.get("codeFlows") or []
-    steps: list[ThreadFlowStep] = []
+    code_flows = _items(obj, "codeFlows", where)
+    steps: list[Any] = []
+    flow_where = f"{where}.codeFlows[0]"
     if code_flows:
-        thread_flows = _object(code_flows[0], f"{where}.codeFlows[0]").get("threadFlows") or []
+        thread_flows = _items(_object(code_flows[0], flow_where), "threadFlows", flow_where)
         if thread_flows:
-            flow_where = f"{where}.codeFlows[0].threadFlows[0]"
-            for j, tfl in enumerate(_object(thread_flows[0], flow_where).get("locations") or []):
-                step_where = f"{flow_where}.locations[{j}]"
-                loc_obj = _member(_object(tfl, step_where), "location", step_where)
-                step_where += ".location"
-                location = _location_from_sarif(loc_obj, step_where)
-                step_message = _string(
-                    _member(loc_obj, "message", step_where), "text", f"{step_where}.message"
-                )
-                steps.append(ThreadFlowStep(location=location, message=step_message))
+            flow_where += ".threadFlows[0]"
+            steps = _items(_object(thread_flows[0], flow_where), "locations", flow_where)
     return SarifResult(
         rule_id=rule_id,
+        cwe_id=rule_cwes.get(rule_id),
         message=message,
-        locations=locations,
-        thread_flow=tuple(steps),
+        primary_location=locations[0],
+        trace=tuple(
+            _trace_step(step, j + 1, len(steps), f"{flow_where}.locations[{j}]")
+            for j, step in enumerate(steps)
+        ),
         code_flow_count=len(code_flows),
     )
 
@@ -324,10 +340,12 @@ def parse_sarif(raw: bytes | str) -> SarifDocument:
     Raises ``MalformedJson`` for byte streams that are not JSON and
     ``NotSarif`` for JSON that violates the SARIF shape this pipeline
     depends on (missing ``runs``, results without ``ruleId`` or locations,
-    thread-flow steps without a physical location) or that gives a field
-    the wrong type: results, locations and flow steps must be objects,
-    ``uri``, ``ruleId`` and ``message.text`` strings, lines and columns
-    integers >= 1 (not booleans), and ``endLine`` no less than
+    thread-flow steps without a physical location) or that gives a member
+    the wrong type: ``runs``, ``results``, ``locations``, ``codeFlows``,
+    ``threadFlows``, a thread flow's ``locations``, ``rules`` and ``tags``
+    must be arrays; runs, results, locations, flow steps and rules objects;
+    ``uri``, ``ruleId``, a rule's ``id`` and ``message.text`` strings; lines
+    and columns integers >= 1 (not booleans), and ``endLine`` no less than
     ``startLine``. The error names the JSON path.
     """
     if isinstance(raw, bytes):
@@ -337,7 +355,7 @@ def parse_sarif(raw: bytes | str) -> SarifDocument:
             raise MalformedJson(f"input is not UTF-8: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # or a number or nest past the decoder's limits
         raise MalformedJson(f"input is not JSON: {exc}") from exc
 
     if not isinstance(data, dict):
@@ -348,42 +366,17 @@ def parse_sarif(raw: bytes | str) -> SarifDocument:
     if not isinstance(version, str) or not version:
         raise NotSarif("missing `version` string")
 
-    runs: list[SarifRun] = []
-    for r, run_obj in enumerate(data["runs"]):
-        if not isinstance(run_obj, dict):
-            raise NotSarif(f"runs[{r}] is not an object")
-        driver = (run_obj.get("tool") or {}).get("driver") or {}
-        tool_name = driver.get("name", "unknown")
-        results = tuple(
-            _parse_result(res, f"runs[{r}].results[{i}]")
-            for i, res in enumerate(run_obj.get("results") or [])
+    results: list[SarifResult] = []
+    for r, run in enumerate(data["runs"]):
+        where = f"runs[{r}]"
+        run = _object(run, where)
+        driver = _member(_member(run, "tool", where), "driver", f"{where}.tool")
+        rule_cwes = _rule_cwes_from_driver(driver, f"{where}.tool.driver")
+        results.extend(
+            _parse_result(res, f"{where}.results[{i}]", rule_cwes)
+            for i, res in enumerate(_items(run, "results", where))
         )
-        runs.append(
-            SarifRun(
-                tool_name=tool_name,
-                rule_cwes=_rule_cwes_from_driver(driver),
-                results=results,
-            )
-        )
-    return SarifDocument(version=version, runs=tuple(runs))
-
-
-def _identity_payload(
-    rule_id: str,
-    primary_location: CodeLocation,
-    trace_locations: Iterable[CodeLocation],
-    origin_index: int,
-) -> str:
-    return json.dumps(
-        {
-            "rule_id": rule_id,
-            "primary_location": primary_location.to_dict(),
-            "trace": [loc.to_dict() for loc in trace_locations],
-            "origin_index": origin_index,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return SarifDocument(version=version, results=tuple(results))
 
 
 def compute_finding_id(
@@ -394,7 +387,16 @@ def compute_finding_id(
 ) -> str:
     """SHA-256 (lowercase hex) over the canonical identity of a finding:
     rule id, primary location, ordered trace locations, origin index."""
-    payload = _identity_payload(rule_id, primary_location, trace_locations, origin_index)
+    payload = json.dumps(
+        {
+            "rule_id": rule_id,
+            "primary_location": primary_location.to_dict(),
+            "trace": [loc.to_dict() for loc in trace_locations],
+            "origin_index": origin_index,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -403,15 +405,6 @@ def finding_id(f: Finding) -> str:
     return compute_finding_id(
         f.rule_id, f.primary_location, (s.location for s in f.trace), f.origin_index
     )
-
-
-def _step_kind(index: int, length: int) -> StepKind:
-    # Degenerate single-step traces render as SOURCE only.
-    if index == 1:
-        return StepKind.SOURCE
-    if index == length:
-        return StepKind.SINK
-    return StepKind.STEP
 
 
 def canonicalize(
@@ -425,40 +418,26 @@ def canonicalize(
     """
     cwe_map = cwe_map or {}
     findings: list[Finding] = []
-    origin_index = 0
-    for run in doc.runs:
-        for result in run.results:
-            cwe = run.rule_cwes.get(result.rule_id)
-            if cwe is None and result.rule_id in cwe_map:
-                cwe = normalize_cwe(cwe_map[result.rule_id])
-            if cwe is None:
-                cwe = CWE_UNKNOWN
-            length = len(result.thread_flow)
-            trace = tuple(
-                TraceStep(
-                    index=i + 1,
-                    kind=_step_kind(i + 1, length),
-                    location=step.location,
-                    step_message=step.message,
-                )
-                for i, step in enumerate(result.thread_flow)
+    for origin_index, result in enumerate(doc.results):
+        cwe = result.cwe_id
+        if cwe is None:
+            fallback = cwe_map.get(result.rule_id)
+            cwe = CWE_UNKNOWN if fallback is None else normalize_cwe(fallback)
+        findings.append(
+            Finding(
+                finding_id=compute_finding_id(
+                    result.rule_id,
+                    result.primary_location,
+                    (s.location for s in result.trace),
+                    origin_index,
+                ),
+                rule_id=result.rule_id,
+                cwe_id=cwe,
+                message=result.message,
+                primary_location=result.primary_location,
+                trace=result.trace,
+                origin_index=origin_index,
+                extra_flow_count=max(0, result.code_flow_count - 1),
             )
-            primary = result.locations[0]
-            fid = compute_finding_id(
-                result.rule_id, primary, (s.location for s in trace), origin_index
-            )
-            findings.append(
-                Finding(
-                    finding_id=fid,
-                    rule_id=result.rule_id,
-                    cwe_id=cwe,
-                    message=result.message,
-                    primary_location=primary,
-                    trace=trace,
-                    origin_index=origin_index,
-                    extra_flow_count=max(0, result.code_flow_count - 1),
-                )
-            )
-            origin_index += 1
+        )
     return findings
-

@@ -37,15 +37,6 @@ class MethodRecord:
     file: str
     signature_end_line: int  # line holding the body's opening brace
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "signature_line": self.signature_line,
-            "start_line": self.start_line,
-            "end_line": self.end_line,
-            "file": self.file,
-        }
-
 
 _TYPE_KEYWORDS = {"class", "interface", "enum"}
 _NON_METHOD_NAMES = {

@@ -26,9 +26,9 @@ modules it runs on (``ingest``, ``context``, ``prompts``, ``rubrics``,
 every stage loads none of them.
 
 Each stage reads its inputs from disk, so deleting a downstream artifact
-and re-running reproduces it. With the mock backend every artifact except
-``audit/`` (which records wall-clock timestamps) is byte-identical across
-reruns.
+and re-running reproduces it. With the mock backend every artifact is
+byte-identical across reruns except ``audit/``, which records wall-clock
+timestamps, and ``.stamps/adjudicate.json``, which hashes those records.
 
 Every stage runs through ``_run_stage``: it declares its inputs once, and
 ``--resume`` skips it only when those inputs and the outputs recorded in

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping
 
-from .context import CodeContext, ContextSegment, SegmentReason
+from .context import CodeContext, ContextSegment, SegmentReason, drop_longest_intermediate
 from .ingest import Finding, TraceStep
 from .rubrics import Rubric
 
@@ -272,17 +272,6 @@ def _substitute(template: str, values: dict[str, str]) -> str:
     return _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], template)
 
 
-def _drop_longest_intermediate(
-    segments: list[ContextSegment],
-) -> ContextSegment | None:
-    candidates = [s for s in segments if s.reason is SegmentReason.INTERMEDIATE]
-    if not candidates:
-        return None
-    victim = max(candidates, key=lambda s: (s.line_count(), -s.start_line))
-    segments.remove(victim)
-    return victim
-
-
 def compile_prompt(
     finding: Finding,
     ctx: CodeContext,
@@ -321,7 +310,7 @@ def compile_prompt(
             placeholders = ("rule_id", "message", "code_snippet")
         if char_budget is None or len(user_text) <= char_budget:
             break
-        if _drop_longest_intermediate(segments) is None:
+        if drop_longest_intermediate(segments) is None:
             break
 
     return PromptBundle(

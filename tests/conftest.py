@@ -6,6 +6,19 @@ import pytest
 
 from sarif_triage.ingest import Finding, canonicalize, parse_sarif
 
+try:
+    from hypothesis import HealthCheck, settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    settings.register_profile(
+        "sarif-triage",
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    settings.load_profile("sarif-triage")
+
 FIXTURES = Path(__file__).parent / "fixtures"
 JAVA_DIR = FIXTURES / "java"
 SARIF_DIR = FIXTURES / "sarif"

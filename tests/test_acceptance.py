@@ -255,24 +255,14 @@ def _synthetic_finding(i: int, cwe: str) -> Finding:
 
 
 def _synthetic_result(fid: str, verdict: Verdict | None) -> "object":
-    from sarif_triage.adjudicate import (
-        STATUS_OK,
-        STATUS_UNEVALUATED,
-        Adjudication,
-        AdjudicationResult,
-        Confidence,
-    )
+    from sarif_triage.adjudicate import Adjudication, AdjudicationResult, Confidence
 
     if verdict is None:
-        return AdjudicationResult(
-            finding_id=fid, mode="OPTIMIZED", status=STATUS_UNEVALUATED, error="scripted"
-        )
+        return AdjudicationResult(finding_id=fid, mode="OPTIMIZED", error="scripted")
     return AdjudicationResult(
         finding_id=fid,
         mode="OPTIMIZED",
-        status=STATUS_OK,
         adjudication=Adjudication(
-            finding_id=fid,
             verdict=verdict,
             confidence=Confidence.HIGH,
             reasoning="r",

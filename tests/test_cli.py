@@ -358,6 +358,40 @@ def test_ingest_refuses_a_sarif_field_of_the_wrong_type(corpus, tmp_path, capsys
     assert not (tmp_path / "out" / "findings.jsonl").exists()
 
 
+_RULE = "tool.driver.rules.0"
+
+# case: (JSON path under the run, value, the error); each member must be an
+# array or an object (SARIF 2.1.0 §3.14, §3.27).
+_BAD_SARIF_CONTAINERS = {
+    "locations-int": ("results.1.locations", 5, "runs[0].results[1].locations is not an array"),
+    "results-int": ("results", 5, "runs[0].results is not an array"),
+    "codeFlows-object": ("results.1.codeFlows", {"a": 1},
+                         "runs[0].results[1].codeFlows is not an array"),
+    "threadFlows-int": ("results.1.codeFlows.0.threadFlows", 5,
+                        "runs[0].results[1].codeFlows[0].threadFlows is not an array"),
+    "rule-string": (_RULE, "x", "runs[0].tool.driver.rules[0] is not an object"),
+    "tool-int": ("tool", 5, "runs[0].tool is not an object"),
+    "tags-int": (f"{_RULE}.properties.tags", 5,
+                 "runs[0].tool.driver.rules[0].properties.tags is not an array"),
+    "rule-id-list": (f"{_RULE}.id", ["java/x"], "runs[0].tool.driver.rules[0].id is not a string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SARIF_CONTAINERS))
+def test_ingest_refuses_a_sarif_container_of_the_wrong_type(corpus, tmp_path, capsys, case):
+    path, value, error = _BAD_SARIF_CONTAINERS[case]
+    sarif = json.loads(corpus.sarif_path.read_text(encoding="utf-8"))
+    _set_at(sarif["runs"][0], path, value)
+    bad_sarif = tmp_path / "bad.sarif"
+    bad_sarif.write_text(json.dumps(sarif), encoding="utf-8")
+    shared = json.loads(write_config(corpus, tmp_path / "out", with_labels=False).read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**shared, "sarif_path": str(bad_sarif)}), encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == EXIT_USAGE
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "out" / "findings.jsonl").exists()
+
+
 def _adjudicate_rewritten_prompts(corpus, tmp_path, monkeypatch, rewrite) -> int:
     """Exit code of ``adjudicate`` after ``rewrite`` edits the rows of a
     finished run's ``prompts.jsonl``; the backend must get no call."""

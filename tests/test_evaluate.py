@@ -8,8 +8,6 @@ from sarif_triage.adjudicate import (
     Adjudication,
     AdjudicationResult,
     Confidence,
-    STATUS_OK,
-    STATUS_UNEVALUATED,
     Verdict,
 )
 from sarif_triage.evaluate import (
@@ -141,9 +139,7 @@ def _ok(fid, verdict, mode="OPTIMIZED"):
     return AdjudicationResult(
         finding_id=fid,
         mode=mode,
-        status=STATUS_OK,
         adjudication=Adjudication(
-            finding_id=fid,
             verdict=verdict,
             confidence=Confidence.HIGH,
             reasoning="r",
@@ -195,7 +191,7 @@ def test_build_report_conserves_counts_and_routes_statuses():
         _ok("f1", Verdict.FALSE_POSITIVE),  # FP
         _ok("f2", Verdict.TRUE_POSITIVE),  # FN
         _ok("f3", Verdict.TRUE_POSITIVE),  # unmatched
-        AdjudicationResult(finding_id="f4", mode="OPTIMIZED", status=STATUS_UNEVALUATED, error="boom"),
+        AdjudicationResult(finding_id="f4", mode="OPTIMIZED", error="boom"),
     ]
     report = build_report(findings, results, truths, "OPTIMIZED")
     counts = report.overall.counts

@@ -112,6 +112,13 @@ def test_malformed_json_and_not_sarif_are_distinct():
         parse_sarif(b"\xff\xfe\x00broken")
 
 
+def test_json_beyond_the_decoders_limits_is_malformed():
+    with pytest.raises(MalformedJson):
+        parse_sarif('{"version": "2.1.0", "runs": [], "n": ' + "1" * 5000 + "}")
+    with pytest.raises(MalformedJson):
+        parse_sarif("[" * 100_000 + "]" * 100_000)
+
+
 def test_result_without_rule_or_location_is_schema_error():
     with pytest.raises(NotSarif, match="ruleId"):
         parse_sarif(_sarif([{"message": {"text": "x"}, "locations": [{}]}]))

@@ -10,15 +10,11 @@ import warnings
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, example, given, settings  # noqa: E402
+from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import char_scanner_oracle  # noqa: E402
 from sarif_triage import methods  # noqa: E402
-
-_SETTINGS = settings(
-    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
 
 
 def _scan(module, source: str):
@@ -172,7 +168,6 @@ def _java_source(draw) -> str:
     return source.replace("\n", endings)
 
 
-@_SETTINGS
 @given(_java_source())
 def test_token_scanner_matches_character_scanner_on_java_sources(source):
     _assert_same(source)
@@ -206,7 +201,6 @@ def _broken_source(draw) -> str:
     return _without_text_blocks(source)
 
 
-@_SETTINGS
 @given(_broken_source())
 # A stray literal opens the declaration buffer, so the method starts there.
 @example("class A {\n'{'\nint f() {\n}\n}\n")

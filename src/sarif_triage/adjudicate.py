@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import asdict, dataclass, replace
-from datetime import datetime, timezone
+import time
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .backend import (
     Backend,
@@ -61,8 +60,7 @@ STATUS_OK = "OK"
 STATUS_UNEVALUATED = "UNEVALUATED"
 
 
-@dataclass(frozen=True)
-class Adjudication:
+class Adjudication(NamedTuple):
     verdict: Verdict
     confidence: Confidence
     reasoning: str
@@ -83,8 +81,7 @@ class Adjudication:
         }
 
 
-@dataclass(frozen=True)
-class AdjudicationResult:
+class AdjudicationResult(NamedTuple):
     """Outcome for one (finding, mode): a validated adjudication or an
     UNEVALUATED placeholder with the failure reason."""
 
@@ -130,8 +127,7 @@ class AdjudicationResult:
         )
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     finding_id: str
     mode: str
     prompt_sha256: str
@@ -145,7 +141,7 @@ class AuditRecord:
     attempt_count: int
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        return self._asdict()
 
 
 def _extract_outer_object(raw: str) -> str:
@@ -241,7 +237,7 @@ def validate_response(
 
 
 def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _adjudicate_one(
@@ -334,7 +330,7 @@ def adjudicate_all(
         finally:
             slots.acquire()
 
-    paced = replace(retry, sleep=pause)
+    paced = retry._replace(sleep=pause)
 
     def work(bundle: PromptBundle) -> tuple[AdjudicationResult, AuditRecord]:
         with slots:

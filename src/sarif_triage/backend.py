@@ -37,9 +37,8 @@ import os
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 from .config import parse_endpoint
 from .prompts import prompt_sha256
@@ -73,8 +72,7 @@ class Exhausted(BackendError):
     """Retry attempt cap reached without a successful reply."""
 
 
-@dataclass(frozen=True)
-class BackendRequest:
+class BackendRequest(NamedTuple):
     model: str
     system_text: str
     user_text: str
@@ -85,15 +83,13 @@ class BackendRequest:
         return len(self.system_text) + len(self.user_text)
 
 
-@dataclass(frozen=True)
-class BackendReply:
+class BackendReply(NamedTuple):
     text: str
     latency_ms: int
     attempt_count: int = 1  # set by ``send`` to the attempt that succeeded
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(NamedTuple):
     attempt_cap: int = 4
     backoff_base_s: float = 0.5
     sleep: Callable[[float], None] = time.sleep
@@ -107,7 +103,7 @@ def send(request: BackendRequest, backend: "Backend", retry: RetryPolicy | None 
     last_error: BackendError | None = None
     for attempt in range(1, retry.attempt_cap + 1):
         try:
-            return replace(backend.complete(request), attempt_count=attempt)
+            return backend.complete(request)._replace(attempt_count=attempt)
         except (TransportError, RateLimited) as exc:
             last_error = exc
             if attempt < retry.attempt_cap:
@@ -317,8 +313,7 @@ def _looks_like_overflow(body: str) -> bool:
     return "context" in lowered and ("length" in lowered or "token" in lowered or "overflow" in lowered)
 
 
-@dataclass
-class _MockEntry:
+class _MockEntry(NamedTuple):
     response: str
     fail_first: int = 0
     failure: str = "transport"

@@ -5,7 +5,8 @@ Subcommands mirror the pipeline stages (``ingest``, ``context``,
 chain. All of them read a JSON config file; a handful of flags override
 config values (flags win).
 
-Exit codes: 0 success, 1 stage failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 stage failure, 2 usage or configuration error,
+including a SARIF file that is not JSON or not usable SARIF.
 
 Only ``config`` is imported up front; the pipeline is imported when a
 subcommand runs, so a bad config is rejected before any stage is loaded.
@@ -77,7 +78,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         overrides["write_csv"] = True
     config = load_config(args.config, overrides)
     if args.backend:
-        config.backend.kind = args.backend
+        config = config._replace(backend=config.backend._replace(kind=args.backend))
         validate_config(config)
     return config
 
@@ -132,13 +133,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(report_txt.read_text(encoding="utf-8"))
     except pipeline.StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # An unparseable or non-SARIF input to `ingest` is a usage problem,
-        # not a pipeline failure.
-        if args.command == "ingest":
-            from .ingest import MalformedJson, NotSarif
+        # An unparseable or non-SARIF input is a usage problem, not a
+        # pipeline failure, whichever command ran the ingest stage.
+        from .ingest import MalformedJson, NotSarif
 
-            if isinstance(exc.__cause__, (MalformedJson, NotSarif)):
-                return EXIT_USAGE
+        if isinstance(exc.__cause__, (MalformedJson, NotSarif)):
+            return EXIT_USAGE
         return EXIT_STAGE_FAILURE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

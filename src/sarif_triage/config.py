@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import urllib.parse
-from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .prompts import PromptMode
@@ -25,8 +24,7 @@ class ConfigError(ValueError):
     """Unusable run configuration; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class ContextLimits:
+class ContextLimits(NamedTuple):
     max_total_lines: int = 400
     # Intermediate spans longer than the threshold are cut to head + tail,
     # with the elided count recorded on the head segment.
@@ -35,8 +33,7 @@ class ContextLimits:
     elide_tail_lines: int = 20
 
 
-@dataclass
-class BackendConfig:
+class BackendConfig(NamedTuple):
     kind: str = "mock"  # "mock" or "live"
     endpoint: str = ""
     model: str = "mock"
@@ -47,21 +44,21 @@ class BackendConfig:
     backoff_base_s: float = 0.5
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     sarif_path: Path
     source_root: Path
     output_dir: Path
     prompt_mode: str = "OPTIMIZED"  # OPTIMIZED | BASELINE | BOTH
     baseline_style: str = "WINDOW5"  # WINDOW5 | WHOLE_FILE
-    backend: BackendConfig = field(default_factory=BackendConfig)
-    limits: ContextLimits = field(default_factory=ContextLimits)
+    backend: BackendConfig = BackendConfig()
+    limits: ContextLimits = ContextLimits()
     prompt_char_budget: int | None = None
     max_output_chars: int = 16384
     parallelism: int = 1
     labels_path: Path | None = None
     rubric_dir: Path | None = None
-    cwe_map: dict[str, str] = field(default_factory=dict)
+    # One default dict serves every config that names no map: read it only.
+    cwe_map: dict[str, str] = {}
     write_csv: bool = False
 
     def modes(self) -> list[PromptMode]:
@@ -110,11 +107,11 @@ def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) ->
 def _field_values(
     cls: type, data: Mapping[str, Any], prefix: str = "", **convert: Callable[[Any], Any]
 ) -> dict[str, Any]:
-    """The entries of ``data`` that name fields of the dataclass ``cls``,
+    """The entries of ``data`` that name fields of the record type ``cls``,
     each passed through ``convert[name]`` when given. Absent keys are left
-    out, so the dataclass supplies its own default. A conversion that fails
+    out, so ``cls`` supplies its own default. A conversion that fails
     raises ``ConfigError`` naming the key, written ``prefix + name``."""
-    values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+    values = {name: data[name] for name in cls._fields if name in data}
     for key, value in values.items():
         if key not in convert:
             continue
@@ -162,7 +159,7 @@ def config_from_dict(data: Mapping[str, Any], base_dir: Path | None = None) -> R
 
     def limits(value: Mapping[str, Any] | None) -> ContextLimits:
         return ContextLimits(**_field_values(
-            ContextLimits, value or {}, "limits.", **{f.name: int for f in fields(ContextLimits)}
+            ContextLimits, value or {}, "limits.", **dict.fromkeys(ContextLimits._fields, int)
         ))
 
     def cwe_map(value: Mapping[str, Any] | None) -> dict[str, str]:

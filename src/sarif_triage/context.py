@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .config import ContextLimits
 from .ingest import CodeLocation, Finding
@@ -38,8 +37,7 @@ class BaselineMode(str, Enum):
     WHOLE_FILE = "WHOLE_FILE"
 
 
-@dataclass(frozen=True)
-class ContextSegment:
+class ContextSegment(NamedTuple):
     file: str
     start_line: int
     end_line: int
@@ -75,8 +73,7 @@ class ContextSegment:
         )
 
 
-@dataclass(frozen=True)
-class CodeContext:
+class CodeContext(NamedTuple):
     finding_id: str
     segments: tuple[ContextSegment, ...]
     truncated: bool
@@ -125,12 +122,12 @@ def _segment(
     )
 
 
-@dataclass
 class _Collector:
-    segments: list[ContextSegment] = field(default_factory=list)
-    seen: set[tuple[str, int, int]] = field(default_factory=set)
-    notes: list[str] = field(default_factory=list)
-    partial: bool = False
+    def __init__(self) -> None:
+        self.segments: list[ContextSegment] = []
+        self.seen: set[tuple[str, int, int]] = set()
+        self.notes: list[str] = []
+        self.partial = False
 
     def add(self, segment: ContextSegment) -> None:
         key = (segment.file, segment.start_line, segment.end_line)
@@ -220,7 +217,7 @@ def _add_intermediate(
         head_end = start + limits.elide_head_lines - 1
         tail_start = end - limits.elide_tail_lines + 1
         head = _segment(lines, uri, start, head_end, SegmentReason.INTERMEDIATE, step_index)
-        head = replace(head, elided_after=tail_start - head_end - 1)
+        head = head._replace(elided_after=tail_start - head_end - 1)
         collector.add(head)
         collector.add(
             _segment(lines, uri, tail_start, end, SegmentReason.INTERMEDIATE, step_index)

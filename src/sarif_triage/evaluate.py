@@ -8,10 +8,9 @@ before precision/recall/F1 are computed) and printed at three decimals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .adjudicate import AdjudicationResult, Verdict
 from .ingest import Finding
@@ -34,8 +33,7 @@ class MismatchedSets(ValueError):
     """compare_modes was given reports over different finding sets."""
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     label: Label
     finding_id: str | None = None
     rule_id: str | None = None
@@ -53,8 +51,7 @@ class GroundTruth:
         )
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int = 0
     fp: int = 0
     tn: int = 0
@@ -70,8 +67,7 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-@dataclass(frozen=True)
-class GroupMetrics:
+class GroupMetrics(NamedTuple):
     counts: ConfusionCounts
     precision: float
     recall: float
@@ -89,8 +85,7 @@ class GroupMetrics:
         }
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     mode: str
     overall: GroupMetrics
     per_cwe: dict[str, GroupMetrics]
@@ -240,8 +235,7 @@ def build_report(
     )
 
 
-@dataclass(frozen=True)
-class DeltaRow:
+class DeltaRow(NamedTuple):
     group: str
     baseline_f1: float
     optimized_f1: float

@@ -15,9 +15,8 @@ import hashlib
 import json
 import re
 import urllib.parse
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 
 class MalformedJson(ValueError):
@@ -58,33 +57,36 @@ class StepKind(str, Enum):
     SINK = "SINK"
 
 
-@dataclass(frozen=True)
-class CodeLocation:
-    """A physical source location. Lines and columns are 1-based; the end
-    column is exclusive, following the SARIF region convention."""
-
+class _Location(NamedTuple):
     uri: str
     start_line: int
     end_line: int
     start_column: int | None = None
     end_column: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.start_line < 1:
-            raise ValueError(f"start_line must be >= 1, got {self.start_line}")
-        if self.end_line < self.start_line:
-            raise ValueError(
-                f"end_line {self.end_line} precedes start_line {self.start_line}"
-            )
+
+class CodeLocation(_Location):
+    """A physical source location. Lines and columns are 1-based; the end
+    column is exclusive, following the SARIF region convention."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        uri: str,
+        start_line: int,
+        end_line: int,
+        start_column: int | None = None,
+        end_column: int | None = None,
+    ) -> "CodeLocation":
+        if start_line < 1:
+            raise ValueError(f"start_line must be >= 1, got {start_line}")
+        if end_line < start_line:
+            raise ValueError(f"end_line {end_line} precedes start_line {start_line}")
+        return super().__new__(cls, uri, start_line, end_line, start_column, end_column)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "uri": self.uri,
-            "start_line": self.start_line,
-            "end_line": self.end_line,
-            "start_column": self.start_column,
-            "end_column": self.end_column,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "CodeLocation":
@@ -97,11 +99,10 @@ class CodeLocation:
         )
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One step of a source-to-sink flow."""
 
-    index: int  # 1-based position in the trace
+    index: int  # 1-based position in the trace; hides ``tuple.index``
     kind: StepKind
     location: CodeLocation
     step_message: str
@@ -124,8 +125,7 @@ class TraceStep:
         )
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One canonicalized static-analysis alert."""
 
     finding_id: str
@@ -164,8 +164,7 @@ class Finding:
         )
 
 
-@dataclass(frozen=True)
-class SarifResult:
+class SarifResult(NamedTuple):
     """One result as read from the document, before it gets its id."""
 
     rule_id: str
@@ -176,8 +175,7 @@ class SarifResult:
     code_flow_count: int
 
 
-@dataclass(frozen=True)
-class SarifDocument:
+class SarifDocument(NamedTuple):
     version: str
     results: tuple[SarifResult, ...]  # every run's, in file order
 

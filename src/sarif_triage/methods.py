@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class UnbalancedBraces(Warning):
@@ -28,8 +28,7 @@ class UnbalancedBraces(Warning):
     before the imbalance are still returned."""
 
 
-@dataclass(frozen=True)
-class MethodRecord:
+class MethodRecord(NamedTuple):
     name: str
     signature_line: str  # declaration text, single line, whitespace-normalized
     start_line: int

@@ -59,7 +59,6 @@ import importlib
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
@@ -271,9 +270,13 @@ def _require(stage: str, path: Path, producer: str) -> Path:
 
 
 def write_config_echo(config: RunConfig) -> None:
+    # A record is a tuple, which ``json`` writes as an array, so each nested
+    # one goes in as a dict.
+    echo = {**config._asdict(), "backend": config.backend._asdict(),
+            "limits": config.limits._asdict()}
     config.output_dir.mkdir(parents=True, exist_ok=True)
     (config.output_dir / "run_config.json").write_text(
-        json.dumps(asdict(config), indent=2, sort_keys=True, default=str) + "\n",
+        json.dumps(echo, indent=2, sort_keys=True, default=str) + "\n",
         encoding="utf-8",
     )
 
@@ -324,7 +327,7 @@ def stage_context(config: RunConfig, resume: bool = False) -> None:
         return {
             "findings": findings_sha,
             **{f"src:{uri}": source.sha256(uri) for uri in uris},
-            "limits": _sha256_text(json.dumps(asdict(config.limits), sort_keys=True)),
+            "limits": _sha256_text(json.dumps(config.limits._asdict(), sort_keys=True)),
             "baseline_style": config.baseline_style,
             "prompt_mode": config.prompt_mode,
         }
@@ -425,7 +428,7 @@ def stage_adjudicate(
     index_path = _require("adjudicate", config.output_dir / "prompts.jsonl", "prompts")
     inputs = {
         "prompts": _sha256_file(index_path),
-        "backend": _sha256_text(json.dumps(asdict(config.backend), sort_keys=True)),
+        "backend": _sha256_text(json.dumps(config.backend._asdict(), sort_keys=True)),
         "max_output_chars": str(config.max_output_chars),
     }
     if config.backend.kind == "mock" and config.backend.script_path:

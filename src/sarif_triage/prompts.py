@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .context import CodeContext, ContextSegment, SegmentReason, drop_longest_intermediate
 from .ingest import Finding, TraceStep
@@ -131,14 +130,12 @@ _PLACEHOLDER_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class AnnotatedTrace:
+class AnnotatedTrace(NamedTuple):
     rendered: str
     step_count: int
 
 
-@dataclass(frozen=True)
-class PromptBundle:
+class PromptBundle(NamedTuple):
     finding_id: str
     mode: PromptMode
     system_text: str

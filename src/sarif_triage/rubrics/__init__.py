@@ -24,10 +24,10 @@ ground truth. Edit the files freely; the loader re-validates on load.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 GENERIC_ID = "GENERIC"
 
@@ -63,14 +63,12 @@ class RubricTag(str, Enum):
     NON_SANITIZER = "NON_SANITIZER"
 
 
-@dataclass(frozen=True)
-class RubricRule:
+class RubricRule(NamedTuple):
     tag: RubricTag
     text: str
 
 
-@dataclass(frozen=True)
-class Rubric:
+class Rubric(NamedTuple):
     cwe_id: str
     title: str
     rules: tuple[RubricRule, ...]

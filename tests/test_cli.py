@@ -3,10 +3,12 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 from collections import Counter
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -130,6 +132,25 @@ def test_config_values_are_coerced_and_absent_keys_keep_their_defaults(corpus, t
     assert config.labels_path is None and config.rubric_dir is None
 
 
+def test_run_config_json_echoes_flag_overrides_and_nested_sections_as_objects(
+    corpus, tmp_path
+):
+    out = tmp_path / "out"
+    live = {"kind": "live", "endpoint": "http://127.0.0.1:9/v1", "model": "m",
+            "script_path": str(corpus.mock_script_path)}
+    config = write_config(corpus, out, extra={"backend": live, "limits": {"max_total_lines": 50}})
+    assert main(["ingest", "--config", str(config), "--backend", "mock"]) == EXIT_OK
+    echo = json.loads((out / "run_config.json").read_text())
+    assert echo["backend"] == {
+        "kind": "mock", "endpoint": "http://127.0.0.1:9/v1", "model": "m",
+        "key_env": "SARIF_TRIAGE_API_KEY", "script_path": str(corpus.mock_script_path),
+        "max_prompt_chars": None, "attempt_cap": 4, "backoff_base_s": 0.5,
+    }
+    assert echo["limits"] == {"max_total_lines": 50, "intermediate_elide_threshold": 60,
+                              "elide_head_lines": 20, "elide_tail_lines": 20}
+    assert (echo["output_dir"], echo["cwe_map"]) == (str(out), {})
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -206,9 +227,8 @@ def test_a_relative_output_flag_resolves_against_the_working_directory(
     assert not (tmp_path / "out").exists()
 
 
-def test_ingest_schema_error_exits_2_but_run_stage_failure_exits_1(corpus, tmp_path, capsys):
+def test_a_sarif_schema_error_exits_2_from_ingest_and_from_run(corpus, tmp_path, capsys):
     bad_sarif = tmp_path / "bad.sarif"
-    bad_sarif.write_text('{"version": "2.1.0"}')  # missing runs
     config_path = tmp_path / "config.json"
     config_path.write_text(
         json.dumps(
@@ -220,9 +240,14 @@ def test_ingest_schema_error_exits_2_but_run_stage_failure_exits_1(corpus, tmp_p
             }
         )
     )
-    assert main(["ingest", "--config", str(config_path)]) == EXIT_USAGE
-    assert "runs" in capsys.readouterr().err
-    assert main(["run", "--config", str(config_path)]) == EXIT_STAGE_FAILURE
+    for text, error in (('{"version": "2.1.0"}', "missing `runs` array"),
+                        ('{"version": "2.1.0", "runs": [{"results": 5}]}',
+                         "runs[0].results is not an array"),
+                        ("{", "is not JSON")):
+        bad_sarif.write_text(text)
+        for command in ("ingest", "run"):
+            assert main([command, "--config", str(config_path)]) == EXIT_USAGE
+            assert error in capsys.readouterr().err
 
 
 def test_stage_failure_exits_1(corpus, tmp_path, capsys):
@@ -470,6 +495,23 @@ def test_full_run_with_perfect_oracle_reports_ones(corpus, tmp_path):
     assert sorted(row["finding_id"] for row in rows) == sorted(fids)
     assert not (out / "contexts").exists()
     assert len(list((out / "audit").glob("*.optimized.json"))) == 20
+
+
+def test_audit_records_keep_their_keys_and_stamp_each_request_in_utc(corpus, tmp_path):
+    out = tmp_path / "out"
+    config = write_config(corpus, out)
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    after = datetime.now(timezone.utc)
+    records = [json.loads(p.read_text()) for p in sorted((out / "audit").glob("*.json"))]
+    assert len(records) == 20
+    for record in records:
+        assert list(record) == ["finding_id", "mode", "prompt_sha256", "model", "requested_at",
+                                "raw_response", "status", "parsed", "error", "latency_ms",
+                                "attempt_count"]
+        stamp = record["requested_at"]
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp), stamp
+        assert before <= datetime.fromisoformat(stamp) <= after
 
 
 def test_rerun_is_byte_identical_for_deterministic_artifacts(corpus, tmp_path):
@@ -862,9 +904,12 @@ _PACKAGE_EXPORTS = {
     "rubrics": ("InvalidRubric", "Rubric", "RubricTag", "load_rubrics", "rubric_for"),
 }
 
-# Only a live call, a worker pool or a CSV report needs these.
+# Only a live call, a worker pool or a CSV report needs these. No command
+# needs ``dataclasses`` (which loads ``inspect``), and only a live call's
+# ``http.client`` needs ``datetime``.
 _LEAF_IMPORTS = ("requests", "urllib3", "charset_normalizer", "http.client", "ssl",
-                 "urllib.request", "concurrent.futures", "csv")
+                 "urllib.request", "concurrent.futures", "csv", "dataclasses", "inspect",
+                 "datetime")
 
 # case: (code run in a fresh interpreter with the config path as argv[1],
 #        the sarif_triage modules it loads)
@@ -877,6 +922,14 @@ _IMPORT_BUDGETS = {
                {"sarif_triage", "sarif_triage.cli", "sarif_triage.config",
                 "sarif_triage.pipeline", "sarif_triage.source"}),
     "package": ("import sarif_triage", {"sarif_triage"}),
+    # A whole mock run loads every stage, and a worker pool to adjudicate.
+    "run": ("from sarif_triage.cli import main; "
+            "assert main(['run', '--config', sys.argv[1]]) == 0",
+            {"sarif_triage", "sarif_triage.cli", "sarif_triage.config",
+             "sarif_triage.pipeline", "sarif_triage.source", "sarif_triage.ingest",
+             "sarif_triage.methods", "sarif_triage.context", "sarif_triage.rubrics",
+             "sarif_triage.prompts", "sarif_triage.backend", "sarif_triage.adjudicate",
+             "sarif_triage.evaluate"}),
 }
 
 
@@ -895,7 +948,8 @@ def test_a_fresh_process_imports_only_what_its_command_runs(corpus, tmp_path, ca
     done = subprocess.run([sys.executable, "-c", script, str(config)], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     loaded = set(json.loads(done.stdout.splitlines()[-1]))
-    assert sorted(loaded & set(_LEAF_IMPORTS)) == []
+    pool = {"concurrent.futures"} if case == "run" else set()
+    assert sorted(loaded & set(_LEAF_IMPORTS) - pool) == []
     assert sorted(m for m in loaded if m.split(".")[0] == "sarif_triage") == sorted(allowed)
     if case == "package":
         import sarif_triage

@@ -9,7 +9,6 @@ fails is marked UNEVALUATED, never dropped.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from enum import Enum
 from typing import Any, Mapping, NamedTuple
@@ -18,6 +17,7 @@ from .backend import (
     Backend,
     BackendError,
     BackendRequest,
+    CallSlots,
     RetryPolicy,
     send,
 )
@@ -245,6 +245,7 @@ def _adjudicate_one(
     backend: Backend,
     model: str,
     retry: RetryPolicy,
+    slots: CallSlots,
     max_output_chars: int,
 ) -> tuple[AdjudicationResult, AuditRecord]:
     mode = bundle.mode.value
@@ -262,7 +263,7 @@ def _adjudicate_one(
     error: str | None = None
     parsed: dict[str, Any] | None = None
     try:
-        reply = send(request, backend, retry)
+        reply = send(request, backend, retry, slots)
         raw, latency_ms, attempts = reply.text, reply.latency_ms, reply.attempt_count
         if len(raw) > max_output_chars:
             raise ResponseValidationError(
@@ -307,13 +308,14 @@ def adjudicate_all(
 ) -> tuple[list[AdjudicationResult], list[AuditRecord]]:
     """Adjudicate every bundle exactly once.
 
-    At most ``parallelism`` calls are in flight: each bundle's work holds one
-    of ``parallelism`` slots, and a backoff wait between retries gives its
-    slot back, so a throttled call never idles one. Up to
-    ``parallelism * retry.attempt_cap`` threads run, enough for others to
-    fill the slots while some wait. Output order equals input order
-    regardless of completion order, and one audit record exists per bundle
-    whatever happens.
+    At most ``parallelism`` calls are in flight: ``send`` holds one of
+    ``parallelism`` slots only while the backend call runs, so a backoff
+    between retries holds none. Up to ``parallelism * retry.attempt_cap``
+    threads run, enough for others to fill the slots while some wait. Once
+    a call or the caller sees an interrupt (Ctrl-C), no further call starts
+    and the interrupt propagates. Output order equals input order regardless
+    of completion order, and one audit record exists per bundle whatever
+    happens.
     """
     # Imported here: evaluate reads this module's rows and never needs a pool.
     from concurrent.futures import ThreadPoolExecutor
@@ -321,24 +323,18 @@ def adjudicate_all(
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     retry = retry or RetryPolicy()
-    slots = threading.BoundedSemaphore(parallelism)
-
-    def pause(seconds: float) -> None:
-        slots.release()
-        try:
-            retry.sleep(seconds)
-        finally:
-            slots.acquire()
-
-    paced = retry._replace(sleep=pause)
+    slots = CallSlots(parallelism)
 
     def work(bundle: PromptBundle) -> tuple[AdjudicationResult, AuditRecord]:
-        with slots:
-            return _adjudicate_one(bundle, backend, model, paced, max_output_chars)
+        return _adjudicate_one(bundle, backend, model, retry, slots, max_output_chars)
 
     workers = max(1, min(len(bundles), parallelism * retry.attempt_cap))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pairs = list(pool.map(work, bundles))
+        try:
+            pairs = list(pool.map(work, bundles))
+        except BaseException as exc:
+            slots.stop_if_interrupt(exc)  # Ctrl-C reached the caller
+            raise
 
     results = [pair[0] for pair in pairs]
     audits = [pair[1] for pair in pairs]

@@ -5,8 +5,8 @@ temperature 0) with a ``BackendReply``. ``send`` adds retry with
 exponential backoff for transport errors and rate limiting, waiting longer
 when a throttling reply asks for it (``retry-after-ms`` or ``Retry-After``);
 context overflow is never retried. ``send`` waits through
-``RetryPolicy.sleep``, which ``adjudicate_all`` wraps so that a waiting call
-gives its ``parallelism`` slot to another.
+``RetryPolicy.sleep`` and holds a ``CallSlots`` slot only while the backend
+call runs, so a call that backs off holds none.
 
 The HTTP backend speaks HTTP/1.1 through the standard library's
 ``http.client``: it keeps finished connections alive in a pool it owns and
@@ -95,15 +95,52 @@ class RetryPolicy(NamedTuple):
     sleep: Callable[[float], None] = time.sleep
 
 
-def send(request: BackendRequest, backend: "Backend", retry: RetryPolicy | None = None) -> BackendReply:
+class CallSlots:
+    """The in-flight limit: at most ``limit`` backend calls run at once.
+
+    Once a call, or the caller through ``stop_if_interrupt``, has seen a
+    ``BaseException`` that is not an ``Exception`` (Ctrl-C, ``SystemExit``),
+    no call starts: taking a slot raises ``BackendError``.
+    """
+
+    def __init__(self, limit: int = 1):
+        self._free = threading.BoundedSemaphore(limit)
+        self._stopped = False
+
+    def stop_if_interrupt(self, exc: BaseException | None) -> None:
+        if exc is not None and not isinstance(exc, Exception):
+            self._stopped = True
+
+    def __enter__(self) -> None:
+        self._free.acquire()
+        if self._stopped:
+            self._free.release()
+            raise BackendError("not started: the run was interrupted")
+
+    def __exit__(self, kind: type | None, exc: BaseException | None, tb: Any) -> None:
+        self.stop_if_interrupt(exc)  # before a waiting call can take the slot
+        self._free.release()
+
+
+def send(
+    request: BackendRequest,
+    backend: "Backend",
+    retry: RetryPolicy | None = None,
+    slots: CallSlots | None = None,
+) -> BackendReply:
     """Issue one request, retrying transport errors and rate limits with
     exponential backoff up to ``retry.attempt_cap`` attempts. A rate limit
-    waits for the longer of the backoff and the provider's ``retry_after_s``."""
+    waits for the longer of the backoff and the provider's ``retry_after_s``.
+    Each attempt holds one of ``slots`` while the backend call runs, and
+    none while it backs off."""
     retry = retry or RetryPolicy()
+    slots = slots or CallSlots()
     last_error: BackendError | None = None
     for attempt in range(1, retry.attempt_cap + 1):
         try:
-            return backend.complete(request)._replace(attempt_count=attempt)
+            with slots:
+                reply = backend.complete(request)
+            return reply._replace(attempt_count=attempt)
         except (TransportError, RateLimited) as exc:
             last_error = exc
             if attempt < retry.attempt_cap:
@@ -348,17 +385,15 @@ class MockBackend(Backend):
         )
 
     def _lookup(self, request: BackendRequest) -> tuple[str, _MockEntry] | None:
-        keys = []
-        if request.tag:
-            keys.append(request.tag)
-            finding_id = request.tag.rsplit(".", 1)[0]
-            if finding_id != request.tag:
-                keys.append(finding_id)
-        keys.append("sha256:" + prompt_sha256(request.system_text, request.user_text))
+        """The entry for the request's tag, else its finding id, else its
+        prompt hash (computed only then), else the default."""
+        keys = [request.tag, request.tag.rsplit(".", 1)[0]] if request.tag else []
         for key in keys:
-            entry = self._entries.get(key)
-            if entry is not None:
-                return key, entry
+            if key in self._entries:
+                return key, self._entries[key]
+        key = "sha256:" + prompt_sha256(request.system_text, request.user_text)
+        if key in self._entries:
+            return key, self._entries[key]
         if self._default is not None:
             return "default", self._default
         return None

@@ -66,29 +66,29 @@ class ConfusionCounts(NamedTuple):
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
+    @property
+    def precision(self) -> float:
+        denom = self.tp + self.fp
+        return self.tp / denom if denom else 0.0
 
-class GroupMetrics(NamedTuple):
-    counts: ConfusionCounts
-    precision: float
-    recall: float
-    f1: float
+    @property
+    def recall(self) -> float:
+        denom = self.tp + self.fn
+        return self.tp / denom if denom else 0.0
+
+    @property
+    def f1(self) -> float:
+        return f1(self.precision, self.recall)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "tp": self.counts.tp,
-            "fp": self.counts.fp,
-            "tn": self.counts.tn,
-            "fn": self.counts.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        rates = {"precision": self.precision, "recall": self.recall, "f1": self.f1}
+        return {**self._asdict(), **rates}
 
 
 class EvalReport(NamedTuple):
     mode: str
-    overall: GroupMetrics
-    per_cwe: dict[str, GroupMetrics]
+    overall: ConfusionCounts
+    per_cwe: dict[str, ConfusionCounts]
     unevaluated_count: int
     unmatched_count: int
     total_findings: int
@@ -118,24 +118,8 @@ def score(verdict: Verdict, label: Label) -> Outcome:
     return Outcome.TN
 
 
-def precision(counts: ConfusionCounts) -> float:
-    denom = counts.tp + counts.fp
-    return counts.tp / denom if denom else 0.0
-
-
-def recall(counts: ConfusionCounts) -> float:
-    denom = counts.tp + counts.fn
-    return counts.tp / denom if denom else 0.0
-
-
 def f1(p: float, r: float) -> float:
     return 2 * p * r / (p + r) if (p + r) else 0.0
-
-
-def metrics_from_counts(counts: ConfusionCounts) -> GroupMetrics:
-    p = precision(counts)
-    r = recall(counts)
-    return GroupMetrics(counts=counts, precision=p, recall=r, f1=f1(p, r))
 
 
 def counts_from_outcomes(outcomes: Iterable[Outcome]) -> ConfusionCounts:
@@ -221,13 +205,12 @@ def build_report(
         outcomes_by_cwe.setdefault(cwe, []).append(score(row.adjudication.verdict, truth.label))
 
     per_cwe = {
-        cwe: metrics_from_counts(counts_from_outcomes(outcomes_by_cwe[cwe]))
+        cwe: counts_from_outcomes(outcomes_by_cwe[cwe])
         for cwe in sorted(outcomes_by_cwe, key=cwe_sort_key)
     }
-    overall = sum((m.counts for m in per_cwe.values()), ConfusionCounts())
     return EvalReport(
         mode=mode,
-        overall=metrics_from_counts(overall),
+        overall=sum(per_cwe.values(), ConfusionCounts()),
         per_cwe=per_cwe,
         unevaluated_count=unevaluated,
         unmatched_count=unmatched,
@@ -301,10 +284,10 @@ def compare_modes(
     return rows
 
 
-def _metrics_line(name: str, m: GroupMetrics) -> str:
+def _metrics_line(name: str, m: ConfusionCounts) -> str:
     return (
-        f"{name:<14} tp={m.counts.tp:<5} fp={m.counts.fp:<5} tn={m.counts.tn:<5} "
-        f"fn={m.counts.fn:<5} P={m.precision:.3f} R={m.recall:.3f} F1={m.f1:.3f}"
+        f"{name:<14} tp={m.tp:<5} fp={m.fp:<5} tn={m.tn:<5} "
+        f"fn={m.fn:<5} P={m.precision:.3f} R={m.recall:.3f} F1={m.f1:.3f}"
     )
 
 
@@ -316,8 +299,8 @@ def render_report_text(
         report = reports[mode]
         lines.append(f"== {mode} ==")
         lines.append(_metrics_line("overall", report.overall))
-        for cwe, metrics in report.per_cwe.items():
-            lines.append(_metrics_line(cwe, metrics))
+        for cwe, counts in report.per_cwe.items():
+            lines.append(_metrics_line(cwe, counts))
         lines.append(
             f"unevaluated={report.unevaluated_count} unmatched={report.unmatched_count} "
             f"total={report.total_findings}"
@@ -350,10 +333,10 @@ def write_report_csv(reports: dict[str, EvalReport], path: Path | str) -> None:
                     [
                         mode,
                         group,
-                        m.counts.tp,
-                        m.counts.fp,
-                        m.counts.tn,
-                        m.counts.fn,
+                        m.tp,
+                        m.fp,
+                        m.tn,
+                        m.fn,
                         f"{m.precision:.3f}",
                         f"{m.recall:.3f}",
                         f"{m.f1:.3f}",

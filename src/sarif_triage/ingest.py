@@ -179,11 +179,6 @@ class SarifDocument(NamedTuple):
     version: str
     results: tuple[SarifResult, ...]  # every run's, in file order
 
-    @property
-    def result_count(self) -> int:
-        return len(self.results)
-
-
 def _normalize_uri(uri: str) -> str:
     uri = uri.replace("\\", "/")
     if uri.startswith("file://"):
@@ -396,13 +391,6 @@ def compute_finding_id(
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def finding_id(f: Finding) -> str:
-    """Recompute the content id of a finding from its identity fields."""
-    return compute_finding_id(
-        f.rule_id, f.primary_location, (s.location for s in f.trace), f.origin_index
-    )
 
 
 def canonicalize(

@@ -81,6 +81,10 @@ _STAGE_FUNCTIONS = {
 }
 _module = sys.modules[__name__]
 
+# The rubric files shipped with the package: the ``rubrics`` package's own
+# directory, named without importing it.
+SHIPPED_RUBRIC_DIR = Path(__file__).with_name("rubrics")
+
 
 def __getattr__(name: str) -> Any:
     home = _STAGE_FUNCTIONS.get(name)
@@ -351,9 +355,7 @@ def stage_context(config: RunConfig, resume: bool = False) -> None:
 
 def stage_prompts(config: RunConfig, resume: bool = False) -> None:
     findings_path = _require("prompts", config.output_dir / "findings.jsonl", "ingest")
-    # The shipped rubrics are the ``rubrics`` package's files; naming their
-    # directory does not import it.
-    rubric_dir = Path(config.rubric_dir or Path(__file__).with_name("rubrics"))
+    rubric_dir = Path(config.rubric_dir or SHIPPED_RUBRIC_DIR)
     rubric_inputs = {
         f"rubric:{p.name}": _sha256_file(p) for p in sorted(rubric_dir.glob("*.rubric"))
     }

@@ -130,11 +130,6 @@ _PLACEHOLDER_RE = re.compile(
 )
 
 
-class AnnotatedTrace(NamedTuple):
-    rendered: str
-    step_count: int
-
-
 class PromptBundle(NamedTuple):
     finding_id: str
     mode: PromptMode
@@ -205,7 +200,7 @@ def _wrap_region(line: str, step: TraceStep) -> str:
     return f"{text[:start]}[[[{text[start:end]}]]]{text[end:]}"
 
 
-def render_trace(finding: Finding, ctx: CodeContext) -> AnnotatedTrace:
+def render_trace(finding: Finding, ctx: CodeContext) -> str:
     """Render the flow-annotated trace: one block per step with the source
     line, the highlighted region, and the analyzer's step message."""
     if not finding.trace:
@@ -218,7 +213,7 @@ def render_trace(finding: Finding, ctx: CodeContext) -> AnnotatedTrace:
             f"[{step.index}] {step.kind.value}: {header_body}\n"
             f"Message: {step.step_message}"
         )
-    return AnnotatedTrace(rendered="\n\n".join(blocks), step_count=len(finding.trace))
+    return "\n\n".join(blocks)
 
 
 def _render_segment(seg: ContextSegment) -> str:
@@ -283,7 +278,7 @@ def compile_prompt(
     annotated trace is never truncated.
     """
     if finding.trace:
-        trace_text = _fence_safe(render_trace(finding, ctx).rendered)
+        trace_text = _fence_safe(render_trace(finding, ctx))
     else:
         trace_text = "(no dataflow trace was reported for this alert)"
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -172,8 +171,3 @@ def rubric_for(cwe_id: str, store: dict[str, Rubric]) -> Rubric:
     """Exact CWE match, else the GENERIC fallback. Never fails on a store
     produced by ``load_rubrics``."""
     return store.get(cwe_id, store[GENERIC_ID])
-
-
-def default_rubric_dir() -> Path:
-    """Directory of the rubric files shipped with the package."""
-    return Path(str(resources.files(__package__)))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import signal
 import sys
 import threading
 import time
@@ -309,3 +310,67 @@ def test_worker_threads_are_bounded_by_parallelism_times_attempt_cap():
     assert [r.adjudication.attempt_count for r in results] == [2] * 40
     assert backend.peak <= 2
     assert len(backend.threads) <= 2 * 2
+
+
+class _InterruptingBackend(MockBackend):
+    """Records the tag of every ``complete`` call; call ``k`` runs ``on_k``
+    first. Every call takes ``delay_s``, so calls overlap at parallelism 2."""
+
+    def __init__(self, responses, k: int, on_k, delay_s: float = 0.01):
+        super().__init__(responses=responses)
+        self.k, self.on_k, self.delay_s = k, on_k, delay_s
+        self.calls: list[str] = []
+        self.calls_lock = threading.Lock()
+
+    def complete(self, request):
+        with self.calls_lock:
+            self.calls.append(request.tag)
+            n = len(self.calls)
+        if n == self.k:
+            self.on_k()
+        time.sleep(self.delay_s)
+        return super().complete(request)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_no_call_starts_after_a_backend_raises_keyboard_interrupt(k):
+    verdicts = {f"f{i}": "TRUE_POSITIVE" for i in range(40)}
+    interrupt = KeyboardInterrupt()
+
+    def raise_interrupt():
+        raise interrupt
+
+    backend = _InterruptingBackend(_oracle_script(verdicts), k, raise_interrupt)
+    with pytest.raises(KeyboardInterrupt) as caught:
+        adjudicate_all(
+            [_bundle(fid) for fid in verdicts], backend, parallelism=2, retry=NO_SLEEP
+        )
+    assert caught.value is interrupt
+    # Only the call already in flight in the other slot may follow call k.
+    assert len(backend.calls) <= k + 1
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+def test_no_call_starts_after_the_caller_receives_sigint():
+    verdicts = {f"f{i}": "TRUE_POSITIVE" for i in range(40)}
+    backend = _InterruptingBackend(
+        _oracle_script(verdicts), 5,
+        lambda: signal.pthread_kill(threading.main_thread().ident, signal.SIGINT),
+        delay_s=0.02,
+    )
+    seen_at: list[int] = []
+
+    def on_sigint(signum, frame):
+        seen_at.append(len(backend.calls))
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGINT, on_sigint)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            adjudicate_all(
+                [_bundle(fid) for fid in verdicts], backend, parallelism=2, retry=NO_SLEEP
+            )
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert len(seen_at) == 1
+    assert len(backend.calls) == seen_at[0]

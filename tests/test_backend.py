@@ -61,6 +61,20 @@ def test_mock_lookup_falls_back_to_finding_id_then_hash_then_default():
         send(_request(), backend, NO_SLEEP)
 
 
+def test_mock_hashes_the_prompt_only_when_tag_and_finding_id_miss(monkeypatch):
+    from sarif_triage import backend as backend_module
+
+    hashed = []
+    real = backend_module.prompt_sha256
+    monkeypatch.setattr(backend_module, "prompt_sha256",
+                        lambda *texts: hashed.append(texts) or real(*texts))
+    for script in ({"fid.OPTIMIZED": "by tag"}, {"fid": "by finding id"}):
+        assert send(_request(), MockBackend(responses=script), NO_SLEEP).text in script.values()
+    assert hashed == []
+    send(_request(), MockBackend(responses={}, default="fallback"), NO_SLEEP)
+    assert hashed == [("system text", "user text")]
+
+
 def test_mock_scripted_failures_then_success_counts_attempts():
     backend = MockBackend(
         responses={"fid.OPTIMIZED": {"response": "ok", "fail_first": 2}}

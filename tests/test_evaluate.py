@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -22,8 +23,9 @@ from sarif_triage.evaluate import (
     f1,
     f1_delta,
     match_truth,
-    metrics_from_counts,
+    render_report_text,
     score,
+    write_report_csv,
 )
 from sarif_triage.ingest import CodeLocation, Finding
 
@@ -65,7 +67,7 @@ def test_f1_reproduces_reported_values(p, r, expected):
 
 def test_f1_zero_denominators():
     assert f1(0.0, 0.0) == 0.0
-    zero = metrics_from_counts(ConfusionCounts())
+    zero = ConfusionCounts()
     assert zero.precision == 0.0 and zero.recall == 0.0 and zero.f1 == 0.0
 
 
@@ -98,20 +100,20 @@ def test_aggregate_micro_sums_counts_before_metrics():
     )
     overall = report.overall
     # Hand computation: tp=5, fp=1, fn=1 -> P = R = 5/6
-    assert overall.counts == ConfusionCounts(tp=5, fp=1, tn=0, fn=1)
+    assert overall == ConfusionCounts(tp=5, fp=1, tn=0, fn=1)
     assert overall.precision == pytest.approx(5 / 6)
     assert overall.recall == pytest.approx(5 / 6)
     assert overall.f1 == pytest.approx(5 / 6)
     per_cwe = report.per_cwe
-    assert per_cwe["CWE-089"].counts == ConfusionCounts(tp=2, fp=0, tn=0, fn=1)
-    assert per_cwe["CWE-079"].counts == ConfusionCounts(tp=3, fp=1, tn=0, fn=0)
+    assert per_cwe["CWE-089"] == ConfusionCounts(tp=2, fp=0, tn=0, fn=1)
+    assert per_cwe["CWE-079"] == ConfusionCounts(tp=3, fp=1, tn=0, fn=0)
 
 
 def test_empty_outcomes_give_zero_report():
     report = _report_of([])
     assert report.per_cwe == {}
-    assert report.overall == metrics_from_counts(ConfusionCounts())
-    assert metrics_from_counts(counts_from_outcomes([])).f1 == 0.0
+    assert report.overall == ConfusionCounts()
+    assert counts_from_outcomes([]).f1 == 0.0
 
 
 def test_single_group_equals_overall():
@@ -175,7 +177,7 @@ def test_ambiguous_triple_stays_unmatched():
 
     report = build_report(findings, [_ok("f1", Verdict.FALSE_POSITIVE)], truths, "OPTIMIZED")
     assert report.unmatched_count == 1
-    assert report.overall.counts.total == 0
+    assert report.overall.total == 0
 
 
 def test_build_report_conserves_counts_and_routes_statuses():
@@ -194,15 +196,15 @@ def test_build_report_conserves_counts_and_routes_statuses():
         AdjudicationResult(finding_id="f4", mode="OPTIMIZED", error="boom"),
     ]
     report = build_report(findings, results, truths, "OPTIMIZED")
-    counts = report.overall.counts
+    counts = report.overall
     assert (counts.tp, counts.fp, counts.tn, counts.fn) == (1, 1, 0, 1)
     assert report.unevaluated_count == 1
     assert report.unmatched_count == 1
     assert counts.total + report.unevaluated_count + report.unmatched_count == len(results)
     # overall equals the sum of per-CWE counts
     summed = ConfusionCounts()
-    for metrics in report.per_cwe.values():
-        summed = summed + metrics.counts
+    for cwe_counts in report.per_cwe.values():
+        summed = summed + cwe_counts
     assert summed == counts
 
 
@@ -218,19 +220,20 @@ def test_per_cwe_table_is_in_report_order():
     assert list(report.per_cwe) == ["CWE-022", "CWE-643", "CWE-ZZZ"]
 
 
+def counts_with_f1(value: float) -> ConfusionCounts:
+    """Counts whose F1 is ``value`` (three decimals): with no false negative,
+    F1 = 2tp / (2tp + fp), and 2tp + fp is 2000 here."""
+    tp = round(value * 1000)
+    return ConfusionCounts(tp=tp, fp=2000 - 2 * tp)
+
+
 def _report_with_f1(value, total=10, cwe_f1s=None):
-    counts = ConfusionCounts(tp=1)
-    metrics = metrics_from_counts(counts)
-    overall = type(metrics)(counts=counts, precision=value, recall=value, f1=value)
-    per_cwe = {}
-    for cwe, v in (cwe_f1s or {}).items():
-        per_cwe[cwe] = type(metrics)(counts=counts, precision=v, recall=v, f1=v)
     from sarif_triage.evaluate import EvalReport
 
     return EvalReport(
         mode="X",
-        overall=overall,
-        per_cwe=per_cwe,
+        overall=counts_with_f1(value),
+        per_cwe={cwe: counts_with_f1(v) for cwe, v in (cwe_f1s or {}).items()},
         unevaluated_count=0,
         unmatched_count=0,
         total_findings=total,
@@ -275,11 +278,99 @@ def test_f1_delta_rounds_to_three_decimals():
 def test_f1_bounds_hold_on_random_counts():
     rng = random.Random(20250808)
     for _ in range(200):
-        counts = ConfusionCounts(
+        m = ConfusionCounts(
             tp=rng.randint(0, 50), fp=rng.randint(0, 50),
             tn=rng.randint(0, 50), fn=rng.randint(0, 50),
         )
-        m = metrics_from_counts(counts)
         assert 0.0 <= m.f1 <= 1.0
         assert m.f1 <= max(m.precision, m.recall) + 1e-12
         assert m.f1 >= min(m.precision, m.recall) - 1e-12 or m.f1 == 0.0
+
+
+def _pinned_reports():
+    """Two modes over two CWEs: every outcome, one UNEVALUATED row (f6) and
+    one adjudicated row with no label (f7)."""
+    fp, tp = Verdict.FALSE_POSITIVE, Verdict.TRUE_POSITIVE
+    findings = [
+        _finding(f"f{i}", cwe="CWE-089" if i < 4 else "CWE-079", uri=f"F{i}.java")
+        for i in range(8)
+    ]
+    truths = [
+        GroundTruth(
+            label=Label.FALSE_POSITIVE if i in (0, 2, 4, 5) else Label.TRUE_VULNERABILITY,
+            finding_id=f"f{i}",
+        )
+        for i in range(7)
+    ]
+    verdicts = {
+        "OPTIMIZED": [fp, fp, tp, tp, fp, tp, None, tp],
+        "BASELINE": [fp, tp, tp, tp, tp, fp, None, fp],
+    }
+    reports = {}
+    for mode, row_verdicts in verdicts.items():
+        rows = [
+            AdjudicationResult(f"f{i}", mode, error="Exhausted: gave up")
+            if verdict is None
+            else _ok(f"f{i}", verdict, mode)
+            for i, verdict in enumerate(row_verdicts)
+        ]
+        reports[mode] = build_report(findings, rows, truths, mode)
+    return reports
+
+
+def test_report_text_csv_and_dict_are_pinned_byte_for_byte(tmp_path):
+    reports = _pinned_reports()
+    deltas = compare_modes(reports["BASELINE"], reports["OPTIMIZED"])
+    assert render_report_text(reports, deltas) == (
+        "== BASELINE ==\n"
+        "overall        tp=2     fp=0     tn=2     fn=2     P=1.000 R=0.500 F1=0.667\n"
+        "CWE-079        tp=1     fp=0     tn=0     fn=1     P=1.000 R=0.500 F1=0.667\n"
+        "CWE-089        tp=1     fp=0     tn=2     fn=1     P=1.000 R=0.500 F1=0.667\n"
+        "unevaluated=1 unmatched=1 total=8\n"
+        "\n"
+        "== OPTIMIZED ==\n"
+        "overall        tp=2     fp=1     tn=1     fn=2     P=0.667 R=0.500 F1=0.571\n"
+        "CWE-079        tp=1     fp=0     tn=0     fn=1     P=1.000 R=0.500 F1=0.667\n"
+        "CWE-089        tp=1     fp=1     tn=1     fn=1     P=0.500 R=0.500 F1=0.500\n"
+        "unevaluated=1 unmatched=1 total=8\n"
+        "\n"
+        "== mode delta (optimized - baseline F1) ==\n"
+        "overall        baseline=0.667 optimized=0.571 delta=-0.095\n"
+        "CWE-079        baseline=0.667 optimized=0.667 delta=+0.000\n"
+        "CWE-089        baseline=0.667 optimized=0.500 delta=-0.167\n"
+    )
+
+    csv_path = tmp_path / "report.csv"
+    write_report_csv(reports, csv_path)
+    assert csv_path.read_bytes() == (
+        b"mode,group,tp,fp,tn,fn,precision,recall,f1\r\n"
+        b"BASELINE,overall,2,0,2,2,1.000,0.500,0.667\r\n"
+        b"BASELINE,CWE-079,1,0,0,1,1.000,0.500,0.667\r\n"
+        b"BASELINE,CWE-089,1,0,2,1,1.000,0.500,0.667\r\n"
+        b"OPTIMIZED,overall,2,1,1,2,0.667,0.500,0.571\r\n"
+        b"OPTIMIZED,CWE-079,1,0,0,1,1.000,0.500,0.667\r\n"
+        b"OPTIMIZED,CWE-089,1,1,1,1,0.500,0.500,0.500\r\n"
+    )
+
+    assert json.dumps(reports["BASELINE"].to_dict()) == (
+        '{"mode": "BASELINE", '
+        '"overall": {"tp": 2, "fp": 0, "tn": 2, "fn": 2, '
+        '"precision": 1.0, "recall": 0.5, "f1": 0.6666666666666666}, '
+        '"per_cwe": {'
+        '"CWE-079": {"tp": 1, "fp": 0, "tn": 0, "fn": 1, '
+        '"precision": 1.0, "recall": 0.5, "f1": 0.6666666666666666}, '
+        '"CWE-089": {"tp": 1, "fp": 0, "tn": 2, "fn": 1, '
+        '"precision": 1.0, "recall": 0.5, "f1": 0.6666666666666666}}, '
+        '"unevaluated_count": 1, "unmatched_count": 1, "total_findings": 8}'
+    )
+    assert json.dumps(reports["OPTIMIZED"].to_dict()) == (
+        '{"mode": "OPTIMIZED", '
+        '"overall": {"tp": 2, "fp": 1, "tn": 1, "fn": 2, '
+        '"precision": 0.6666666666666666, "recall": 0.5, "f1": 0.5714285714285715}, '
+        '"per_cwe": {'
+        '"CWE-079": {"tp": 1, "fp": 0, "tn": 0, "fn": 1, '
+        '"precision": 1.0, "recall": 0.5, "f1": 0.6666666666666666}, '
+        '"CWE-089": {"tp": 1, "fp": 1, "tn": 1, "fn": 1, '
+        '"precision": 0.5, "recall": 0.5, "f1": 0.5}}, '
+        '"unevaluated_count": 1, "unmatched_count": 1, "total_findings": 8}'
+    )

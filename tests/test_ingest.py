@@ -15,7 +15,6 @@ from sarif_triage.ingest import (
     StepKind,
     canonicalize,
     compute_finding_id,
-    finding_id,
     normalize_cwe,
     parse_sarif,
 )
@@ -74,7 +73,7 @@ def _flow(steps):
 
 def test_empty_runs_yield_zero_results():
     doc = parse_sarif('{"version": "2.1.0", "runs": []}')
-    assert doc.result_count == 0
+    assert doc.results == ()
     assert canonicalize(doc) == []
 
 
@@ -152,7 +151,13 @@ def test_byte_identical_results_get_distinct_ids():
 
 
 def test_finding_id_is_deterministic_and_sensitive(owasp_finding):
-    assert finding_id(owasp_finding) == owasp_finding.finding_id
+    same = compute_finding_id(
+        owasp_finding.rule_id,
+        owasp_finding.primary_location,
+        [s.location for s in owasp_finding.trace],
+        owasp_finding.origin_index,
+    )
+    assert same == owasp_finding.finding_id
     loc = owasp_finding.trace[0].location
     moved = CodeLocation(loc.uri, loc.start_line + 1, loc.end_line + 1, loc.start_column, loc.end_column)
     changed = compute_finding_id(

@@ -17,9 +17,10 @@ from sarif_triage.prompts import (
     prompt_sha256,
     render_trace,
 )
-from sarif_triage.rubrics import default_rubric_dir, load_rubrics, rubric_for
+from sarif_triage.pipeline import SHIPPED_RUBRIC_DIR
+from sarif_triage.rubrics import load_rubrics, rubric_for
 
-RUBRICS = load_rubrics(default_rubric_dir())
+RUBRICS = load_rubrics(SHIPPED_RUBRIC_DIR)
 
 
 def split_fences(user_text: str) -> tuple[str, str]:
@@ -46,14 +47,12 @@ def owasp_ctx(owasp_finding):
 
 
 def test_trace_render_matches_golden_listing(owasp_finding, owasp_ctx):
-    rendered = render_trace(owasp_finding, owasp_ctx).rendered
+    rendered = render_trace(owasp_finding, owasp_ctx)
     assert rendered + "\n" == GOLDEN_TRACE.read_text(encoding="utf-8")
 
 
 def test_trace_render_structure(owasp_finding, owasp_ctx):
-    trace = render_trace(owasp_finding, owasp_ctx)
-    assert trace.step_count == 4
-    lines = trace.rendered.split("\n")
+    lines = render_trace(owasp_finding, owasp_ctx).split("\n")
     assert sum(1 for l in lines if l.startswith("[1] SOURCE:")) == 1
     assert sum(1 for l in lines if "SINK:" in l) == 1
     assert sum(1 for l in lines if l.startswith("Message:")) == 4
@@ -78,24 +77,24 @@ def test_single_step_trace_renders_source_only():
     finding = _single_step_finding()
     ctx = extract_context(finding, SourceSnapshot(JAVA_DIR))
     trace = render_trace(finding, ctx)
-    assert trace.step_count == 1
-    assert trace.rendered.startswith("[1] SOURCE: ")
-    assert "SINK" not in trace.rendered
-    assert "[2]" not in trace.rendered
+    assert trace.count("\nMessage: ") == 1
+    assert trace.startswith("[1] SOURCE: ")
+    assert "SINK" not in trace
+    assert "[2]" not in trace
 
 
 def test_step_without_columns_wraps_whole_line():
     finding = _single_step_finding()
     ctx = extract_context(finding, SourceSnapshot(JAVA_DIR))
-    first_line = render_trace(finding, ctx).rendered.split("\n")[0]
+    first_line = render_trace(finding, ctx).split("\n")[0]
     assert first_line == "[1] SOURCE: [[[return a + 1;]]]"
 
 
 def test_missing_step_line_renders_unavailable_and_continues(owasp_finding):
     empty_ctx = extract_context(owasp_finding, SourceSnapshot(JAVA_DIR))  # wrong tree: files absent
     trace = render_trace(owasp_finding, empty_ctx)
-    assert trace.step_count == 4
-    assert f"[1] SOURCE: {LINE_UNAVAILABLE}" in trace.rendered
+    assert trace.count("\nMessage: ") == 4
+    assert f"[1] SOURCE: {LINE_UNAVAILABLE}" in trace
 
 
 def test_compile_is_deterministic(owasp_finding, owasp_ctx):
@@ -220,5 +219,5 @@ def test_budget_elides_longest_intermediate_first_and_never_the_trace(tmp_path):
     trimmed = compile_prompt(finding, ctx, rubric, PromptMode.OPTIMIZED, char_budget=budget)
     assert len(trimmed.user_text) <= budget
     assert "int v20" not in trimmed.user_text  # intermediate body elided
-    trace_text = render_trace(finding, ctx).rendered
+    trace_text = render_trace(finding, ctx)
     assert trace_text in trimmed.user_text  # the trace is never truncated

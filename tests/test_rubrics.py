@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from sarif_triage.pipeline import SHIPPED_RUBRIC_DIR
 from sarif_triage.rubrics import (
     GENERIC_ID,
     SHIPPED_CWES,
     InvalidRubric,
     RubricTag,
-    default_rubric_dir,
     load_rubrics,
     parse_rubric_text,
     rubric_for,
@@ -16,7 +16,7 @@ from sarif_triage.rubrics import (
 
 @pytest.fixture(scope="module")
 def store():
-    return load_rubrics(default_rubric_dir())
+    return load_rubrics(SHIPPED_RUBRIC_DIR)
 
 
 def test_shipped_directory_loads_ten_cwes_plus_generic(store):
@@ -62,7 +62,7 @@ def test_lookup_exact_then_generic_fallback(store):
 
 
 def test_loading_is_order_independent(store):
-    again = load_rubrics(default_rubric_dir())
+    again = load_rubrics(SHIPPED_RUBRIC_DIR)
     assert again == store
 
 

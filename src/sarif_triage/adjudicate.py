@@ -9,6 +9,7 @@ fails is marked UNEVALUATED, never dropped.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from enum import Enum
 from typing import Any, Mapping, NamedTuple
@@ -127,23 +128,6 @@ class AdjudicationResult(NamedTuple):
         )
 
 
-class AuditRecord(NamedTuple):
-    finding_id: str
-    mode: str
-    prompt_sha256: str
-    model: str
-    requested_at: str  # ISO-8601 UTC
-    raw_response: str | None
-    status: str
-    parsed: dict[str, Any] | None
-    error: str | None
-    latency_ms: int
-    attempt_count: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return self._asdict()
-
-
 def _extract_outer_object(raw: str) -> str:
     """Outermost brace-delimited substring, found with a string-aware scan
     so braces inside JSON strings do not end the object early."""
@@ -236,10 +220,6 @@ def validate_response(
     )
 
 
-def _utc_now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
-
-
 def _adjudicate_one(
     bundle: PromptBundle,
     backend: Backend,
@@ -247,55 +227,48 @@ def _adjudicate_one(
     retry: RetryPolicy,
     slots: CallSlots,
     max_output_chars: int,
-) -> tuple[AdjudicationResult, AuditRecord]:
+) -> tuple[AdjudicationResult, dict[str, Any]]:
+    """The result for one bundle and its audit record, the dict written to
+    ``audit/<fid>.<mode>.json``."""
     mode = bundle.mode.value
-    requested_at = _utc_now()
-    request = BackendRequest(
-        model=model,
-        system_text=bundle.system_text,
-        user_text=bundle.user_text,
-        tag=f"{bundle.finding_id}.{mode}",
-    )
-    raw: str | None = None
-    latency_ms = 0
-    attempts = 0
+    audit: dict[str, Any] = {
+        "finding_id": bundle.finding_id,
+        "mode": mode,
+        "prompt_sha256": bundle.prompt_sha256,
+        "model": model,
+        "requested_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
+        "raw_response": None,
+        "status": STATUS_UNEVALUATED,
+        "parsed": None,
+        "error": None,
+        "latency_ms": 0,
+        "attempt_count": 0,
+    }
+    request = BackendRequest(model, bundle.system_text, bundle.user_text,
+                             tag=f"{bundle.finding_id}.{mode}")
     adjudication: Adjudication | None = None
-    error: str | None = None
-    parsed: dict[str, Any] | None = None
     try:
         reply = send(request, backend, retry, slots)
-        raw, latency_ms, attempts = reply.text, reply.latency_ms, reply.attempt_count
-        if len(raw) > max_output_chars:
+        audit.update(raw_response=reply.text, latency_ms=reply.latency_ms,
+                     attempt_count=reply.attempt_count)
+        if len(reply.text) > max_output_chars:
             raise ResponseValidationError(
-                f"response is {len(raw)} chars, limit is {max_output_chars}"
+                f"response is {len(reply.text)} chars, limit is {max_output_chars}"
             )
-        adjudication = validate_response(raw, latency_ms=latency_ms, attempt_count=attempts)
-        parsed = {
+        adjudication = validate_response(reply.text, reply.latency_ms, reply.attempt_count)
+        audit["status"] = STATUS_OK
+        audit["parsed"] = {
             "verdict": adjudication.verdict.value,
             "confidence": adjudication.confidence.value,
             "reasoning": adjudication.reasoning,
             "salvaged": adjudication.salvaged,
         }
-    except (BackendError, ResponseValidationError) as exc:
-        error = f"{type(exc).__name__}: {exc}"
-
-    result_row = AdjudicationResult(
-        finding_id=bundle.finding_id, mode=mode, adjudication=adjudication, error=error
-    )
-    audit = AuditRecord(
-        finding_id=bundle.finding_id,
-        mode=mode,
-        prompt_sha256=bundle.prompt_sha256,
-        model=model,
-        requested_at=requested_at,
-        raw_response=raw,
-        status=result_row.status,
-        parsed=parsed,
-        error=error,
-        latency_ms=latency_ms,
-        attempt_count=attempts,
-    )
-    return result_row, audit
+    except BackendError as exc:
+        audit.update(error=f"{type(exc).__name__}: {exc}", attempt_count=exc.attempt_count)
+    except ResponseValidationError as exc:
+        audit["error"] = f"{type(exc).__name__}: {exc}"
+    result = AdjudicationResult(bundle.finding_id, mode, adjudication, audit["error"])
+    return result, audit
 
 
 def adjudicate_all(
@@ -305,38 +278,53 @@ def adjudicate_all(
     model: str = "mock",
     retry: RetryPolicy | None = None,
     max_output_chars: int = 16384,
-) -> tuple[list[AdjudicationResult], list[AuditRecord]]:
-    """Adjudicate every bundle exactly once.
+) -> tuple[list[AdjudicationResult], list[dict[str, Any]]]:
+    """Adjudicate every bundle exactly once: the results and their audit
+    records, in input order regardless of completion order.
 
     At most ``parallelism`` calls are in flight: ``send`` holds one of
     ``parallelism`` slots only while the backend call runs, so a backoff
     between retries holds none. Up to ``parallelism * retry.attempt_cap``
-    threads run, enough for others to fill the slots while some wait. Once
-    a call or the caller sees an interrupt (Ctrl-C), no further call starts
-    and the interrupt propagates. Output order equals input order regardless
-    of completion order, and one audit record exists per bundle whatever
-    happens.
+    daemon threads run, enough for others to fill the slots while some wait.
+    The first exception other than a ``BackendError`` that a call, a worker
+    or the caller meets (a bug, Ctrl-C) stops the run: no further call
+    starts, and that exception leaves at once, without waiting for the
+    calls in flight or the backoffs in progress.
     """
-    # Imported here: evaluate reads this module's rows and never needs a pool.
-    from concurrent.futures import ThreadPoolExecutor
-
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     retry = retry or RetryPolicy()
     slots = CallSlots(parallelism)
+    pairs: list[Any] = [None] * len(bundles)
+    cursor = iter(range(len(bundles)))
+    cursor_lock = threading.Lock()  # one index per thread, GIL or not
+    ended = threading.Semaphore(0)
 
-    def work(bundle: PromptBundle) -> tuple[AdjudicationResult, AuditRecord]:
-        return _adjudicate_one(bundle, backend, model, retry, slots, max_output_chars)
+    def work() -> None:
+        try:
+            while slots.failure is None:
+                with cursor_lock:
+                    i = next(cursor, None)
+                if i is None:
+                    return
+                pairs[i] = _adjudicate_one(
+                    bundles[i], backend, model, retry, slots, max_output_chars
+                )
+        except BaseException as exc:
+            slots.fail(exc)
+        finally:
+            ended.release()
 
     workers = max(1, min(len(bundles), parallelism * retry.attempt_cap))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            pairs = list(pool.map(work, bundles))
-        except BaseException as exc:
-            slots.stop_if_interrupt(exc)  # Ctrl-C reached the caller
-            raise
-
-    results = [pair[0] for pair in pairs]
-    audits = [pair[1] for pair in pairs]
-    return results, audits
-
+    try:
+        for _ in range(workers):
+            threading.Thread(target=work, daemon=True).start()
+        for _ in range(workers):
+            ended.acquire()
+            if slots.failure is not None:
+                break
+    except BaseException as exc:  # Ctrl-C reached the caller
+        slots.fail(exc)
+    if slots.failure is not None:
+        raise slots.failure
+    return [pair[0] for pair in pairs], [pair[1] for pair in pairs]

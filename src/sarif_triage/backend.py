@@ -48,7 +48,11 @@ if TYPE_CHECKING:
 
 
 class BackendError(Exception):
-    """Base class for backend failures; not retryable by itself."""
+    """Base class for backend failures; not retryable by itself.
+    ``attempt_count`` is the number of backend calls ``send`` made before
+    this error left it."""
+
+    attempt_count = 0
 
 
 class TransportError(BackendError):
@@ -96,29 +100,33 @@ class RetryPolicy(NamedTuple):
 
 
 class CallSlots:
-    """The in-flight limit: at most ``limit`` backend calls run at once.
+    """The in-flight limit and a run's one stop rule.
 
-    Once a call, or the caller through ``stop_if_interrupt``, has seen a
-    ``BaseException`` that is not an ``Exception`` (Ctrl-C, ``SystemExit``),
-    no call starts: taking a slot raises ``BackendError``.
+    At most ``limit`` backend calls run at once. ``failure`` holds the first
+    exception other than a ``BackendError`` that a call in a slot raised or
+    ``fail`` was given (a bug, Ctrl-C); from then on no call starts: taking
+    a slot raises ``BackendError``.
     """
 
     def __init__(self, limit: int = 1):
         self._free = threading.BoundedSemaphore(limit)
-        self._stopped = False
+        self._lock = threading.Lock()
+        self.failure: BaseException | None = None
 
-    def stop_if_interrupt(self, exc: BaseException | None) -> None:
-        if exc is not None and not isinstance(exc, Exception):
-            self._stopped = True
+    def fail(self, exc: BaseException | None) -> None:
+        if exc is not None and not isinstance(exc, BackendError):
+            with self._lock:
+                if self.failure is None:
+                    self.failure = exc
 
     def __enter__(self) -> None:
         self._free.acquire()
-        if self._stopped:
+        if self.failure is not None:
             self._free.release()
-            raise BackendError("not started: the run was interrupted")
+            raise BackendError("not started: the run was stopped")
 
     def __exit__(self, kind: type | None, exc: BaseException | None, tb: Any) -> None:
-        self.stop_if_interrupt(exc)  # before a waiting call can take the slot
+        self.fail(exc)  # before a waiting call can take the slot
         self._free.release()
 
 
@@ -132,25 +140,32 @@ def send(
     exponential backoff up to ``retry.attempt_cap`` attempts. A rate limit
     waits for the longer of the backoff and the provider's ``retry_after_s``.
     Each attempt holds one of ``slots`` while the backend call runs, and
-    none while it backs off."""
+    none while it backs off. A ``BackendError`` that leaves carries the
+    number of calls made in ``attempt_count``."""
     retry = retry or RetryPolicy()
     slots = slots or CallSlots()
+    calls = 0
     last_error: BackendError | None = None
-    for attempt in range(1, retry.attempt_cap + 1):
-        try:
-            with slots:
-                reply = backend.complete(request)
-            return reply._replace(attempt_count=attempt)
-        except (TransportError, RateLimited) as exc:
-            last_error = exc
-            if attempt < retry.attempt_cap:
-                wait = retry.backoff_base_s * (2 ** (attempt - 1))
-                if isinstance(exc, RateLimited):
-                    wait = max(wait, exc.retry_after_s)
-                retry.sleep(wait)
-    raise Exhausted(
-        f"gave up after {retry.attempt_cap} attempts: {last_error}"
-    ) from last_error
+    try:
+        for attempt in range(1, retry.attempt_cap + 1):
+            try:
+                with slots:
+                    calls += 1
+                    reply = backend.complete(request)
+                return reply._replace(attempt_count=calls)
+            except (TransportError, RateLimited) as exc:
+                last_error = exc
+                if attempt < retry.attempt_cap:
+                    wait = retry.backoff_base_s * (2 ** (attempt - 1))
+                    if isinstance(exc, RateLimited):
+                        wait = max(wait, exc.retry_after_s)
+                    retry.sleep(wait)
+        raise Exhausted(
+            f"gave up after {retry.attempt_cap} attempts: {last_error}"
+        ) from last_error
+    except BackendError as exc:
+        exc.attempt_count = calls
+        raise
 
 
 class Backend:
@@ -259,6 +274,7 @@ class HttpBackend(Backend):
             self._headers.update(self._proxy_headers)
         self._ssl = ssl.create_default_context() if self._https else None
         self._idle: list[http.client.HTTPConnection] = []
+        self._closed = False
         self._lock = threading.Lock()
 
     def _connect(self) -> http.client.HTTPConnection:
@@ -294,15 +310,18 @@ class HttpBackend(Backend):
         except (OSError, self._http.HTTPException) as exc:
             conn.close()
             raise TransportError(f"{type(exc).__name__}: {exc}") from exc
-        if response.will_close:
-            conn.close()
-        else:
-            with self._lock:
+        with self._lock:
+            keep = not (response.will_close or self._closed)
+            if keep:
                 self._idle.append(conn)
+        if not keep:
+            conn.close()
         return response, data
 
     def close(self) -> None:
+        """Close the pooled connections now and each other one as its call ends."""
         with self._lock:
+            self._closed = True
             idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()

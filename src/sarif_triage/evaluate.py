@@ -93,6 +93,11 @@ class EvalReport(NamedTuple):
     unmatched_count: int
     total_findings: int
 
+    def groups(self) -> list[tuple[str, ConfusionCounts]]:
+        """``overall``, then each CWE in the order ``per_cwe`` holds them
+        (``build_report`` stores them in reporting order)."""
+        return [("overall", self.overall), *self.per_cwe.items()]
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "mode": self.mode,
@@ -262,26 +267,11 @@ def compare_modes(
         )
     if set(report_baseline.per_cwe) != set(report_optimized.per_cwe):
         raise MismatchedSets("per-CWE groups differ between reports")
-    rows = [
-        DeltaRow(
-            group="overall",
-            baseline_f1=report_baseline.overall.f1,
-            optimized_f1=report_optimized.overall.f1,
-            delta=f1_delta(report_baseline.overall.f1, report_optimized.overall.f1),
-        )
+    optimized = dict(report_optimized.groups())
+    return [
+        DeltaRow(group, base.f1, optimized[group].f1, f1_delta(base.f1, optimized[group].f1))
+        for group, base in report_baseline.groups()
     ]
-    for cwe in sorted(report_baseline.per_cwe, key=cwe_sort_key):
-        base = report_baseline.per_cwe[cwe]
-        opt = report_optimized.per_cwe[cwe]
-        rows.append(
-            DeltaRow(
-                group=cwe,
-                baseline_f1=base.f1,
-                optimized_f1=opt.f1,
-                delta=f1_delta(base.f1, opt.f1),
-            )
-        )
-    return rows
 
 
 def _metrics_line(name: str, m: ConfusionCounts) -> str:
@@ -298,9 +288,7 @@ def render_report_text(
     for mode in sorted(reports):
         report = reports[mode]
         lines.append(f"== {mode} ==")
-        lines.append(_metrics_line("overall", report.overall))
-        for cwe, counts in report.per_cwe.items():
-            lines.append(_metrics_line(cwe, counts))
+        lines.extend(_metrics_line(group, counts) for group, counts in report.groups())
         lines.append(
             f"unevaluated={report.unevaluated_count} unmatched={report.unmatched_count} "
             f"total={report.total_findings}"
@@ -326,19 +314,6 @@ def write_report_csv(reports: dict[str, EvalReport], path: Path | str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["mode", "group", "tp", "fp", "tn", "fn", "precision", "recall", "f1"])
         for mode in sorted(reports):
-            report = reports[mode]
-            rows = [("overall", report.overall)] + list(report.per_cwe.items())
-            for group, m in rows:
-                writer.writerow(
-                    [
-                        mode,
-                        group,
-                        m.tp,
-                        m.fp,
-                        m.tn,
-                        m.fn,
-                        f"{m.precision:.3f}",
-                        f"{m.recall:.3f}",
-                        f"{m.f1:.3f}",
-                    ]
-                )
+            for group, m in reports[mode].groups():
+                writer.writerow([mode, group, m.tp, m.fp, m.tn, m.fn,
+                                 f"{m.precision:.3f}", f"{m.recall:.3f}", f"{m.f1:.3f}"])

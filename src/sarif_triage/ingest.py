@@ -175,10 +175,6 @@ class SarifResult(NamedTuple):
     code_flow_count: int
 
 
-class SarifDocument(NamedTuple):
-    version: str
-    results: tuple[SarifResult, ...]  # every run's, in file order
-
 def _normalize_uri(uri: str) -> str:
     uri = uri.replace("\\", "/")
     if uri.startswith("file://"):
@@ -327,8 +323,8 @@ def _parse_result(obj: Any, where: str, rule_cwes: Mapping[str, str]) -> SarifRe
     )
 
 
-def parse_sarif(raw: bytes | str) -> SarifDocument:
-    """Parse a SARIF 2.1.0 document.
+def parse_sarif(raw: bytes | str) -> tuple[SarifResult, ...]:
+    """Parse a SARIF 2.1.0 document into every run's results, in file order.
 
     Raises ``MalformedJson`` for byte streams that are not JSON and
     ``NotSarif`` for JSON that violates the SARIF shape this pipeline
@@ -355,8 +351,7 @@ def parse_sarif(raw: bytes | str) -> SarifDocument:
         raise NotSarif("top-level value is not an object")
     if "runs" not in data or not isinstance(data["runs"], list):
         raise NotSarif("missing `runs` array")
-    version = data.get("version")
-    if not isinstance(version, str) or not version:
+    if not isinstance(data.get("version"), str) or not data["version"]:
         raise NotSarif("missing `version` string")
 
     results: list[SarifResult] = []
@@ -369,7 +364,7 @@ def parse_sarif(raw: bytes | str) -> SarifDocument:
             _parse_result(res, f"{where}.results[{i}]", rule_cwes)
             for i, res in enumerate(_items(run, "results", where))
         )
-    return SarifDocument(version=version, results=tuple(results))
+    return tuple(results)
 
 
 def compute_finding_id(
@@ -394,9 +389,9 @@ def compute_finding_id(
 
 
 def canonicalize(
-    doc: SarifDocument, cwe_map: Mapping[str, str] | None = None
+    results: Iterable[SarifResult], cwe_map: Mapping[str, str] | None = None
 ) -> list[Finding]:
-    """Canonicalize every result of ``doc`` into a ``Finding``.
+    """Canonicalize every result ``parse_sarif`` returned into a ``Finding``.
 
     One finding per result, in file order. The CWE id is resolved from the
     rule's driver metadata tags, then from ``cwe_map``, else degrades to
@@ -404,7 +399,7 @@ def canonicalize(
     """
     cwe_map = cwe_map or {}
     findings: list[Finding] = []
-    for origin_index, result in enumerate(doc.results):
+    for origin_index, result in enumerate(results):
         cwe = result.cwe_id
         if cwe is None:
             fallback = cwe_map.get(result.rule_id)

@@ -292,8 +292,8 @@ def stage_ingest(config: RunConfig, resume: bool = False) -> None:
     }
 
     def body() -> list[Path]:
-        doc = _module.parse_sarif(config.sarif_path.read_bytes())
-        findings = _module.canonicalize(doc, config.cwe_map)
+        results = _module.parse_sarif(config.sarif_path.read_bytes())
+        findings = _module.canonicalize(results, config.cwe_map)
         return [write_rows(config.output_dir / "findings.jsonl", (f.to_dict() for f in findings))]
 
     _run_stage(config, "ingest", resume, inputs, body)
@@ -464,10 +464,9 @@ def stage_adjudicate(
         audit_dir.mkdir(parents=True, exist_ok=True)
         # Audit writing is serialized here, one record per (finding, mode).
         for record in audits:
-            path = audit_dir / f"{record.finding_id}.{record.mode.lower()}.json"
+            path = audit_dir / f"{record['finding_id']}.{record['mode'].lower()}.json"
             path.write_text(
-                json.dumps(record.to_dict(), ensure_ascii=False, indent=2) + "\n",
-                encoding="utf-8",
+                json.dumps(record, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
             )
             outputs.append(path)
         return outputs

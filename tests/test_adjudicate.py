@@ -20,7 +20,7 @@ from sarif_triage.adjudicate import (
     adjudicate_all,
     validate_response,
 )
-from sarif_triage.backend import MockBackend, RetryPolicy
+from sarif_triage.backend import BackendError, MockBackend, RateLimited, RetryPolicy
 from sarif_triage.pipeline import read_rows, write_rows
 from sarif_triage.prompts import PromptBundle, PromptMode, prompt_sha256
 
@@ -115,8 +115,8 @@ def test_adjudicate_all_matches_scripted_labels():
     assert [r.adjudication.verdict.value for r in results] == list(verdicts.values())
     assert len(audits) == len(bundles)
     for audit, bundle in zip(audits, bundles):
-        assert audit.prompt_sha256 == bundle.prompt_sha256
-        assert audit.status == STATUS_OK
+        assert audit["prompt_sha256"] == bundle.prompt_sha256
+        assert audit["status"] == STATUS_OK
 
 
 def _flaky_script(verdicts: dict[str, str]) -> dict:
@@ -162,8 +162,8 @@ def test_overflow_yields_unevaluated_placeholder_not_a_drop():
     assert [r.status for r in results] == [STATUS_OK, STATUS_UNEVALUATED, STATUS_OK]
     assert results[1].error is not None and "ContextOverflow" in results[1].error
     assert len(audits) == 3
-    assert audits[1].status == STATUS_UNEVALUATED
-    assert audits[1].raw_response is None
+    assert audits[1]["status"] == STATUS_UNEVALUATED
+    assert audits[1]["raw_response"] is None
 
 
 def test_validation_failure_is_unevaluated_with_audit_detail():
@@ -171,8 +171,8 @@ def test_validation_failure_is_unevaluated_with_audit_detail():
     results, audits = adjudicate_all([_bundle("f1")], backend, retry=NO_SLEEP)
     assert results[0].status == STATUS_UNEVALUATED
     assert "NotJson" in results[0].error
-    assert audits[0].raw_response == "not json"
-    assert audits[0].parsed is None
+    assert audits[0]["raw_response"] == "not json"
+    assert audits[0]["parsed"] is None
 
 
 def test_retry_metadata_lands_in_the_adjudication():
@@ -187,7 +187,22 @@ def test_retry_metadata_lands_in_the_adjudication():
     backend = MockBackend(responses=script)
     results, audits = adjudicate_all([_bundle("f1")], backend, retry=NO_SLEEP)
     assert results[0].adjudication.attempt_count == 3
-    assert audits[0].attempt_count == 3
+    assert audits[0]["attempt_count"] == 3
+
+
+def test_a_failed_call_audits_the_requests_it_made():
+    class Malformed(MockBackend):
+        def complete(self, request):
+            super().complete(request)  # the scripted transport failures first
+            raise BackendError("malformed completion response")
+
+    script = {"f1": {"response": "ok", "fail_first": 99}, "f2": {"response": "ok", "fail_first": 1}}
+    results, audits = adjudicate_all([_bundle("f1"), _bundle("f2")], Malformed(responses=script),
+                                     retry=NO_SLEEP)
+    assert [r.error.split(":", 1)[0] for r in results] == ["Exhausted", "BackendError"]
+    assert [a["attempt_count"] for a in audits] == [NO_SLEEP.attempt_cap, 2]
+    assert [a["status"] for a in audits] == [STATUS_UNEVALUATED] * 2
+    assert "attempt_count" not in results[0].to_dict()
 
 
 def test_oversized_reply_is_rejected():
@@ -275,7 +290,7 @@ def test_a_backoff_does_not_hold_a_slot():
     )
     assert waited == [True]
     assert [r.status for r in results] == [STATUS_OK, STATUS_OK]
-    assert [a.attempt_count for a in audits] == [2, 1]
+    assert [a["attempt_count"] for a in audits] == [2, 1]
 
 
 def test_in_flight_calls_never_exceed_parallelism_while_retrying():
@@ -374,3 +389,100 @@ def test_no_call_starts_after_the_caller_receives_sigint():
         signal.signal(signal.SIGINT, previous)
     assert len(seen_at) == 1
     assert len(backend.calls) == seen_at[0]
+
+
+def test_a_bug_in_one_call_stops_the_run_at_once():
+    verdicts = {f"f{i}": "TRUE_POSITIVE" for i in range(40)}
+    bug = RuntimeError("bug in the backend")
+
+    def raise_bug():
+        raise bug
+
+    backend = _InterruptingBackend(_oracle_script(verdicts), 5, raise_bug)
+    with pytest.raises(RuntimeError) as caught:
+        adjudicate_all(
+            [_bundle(fid) for fid in verdicts], backend, parallelism=2, retry=NO_SLEEP
+        )
+    assert caught.value is bug
+    # Only the call already in flight in the other slot may follow call 5.
+    assert len(backend.calls) <= 6
+
+
+def _throttled(wake: threading.Event, on_backoff) -> RetryPolicy:
+    """A policy whose backoff runs ``on_backoff`` and then waits the full
+    time unless ``wake`` is set, which lets the test end its workers."""
+
+    def sleep(seconds):
+        on_backoff()
+        wake.wait(seconds)
+
+    return RetryPolicy(attempt_cap=4, backoff_base_s=0.0, sleep=sleep)
+
+
+class _ThrottlingBackend(MockBackend):
+    """Throttles every call with ``Retry-After: 3``, except ``f0``'s, which
+    runs ``on_f0`` instead."""
+
+    def __init__(self, on_f0=None):
+        super().__init__(responses={})
+        self.on_f0 = on_f0
+
+    def complete(self, request):
+        if self.on_f0 is not None and request.tag.startswith("f0."):
+            self.on_f0()
+        raise RateLimited("HTTP 429", retry_after_s=3.0)
+
+
+def test_an_interrupt_in_one_call_does_not_wait_out_the_others_backoffs():
+    backing_off = threading.Semaphore(0)
+    wake = threading.Event()
+    raised_at: list[float] = []
+
+    def interrupt_once_the_others_back_off():
+        for _ in range(3):
+            assert backing_off.acquire(timeout=5)
+        raised_at.append(time.monotonic())
+        raise KeyboardInterrupt
+
+    bundles = [_bundle(f"f{i}") for i in range(4)]
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            adjudicate_all(bundles, _ThrottlingBackend(interrupt_once_the_others_back_off),
+                           parallelism=2, retry=_throttled(wake, backing_off.release))
+        reached_at = time.monotonic()
+    finally:
+        wake.set()
+    assert reached_at - raised_at[0] < 1.0
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+def test_a_sigint_during_a_backoff_reaches_the_caller_at_once():
+    wake = threading.Event()
+    sent_at: list[float] = []
+
+    def send_sigint():
+        sent_at.append(time.monotonic())
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+    # Sent a little into the first backoff, once every worker has started.
+    timer = threading.Timer(0.1, send_sigint)
+    once = threading.Lock()
+
+    def send_sigint_soon():
+        if once.acquire(blocking=False):
+            timer.start()
+
+    def on_sigint(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGINT, on_sigint)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            adjudicate_all([_bundle(f"f{i}") for i in range(4)], _ThrottlingBackend(),
+                           parallelism=2, retry=_throttled(wake, send_sigint_soon))
+        reached_at = time.monotonic()
+    finally:
+        timer.cancel()
+        wake.set()
+        signal.signal(signal.SIGINT, previous)
+    assert reached_at - sent_at[0] < 1.0

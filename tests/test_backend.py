@@ -321,6 +321,19 @@ def test_http_backend_maps_overflow_and_other_errors(http_server):
         backend.complete(_request())
 
 
+def test_a_backend_error_from_send_counts_the_calls_it_made(http_server):
+    backend = MockBackend(responses={"fid.OPTIMIZED": {"response": "ok", "fail_first": 99}})
+    policy = RetryPolicy(attempt_cap=3, backoff_base_s=0.0, sleep=lambda _: None)
+    with pytest.raises(Exhausted) as exhausted:
+        send(_request(), backend, policy)
+    assert exhausted.value.attempt_count == 3
+    # A throttled call, then a 200 reply with no completion in it.
+    _Handler.script = [(429, {"error": "slow down"}), (200, "not json at all")]
+    with pytest.raises(BackendError, match="malformed") as malformed:
+        send(_request(), HttpBackend(endpoint=http_server), NO_SLEEP)
+    assert malformed.value.attempt_count == 2
+
+
 def test_http_backend_preflights_prompt_limit(http_server):
     backend = HttpBackend(endpoint=http_server, max_prompt_chars=10)
     with pytest.raises(ContextOverflow):
@@ -450,6 +463,15 @@ def test_close_hangs_up_every_pooled_connection(keepalive_server):
     backend.complete(_request())
     assert not keepalive_server.closed.acquire(timeout=0.2)  # kept alive
     backend.close()
+    assert keepalive_server.closed.acquire(timeout=5)  # the server read end-of-file
+
+
+def test_a_call_that_ends_after_close_hangs_up_its_connection(keepalive_server):
+    backend = HttpBackend(endpoint=keepalive_server.url(), timeout_s=5)
+    backend.close()
+    # A worker an interrupt left running finishes its call after the stage
+    # has closed the backend: its connection must not stay pooled.
+    assert backend.complete(_request(user="late")).text == "late"
     assert keepalive_server.closed.acquire(timeout=5)  # the server read end-of-file
 
 

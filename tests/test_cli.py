@@ -885,9 +885,9 @@ def test_retry_path_through_config(tmp_path):
     assert all(r["status"] == "OK" for r in rows)
 
 
-# Only a live call, a worker pool or a CSV report needs these. No command
-# needs ``dataclasses`` (which loads ``inspect``) or ``importlib.resources``,
-# and only a live call's ``http.client`` needs ``datetime``.
+# Only a live call or a CSV report needs these. No command needs
+# ``dataclasses`` (which loads ``inspect``) or ``importlib.resources``, and
+# only a live call's ``http.client`` needs ``datetime``.
 _LEAF_IMPORTS = ("requests", "urllib3", "charset_normalizer", "http.client", "ssl",
                  "urllib.request", "concurrent.futures", "csv", "dataclasses", "inspect",
                  "datetime", "importlib.resources")
@@ -906,7 +906,7 @@ _IMPORT_BUDGETS = {
     "package": ("import sarif_triage; "
                 "assert [n for n in vars(sarif_triage) if not n.startswith('__')] == []",
                 {"sarif_triage"}),
-    # A whole mock run loads every stage, and a worker pool to adjudicate.
+    # A whole mock run loads every stage.
     "run": ("from sarif_triage.cli import main; "
             "assert main(['run', '--config', sys.argv[1]]) == 0",
             {"sarif_triage", "sarif_triage.cli", "sarif_triage.config",
@@ -933,8 +933,7 @@ def test_a_fresh_process_imports_only_what_its_command_runs(corpus, tmp_path, ca
     done = subprocess.run([sys.executable, "-S", "-c", script, str(config)], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     loaded = set(json.loads(done.stdout.splitlines()[-1]))
-    pool = {"concurrent.futures"} if case == "run" else set()
-    assert sorted(loaded & set(_LEAF_IMPORTS) - pool) == []
+    assert sorted(loaded & set(_LEAF_IMPORTS)) == []
     assert sorted(m for m in loaded if m.split(".")[0] == "sarif_triage") == sorted(allowed)
 
 

@@ -73,7 +73,7 @@ def _flow(steps):
 
 def test_empty_runs_yield_zero_results():
     doc = parse_sarif('{"version": "2.1.0", "runs": []}')
-    assert doc.results == ()
+    assert doc == ()
     assert canonicalize(doc) == []
 
 

@@ -18,7 +18,7 @@ import argparse
 import sys
 from collections import Counter
 
-from .config import ConfigError, RunConfig, load_config, validate_config
+from .config import ConfigError, RunConfig, load_config
 
 EXIT_OK = 0
 EXIT_STAGE_FAILURE = 1
@@ -72,15 +72,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     overrides = {
         "output_dir": args.output,
         "prompt_mode": args.prompt_mode,
+        "backend.kind": args.backend,
         "parallelism": args.parallelism,
     }
     if args.csv:
         overrides["write_csv"] = True
-    config = load_config(args.config, overrides)
-    if args.backend:
-        config = config._replace(backend=config.backend._replace(kind=args.backend))
-        validate_config(config)
-    return config
+    return load_config(args.config, overrides)
 
 
 def _print_ingest_summary(config: RunConfig) -> None:

@@ -2,16 +2,17 @@
 
 Standard library only, and no pipeline stage, so a process that only loads
 a config (or fails on a bad one) imports nothing else of the package.
-Relative paths in the config file (``sarif_path``, ``source_root``,
-``output_dir``, ``labels_path``, ``rubric_dir``, ``backend.script_path``)
-resolve against the file's directory; an ``output_dir`` given as a flag
-override resolves against the working directory. A live backend's endpoint
-is checked here, before any stage runs.
+``_FIELDS`` gives each key its JSON type, conversion and bound; a "path"
+is a string resolved against the config file's directory (an ``output_dir``
+flag override, against the working directory). A value that breaks its
+entry is a ``ConfigError`` naming the key. ``_check`` then checks what
+spans keys or reads the file system, before any stage runs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import urllib.parse
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
@@ -69,6 +70,42 @@ class RunConfig(NamedTuple):
         return [PromptMode(self.prompt_mode)]
 
 
+# The Python types ``json`` reads each type as; a number may be a string.
+_JSON_TYPES = {"integer": (int, str), "number": (int, float, str), "string": (str,),
+               "path": (str,), "boolean": (bool,), "object": (dict,)}
+
+
+class _Field(NamedTuple):
+    type: str  # a key of _JSON_TYPES
+    convert: Callable[[Any], Any] | None = None  # after path resolution; a record reads its table
+    bound: float | tuple[str, ...] | None = None  # a finite minimum, or the allowed values
+
+
+_STRING = _Field("string")
+_PATH = _Field("path")
+_COUNT = _Field("integer", int, 1)
+_FIELDS: dict[type, dict[str, _Field]] = {
+    ContextLimits: dict.fromkeys(ContextLimits._fields, _COUNT),
+    BackendConfig: {
+        "kind": _Field("string", bound=("mock", "live")),
+        "endpoint": _STRING, "model": _STRING, "key_env": _STRING,
+        "script_path": _Field("path", str),
+        "max_prompt_chars": _COUNT, "attempt_cap": _COUNT,
+        "backoff_base_s": _Field("number", float, 0),
+    },
+    RunConfig: {
+        "sarif_path": _PATH, "source_root": _PATH, "output_dir": _PATH,
+        "prompt_mode": _Field("string", str.upper, ("OPTIMIZED", "BASELINE", "BOTH")),
+        "baseline_style": _Field("string", str.upper, ("WINDOW5", "WHOLE_FILE")),
+        "backend": _Field("object", BackendConfig), "limits": _Field("object", ContextLimits),
+        "prompt_char_budget": _COUNT, "max_output_chars": _COUNT, "parallelism": _COUNT,
+        "labels_path": _PATH, "rubric_dir": _PATH,
+        "cwe_map": _Field("object", lambda rules: {rule: str(cwe) for rule, cwe in rules.items()}),
+        "write_csv": _Field("boolean"),
+    },
+}
+
+
 def parse_endpoint(endpoint: str) -> urllib.parse.SplitResult:
     """``endpoint`` split into its parts; ``ValueError`` unless it is an
     ``http``/``https`` URL with a host, a valid port and no credentials."""
@@ -85,126 +122,88 @@ def parse_endpoint(endpoint: str) -> urllib.parse.SplitResult:
 
 
 def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) -> RunConfig:
-    """Read a JSON config file and apply flag overrides (flags win). A
-    relative ``output_dir`` override is taken from the working directory,
-    where the command line that gave it runs."""
+    """Read a JSON config file and apply flag overrides (flags win; a key
+    in a section is written ``backend.kind``). A relative ``output_dir``
+    override is taken from the working directory, where the flag was given."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"config file {path} cannot be read as JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
-    merged = dict(data)
     for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = str(Path(value).absolute()) if key == "output_dir" else value
-    return config_from_dict(merged, base_dir=path.parent)
-
-
-def _field_values(
-    cls: type, data: Mapping[str, Any], prefix: str = "", **convert: Callable[[Any], Any]
-) -> dict[str, Any]:
-    """The entries of ``data`` that name fields of the record type ``cls``,
-    each passed through ``convert[name]`` when given. Absent keys are left
-    out, so ``cls`` supplies its own default. A conversion that fails
-    raises ``ConfigError`` naming the key, written ``prefix + name``."""
-    values = {name: data[name] for name in cls._fields if name in data}
-    for key, value in values.items():
-        if key not in convert:
+        if value is None:
             continue
-        try:
-            values[key] = convert[key](value)
-        except ConfigError:
-            raise
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {prefix}{key} has an unusable value: {exc}") from exc
-    return values
-
-
-def _optional_int(value: Any) -> int | None:
-    return None if value is None else int(value)
-
-
-def _boolean(value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
+        section, _, name = key.rpartition(".")
+        if not section:
+            data[key] = str(Path(value).absolute()) if key == "output_dir" else value
+        elif isinstance(data.setdefault(section, {}), dict):  # else the table names it
+            data[section] = {**data[section], name: value}
+    return config_from_dict(data, base_dir=path.parent)
 
 
 def config_from_dict(data: Mapping[str, Any], base_dir: Path | None = None) -> RunConfig:
-    def resolve(p: str | None) -> Path | None:
-        if p is None:
-            return None
-        candidate = Path(p)
-        if not candidate.is_absolute() and base_dir is not None:
-            candidate = base_dir / candidate
-        return candidate
-
-    for required in ("sarif_path", "source_root", "output_dir"):
-        if not data.get(required):
-            raise ConfigError(f"config is missing required key: {required}")
-
-    def script_path(value: str | None) -> str | None:
-        return str(resolve(value)) if value else value
-
-    def backend(value: Mapping[str, Any] | None) -> BackendConfig:
-        return BackendConfig(**_field_values(
-            BackendConfig, value or {}, "backend.",
-            attempt_cap=int, backoff_base_s=float, script_path=script_path,
-            max_prompt_chars=_optional_int,
-        ))
-
-    def limits(value: Mapping[str, Any] | None) -> ContextLimits:
-        return ContextLimits(**_field_values(
-            ContextLimits, value or {}, "limits.", **dict.fromkeys(ContextLimits._fields, int)
-        ))
-
-    def cwe_map(value: Mapping[str, Any] | None) -> dict[str, str]:
-        return {str(k): str(v) for k, v in (value or {}).items()}
-
-    def upper(value: Any) -> str:
-        return str(value).upper()
-
-    config = RunConfig(**_field_values(
-        RunConfig, data,
-        sarif_path=resolve, source_root=resolve, output_dir=resolve,
-        labels_path=resolve, rubric_dir=resolve,
-        prompt_mode=upper, baseline_style=upper,
-        backend=backend, limits=limits, cwe_map=cwe_map,
-        max_output_chars=int, parallelism=int, prompt_char_budget=_optional_int,
-        write_csv=_boolean,
-    ))
-    validate_config(config)
+    config = _record(RunConfig, data, Path(base_dir or ""), "")
+    _check(config)
     return config
 
 
-def validate_config(config: RunConfig) -> None:
-    if config.prompt_mode not in ("OPTIMIZED", "BASELINE", "BOTH"):
-        raise ConfigError(f"prompt_mode must be OPTIMIZED, BASELINE, or BOTH, got {config.prompt_mode}")
-    if config.baseline_style not in ("WINDOW5", "WHOLE_FILE"):
-        raise ConfigError(f"baseline_style must be WINDOW5 or WHOLE_FILE, got {config.baseline_style}")
-    if config.parallelism < 1:
-        raise ConfigError("parallelism must be >= 1")
+def _record(cls: type, data: Mapping[str, Any], base_dir: Path, prefix: str) -> Any:
+    """``cls`` from the keys of ``data`` its table names; an absent key keeps its default."""
+    values = {}
+    for name, field in _FIELDS[cls].items():
+        if name not in cls._field_defaults and not data.get(name):
+            raise ConfigError(f"config is missing required key: {prefix}{name}")
+        if name in data:
+            keep = data[name] is None and cls._field_defaults[name] is None  # a null default
+            values[name] = None if keep else _value(field, data[name], base_dir, prefix + name)
+    return cls(**values)
+
+
+def _value(field: _Field, value: Any, base_dir: Path, key: str) -> Any:
+    """``value`` converted and checked as ``field`` says."""
+    if field.convert in _FIELDS and type(value) is dict:
+        return _record(field.convert, value, base_dir, key + ".")
+    try:
+        if type(value) not in _JSON_TYPES[field.type]:
+            raise ValueError(f"expected {field.type}, got {value!r}")
+        if field.type == "path" and "\0" in value:
+            raise ValueError("a path cannot hold a NUL character")
+        if field.type == "path":
+            value = base_dir / value
+        if field.convert is not None:
+            value = field.convert(value)
+        if isinstance(field.bound, tuple) and value not in field.bound:
+            raise ValueError(f"expected one of {', '.join(field.bound)}, got {value!r}")
+        if isinstance(field.bound, (int, float)) and not field.bound <= value < math.inf:
+            raise ValueError(f"expected a finite number of at least {field.bound}, got {value!r}")
+    except ValueError as exc:
+        raise ConfigError(f"config key {key} has an unusable value: {exc}") from exc
+    return value
+
+
+def _check(config: RunConfig) -> None:
+    """The checks that span keys or read the file system."""
     if not config.sarif_path.is_file():
         raise ConfigError(f"sarif_path does not exist: {config.sarif_path}")
     if not config.source_root.is_dir():
         raise ConfigError(f"source_root does not exist: {config.source_root}")
     if config.labels_path is not None and not config.labels_path.is_file():
         raise ConfigError(f"labels_path does not exist: {config.labels_path}")
-    if config.backend.kind not in ("mock", "live"):
-        raise ConfigError(f"backend.kind must be mock or live, got {config.backend.kind}")
-    if config.backend.kind == "mock":
-        if not config.backend.script_path:
-            raise ConfigError("mock backend requires backend.script_path")
-        if not Path(config.backend.script_path).is_file():
-            raise ConfigError(f"mock script not found: {config.backend.script_path}")
-    if config.backend.kind == "live":
-        if not config.backend.endpoint:
-            raise ConfigError("live backend requires backend.endpoint")
+    if config.rubric_dir is not None and not any(config.rubric_dir.glob("*.rubric")):
+        raise ConfigError(f"rubric_dir holds no *.rubric file: {config.rubric_dir}")
+    limits = config.limits
+    if limits.elide_head_lines + limits.elide_tail_lines > limits.intermediate_elide_threshold:
+        raise ConfigError("limits.elide_head_lines + limits.elide_tail_lines must not exceed "
+                          "limits.intermediate_elide_threshold")
+    backend = config.backend
+    if backend.kind == "mock" and not (backend.script_path and Path(backend.script_path).is_file()):
+        raise ConfigError(f"no mock script at backend.script_path: {backend.script_path}")
+    if backend.kind == "live":
         try:
-            parse_endpoint(config.backend.endpoint)
+            parse_endpoint(backend.endpoint)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"config key backend.endpoint has an unusable value: {exc}") from exc

@@ -214,6 +214,8 @@ def _add_intermediate(
     assert lines is not None  # caller resolved both step lines already
     span = end - start + 1
     if span > limits.intermediate_elide_threshold:
+        # The config holds head, tail >= 1 and head + tail <= threshold, so
+        # both segments are non-empty and at least one line is elided.
         head_end = start + limits.elide_head_lines - 1
         tail_start = end - limits.elide_tail_lines + 1
         head = _segment(lines, uri, start, head_end, SegmentReason.INTERMEDIATE, step_index)

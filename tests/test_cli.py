@@ -78,6 +78,16 @@ def test_missing_config_file_exits_2_naming_the_path(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [b"\xff{}", b"{", b"[1]"])
+def test_a_config_file_that_is_not_a_json_object_exits_2_naming_the_path(
+    tmp_path, capsys, text
+):
+    config = tmp_path / "config.json"
+    config.write_bytes(text)
+    assert main(["ingest", "--config", str(config)]) == EXIT_USAGE
+    assert f"config file {config}" in capsys.readouterr().err
+
+
 def test_missing_sarif_path_exits_2(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(
@@ -159,6 +169,28 @@ def test_run_config_json_echoes_flag_overrides_and_nested_sections_as_objects(
         ("parallelism", "two"),
         ("limits.max_total_lines", None),
         ("cwe_map", ["vendor/rule", "CWE-089"]),
+        # Out of bounds: each would run every finding to UNEVALUATED, or
+        # fail the first retry's sleep.
+        ("max_output_chars", 0),
+        ("max_output_chars", -5),
+        ("backend.attempt_cap", 0),
+        ("backend.max_prompt_chars", 0),
+        ("backend.backoff_base_s", -1),
+        ("backend.backoff_base_s", "nan"),
+        ("backend.backoff_base_s", "inf"),
+        ("limits.max_total_lines", -1),
+        ("limits.elide_head_lines", 0),
+        ("prompt_char_budget", 0),
+        # Of the wrong JSON type.
+        ("backend.endpoint", 5),
+        ("backend.model", 5),
+        ("backend.model", None),
+        ("backend.key_env", 5),
+        ("output_dir", "out\0"),
+        ("backend", [1]),
+        ("limits", [1]),
+        ("parallelism", 1.7),
+        ("parallelism", True),
     ],
 )
 def test_a_config_value_that_does_not_convert_exits_2_naming_its_key(
@@ -175,6 +207,42 @@ def test_a_config_value_that_does_not_convert_exits_2_naming_its_key(
     config_path.write_text(json.dumps(config))
     assert main(["run", "--config", str(config_path)]) == EXIT_USAGE
     assert f"config key {key} has an unusable value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_backend_flag_leaves_a_backend_that_is_not_an_object_to_the_table(
+    corpus, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    config = write_config(corpus, out, extra={"backend": [1]})
+    assert main(["run", "--config", str(config), "--backend", "mock"]) == EXIT_USAGE
+    assert "config key backend has an unusable value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Head and tail must fit inside a span longer than the threshold, or the
+# head's elided count goes negative (or, at 0 lines, a segment ends before
+# it starts).
+def test_elided_head_and_tail_longer_than_the_threshold_exit_2(corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    limits = {"intermediate_elide_threshold": 4, "elide_head_lines": 3, "elide_tail_lines": 2}
+    config = write_config(corpus, out, extra={"limits": limits})
+    assert main(["run", "--config", str(config)]) == EXIT_USAGE
+    assert "intermediate_elide_threshold" in capsys.readouterr().err
+    assert not out.exists()
+    limits["elide_tail_lines"] = 1
+    config = write_config(corpus, out, extra={"limits": limits})
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("rubric_dir", ["no_such_rubrics", ""])
+def test_a_rubric_dir_with_no_rubric_exits_2_before_any_stage(
+    corpus, tmp_path, capsys, rubric_dir
+):
+    out = tmp_path / "out"
+    config = write_config(corpus, out, extra={"rubric_dir": rubric_dir})
+    assert main(["run", "--config", str(config)]) == EXIT_USAGE
+    assert "rubric_dir holds no *.rubric file" in capsys.readouterr().err
     assert not out.exists()
 
 

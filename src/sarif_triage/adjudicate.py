@@ -199,13 +199,14 @@ def validate_response(
     ``BadEnum``.
     """
     salvaged = False
+    # Past its integer digit or nesting limit, json raises these, not JSONDecodeError.
     try:
         obj = json.loads(raw.strip())
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         candidate = _extract_outer_object(raw)  # may raise NotJson
         try:
             obj = json.loads(candidate)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise NotJson(f"salvaged substring is not valid JSON: {exc}") from exc
         salvaged = True
     verdict, confidence, reasoning = _validate_object(obj)

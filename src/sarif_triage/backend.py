@@ -357,7 +357,7 @@ class HttpBackend(Backend):
         try:
             body = json.loads(text)
             content = body["choices"][0]["message"]["content"]
-        except (ValueError, LookupError, TypeError) as exc:
+        except (ValueError, RecursionError, LookupError, TypeError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc
         if not isinstance(content, str):
             raise BackendError("completion content is not a string")

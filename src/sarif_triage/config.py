@@ -130,7 +130,7 @@ def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) ->
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ConfigError(f"config file {path} cannot be read as JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
@@ -193,8 +193,8 @@ def _check(config: RunConfig) -> None:
         raise ConfigError(f"source_root does not exist: {config.source_root}")
     if config.labels_path is not None and not config.labels_path.is_file():
         raise ConfigError(f"labels_path does not exist: {config.labels_path}")
-    if config.rubric_dir is not None and not any(config.rubric_dir.glob("*.rubric")):
-        raise ConfigError(f"rubric_dir holds no *.rubric file: {config.rubric_dir}")
+    if config.rubric_dir is not None and not (config.rubric_dir / "generic.rubric").is_file():
+        raise ConfigError(f"rubric_dir holds no generic.rubric: {config.rubric_dir}")
     limits = config.limits
     if limits.elide_head_lines + limits.elide_tail_lines > limits.intermediate_elide_threshold:
         raise ConfigError("limits.elide_head_lines + limits.elide_tail_lines must not exceed "

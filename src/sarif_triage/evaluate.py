@@ -9,7 +9,6 @@ before precision/recall/F1 are computed) and printed at three decimals.
 from __future__ import annotations
 
 from enum import Enum
-from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .adjudicate import AdjudicationResult, Verdict
@@ -305,15 +304,16 @@ def render_report_text(
     return "\n".join(lines)
 
 
-def write_report_csv(reports: dict[str, EvalReport], path: Path | str) -> None:
-    """Per-CWE metric rows, one per (mode, cwe), for heatmap plotting."""
+def render_report_csv(reports: dict[str, EvalReport]) -> str:
+    """Per-CWE metric rows, one per (mode, cwe), for heatmap plotting; CSV, ``\\r\\n`` row ends."""
     import csv
+    import io
 
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "group", "tp", "fp", "tn", "fn", "precision", "recall", "f1"])
-        for mode in sorted(reports):
-            for group, m in reports[mode].groups():
-                writer.writerow([mode, group, m.tp, m.fp, m.tn, m.fn,
-                                 f"{m.precision:.3f}", f"{m.recall:.3f}", f"{m.f1:.3f}"])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["mode", "group", "tp", "fp", "tn", "fn", "precision", "recall", "f1"])
+    for mode in sorted(reports):
+        for group, m in reports[mode].groups():
+            writer.writerow([mode, group, m.tp, m.fp, m.tn, m.fn,
+                             f"{m.precision:.3f}", f"{m.recall:.3f}", f"{m.f1:.3f}"])
+    return buffer.getvalue()

@@ -12,11 +12,11 @@ Artifact tree under ``output_dir``::
     report.json / report.txt     metrics (when labels are configured)
     .stamps/<stage>.json         input/output hashes for --resume
 
-Every ``*.jsonl`` artifact, and the labels file, goes through this
-module's one writer and one reader: ``write_rows`` takes each stage's rows
-from its types' ``to_dict`` and writes the file whole or not at all (a
-sibling temporary file replaces it once every row is written), and
-``read_rows`` yields the rows each stage maps back through ``from_dict``.
+Every file goes to disk through ``write_file``, whole or not at all, and
+the stamp records the SHA-256 it returns instead of reading the file back.
+``write_rows`` writes each stage's rows, from its types' ``to_dict``, as JSON
+Lines through it, and ``read_rows`` yields the rows of a ``*.jsonl`` artifact
+or the labels file back for ``from_dict``.
 
 The run configuration (``RunConfig``, ``BackendConfig``, ``load_config``)
 lives in ``config``; this module re-exports it. Each stage imports the
@@ -142,18 +142,6 @@ def _stamp_path(config: RunConfig, stage: str) -> Path:
     return config.output_dir / ".stamps" / f"{stage}.json"
 
 
-def _write_stamp(config: RunConfig, stage: str, inputs: dict[str, str], outputs: list[Path]) -> None:
-    stamp = {
-        "inputs": inputs,
-        "outputs": {
-            str(p.relative_to(config.output_dir)): _sha256_file(p) for p in outputs if p.is_file()
-        },
-    }
-    path = _stamp_path(config, stage)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(stamp, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _is_str_map(value: Any) -> bool:
     return isinstance(value, dict) and all(
         isinstance(k, str) and isinstance(v, str) for k, v in value.items()
@@ -192,12 +180,13 @@ def _run_stage(
     stage: str,
     resume: bool,
     inputs: dict[str, str] | Callable[[dict[str, str] | None], dict[str, str]],
-    body: Callable[[], list[Path]],
+    body: Callable[[], dict[Path, str]],
 ) -> None:
     """Run ``body`` unless ``resume`` is set and the stage's stamp still
     matches ``inputs``; then delete what the previous stamp recorded and
-    ``body`` no longer wrote, and stamp ``inputs`` with the paths ``body``
-    returned. Any failure in ``body`` surfaces as a ``StageError``.
+    ``body`` no longer wrote, and stamp ``inputs`` with the ``{path: sha256}``
+    of each file ``body`` wrote. Any failure in ``body`` surfaces as a
+    ``StageError``.
 
     ``inputs`` may be a function of the inputs the previous stamp recorded
     (None when there is none to trust or ``resume`` is off), for a stage
@@ -207,6 +196,7 @@ def _run_stage(
         inputs = inputs(previous["inputs"] if resume and previous is not None else None)
     if resume and previous is not None and _stamp_matches(config, previous, inputs):
         return
+    config.output_dir.mkdir(parents=True, exist_ok=True)
     try:
         outputs = body()
     except StageError:
@@ -215,10 +205,16 @@ def _run_stage(
         raise StageError(stage, str(exc)) from exc
     if previous is not None:
         _remove_stale_outputs(config, previous, outputs)
-    _write_stamp(config, stage, inputs, outputs)
+    stamp = {
+        "inputs": inputs,
+        "outputs": {str(p.relative_to(config.output_dir)): sha for p, sha in outputs.items()},
+    }
+    path = _stamp_path(config, stage)
+    path.parent.mkdir(exist_ok=True)
+    write_file(path, [json.dumps(stamp, indent=2, sort_keys=True) + "\n"])
 
 
-def _remove_stale_outputs(config: RunConfig, stamp: Stamp, outputs: list[Path]) -> None:
+def _remove_stale_outputs(config: RunConfig, stamp: Stamp, outputs: Iterable[Path]) -> None:
     """Delete each file ``stamp`` recorded that is not in ``outputs``, and
     any directory that leaves empty. Paths that lexically leave
     ``output_dir`` are never touched."""
@@ -237,22 +233,29 @@ def _remove_stale_outputs(config: RunConfig, stamp: Stamp, outputs: list[Path]) 
             os.rmdir(directory)
 
 
-def write_rows(path: Path, rows: Iterable[dict[str, Any]]) -> Path:
-    """Write ``rows`` to ``path`` as JSON Lines (UTF-8, ``\\n`` line ends,
-    non-ASCII kept), whole or not at all: the rows go to a sibling temporary
-    file that replaces ``path`` only once every row is written, and is
-    deleted if writing fails."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+def write_file(path: Path, chunks: Iterable[str]) -> str:
+    """Write ``chunks`` to ``path`` as UTF-8 with line ends as given, and return
+    the bytes' SHA-256. They go to a sibling temporary file that replaces
+    ``path`` once all are written and is deleted if writing fails. A lone
+    surrogate goes in as its ``\\uXXXX`` escape, which ``json`` reads back."""
     tmp = path.with_name(f".{path.name}.tmp")
+    digest = hashlib.sha256()
     try:
-        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+        with tmp.open("wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode("utf-8", "backslashreplace")
+                digest.update(data)
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return path
+    return digest.hexdigest()
+
+
+def write_rows(path: Path, rows: Iterable[dict[str, Any]]) -> str:
+    """``write_file`` of ``rows`` as JSON Lines, non-ASCII kept."""
+    return write_file(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
 def read_rows(path: Path) -> Iterator[dict[str, Any]]:
@@ -279,10 +282,8 @@ def write_config_echo(config: RunConfig) -> None:
     echo = {**config._asdict(), "backend": config.backend._asdict(),
             "limits": config.limits._asdict()}
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    (config.output_dir / "run_config.json").write_text(
-        json.dumps(echo, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8",
-    )
+    write_file(config.output_dir / "run_config.json",
+               [json.dumps(echo, indent=2, sort_keys=True, default=str) + "\n"])
 
 
 def stage_ingest(config: RunConfig, resume: bool = False) -> None:
@@ -291,10 +292,11 @@ def stage_ingest(config: RunConfig, resume: bool = False) -> None:
         "cwe_map": _sha256_text(json.dumps(config.cwe_map, sort_keys=True)),
     }
 
-    def body() -> list[Path]:
+    def body() -> dict[Path, str]:
         results = _module.parse_sarif(config.sarif_path.read_bytes())
         findings = _module.canonicalize(results, config.cwe_map)
-        return [write_rows(config.output_dir / "findings.jsonl", (f.to_dict() for f in findings))]
+        path = config.output_dir / "findings.jsonl"
+        return {path: write_rows(path, (f.to_dict() for f in findings))}
 
     _run_stage(config, "ingest", resume, inputs, body)
 
@@ -336,7 +338,7 @@ def stage_context(config: RunConfig, resume: bool = False) -> None:
             "prompt_mode": config.prompt_mode,
         }
 
-    def body() -> list[Path]:
+    def body() -> dict[Path, str]:
         from .context import BaselineMode
 
         style = BaselineMode(config.baseline_style)
@@ -344,11 +346,12 @@ def stage_context(config: RunConfig, resume: bool = False) -> None:
             "OPTIMIZED": lambda f: _module.extract_context(f, source, config.limits),
             "BASELINE": lambda f: _module.extract_baseline_context(f, source, style, config.limits),
         }
-        return [
-            write_rows(config.output_dir / name, (extract[mode](f).to_dict() for f in findings()))
+        return {
+            path: write_rows(path, (extract[mode](f).to_dict() for f in findings()))
             for mode, name in _CONTEXT_FILES.items()
             if mode in config.modes()
-        ]
+            for path in [config.output_dir / name]
+        }
 
     _run_stage(config, "context", resume, inputs, body)
 
@@ -367,7 +370,7 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
         if path.is_file():
             inputs[name] = _sha256_file(path)
 
-    def body() -> list[Path]:
+    def body() -> dict[Path, str]:
         from .context import CodeContext
         from .rubrics import load_rubrics, rubric_for
 
@@ -397,7 +400,8 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
                     )
                     yield bundle.to_dict()
 
-        return [write_rows(config.output_dir / "prompts.jsonl", rows())]
+        path = config.output_dir / "prompts.jsonl"
+        return {path: write_rows(path, rows())}
 
     _run_stage(config, "prompts", resume, inputs, body)
 
@@ -436,7 +440,7 @@ def stage_adjudicate(
     if config.backend.kind == "mock" and config.backend.script_path:
         inputs["script"] = _sha256_file(Path(config.backend.script_path))
 
-    def body() -> list[Path]:
+    def body() -> dict[Path, str]:
         from . import adjudicate as adj
         from .backend import RetryPolicy
 
@@ -458,17 +462,15 @@ def stage_adjudicate(
             )
         finally:
             backend.close()
-        outputs = [write_rows(config.output_dir / "adjudications.jsonl",
-                              (r.to_dict() for r in results))]
+        path = config.output_dir / "adjudications.jsonl"
+        outputs = {path: write_rows(path, (r.to_dict() for r in results))}
         audit_dir = config.output_dir / "audit"
-        audit_dir.mkdir(parents=True, exist_ok=True)
+        audit_dir.mkdir(exist_ok=True)
         # Audit writing is serialized here, one record per (finding, mode).
         for record in audits:
             path = audit_dir / f"{record['finding_id']}.{record['mode'].lower()}.json"
-            path.write_text(
-                json.dumps(record, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-            )
-            outputs.append(path)
+            text = json.dumps(record, ensure_ascii=False, indent=2) + "\n"
+            outputs[path] = write_file(path, [text])
         return outputs
 
     _run_stage(config, "adjudicate", resume, inputs, body)
@@ -488,7 +490,7 @@ def stage_evaluate(config: RunConfig, resume: bool = False) -> None:
         "write_csv": str(config.write_csv),
     }
 
-    def body() -> list[Path]:
+    def body() -> dict[Path, str]:
         from . import adjudicate as adj
         from . import evaluate as ev
 
@@ -510,19 +512,14 @@ def stage_evaluate(config: RunConfig, resume: bool = False) -> None:
         }
         if deltas is not None:
             payload["delta"] = [row.to_dict() for row in deltas]
-        report_path = config.output_dir / "report.json"
-        report_path.write_text(
-            json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        text_path = config.output_dir / "report.txt"
-        text_path.write_text(ev.render_report_text(reports, deltas), encoding="utf-8")
-        outputs = [report_path, text_path]
+        out = config.output_dir
+        texts = {
+            "report.json": json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
+            "report.txt": ev.render_report_text(reports, deltas),
+        }
         if config.write_csv:
-            csv_path = config.output_dir / "report.csv"
-            ev.write_report_csv(reports, csv_path)
-            outputs.append(csv_path)
-        return outputs
+            texts["report.csv"] = ev.render_report_csv(reports)
+        return {out / name: write_file(out / name, [text]) for name, text in texts.items()}
 
     _run_stage(config, "evaluate", resume, inputs, body)
 

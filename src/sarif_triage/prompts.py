@@ -161,12 +161,10 @@ class PromptBundle(NamedTuple):
 
 
 def prompt_sha256(system_text: str, user_text: str) -> str:
-    """Hash of the full prompt: system and user text joined by a NUL byte."""
-    digest = hashlib.sha256()
-    digest.update(system_text.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(user_text.encode("utf-8"))
-    return digest.hexdigest()
+    """Hash of the full prompt: system and user text joined by a NUL byte, as
+    UTF-8 that passes a lone surrogate through instead of raising."""
+    text = f"{system_text}\0{user_text}"
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def _line_for_step(ctx: CodeContext, step: TraceStep) -> str | None:

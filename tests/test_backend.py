@@ -319,6 +319,9 @@ def test_http_backend_maps_overflow_and_other_errors(http_server):
     _Handler.script = [(200, "not json at all")]
     with pytest.raises(BackendError, match="malformed"):
         backend.complete(_request())
+    _Handler.script = [(200, "[" * 100000)]  # nested past the decoder's depth limit
+    with pytest.raises(BackendError, match="malformed"):
+        backend.complete(_request())
 
 
 def test_a_backend_error_from_send_counts_the_calls_it_made(http_server):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -78,7 +79,9 @@ def test_missing_config_file_exits_2_naming_the_path(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", [b"\xff{}", b"{", b"[1]"])
+@pytest.mark.parametrize(
+    "text", [b"\xff{}", b"{", b"[1]", pytest.param(b"[" * 100000, id="nested-past-the-decoder")]
+)
 def test_a_config_file_that_is_not_a_json_object_exits_2_naming_the_path(
     tmp_path, capsys, text
 ):
@@ -235,14 +238,18 @@ def test_elided_head_and_tail_longer_than_the_threshold_exit_2(corpus, tmp_path,
     assert main(["run", "--config", str(config)]) == EXIT_OK
 
 
-@pytest.mark.parametrize("rubric_dir", ["no_such_rubrics", ""])
+@pytest.mark.parametrize("rubric_dir", ["no_such_rubrics", "", "only_cwe_089"])
 def test_a_rubric_dir_with_no_rubric_exits_2_before_any_stage(
     corpus, tmp_path, capsys, rubric_dir
 ):
+    if rubric_dir == "only_cwe_089":  # a rubric, but not the generic one
+        rubric_dir = tmp_path / rubric_dir
+        rubric_dir.mkdir()
+        shutil.copy(pipeline.SHIPPED_RUBRIC_DIR / "cwe-089.rubric", rubric_dir)
     out = tmp_path / "out"
-    config = write_config(corpus, out, extra={"rubric_dir": rubric_dir})
+    config = write_config(corpus, out, extra={"rubric_dir": str(rubric_dir)})
     assert main(["run", "--config", str(config)]) == EXIT_USAGE
-    assert "rubric_dir holds no *.rubric file" in capsys.readouterr().err
+    assert "rubric_dir holds no generic.rubric" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -345,6 +352,21 @@ def test_a_failed_stage_leaves_no_partial_artifact(corpus, tmp_path, capsys, mon
     assert main(["adjudicate", "--config", str(config)]) == EXIT_STAGE_FAILURE
     assert "missing input" in capsys.readouterr().err
     assert not (out / "adjudications.jsonl").exists()
+
+    # A write that fails after every byte went out, as a full disk would.
+    config = write_config(corpus, out)
+    replace = os.replace
+    for name in (f"audit/{corpus.findings[3].finding_id}.optimized.json", "report.json"):
+        def fail_on(src, dst, target=out / name):
+            if Path(dst) == target:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on)
+        assert main(["run", "--config", str(config)]) == EXIT_STAGE_FAILURE
+        assert "No space left on device" in capsys.readouterr().err
+        assert not (out / name).exists()
+        assert [p for p in out.rglob("*") if p.name.endswith(".tmp")] == []
 
 
 _SEGMENT_KEYS = ["file", "start_line", "end_line", "reason", "step_index", "elided_after", "text"]
@@ -625,6 +647,66 @@ def test_carriage_returns_in_step_messages_reach_the_prompt_verbatim(tmp_path):
         assert f"Message: {text}\n" in first["user_text"]
 
 
+def _run_with(corpus, root: Path, reply: str | None = None, message: str | None = None) -> Path:
+    """Output dir of an ``OPTIMIZED`` run in which the first finding gets
+    ``reply`` from the mock backend, or ``message`` as its SARIF message."""
+    script = json.loads(corpus.mock_script_path.read_text(encoding="utf-8"))
+    sarif = json.loads(corpus.sarif_path.read_text(encoding="utf-8"))
+    if reply is not None:
+        script["responses"][corpus.findings[0].finding_id] = reply
+    if message is not None:
+        sarif["runs"][0]["results"][0]["message"]["text"] = message
+    root.mkdir()
+    # ``json.dumps`` escapes a lone surrogate, so both files hold valid UTF-8.
+    (root / "script.json").write_text(json.dumps(script), encoding="utf-8")
+    (root / "input.sarif").write_text(json.dumps(sarif), encoding="utf-8")
+    config = json.loads(write_config(corpus, root / "out").read_text())
+    config["sarif_path"] = str(root / "input.sarif")
+    config["backend"]["script_path"] = str(root / "script.json")
+    (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(root / "config.json")]) == EXIT_OK
+    return root / "out"
+
+
+_UNDECODABLE_REPLIES = {
+    "digits": "1" * 5000,  # past the decoder's integer digit limit
+    "nesting": "[" * 5000,  # past its depth limit, under max_output_chars
+    "nesting-in-prose": 'verdict: {"a":' + "[" * 5000 + "}",  # fails in the salvage pass
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNDECODABLE_REPLIES))
+def test_a_reply_the_json_decoder_cannot_finish_leaves_one_row_unevaluated(
+    corpus, tmp_path, case
+):
+    clean = list(pipeline.read_rows(_run_with(corpus, tmp_path / "clean") / "adjudications.jsonl"))
+    out = _run_with(corpus, tmp_path / "bad", reply=_UNDECODABLE_REPLIES[case])
+    rows = list(pipeline.read_rows(out / "adjudications.jsonl"))
+    assert rows[0]["status"] == "UNEVALUATED"
+    assert rows[0]["error"].startswith("NotJson: ")
+    assert rows[1:] == clean[1:]
+    assert len(list((out / "audit").iterdir())) == 20
+
+
+@pytest.mark.parametrize("where", ["sarif-message", "reply-reasoning"])
+def test_a_lone_surrogate_from_outside_reaches_every_artifact_as_an_escape(
+    corpus, tmp_path, where
+):
+    text = "bad \ud800 text"
+    if where == "sarif-message":
+        out = _run_with(corpus, tmp_path / "run", message=text)
+        (finding, *_) = pipeline.read_rows(out / "findings.jsonl")
+        assert finding["message"] == text
+    else:
+        reply = f'{{"verdict": "TRUE_POSITIVE", "confidence": "HIGH", "reasoning": "{text}"}}'
+        out = _run_with(corpus, tmp_path / "run", reply=reply)
+        (row, *_) = pipeline.read_rows(out / "adjudications.jsonl")
+        assert (row["status"], row["reasoning"]) == ("OK", text)
+    for path in out.rglob("*"):
+        if path.is_file():
+            path.read_bytes().decode("utf-8")  # raises unless the file is UTF-8
+
+
 def test_prompt_mode_flag_overrides_config(corpus, tmp_path):
     out = tmp_path / "out"
     config = write_config(corpus, out, prompt_mode="OPTIMIZED")
@@ -674,6 +756,33 @@ _STAGES = ("ingest", "context", "prompts", "adjudicate", "evaluate")
 
 def _stamp_texts(out: Path) -> dict[str, str]:
     return {stage: (out / ".stamps" / f"{stage}.json").read_text() for stage in _STAGES}
+
+
+def test_a_fresh_run_rereads_no_output_it_wrote_and_resume_rehashes_every_one(
+    corpus, tmp_path, monkeypatch
+):
+    out = tmp_path / "out"
+    config = write_config(corpus, out)
+    hashed: list[str] = []
+    sha256_file = pipeline._sha256_file
+
+    def counting(path):
+        if path.is_relative_to(out):
+            hashed.append(str(path.relative_to(out)))
+        return sha256_file(path)
+
+    monkeypatch.setattr(pipeline, "_sha256_file", counting)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    # Only the stage inputs: findings for context, prompts and evaluate.
+    assert Counter(hashed) == {"findings.jsonl": 3, "contexts.jsonl": 1, "prompts.jsonl": 1,
+                               "adjudications.jsonl": 1}
+    stamped = Counter(rel for text in _stamp_texts(out).values()
+                      for rel in json.loads(text)["outputs"])
+    assert sum(stamped.values()) == 26
+    inputs, hashed[:] = Counter(hashed), []
+    assert main(["run", "--config", str(config), "--resume"]) == EXIT_OK
+    assert len(hashed) == 32
+    assert Counter(hashed) == inputs + stamped
 
 
 # Stamps that parse as JSON but have the wrong shape, made from the real one.

@@ -23,9 +23,9 @@ from sarif_triage.evaluate import (
     f1,
     f1_delta,
     match_truth,
+    render_report_csv,
     render_report_text,
     score,
-    write_report_csv,
 )
 from sarif_triage.ingest import CodeLocation, Finding
 
@@ -318,7 +318,7 @@ def _pinned_reports():
     return reports
 
 
-def test_report_text_csv_and_dict_are_pinned_byte_for_byte(tmp_path):
+def test_report_text_csv_and_dict_are_pinned_byte_for_byte():
     reports = _pinned_reports()
     deltas = compare_modes(reports["BASELINE"], reports["OPTIMIZED"])
     assert render_report_text(reports, deltas) == (
@@ -340,16 +340,14 @@ def test_report_text_csv_and_dict_are_pinned_byte_for_byte(tmp_path):
         "CWE-089        baseline=0.667 optimized=0.500 delta=-0.167\n"
     )
 
-    csv_path = tmp_path / "report.csv"
-    write_report_csv(reports, csv_path)
-    assert csv_path.read_bytes() == (
-        b"mode,group,tp,fp,tn,fn,precision,recall,f1\r\n"
-        b"BASELINE,overall,2,0,2,2,1.000,0.500,0.667\r\n"
-        b"BASELINE,CWE-079,1,0,0,1,1.000,0.500,0.667\r\n"
-        b"BASELINE,CWE-089,1,0,2,1,1.000,0.500,0.667\r\n"
-        b"OPTIMIZED,overall,2,1,1,2,0.667,0.500,0.571\r\n"
-        b"OPTIMIZED,CWE-079,1,0,0,1,1.000,0.500,0.667\r\n"
-        b"OPTIMIZED,CWE-089,1,1,1,1,0.500,0.500,0.500\r\n"
+    assert render_report_csv(reports) == (
+        "mode,group,tp,fp,tn,fn,precision,recall,f1\r\n"
+        "BASELINE,overall,2,0,2,2,1.000,0.500,0.667\r\n"
+        "BASELINE,CWE-079,1,0,0,1,1.000,0.500,0.667\r\n"
+        "BASELINE,CWE-089,1,0,2,1,1.000,0.500,0.667\r\n"
+        "OPTIMIZED,overall,2,1,1,2,0.667,0.500,0.571\r\n"
+        "OPTIMIZED,CWE-079,1,0,0,1,1.000,0.500,0.667\r\n"
+        "OPTIMIZED,CWE-089,1,1,1,1,0.500,0.500,0.500\r\n"
     )
 
     assert json.dumps(reports["BASELINE"].to_dict()) == (

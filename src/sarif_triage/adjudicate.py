@@ -19,6 +19,7 @@ from .backend import (
     BackendError,
     BackendRequest,
     CallSlots,
+    ContextOverflow,
     RetryPolicy,
     send,
 )
@@ -228,9 +229,11 @@ def _adjudicate_one(
     retry: RetryPolicy,
     slots: CallSlots,
     max_output_chars: int,
+    max_prompt_chars: int | None,
 ) -> tuple[AdjudicationResult, dict[str, Any]]:
     """The result for one bundle and its audit record, the dict written to
-    ``audit/<fid>.<mode>.json``."""
+    ``audit/<fid>.<mode>.json``. A prompt over ``max_prompt_chars`` sends
+    no request; a reply over ``max_output_chars`` is not kept."""
     mode = bundle.mode.value
     audit: dict[str, Any] = {
         "finding_id": bundle.finding_id,
@@ -249,6 +252,9 @@ def _adjudicate_one(
                              tag=f"{bundle.finding_id}.{mode}")
     adjudication: Adjudication | None = None
     try:
+        chars = len(bundle.system_text) + len(bundle.user_text)
+        if max_prompt_chars is not None and chars > max_prompt_chars:
+            raise ContextOverflow(f"prompt is {chars} chars, limit is {max_prompt_chars}")
         reply = send(request, backend, retry, slots)
         audit.update(raw_response=reply.text, latency_ms=reply.latency_ms,
                      attempt_count=reply.attempt_count)
@@ -279,6 +285,7 @@ def adjudicate_all(
     model: str = "mock",
     retry: RetryPolicy | None = None,
     max_output_chars: int = 16384,
+    max_prompt_chars: int | None = None,
 ) -> tuple[list[AdjudicationResult], list[dict[str, Any]]]:
     """Adjudicate every bundle exactly once: the results and their audit
     records, in input order regardless of completion order.
@@ -308,9 +315,8 @@ def adjudicate_all(
                     i = next(cursor, None)
                 if i is None:
                     return
-                pairs[i] = _adjudicate_one(
-                    bundles[i], backend, model, retry, slots, max_output_chars
-                )
+                pairs[i] = _adjudicate_one(bundles[i], backend, model, retry, slots,
+                                           max_output_chars, max_prompt_chars)
         except BaseException as exc:
             slots.fail(exc)
         finally:

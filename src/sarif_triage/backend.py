@@ -6,7 +6,9 @@ exponential backoff for transport errors and rate limiting, waiting longer
 when a throttling reply asks for it (``retry-after-ms`` or ``Retry-After``);
 context overflow is never retried. ``send`` waits through
 ``RetryPolicy.sleep`` and holds a ``CallSlots`` slot only while the backend
-call runs, so a call that backs off holds none.
+call runs, so a call that backs off holds none. A prompt over the run's
+prompt-size limit reaches neither backend: ``adjudicate`` refuses it as
+``ContextOverflow`` before any request, with ``attempt_count`` 0.
 
 The HTTP backend speaks HTTP/1.1 through the standard library's
 ``http.client``: it keeps finished connections alive in a pool it owns and
@@ -20,7 +22,6 @@ The mock backend is driven by a JSON script file mapping finding keys (or
 prompt hashes) to canned responses, optionally with scripted failures:
 
     {
-      "max_prompt_chars": 32768,
       "default": "fallback raw response",
       "responses": {
         "<finding_id>.<mode>": "raw response text",
@@ -28,6 +29,8 @@ prompt hashes) to canned responses, optionally with scripted failures:
         "sha256:<prompt_sha256>": "..."
       }
     }
+
+Any other top-level key is refused.
 """
 
 from __future__ import annotations
@@ -81,10 +84,6 @@ class BackendRequest(NamedTuple):
     system_text: str
     user_text: str
     tag: str = ""  # "<finding_id>.<mode>"; used for audit and mock lookup
-
-    @property
-    def prompt_chars(self) -> int:
-        return len(self.system_text) + len(self.user_text)
 
 
 class BackendReply(NamedTuple):
@@ -171,17 +170,8 @@ def send(
 class Backend:
     """Interface: answer one request with one reply."""
 
-    max_prompt_chars: int | None = None
-
     def complete(self, request: BackendRequest) -> BackendReply:
         raise NotImplementedError
-
-    def _check_prompt_size(self, request: BackendRequest) -> None:
-        """Refuse, before sending it, a prompt longer than ``max_prompt_chars``."""
-        if self.max_prompt_chars is not None and request.prompt_chars > self.max_prompt_chars:
-            raise ContextOverflow(
-                f"prompt is {request.prompt_chars} chars, limit is {self.max_prompt_chars}"
-            )
 
     def close(self) -> None:
         """Release the connections the backend keeps open between calls."""
@@ -249,7 +239,6 @@ class HttpBackend(Backend):
         endpoint: str,
         key_env: str = "SARIF_TRIAGE_API_KEY",
         timeout_s: float = 120.0,
-        max_prompt_chars: int | None = None,
     ):
         # Only a live backend needs the transport, so only its construction
         # pays for importing it; the calls reach it through ``self._http``.
@@ -261,7 +250,6 @@ class HttpBackend(Backend):
         self.endpoint = endpoint
         self.key_env = key_env
         self.timeout_s = timeout_s
-        self.max_prompt_chars = max_prompt_chars
         self._https = url.scheme == "https"
         self._host, self._port = url.hostname, url.port
         self._target = url.path or "/"
@@ -327,7 +315,6 @@ class HttpBackend(Backend):
             conn.close()
 
     def complete(self, request: BackendRequest) -> BackendReply:
-        self._check_prompt_size(request)
         headers = dict(self._headers)
         api_key = os.environ.get(self.key_env, "")
         if api_key:
@@ -378,17 +365,11 @@ class _MockEntry(NamedTuple):
 class MockBackend(Backend):
     """Deterministic scripted backend for tests and offline runs."""
 
-    def __init__(
-        self,
-        responses: Mapping[str, Any],
-        default: Any | None = None,
-        max_prompt_chars: int | None = None,
-    ):
+    def __init__(self, responses: Mapping[str, Any], default: Any | None = None):
         self._entries: dict[str, _MockEntry] = {
             key: _coerce_entry(key, value) for key, value in responses.items()
         }
         self._default = None if default is None else _coerce_entry("default", default)
-        self.max_prompt_chars = max_prompt_chars
         self._remaining_failures: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -397,11 +378,9 @@ class MockBackend(Backend):
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError(f"mock script {path} must be a JSON object")
-        return cls(
-            responses=data.get("responses", {}),
-            default=data.get("default"),
-            max_prompt_chars=data.get("max_prompt_chars"),
-        )
+        for key in sorted(data.keys() - {"responses", "default"}):
+            raise ValueError(f"mock script {path}: unknown key {key!r}")
+        return cls(responses=data.get("responses", {}), default=data.get("default"))
 
     def _lookup(self, request: BackendRequest) -> tuple[str, _MockEntry] | None:
         """The entry for the request's tag, else its finding id, else its
@@ -418,7 +397,6 @@ class MockBackend(Backend):
         return None
 
     def complete(self, request: BackendRequest) -> BackendReply:
-        self._check_prompt_size(request)
         found = self._lookup(request)
         if found is None:
             raise BackendError(f"mock script has no entry for {request.tag or 'request'}")

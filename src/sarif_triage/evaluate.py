@@ -9,7 +9,7 @@ before precision/recall/F1 are computed) and printed at three decimals.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from .adjudicate import AdjudicationResult, Verdict
 from .ingest import Finding
@@ -19,6 +19,9 @@ from .rubrics import SHIPPED_CWES
 class Label(str, Enum):
     TRUE_VULNERABILITY = "TRUE_VULNERABILITY"
     FALSE_POSITIVE = "FALSE_POSITIVE"
+
+
+_LABELS = tuple(label.value for label in Label)
 
 
 class Outcome(str, Enum):
@@ -40,7 +43,16 @@ class GroundTruth(NamedTuple):
     start_line: int | None = None
 
     @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "GroundTruth":
+    def from_dict(cls, d: Any) -> "GroundTruth":
+        """One row of a labels file; ``ValueError`` for a row that would be
+        misread or could never match."""
+        if not isinstance(d, dict) or d.get("label") not in _LABELS:
+            raise ValueError(f"not an object whose label is {' or '.join(_LABELS)}")
+        for key, kind in (("finding_id", str), ("rule_id", str), ("uri", str), ("start_line", int)):
+            value = d.get(key)
+            if value is not None and (type(value) is not kind or kind is int and value < 1):
+                want = "a string" if kind is str else "an integer >= 1"
+                raise ValueError(f"{key} {value!r} is not {want}")
         return cls(
             label=Label(d["label"]),
             finding_id=d.get("finding_id"),
@@ -188,12 +200,14 @@ def build_report(
 
     Conservation: scored (tp+fp+tn+fn) + unevaluated + unmatched equals the
     number of results passed in. Unevaluated findings never enter metric
-    denominators; unmatched adjudications are counted, never scored.
+    denominators; unmatched adjudications are counted, never scored. Every
+    CWE among ``findings`` has a group, zero when none of its rows is
+    scored, so two modes over the same findings have the same groups.
     """
-    by_fid = {f.finding_id: f for f in findings}
+    cwe_of = {f.finding_id: f.cwe_id for f in findings}
     matched = match_truth(findings, truths)
 
-    outcomes_by_cwe: dict[str, list[Outcome]] = {}
+    outcomes_by_cwe: dict[str, list[Outcome]] = {cwe: [] for cwe in cwe_of.values()}
     unevaluated = 0
     unmatched = 0
     for row in results:
@@ -204,9 +218,7 @@ def build_report(
         if truth is None:
             unmatched += 1
             continue
-        finding = by_fid.get(row.finding_id)
-        cwe = finding.cwe_id if finding is not None else "CWE-UNKNOWN"
-        outcomes_by_cwe.setdefault(cwe, []).append(score(row.adjudication.verdict, truth.label))
+        outcomes_by_cwe[cwe_of[row.finding_id]].append(score(row.adjudication.verdict, truth.label))
 
     per_cwe = {
         cwe: counts_from_outcomes(outcomes_by_cwe[cwe])

@@ -107,15 +107,8 @@ def build_backend(config: RunConfig) -> Backend:
     from .backend import HttpBackend, MockBackend
 
     if config.backend.kind == "mock":
-        backend = MockBackend.from_script_file(config.backend.script_path)
-        if config.backend.max_prompt_chars is not None:
-            backend.max_prompt_chars = config.backend.max_prompt_chars
-        return backend
-    return HttpBackend(
-        endpoint=config.backend.endpoint,
-        key_env=config.backend.key_env,
-        max_prompt_chars=config.backend.max_prompt_chars,
-    )
+        return MockBackend.from_script_file(config.backend.script_path)
+    return HttpBackend(config.backend.endpoint, config.backend.key_env)
 
 
 # --------------------------------------------------------------------------
@@ -459,6 +452,7 @@ def stage_adjudicate(
                 model=config.backend.model,
                 retry=retry,
                 max_output_chars=config.max_output_chars,
+                max_prompt_chars=config.backend.max_prompt_chars,
             )
         finally:
             backend.close()
@@ -496,7 +490,14 @@ def stage_evaluate(config: RunConfig, resume: bool = False) -> None:
 
         findings = _load_findings(findings_path)
         results = [adj.AdjudicationResult.from_dict(row) for row in read_rows(adjudications_path)]
-        truths = [ev.GroundTruth.from_dict(row) for row in read_rows(config.labels_path)]
+        truths = []
+        for number, row in enumerate(read_rows(config.labels_path), 1):
+            try:
+                truths.append(ev.GroundTruth.from_dict(row))
+            except ValueError as exc:
+                raise StageError(
+                    "evaluate", f"labels file {config.labels_path}, row {number}: {exc}"
+                ) from exc
 
         reports: dict[str, ev.EvalReport] = {}
         for mode in config.modes():

@@ -152,18 +152,37 @@ def test_parallelism_does_not_change_serialized_output(tmp_path):
 
 def test_overflow_yields_unevaluated_placeholder_not_a_drop():
     verdicts = {"f1": "FALSE_POSITIVE", "f3": "TRUE_POSITIVE"}
-    backend = MockBackend(responses=_oracle_script(verdicts), max_prompt_chars=50)
+    backend = MockBackend(responses=_oracle_script(verdicts))
     bundles = [
         _bundle("f1"),
         _bundle("f2", user="x" * 200),  # will overflow
         _bundle("f3"),
     ]
-    results, audits = adjudicate_all(bundles, backend, retry=NO_SLEEP)
+    results, audits = adjudicate_all(bundles, backend, retry=NO_SLEEP, max_prompt_chars=50)
     assert [r.status for r in results] == [STATUS_OK, STATUS_UNEVALUATED, STATUS_OK]
     assert results[1].error is not None and "ContextOverflow" in results[1].error
     assert len(audits) == 3
     assert audits[1]["status"] == STATUS_UNEVALUATED
     assert audits[1]["raw_response"] is None
+
+
+def test_a_prompt_over_the_limit_is_refused_before_any_backend_call():
+    calls = []
+
+    class Counting(MockBackend):
+        def complete(self, request):
+            calls.append(request.tag)
+            return super().complete(request)
+
+    backend = Counting(responses={"f1": "ok", "f2": "ok"})
+    bundles = [_bundle("f1", user="x" * 40000), _bundle("f2", user="x" * 32762)]
+    results, audits = adjudicate_all(bundles, backend, retry=NO_SLEEP, max_prompt_chars=32768)
+    # 6 chars of system text: f1 is 40006 chars, f2 exactly at the limit.
+    assert results[0].error == "ContextOverflow: prompt is 40006 chars, limit is 32768"
+    assert audits[0]["attempt_count"] == 0
+    assert audits[0]["raw_response"] is None
+    assert calls == ["f2.OPTIMIZED"]
+    assert audits[1]["attempt_count"] == 1
 
 
 def test_validation_failure_is_unevaluated_with_audit_detail():

@@ -13,6 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from sarif_triage.adjudicate import adjudicate_all
 from sarif_triage.backend import (
     BackendError,
     BackendReply,
@@ -27,6 +28,7 @@ from sarif_triage.backend import (
     TransportError,
     send,
 )
+from sarif_triage.prompts import PromptBundle, PromptMode, prompt_sha256
 
 NO_SLEEP = RetryPolicy(attempt_cap=4, backoff_base_s=0.0, sleep=lambda _: None)
 
@@ -111,13 +113,6 @@ def test_backoff_schedule_is_exponential():
     assert sleeps == [0.5, 1.0, 2.0]
 
 
-def test_prompt_over_mock_limit_is_context_overflow():
-    backend = MockBackend(responses={"fid.OPTIMIZED": "ok"}, max_prompt_chars=32768)
-    huge = "x" * 40000
-    with pytest.raises(ContextOverflow):
-        send(_request(user=huge), backend, NO_SLEEP)
-
-
 def test_context_overflow_is_not_retried():
     attempts = []
 
@@ -133,17 +128,21 @@ def test_context_overflow_is_not_retried():
 
 def test_mock_script_file_round_trip(tmp_path):
     script = {
-        "max_prompt_chars": 1000,
         "default": "dflt",
         "responses": {"fid": {"response": "ok", "fail_first": 1}},
     }
     path = tmp_path / "script.json"
     path.write_text(json.dumps(script))
     backend = MockBackend.from_script_file(path)
-    assert backend.max_prompt_chars == 1000
     result = send(_request(), backend, NO_SLEEP)
     assert result.text == "ok"
     assert result.attempt_count == 2
+    assert send(_request(tag="other.OPTIMIZED"), backend, NO_SLEEP).text == "dflt"
+    # Only the run config sets the prompt limit: a script that names one is
+    # refused instead of losing it.
+    path.write_text(json.dumps({**script, "max_prompt_chars": 1000}))
+    with pytest.raises(ValueError, match="unknown key 'max_prompt_chars'"):
+        MockBackend.from_script_file(path)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +336,17 @@ def test_a_backend_error_from_send_counts_the_calls_it_made(http_server):
     assert malformed.value.attempt_count == 2
 
 
-def test_http_backend_preflights_prompt_limit(http_server):
-    backend = HttpBackend(endpoint=http_server, max_prompt_chars=10)
-    with pytest.raises(ContextOverflow):
-        backend.complete(_request(user="x" * 100))
+def test_a_prompt_over_the_limit_never_reaches_the_http_server(http_server):
+    request = _request(user="x" * 100)
+    bundle = PromptBundle("fid", PromptMode.OPTIMIZED, request.system_text, request.user_text,
+                          prompt_sha256(request.system_text, request.user_text), ())
+    backend = HttpBackend(endpoint=http_server)
+    try:
+        results, audits = adjudicate_all([bundle], backend, retry=NO_SLEEP, max_prompt_chars=10)
+    finally:
+        backend.close()
+    assert results[0].error == "ContextOverflow: prompt is 111 chars, limit is 10"
+    assert audits[0]["attempt_count"] == 0
     assert _Handler.seen == []  # never reached the wire
 
 

@@ -626,6 +626,94 @@ def test_both_modes_produce_delta_table(corpus, tmp_path):
     assert _prompt_modes(out) == {"BASELINE": 20, "OPTIMIZED": 20}
 
 
+def _config_with(corpus, root: Path, prompt_mode="OPTIMIZED", backend=None, script=None,
+                 labels=None) -> Path:
+    """A config file under ``root`` for a run on ``corpus``, with ``backend``
+    keys merged in, and the mock ``script`` and ``labels`` rows, when given,
+    written in place of the corpus's."""
+    root.mkdir()
+    config = json.loads(write_config(corpus, root / "out", prompt_mode=prompt_mode).read_text())
+    config["backend"].update(backend or {})
+    if script is not None:
+        config["backend"]["script_path"] = str(root / "script.json")
+        (root / "script.json").write_text(json.dumps(script), encoding="utf-8")
+    if labels is not None:
+        config["labels_path"] = str(root / "labels.jsonl")
+        (root / "labels.jsonl").write_text(
+            "".join(json.dumps(row) + "\n" for row in labels), encoding="utf-8"
+        )
+    path = root / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+def test_a_prompt_over_max_prompt_chars_is_unevaluated_without_a_request(
+    corpus, tmp_path, monkeypatch
+):
+    from sarif_triage.backend import MockBackend
+
+    calls = []
+    complete = MockBackend.complete
+
+    def spy(self, request):
+        calls.append(request.tag)
+        return complete(self, request)
+
+    monkeypatch.setattr(MockBackend, "complete", spy)
+    config = _config_with(corpus, tmp_path / "run", backend={"max_prompt_chars": 1})
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    out = tmp_path / "run" / "out"
+    rows = list(pipeline.read_rows(out / "adjudications.jsonl"))
+    assert len(rows) == 20
+    for row in rows:
+        assert row["status"] == "UNEVALUATED"
+        assert re.fullmatch(r"ContextOverflow: prompt is \d+ chars, limit is 1", row["error"])
+    records = [json.loads(p.read_text()) for p in (out / "audit").iterdir()]
+    assert [record["attempt_count"] for record in records] == [0] * 20
+    assert calls == []
+
+
+def test_a_both_run_reports_a_cwe_that_one_mode_scores_no_row_of(corpus, tmp_path):
+    script = json.loads(corpus.mock_script_path.read_text(encoding="utf-8"))
+    for finding in corpus.findings:
+        if finding.cwe_id == "CWE-327":
+            script["responses"][f"{finding.finding_id}.BASELINE"] = "I cannot tell."
+    config = _config_with(corpus, tmp_path / "run", prompt_mode="BOTH", script=script)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    out = tmp_path / "run" / "out"
+    report = json.loads((out / "report.json").read_text())
+    assert report["modes"]["BASELINE"]["per_cwe"]["CWE-327"]["tp"] == 0
+    assert report["modes"]["BASELINE"]["unevaluated_count"] == 2
+    assert [row["group"] for row in report["delta"]][-1] == "CWE-327"
+    text = (out / "report.txt").read_text()
+    assert re.search(r"^CWE-327 +baseline=0\.000 optimized=1\.000 delta=\+1\.000$", text, re.M)
+
+
+_NO_LABEL = "not an object whose label is TRUE_VULNERABILITY or FALSE_POSITIVE"
+_BAD_LABEL_ROWS = {
+    "no-label": ({"finding_id": "x"}, _NO_LABEL),
+    "unknown-label": ({"finding_id": "x", "label": "MAYBE"}, _NO_LABEL),
+    "not-an-object": ([1], _NO_LABEL),
+    "string-line": (
+        {"rule_id": "r", "uri": "gen/Case00.java", "start_line": "7", "label": "FALSE_POSITIVE"},
+        "start_line '7' is not an integer >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_LABEL_ROWS))
+def test_a_bad_labels_row_exits_1_naming_the_file_and_the_row(corpus, tmp_path, capsys, case):
+    row, problem = _BAD_LABEL_ROWS[case]
+    labels = [*pipeline.read_rows(corpus.labels_path), row]
+    config = _config_with(corpus, tmp_path / "run", labels=labels)
+    assert main(["run", "--config", str(config)]) == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert f"error: stage evaluate: labels file {tmp_path / 'run' / 'labels.jsonl'}, row 21: " in err
+    assert problem in err
+    # The adjudications stay on disk, so a resume reruns only evaluate.
+    assert (tmp_path / "run" / "out" / "adjudications.jsonl").is_file()
+
+
 def test_carriage_returns_in_step_messages_reach_the_prompt_verbatim(tmp_path):
     corpus = build_corpus(tmp_path / "corpus")
     sarif = json.loads(corpus.sarif_path.read_text(encoding="utf-8"))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -206,6 +207,46 @@ def test_build_report_conserves_counts_and_routes_statuses():
     for cwe_counts in report.per_cwe.values():
         summed = summed + cwe_counts
     assert summed == counts
+
+
+@pytest.mark.parametrize("row, problem", [
+    ({"label": "FALSE_POSITIVE", "finding_id": 5}, "finding_id 5 is not a string"),
+    ({"label": "FALSE_POSITIVE", "uri": ["A.java"]}, "uri ['A.java'] is not a string"),
+    ({"label": "FALSE_POSITIVE", "start_line": True}, "start_line True is not an integer >= 1"),
+    ({"label": "FALSE_POSITIVE", "start_line": 0}, "start_line 0 is not an integer >= 1"),
+    ({"label": ["FALSE_POSITIVE"]}, "not an object whose label is"),
+    ("FALSE_POSITIVE", "not an object whose label is"),
+])
+def test_ground_truth_refuses_a_row_it_would_misread(row, problem):
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        GroundTruth.from_dict(row)
+
+
+def test_ground_truth_reads_a_null_field_as_absent():
+    row = {"label": "FALSE_POSITIVE", "finding_id": None, "start_line": 7}
+    assert GroundTruth.from_dict(row) == GroundTruth(Label.FALSE_POSITIVE, start_line=7)
+
+
+def test_a_cwe_with_only_unevaluated_rows_keeps_a_zero_group():
+    findings = [
+        _finding("f1", cwe="CWE-089", uri="A.java"),
+        _finding("f2", cwe="CWE-327", uri="B.java"),
+    ]
+    truths = [GroundTruth(label=Label.FALSE_POSITIVE, finding_id=fid) for fid in ("f1", "f2")]
+    results = [
+        _ok("f1", Verdict.FALSE_POSITIVE),
+        AdjudicationResult(finding_id="f2", mode="OPTIMIZED", error="NotJson: x"),
+    ]
+    report = build_report(findings, results, truths, "OPTIMIZED")
+    assert report.per_cwe == {"CWE-089": ConfusionCounts(tp=1), "CWE-327": ConfusionCounts()}
+    assert report.unevaluated_count == 1
+    # The other mode scores both, and the two reports still compare.
+    both = build_report(findings, [_ok("f1", Verdict.FALSE_POSITIVE),
+                                   _ok("f2", Verdict.FALSE_POSITIVE)], truths, "BASELINE")
+    deltas = compare_modes(both, report)
+    assert [(row.group, row.delta) for row in deltas] == [
+        ("overall", 0.0), ("CWE-089", 0.0), ("CWE-327", -1.0)
+    ]
 
 
 def test_per_cwe_table_is_in_report_order():

@@ -53,6 +53,9 @@ class GroundTruth(NamedTuple):
             if value is not None and (type(value) is not kind or kind is int and value < 1):
                 want = "a string" if kind is str else "an integer >= 1"
                 raise ValueError(f"{key} {value!r} is not {want}")
+        # The keys ``match_truth`` matches on: a row without them never matches.
+        if not (d.get("finding_id") or d.get("rule_id") and d.get("uri") and d.get("start_line")):
+            raise ValueError("has neither a finding_id nor all of rule_id, uri and start_line")
         return cls(
             label=Label(d["label"]),
             finding_id=d.get("finding_id"),

@@ -178,19 +178,19 @@ def _run_stage(
     """Run ``body`` unless ``resume`` is set and the stage's stamp still
     matches ``inputs``; then delete what the previous stamp recorded and
     ``body`` no longer wrote, and stamp ``inputs`` with the ``{path: sha256}``
-    of each file ``body`` wrote. Any failure in ``body`` surfaces as a
-    ``StageError``.
+    of each file ``body`` wrote. Any failure in ``inputs`` or ``body``
+    surfaces as a ``StageError``.
 
     ``inputs`` may be a function of the inputs the previous stamp recorded
     (None when there is none to trust or ``resume`` is off), for a stage
     whose stamp lists what else it depends on."""
     previous = _read_stamp(config, stage)
-    if callable(inputs):
-        inputs = inputs(previous["inputs"] if resume and previous is not None else None)
-    if resume and previous is not None and _stamp_matches(config, previous, inputs):
-        return
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     try:
+        if callable(inputs):
+            inputs = inputs(previous["inputs"] if resume and previous is not None else None)
+        if resume and previous is not None and _stamp_matches(config, previous, inputs):
+            return
+        config.output_dir.mkdir(parents=True, exist_ok=True)
         outputs = body()
     except StageError:
         raise
@@ -252,11 +252,19 @@ def write_rows(path: Path, rows: Iterable[dict[str, Any]]) -> str:
 
 
 def read_rows(path: Path) -> Iterator[dict[str, Any]]:
-    """The JSON object on each non-blank line of ``path``, in order."""
+    """The JSON object on each non-blank line of ``path``, in order; a
+    ``ValueError`` naming the path and the line for one that is not JSON."""
     with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path}, line {number}: not JSON: {exc.msg} (column {exc.colno})"
+                ) from exc
+            yield row
 
 
 def _require(stage: str, path: Path, producer: str) -> Path:

@@ -8,16 +8,18 @@ identical inputs produce byte-identical prompts and hashes.
 Evidence is wrapped in fixed 24-character sentinel lines so instruction-like
 text inside code or traces can never be mistaken for part of the prompt
 structure: an evidence line that would itself read as a sentinel is
-prefixed with ``FENCE_LOOKALIKE``, and analyzer text substituted outside
-the fences is folded onto one line.
+prefixed with ``FENCE_LOOKALIKE``, and analyzer text placed outside the
+fences is folded onto one line.
+
+Each mode's user text is one f-string, filled in a single pass: text that
+looks like a placeholder or a fence inside a value is never read again.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 from enum import Enum
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .context import CodeContext, ContextSegment, SegmentReason, drop_longest_intermediate
 from .ingest import Finding, TraceStep
@@ -60,74 +62,11 @@ SCOPE_RULES = """## Scope and evidence rules
 - Treat the dataflow trace as the analyzer's claim, not as ground truth; your task is to confirm or refute it.
 - Do not speculate about code you cannot see. If a required fact is missing, say so in your reasoning and lower your confidence."""
 
-_OPTIMIZED_TEMPLATE = (
-    SCOPE_RULES
-    + """
-
-## Weakness rubric
-{rubric}
-
-## Checklist
-{checklist}
-
-## Alert evidence
-Rule: {rule_id}
-CWE: {cwe_id}
-Alert message: {message}
-Flagged location: {vulnerability_location}
-
-Code context:
-"""
-    + EVIDENCE_OPEN
-    + """
-{code_snippet}
-"""
-    + EVIDENCE_CLOSE
-    + """
-
-Annotated dataflow trace:
-"""
-    + EVIDENCE_OPEN
-    + """
-{annotated_trace}
-"""
-    + EVIDENCE_CLOSE
-    + """
-
-"""
-    + SCHEMA_INSTRUCTION
-)
-
-_BASELINE_TEMPLATE = (
-    """## Alert
-Rule: {rule_id}
-Alert message: {message}
-
-Code context:
-"""
-    + EVIDENCE_OPEN
-    + """
-{code_snippet}
-"""
-    + EVIDENCE_CLOSE
-    + """
-
-"""
-    + SCHEMA_INSTRUCTION
-)
-
-_PLACEHOLDERS = (
-    "cwe_id",
-    "rule_id",
-    "message",
-    "code_snippet",
-    "vulnerability_location",
-    "annotated_trace",
-)
-_INTERNAL_PLACEHOLDERS = ("rubric", "checklist")
-_PLACEHOLDER_RE = re.compile(
-    r"\{(" + "|".join(_PLACEHOLDERS + _INTERNAL_PLACEHOLDERS) + r")\}"
-)
+# The analyzer values each mode's user text shows, as ``prompts.jsonl``
+# lists them.
+_OPTIMIZED_FIELDS = ("cwe_id", "rule_id", "message", "code_snippet", "vulnerability_location",
+                     "annotated_trace")
+_BASELINE_FIELDS = ("rule_id", "message", "code_snippet")
 
 
 class PromptBundle(NamedTuple):
@@ -136,7 +75,10 @@ class PromptBundle(NamedTuple):
     system_text: str
     user_text: str
     prompt_sha256: str
-    placeholders_used: tuple[str, ...]
+
+    @property
+    def placeholders_used(self) -> tuple[str, ...]:
+        return _OPTIMIZED_FIELDS if self.mode is PromptMode.OPTIMIZED else _BASELINE_FIELDS
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -156,7 +98,6 @@ class PromptBundle(NamedTuple):
             system_text=d["system_text"],
             user_text=d["user_text"],
             prompt_sha256=d["prompt_sha256"],
-            placeholders_used=tuple(d["placeholders_used"]),
         )
 
 
@@ -228,23 +169,6 @@ def render_snippet(segments: tuple[ContextSegment, ...] | list[ContextSegment]) 
     return "\n".join(_render_segment(seg) for seg in segments)
 
 
-def _render_rubric(rubric: Rubric) -> str:
-    lines = [f"{rubric.cwe_id}: {rubric.title}"]
-    lines.extend(f"- [{rule.tag.value}] {rule.text}" for rule in rubric.rules)
-    return "\n".join(lines)
-
-
-def _render_checklist(rubric: Rubric) -> str:
-    return "\n".join(f"- {question}" for question in rubric.checklist)
-
-
-def _format_location(finding: Finding) -> str:
-    loc = finding.primary_location
-    if loc.end_line != loc.start_line:
-        return f"{loc.uri}:{loc.start_line}-{loc.end_line}"
-    return f"{loc.uri}:{loc.start_line}"
-
-
 def _fence_safe(evidence: str) -> str:
     return "".join(
         FENCE_LOOKALIKE + line if line.strip() in (EVIDENCE_OPEN, EVIDENCE_CLOSE) else line
@@ -256,10 +180,61 @@ def _one_line(text: str) -> str:
     return " ".join(text.splitlines())
 
 
-def _substitute(template: str, values: dict[str, str]) -> str:
-    # Single-pass substitution: values are never rescanned, so placeholder-
-    # looking text inside evidence cannot trigger a second expansion.
-    return _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], template)
+def _optimized_text(finding: Finding, ctx: CodeContext, rubric: Rubric) -> Callable[[str], str]:
+    """The optimized user text as a function of the code snippet; the rest
+    is rendered once, here."""
+    rubric_text = "\n".join([f"{rubric.cwe_id}: {rubric.title}"]
+                            + [f"- [{rule.tag.value}] {rule.text}" for rule in rubric.rules])
+    checklist = "\n".join(f"- {question}" for question in rubric.checklist)
+    rule_id, message = _one_line(finding.rule_id), _one_line(finding.message)
+    loc = finding.primary_location
+    lines = (f"{loc.start_line}" if loc.end_line == loc.start_line
+             else f"{loc.start_line}-{loc.end_line}")
+    location = _one_line(f"{loc.uri}:{lines}")
+    if finding.trace:
+        trace = _fence_safe(render_trace(finding, ctx))
+    else:
+        trace = "(no dataflow trace was reported for this alert)"
+    return lambda snippet: f"""{SCOPE_RULES}
+
+## Weakness rubric
+{rubric_text}
+
+## Checklist
+{checklist}
+
+## Alert evidence
+Rule: {rule_id}
+CWE: {finding.cwe_id}
+Alert message: {message}
+Flagged location: {location}
+
+Code context:
+{EVIDENCE_OPEN}
+{snippet}
+{EVIDENCE_CLOSE}
+
+Annotated dataflow trace:
+{EVIDENCE_OPEN}
+{trace}
+{EVIDENCE_CLOSE}
+
+{SCHEMA_INSTRUCTION}"""
+
+
+def _baseline_text(finding: Finding, ctx: CodeContext, rubric: Rubric) -> Callable[[str], str]:
+    """The baseline user text as a function of the code snippet."""
+    rule_id, message = _one_line(finding.rule_id), _one_line(finding.message)
+    return lambda snippet: f"""## Alert
+Rule: {rule_id}
+Alert message: {message}
+
+Code context:
+{EVIDENCE_OPEN}
+{snippet}
+{EVIDENCE_CLOSE}
+
+{SCHEMA_INSTRUCTION}"""
 
 
 def compile_prompt(
@@ -271,43 +246,22 @@ def compile_prompt(
 ) -> PromptBundle:
     """Compile the adjudication prompt for one finding.
 
-    When ``char_budget`` is set and the user text overflows it, intermediate
-    code segments are dropped longest-first and the prompt recompiled; the
+    Everything but the code snippet is rendered once. When ``char_budget``
+    is set and the user text overflows it, intermediate code segments are
+    dropped longest-first and only the snippet is rendered again; the
     annotated trace is never truncated.
     """
-    if finding.trace:
-        trace_text = _fence_safe(render_trace(finding, ctx))
-    else:
-        trace_text = "(no dataflow trace was reported for this alert)"
-
+    text_for = _optimized_text if mode is PromptMode.OPTIMIZED else _baseline_text
+    fill = text_for(finding, ctx, rubric)
     segments = list(ctx.segments)
-    while True:
-        values = {
-            "cwe_id": finding.cwe_id,
-            "rule_id": _one_line(finding.rule_id),
-            "message": _one_line(finding.message),
-            "vulnerability_location": _one_line(_format_location(finding)),
-            "code_snippet": _fence_safe(render_snippet(segments)),
-            "annotated_trace": trace_text,
-            "rubric": _render_rubric(rubric),
-            "checklist": _render_checklist(rubric),
-        }
-        if mode is PromptMode.OPTIMIZED:
-            user_text = _substitute(_OPTIMIZED_TEMPLATE, values)
-            placeholders = _PLACEHOLDERS
-        else:
-            user_text = _substitute(_BASELINE_TEMPLATE, values)
-            placeholders = ("rule_id", "message", "code_snippet")
-        if char_budget is None or len(user_text) <= char_budget:
-            break
-        if drop_longest_intermediate(segments) is None:
-            break
-
+    user_text = fill(_fence_safe(render_snippet(segments)))
+    while (char_budget is not None and len(user_text) > char_budget
+           and drop_longest_intermediate(segments) is not None):
+        user_text = fill(_fence_safe(render_snippet(segments)))
     return PromptBundle(
         finding_id=finding.finding_id,
         mode=mode,
         system_text=SYSTEM_TEXT,
         user_text=user_text,
         prompt_sha256=prompt_sha256(SYSTEM_TEXT, user_text),
-        placeholders_used=placeholders,
     )

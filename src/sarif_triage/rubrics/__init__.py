@@ -13,8 +13,7 @@ plus ``generic.rubric`` for the fallback). The format is line-oriented:
 
 Each rubric must carry 10-20 rules with every tag represented at least
 once and 3-7 checklist questions. Rubric text may not contain curly
-braces, so compiled prompts can never double-substitute placeholder
-tokens.
+braces.
 
 The shipped rubric content is editorial: drafted from the public CWE
 definitions and common analyzer false-positive patterns, not model

@@ -93,7 +93,6 @@ def _bundle(fid: str, mode=PromptMode.OPTIMIZED, user="user") -> PromptBundle:
         system_text="system",
         user_text=user,
         prompt_sha256=prompt_sha256("system", user),
-        placeholders_used=("rule_id",),
     )
 
 

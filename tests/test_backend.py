@@ -339,7 +339,7 @@ def test_a_backend_error_from_send_counts_the_calls_it_made(http_server):
 def test_a_prompt_over_the_limit_never_reaches_the_http_server(http_server):
     request = _request(user="x" * 100)
     bundle = PromptBundle("fid", PromptMode.OPTIMIZED, request.system_text, request.user_text,
-                          prompt_sha256(request.system_text, request.user_text), ())
+                          prompt_sha256(request.system_text, request.user_text))
     backend = HttpBackend(endpoint=http_server)
     try:
         results, audits = adjudicate_all([bundle], backend, retry=NO_SLEEP, max_prompt_chars=10)

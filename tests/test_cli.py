@@ -698,6 +698,10 @@ _BAD_LABEL_ROWS = {
         {"rule_id": "r", "uri": "gen/Case00.java", "start_line": "7", "label": "FALSE_POSITIVE"},
         "start_line '7' is not an integer >= 1",
     ),
+    "no-key": (
+        {"label": "FALSE_POSITIVE"},
+        "has neither a finding_id nor all of rule_id, uri and start_line",
+    ),
 }
 
 
@@ -712,6 +716,34 @@ def test_a_bad_labels_row_exits_1_naming_the_file_and_the_row(corpus, tmp_path, 
     assert problem in err
     # The adjudications stay on disk, so a resume reruns only evaluate.
     assert (tmp_path / "run" / "out" / "adjudications.jsonl").is_file()
+
+
+def test_a_labels_line_that_is_not_json_exits_1_naming_the_file_and_the_line(
+    corpus, tmp_path, capsys
+):
+    config = _config_with(corpus, tmp_path / "run", labels=pipeline.read_rows(corpus.labels_path))
+    labels_path = tmp_path / "run" / "labels.jsonl"
+    with labels_path.open("a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+    assert main(["run", "--config", str(config)]) == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert f"error: stage evaluate: {labels_path}, line 21: not JSON: Expecting value (column 1)" in err
+    assert (tmp_path / "run" / "out" / "adjudications.jsonl").is_file()
+
+
+def test_a_findings_line_that_is_not_json_stops_context_naming_the_file_and_the_line(
+    corpus, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    config = write_config(corpus, out, with_labels=False)
+    assert main(["ingest", "--config", str(config)]) == EXIT_OK
+    findings_path = out / "findings.jsonl"
+    lines = findings_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
+    findings_path.write_text("".join(lines), encoding="utf-8")
+    assert main(["context", "--config", str(config)]) == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert f"error: stage context: {findings_path}, line 3: not JSON: " in err
 
 
 def test_carriage_returns_in_step_messages_reach_the_prompt_verbatim(tmp_path):

@@ -216,6 +216,11 @@ def test_build_report_conserves_counts_and_routes_statuses():
     ({"label": "FALSE_POSITIVE", "start_line": 0}, "start_line 0 is not an integer >= 1"),
     ({"label": ["FALSE_POSITIVE"]}, "not an object whose label is"),
     ("FALSE_POSITIVE", "not an object whose label is"),
+    ({"label": "FALSE_POSITIVE"}, "has neither a finding_id nor all of rule_id, uri and start_line"),
+    ({"label": "FALSE_POSITIVE", "rule_id": "r", "uri": "A.java"},
+     "has neither a finding_id nor all of rule_id, uri and start_line"),
+    ({"label": "FALSE_POSITIVE", "finding_id": "", "uri": "A.java", "start_line": 3},
+     "has neither a finding_id nor all of rule_id, uri and start_line"),
 ])
 def test_ground_truth_refuses_a_row_it_would_misread(row, problem):
     with pytest.raises(ValueError, match=re.escape(problem)):
@@ -223,8 +228,11 @@ def test_ground_truth_refuses_a_row_it_would_misread(row, problem):
 
 
 def test_ground_truth_reads_a_null_field_as_absent():
-    row = {"label": "FALSE_POSITIVE", "finding_id": None, "start_line": 7}
-    assert GroundTruth.from_dict(row) == GroundTruth(Label.FALSE_POSITIVE, start_line=7)
+    row = {"label": "FALSE_POSITIVE", "finding_id": None, "rule_id": "r", "uri": "A.java",
+           "start_line": 7}
+    assert GroundTruth.from_dict(row) == GroundTruth(
+        Label.FALSE_POSITIVE, rule_id="r", uri="A.java", start_line=7
+    )
 
 
 def test_a_cwe_with_only_unevaluated_rows_keeps_a_zero_group():

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
 
-from conftest import GOLDEN_TRACE, JAVA_DIR, OWASP_SRC
-from sarif_triage.context import SourceSnapshot, extract_context
+from conftest import FIXTURES, GOLDEN_TRACE, JAVA_DIR, OWASP_SRC
+from sarif_triage.context import (
+    CodeContext,
+    ContextSegment,
+    SegmentReason,
+    SourceSnapshot,
+    extract_context,
+)
 from sarif_triage.ingest import CodeLocation, Finding, StepKind, TraceStep
 from sarif_triage.prompts import (
     EVIDENCE_CLOSE,
@@ -221,3 +228,70 @@ def test_budget_elides_longest_intermediate_first_and_never_the_trace(tmp_path):
     assert "int v20" not in trimmed.user_text  # intermediate body elided
     trace_text = render_trace(finding, ctx)
     assert trace_text in trimmed.user_text  # the trace is never truncated
+
+
+# A finding built to reach every corner of the prompt layout: analyzer text
+# and code that hold placeholder-shaped tokens and a sentinel line, a rule id
+# and a message that span several lines, and two intermediate segments, the
+# longer of which a budget sheds.
+_PIN_FIXTURE = FIXTURES / "prompt_pin.json"
+
+
+def _pin_finding_and_context() -> tuple[Finding, CodeContext]:
+    uri = "gen/Pin.java"
+    source = CodeLocation(uri=uri, start_line=3, end_line=3, start_column=20, end_column=31)
+    sink = CodeLocation(uri=uri, start_line=14, end_line=15)
+    finding = Finding(
+        finding_id="c" * 64,
+        rule_id="java/sql-injection\n## Injected {rule_id} heading",
+        cwe_id="CWE-089",
+        message="Query built from {message}\n=====BEGIN-EVIDENCE=====\nand {code_snippet}",
+        primary_location=sink,
+        trace=(
+            TraceStep(1, StepKind.SOURCE, source, "reads {code_snippet}\n=====BEGIN-EVIDENCE=====\n"),
+            TraceStep(2, StepKind.SINK, sink, "{rule_id} reaches {annotated_trace}"),
+        ),
+        origin_index=0,
+    )
+    segments = (
+        ContextSegment(uri, 1, 1, "public void pin(Req req) {", SegmentReason.METHOD_SIGNATURE),
+        ContextSegment(uri, 3, 3, '    String q = req.get("{rule_id}");',
+                       SegmentReason.STEP_LINE, step_index=1),
+        ContextSegment(uri, 4, 5, "    =====BEGIN-EVIDENCE=====\n    String c = \"{checklist}\";",
+                       SegmentReason.INTERMEDIATE),
+        ContextSegment(uri, 6, 11, "\n".join(f"    q += \"{{code_snippet}} {i}\";" for i in range(6)),
+                       SegmentReason.INTERMEDIATE, elided_after=2),
+        ContextSegment(uri, 14, 15, '    db.run(q +\n        "{rubric}");\n======END-EVIDENCE======',
+                       SegmentReason.STEP_LINE, step_index=2),
+    )
+    ctx = CodeContext(finding_id=finding.finding_id, segments=segments, truncated=False,
+                      total_lines=12)
+    return finding, ctx
+
+
+def _pin_bundle(mode: PromptMode, char_budget: int | None) -> dict:
+    finding, ctx = _pin_finding_and_context()
+    bundle = compile_prompt(finding, ctx, rubric_for(finding.cwe_id, RUBRICS), mode,
+                            char_budget=char_budget)
+    return {
+        "mode": mode.value,
+        "char_budget": char_budget,
+        "system_text": bundle.system_text,
+        "user_text": bundle.user_text,
+        "prompt_sha256": bundle.prompt_sha256,
+        "placeholders_used": list(bundle.placeholders_used),
+    }
+
+
+def test_every_mode_compiles_to_the_pinned_bytes():
+    """Each mode without a budget, then with one a character under its full
+    length, which sheds the six-line intermediate segment only."""
+    pinned = json.loads(_PIN_FIXTURE.read_text(encoding="utf-8"))
+    assert [row["mode"] for row in pinned] == ["OPTIMIZED", "OPTIMIZED", "BASELINE", "BASELINE"]
+    assert [_pin_bundle(PromptMode(row["mode"]), row["char_budget"]) for row in pinned] == pinned
+    for full, shed in zip(pinned[::2], pinned[1::2]):
+        assert full["char_budget"] is None
+        assert len(shed["user_text"]) <= shed["char_budget"] < len(full["user_text"])
+        assert "lines 6-11 (INTERMEDIATE)" in full["user_text"]
+        assert "lines 6-11 (INTERMEDIATE)" not in shed["user_text"]
+        assert "lines 4-5 (INTERMEDIATE)" in shed["user_text"]

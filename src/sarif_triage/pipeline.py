@@ -33,14 +33,19 @@ timestamps, and ``.stamps/adjudicate.json``, which hashes those records.
 Every stage runs through ``_run_stage``: it declares its inputs once, and
 ``--resume`` skips it only when those inputs and the outputs recorded in
 its stamp still hash-match. A stage that runs deletes the outputs its
-previous stamp recorded and it no longer writes. The inputs each stamp
-keys on:
+previous stamp recorded and it no longer writes. A stamp that cannot be
+decoded counts as absent. A stage reads an artifact of the run only
+through ``_vouched``: the SHA-256 it takes of the file for its own stamp
+must be the one the producer's stamp recorded, or it stops before any
+work. As two vouched files may come from different runs, ``evaluate``
+checks that each mode's rows cover the findings once each. The inputs
+each stamp keys on:
 
     ingest      the SARIF file, cwe_map
     context     findings.jsonl, every source file a finding names, limits,
                 baseline_style, prompt_mode
-    prompts     findings.jsonl, contexts*.jsonl, every rubric file,
-                prompt_mode, prompt_char_budget
+    prompts     findings.jsonl, the contexts*.jsonl of its modes, every
+                rubric file, prompt_mode, prompt_char_budget
     adjudicate  prompts.jsonl, the backend config, the mock script,
                 max_output_chars
     evaluate    findings.jsonl, adjudications.jsonl, the labels file,
@@ -67,7 +72,6 @@ from .config import BackendConfig, ConfigError, RunConfig, load_config  # noqa: 
 if TYPE_CHECKING:
     from .backend import Backend
     from .ingest import Finding
-    from .prompts import PromptBundle
 
 # The stage functions a stage body calls by these names, looked up on this
 # module when called: a wrapper set here (a tracer, a test's counter) is the
@@ -142,15 +146,15 @@ def _is_str_map(value: Any) -> bool:
 
 
 def _read_stamp(config: RunConfig, stage: str) -> Stamp | None:
-    """The stage's stamp, or None when there is none or it is not an object
-    whose ``inputs`` and ``outputs`` map strings to strings; a stamp that
-    cannot be trusted reads as absent, so the stage runs again."""
+    """The stage's stamp, or None, so the stage runs again, when there is
+    none, it cannot be decoded, or it is not an object whose ``inputs`` and
+    ``outputs`` map strings to strings."""
     path = _stamp_path(config, stage)
     if not path.is_file():
         return None
     try:
         stamp = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or past a decoder limit
         return None
     if not (isinstance(stamp, dict) and _is_str_map(stamp.get("inputs"))
             and _is_str_map(stamp.get("outputs"))):
@@ -253,24 +257,35 @@ def write_rows(path: Path, rows: Iterable[dict[str, Any]]) -> str:
 
 def read_rows(path: Path) -> Iterator[dict[str, Any]]:
     """The JSON object on each non-blank line of ``path``, in order; a
-    ``ValueError`` naming the path and the line for one that is not JSON."""
-    with path.open("r", encoding="utf-8") as fh:
+    ``ValueError`` naming the path and the line for one that is not UTF-8,
+    not JSON, or past the decoder's depth or digit limit."""
+    with path.open("rb") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                row = json.loads(line.decode("utf-8"))
             except json.JSONDecodeError as exc:
                 raise ValueError(
                     f"{path}, line {number}: not JSON: {exc.msg} (column {exc.colno})"
                 ) from exc
+            except (ValueError, RecursionError) as exc:  # not UTF-8, or past a decoder limit
+                raise ValueError(f"{path}, line {number}: not JSON: {exc}") from exc
             yield row
 
 
-def _require(stage: str, path: Path, producer: str) -> Path:
+def _vouched(config: RunConfig, stage: str, name: str, producer: str) -> tuple[Path, str]:
+    """The path and SHA-256 of the artifact ``name`` that ``stage`` reads,
+    once the ``producer`` stage's stamp records that hash as written; a
+    ``StageError`` when the file is missing or is not the one it wrote."""
+    path = config.output_dir / name
     if not path.is_file():
         raise StageError(stage, f"missing input {path}; run {producer} first")
-    return path
+    sha = _sha256_file(path)
+    stamp = _read_stamp(config, producer)
+    if stamp is None or stamp["outputs"].get(name) != sha:
+        raise StageError(stage, f"{path} is not the one {producer} wrote; run {producer} again")
+    return path, sha
 
 
 # --------------------------------------------------------------------------
@@ -320,8 +335,7 @@ _CONTEXT_FILES = {"OPTIMIZED": "contexts.jsonl", "BASELINE": "contexts_baseline.
 def stage_context(config: RunConfig, resume: bool = False) -> None:
     from .source import SourceSnapshot
 
-    findings_path = _require("context", config.output_dir / "findings.jsonl", "ingest")
-    findings_sha = _sha256_file(findings_path)
+    findings_path, findings_sha = _vouched(config, "context", "findings.jsonl", "ingest")
     source = SourceSnapshot(config.source_root)
     findings = functools.cache(lambda: _load_findings(findings_path))
 
@@ -358,18 +372,19 @@ def stage_context(config: RunConfig, resume: bool = False) -> None:
 
 
 def stage_prompts(config: RunConfig, resume: bool = False) -> None:
-    findings_path = _require("prompts", config.output_dir / "findings.jsonl", "ingest")
+    findings_path, findings_sha = _vouched(config, "prompts", "findings.jsonl", "ingest")
     rubric_dir = Path(config.rubric_dir or SHIPPED_RUBRIC_DIR)
-    rubric_inputs = {
-        f"rubric:{p.name}": _sha256_file(p) for p in sorted(rubric_dir.glob("*.rubric"))
+    inputs = {
+        "findings": findings_sha,
+        **{f"rubric:{p.name}": _sha256_file(p) for p in sorted(rubric_dir.glob("*.rubric"))},
+        "prompt_mode": config.prompt_mode,
+        "budget": str(config.prompt_char_budget),
     }
-    inputs = {"findings": _sha256_file(findings_path), **rubric_inputs}
-    inputs["prompt_mode"] = config.prompt_mode
-    inputs["budget"] = str(config.prompt_char_budget)
-    for name in _CONTEXT_FILES.values():
-        path = config.output_dir / name
-        if path.is_file():
-            inputs[name] = _sha256_file(path)
+    # The modes come from the string: ``config.modes()`` imports ``prompts``.
+    context_paths = {}
+    for mode, name in _CONTEXT_FILES.items():
+        if config.prompt_mode in (mode, "BOTH"):
+            context_paths[mode], inputs[name] = _vouched(config, "prompts", name, "context")
 
     def body() -> dict[Path, str]:
         from .context import CodeContext
@@ -379,12 +394,8 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
         store = load_rubrics(rubric_dir)
         modes = config.modes()
         contexts_by_mode = {
-            mode: {
-                row["finding_id"]: CodeContext.from_dict(row)
-                for row in read_rows(_require("prompts", config.output_dir / name, "context"))
-            }
-            for mode, name in _CONTEXT_FILES.items()
-            if mode in modes
+            mode: {row["finding_id"]: CodeContext.from_dict(row) for row in read_rows(path)}
+            for mode, path in context_paths.items()
         }
 
         def rows() -> Iterator[dict[str, Any]]:
@@ -407,34 +418,12 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
     _run_stage(config, "prompts", resume, inputs, body)
 
 
-def load_prompt_bundles(config: RunConfig) -> list[PromptBundle]:
-    """The bundles ``prompts.jsonl`` holds, each checked against its
-    ``prompt_sha256``."""
-    from .prompts import PromptBundle, prompt_sha256
-
-    bundles: list[PromptBundle] = []
-    for row in read_rows(config.output_dir / "prompts.jsonl"):
-        name = f"finding {row.get('finding_id')} ({row.get('mode')})"
-        try:
-            bundle = PromptBundle.from_dict(row)
-        except KeyError as exc:
-            raise StageError(
-                "adjudicate", f"prompts.jsonl row for {name} has no {exc}; run prompts again"
-            ) from exc
-        if prompt_sha256(bundle.system_text, bundle.user_text) != bundle.prompt_sha256:
-            raise StageError(
-                "adjudicate", f"prompt for {name} does not match its recorded hash"
-            )
-        bundles.append(bundle)
-    return bundles
-
-
 def stage_adjudicate(
     config: RunConfig, resume: bool = False, sleep: Callable[[float], None] | None = None
 ) -> None:
-    index_path = _require("adjudicate", config.output_dir / "prompts.jsonl", "prompts")
+    prompts_path, prompts_sha = _vouched(config, "adjudicate", "prompts.jsonl", "prompts")
     inputs = {
-        "prompts": _sha256_file(index_path),
+        "prompts": prompts_sha,
         "backend": _sha256_text(json.dumps(config.backend._asdict(), sort_keys=True)),
         "max_output_chars": str(config.max_output_chars),
     }
@@ -444,13 +433,18 @@ def stage_adjudicate(
     def body() -> dict[Path, str]:
         from . import adjudicate as adj
         from .backend import RetryPolicy
+        from .prompts import PromptBundle
 
         retry = RetryPolicy(
             attempt_cap=config.backend.attempt_cap,
             backoff_base_s=config.backend.backoff_base_s,
             **({"sleep": sleep} if sleep is not None else {}),
         )
-        bundles = load_prompt_bundles(config)
+        try:
+            bundles = [PromptBundle.from_dict(row) for row in read_rows(prompts_path)]
+        except KeyError as exc:
+            raise StageError("adjudicate", f"{prompts_path} has a row with no {exc}, "
+                             "as older versions wrote it; run prompts again") from exc
         backend = build_backend(config)
         try:
             results, audits = adj.adjudicate_all(
@@ -481,13 +475,12 @@ def stage_adjudicate(
 def stage_evaluate(config: RunConfig, resume: bool = False) -> None:
     if config.labels_path is None:
         raise ConfigError("evaluate requires labels_path in the config")
-    findings_path = _require("evaluate", config.output_dir / "findings.jsonl", "ingest")
-    adjudications_path = _require(
-        "evaluate", config.output_dir / "adjudications.jsonl", "adjudicate"
-    )
+    findings_path, findings_sha = _vouched(config, "evaluate", "findings.jsonl", "ingest")
+    adjudications_path, adjudications_sha = _vouched(config, "evaluate", "adjudications.jsonl",
+                                                     "adjudicate")
     inputs = {
-        "findings": _sha256_file(findings_path),
-        "adjudications": _sha256_file(adjudications_path),
+        "findings": findings_sha,
+        "adjudications": adjudications_sha,
         "labels": _sha256_file(config.labels_path),
         "write_csv": str(config.write_csv),
     }
@@ -507,9 +500,13 @@ def stage_evaluate(config: RunConfig, resume: bool = False) -> None:
                     "evaluate", f"labels file {config.labels_path}, row {number}: {exc}"
                 ) from exc
 
+        ids = sorted(f.finding_id for f in findings)
         reports: dict[str, ev.EvalReport] = {}
         for mode in config.modes():
             mode_rows = [r for r in results if r.mode == mode.value]
+            if sorted(r.finding_id for r in mode_rows) != ids:
+                raise StageError("evaluate", f"{adjudications_path} does not hold one {mode.value} "
+                                 f"row per finding of {findings_path}; run adjudicate again")
             reports[mode.value] = ev.build_report(findings, mode_rows, truths, mode.value)
 
         deltas = None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import os
 import re
@@ -506,9 +507,20 @@ def test_ingest_refuses_a_sarif_container_of_the_wrong_type(corpus, tmp_path, ca
     assert not (tmp_path / "out" / "findings.jsonl").exists()
 
 
-def _adjudicate_rewritten_prompts(corpus, tmp_path, monkeypatch, rewrite) -> int:
+def _restamp(out: Path, stage: str, name: str) -> None:
+    """Record the file ``name`` as it is now among the outputs of ``stage``'s
+    stamp, as if that stage had written it."""
+    path = out / ".stamps" / f"{stage}.json"
+    stamp = json.loads(path.read_text(encoding="utf-8"))
+    stamp["outputs"][name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    path.write_text(json.dumps(stamp), encoding="utf-8")
+
+
+def _adjudicate_rewritten_prompts(corpus, tmp_path, monkeypatch, rewrite,
+                                  restamp: bool = False) -> int:
     """Exit code of ``adjudicate`` after ``rewrite`` edits the rows of a
-    finished run's ``prompts.jsonl``; the backend must get no call."""
+    finished run's ``prompts.jsonl``, re-stamped when ``restamp`` is set; the
+    backend must get no call."""
     from sarif_triage.backend import MockBackend
 
     out = tmp_path / "out"
@@ -518,6 +530,8 @@ def _adjudicate_rewritten_prompts(corpus, tmp_path, monkeypatch, rewrite) -> int
     (out / "prompts.jsonl").write_text(
         "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
     )
+    if restamp:
+        _restamp(out, "prompts", "prompts.jsonl")
     calls = []
     monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
     code = main(["adjudicate", "--config", str(config)])
@@ -538,24 +552,103 @@ def test_adjudicate_refuses_a_prompt_edited_after_it_was_hashed(
     assert _adjudicate_rewritten_prompts(corpus, tmp_path, monkeypatch, rewrite) \
         == EXIT_STAGE_FAILURE
     err = capsys.readouterr().err
-    assert f"prompt for finding {edited} (OPTIMIZED) does not match its recorded hash" in err
+    prompts_path = tmp_path / "out" / "prompts.jsonl"
+    assert f"error: stage adjudicate: {prompts_path} is not the one prompts wrote; " \
+        "run prompts again" in err
 
 
 def test_adjudicate_asks_for_the_prompts_stage_on_an_old_layout_row(
     corpus, tmp_path, capsys, monkeypatch
 ):
-    # Older runs kept the text in prompts/<fid>.<mode>.txt and only a path here.
+    # Older runs kept the text in prompts/<fid>.<mode>.txt and only a path
+    # here; the re-stamp stands in for such a run's own stamp.
     def rewrite(row):
         path = f"prompts/{row['finding_id']}.{row['mode'].lower()}.txt"
         return {"finding_id": row["finding_id"], "mode": row["mode"], "path": path,
                 "prompt_sha256": row["prompt_sha256"],
                 "placeholders_used": row["placeholders_used"]}
 
-    assert _adjudicate_rewritten_prompts(corpus, tmp_path, monkeypatch, rewrite) \
+    assert _adjudicate_rewritten_prompts(corpus, tmp_path, monkeypatch, rewrite, restamp=True) \
         == EXIT_STAGE_FAILURE
     err = capsys.readouterr().err
-    assert f"row for finding {corpus.findings[0].finding_id} (OPTIMIZED)" in err
+    assert f"error: stage adjudicate: {tmp_path / 'out' / 'prompts.jsonl'} has a row with no " in err
+    assert "is not the one" not in err
     assert "run prompts again" in err
+
+
+def test_adjudicate_refuses_a_duplicated_prompt_row_without_a_backend_call(
+    corpus, tmp_path, capsys, monkeypatch
+):
+    from sarif_triage.backend import MockBackend
+
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="BOTH", with_labels=False)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    prompts_path = out / "prompts.jsonl"
+    lines = prompts_path.read_bytes().splitlines(keepends=True)
+    prompts_path.write_bytes(b"".join([lines[0], *lines]))
+    calls = []
+    monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
+    assert main(["adjudicate", "--config", str(config)]) == EXIT_STAGE_FAILURE
+    assert f"{prompts_path} is not the one prompts wrote" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_evaluate_refuses_an_adjudications_file_cut_in_half(corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="BOTH")
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    report = (out / "report.json").read_bytes()
+    path = out / "adjudications.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 40
+    path.write_bytes(b"".join(lines[:20]))
+    assert main(["evaluate", "--config", str(config)]) == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert f"error: stage evaluate: {path} is not the one adjudicate wrote; " \
+        "run adjudicate again" in err
+    assert (out / "report.json").read_bytes() == report
+
+
+def test_evaluate_after_a_new_ingest_asks_for_adjudicate_again(corpus, tmp_path, capsys):
+    # Both files are vouched for, each by its own stage's latest stamp, but
+    # the adjudications score the findings of the earlier ingest.
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="BOTH")
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    sarif = json.loads(corpus.sarif_path.read_text(encoding="utf-8"))
+    sarif["runs"][0]["results"] = sarif["runs"][0]["results"][5:]
+    fewer = tmp_path / "fewer.sarif"
+    fewer.write_text(json.dumps(sarif), encoding="utf-8")
+    fewer_config = tmp_path / "fewer.json"
+    fewer_config.write_text(json.dumps({**json.loads(config.read_text()),
+                                        "sarif_path": str(fewer)}), encoding="utf-8")
+    assert main(["ingest", "--config", str(fewer_config)]) == EXIT_OK
+    assert len((out / "findings.jsonl").read_text().splitlines()) == 15
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(fewer_config)]) == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert f"error: stage evaluate: {out / 'adjudications.jsonl'} does not hold one BASELINE " \
+        f"row per finding of {out / 'findings.jsonl'}; run adjudicate again" in err
+
+
+def _artifacts(out: Path) -> dict[str, bytes]:
+    """Every file under ``out`` outside ``audit/`` and ``.stamps/``."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.relative_to(out).parts[0] not in ("audit", ".stamps")}
+
+
+def test_the_stage_subcommands_in_order_write_what_run_writes(corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="BOTH")
+    for command in _STAGES:
+        assert main([command, "--config", str(config), "--csv"]) == EXIT_OK
+    assert "adjudications written to" in capsys.readouterr().out
+    chained = _artifacts(out)
+    assert {"prompts.jsonl", "adjudications.jsonl", "report.csv"} <= set(chained)
+    shutil.rmtree(out)
+    assert main(["run", "--config", str(config), "--csv"]) == EXIT_OK
+    assert _artifacts(out) == chained
 
 
 def test_evaluate_without_labels_is_a_config_error(corpus, tmp_path, capsys):
@@ -718,17 +811,27 @@ def test_a_bad_labels_row_exits_1_naming_the_file_and_the_row(corpus, tmp_path, 
     assert (tmp_path / "run" / "out" / "adjudications.jsonl").is_file()
 
 
+# A last labels line the decoder refuses, and the start of the reason given.
+_BAD_LABEL_LINES = {
+    b"not json\n": "not JSON: Expecting value (column 1)",
+    b'{"finding_id": "\xff"}\n': "not JSON: 'utf-8' codec can't decode byte 0xff",
+    b"[" * 100_000 + b"\n": "not JSON: ",
+    b'{"label": ' + b"9" * 5_000 + b"}\n": "not JSON: ",
+}
+
+
 def test_a_labels_line_that_is_not_json_exits_1_naming_the_file_and_the_line(
     corpus, tmp_path, capsys
 ):
     config = _config_with(corpus, tmp_path / "run", labels=pipeline.read_rows(corpus.labels_path))
     labels_path = tmp_path / "run" / "labels.jsonl"
-    with labels_path.open("a", encoding="utf-8") as fh:
-        fh.write("not json\n")
-    assert main(["run", "--config", str(config)]) == EXIT_STAGE_FAILURE
-    err = capsys.readouterr().err
-    assert f"error: stage evaluate: {labels_path}, line 21: not JSON: Expecting value (column 1)" in err
-    assert (tmp_path / "run" / "out" / "adjudications.jsonl").is_file()
+    labels = labels_path.read_bytes()
+    for line, reason in _BAD_LABEL_LINES.items():
+        labels_path.write_bytes(labels + line)
+        assert main(["run", "--config", str(config)]) == EXIT_STAGE_FAILURE
+        err = capsys.readouterr().err
+        assert f"error: stage evaluate: {labels_path}, line 21: {reason}" in err
+        assert (tmp_path / "run" / "out" / "adjudications.jsonl").is_file()
 
 
 def test_a_findings_line_that_is_not_json_stops_context_naming_the_file_and_the_line(
@@ -741,6 +844,12 @@ def test_a_findings_line_that_is_not_json_stops_context_naming_the_file_and_the_
     lines = findings_path.read_text(encoding="utf-8").splitlines(keepends=True)
     lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
     findings_path.write_text("".join(lines), encoding="utf-8")
+    assert main(["context", "--config", str(config)]) == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert f"error: stage context: {findings_path} is not the one ingest wrote; " \
+        "run ingest again" in err
+    # Past a stamp that vouches for it anyway, the reader names the line.
+    _restamp(out, "ingest", "findings.jsonl")
     assert main(["context", "--config", str(config)]) == EXIT_STAGE_FAILURE
     err = capsys.readouterr().err
     assert f"error: stage context: {findings_path}, line 3: not JSON: " in err
@@ -905,11 +1014,16 @@ def test_a_fresh_run_rereads_no_output_it_wrote_and_resume_rehashes_every_one(
     assert Counter(hashed) == inputs + stamped
 
 
-# Stamps that parse as JSON but have the wrong shape, made from the real one.
+# Stamps of the wrong shape, made from the real one, or that cannot be
+# decoded at all.
 _WRONG_SHAPES = {
-    "list": lambda stamp: [],
-    "outputs-list": lambda stamp: {**stamp, "outputs": []},
-    "number-input": lambda stamp: {**stamp, "inputs": {**stamp["inputs"], "extra": 1}},
+    "list": lambda stamp: b"[]",
+    "outputs-list": lambda stamp: json.dumps({**stamp, "outputs": []}).encode(),
+    "number-input": lambda stamp: json.dumps(
+        {**stamp, "inputs": {**stamp["inputs"], "extra": 1}}).encode(),
+    "not-utf8": lambda stamp: b'{"inputs": "\xff"}',
+    "nested": lambda stamp: b"[" * 100_000,
+    "digits": lambda stamp: b"9" * 5_000,
 }
 
 
@@ -922,8 +1036,7 @@ def test_resume_reruns_a_stage_whose_stamp_has_the_wrong_shape(corpus, tmp_path,
     artifacts = _tree_bytes(out, "findings.jsonl", "contexts.jsonl", "contexts_baseline.jsonl",
                             "prompts.jsonl", "adjudications.jsonl", "report.json")
     for stage, text in stamps.items():
-        (out / ".stamps" / f"{stage}.json").write_text(
-            json.dumps(_WRONG_SHAPES[shape](json.loads(text))))
+        (out / ".stamps" / f"{stage}.json").write_bytes(_WRONG_SHAPES[shape](json.loads(text)))
     assert main(["run", "--config", str(config), "--resume"]) == EXIT_OK
     # Audit records hold wall-clock times, so only their names repeat.
     for stage, text in _stamp_texts(out).items():

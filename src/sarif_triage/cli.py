@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from typing import Callable
 
 from .config import ConfigError, RunConfig, load_config
 
@@ -49,22 +50,45 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _ingest_summary(config: RunConfig) -> str:
+    from .pipeline import read_rows
+
+    by_cwe = Counter(row["cwe_id"] for row in read_rows(config.output_dir / "findings.jsonl"))
+    return "\n".join([f"ingested {by_cwe.total()} findings from {config.sarif_path}",
+                      *(f"  {cwe}: {by_cwe[cwe]}" for cwe in sorted(by_cwe))])
+
+
+def _report(config: RunConfig) -> str:
+    """The text report after a blank line, or nothing when there is none."""
+    path = config.output_dir / "report.txt"
+    return "\n" + path.read_text(encoding="utf-8") if path.is_file() else ""
+
+
+# command: (help text, what it prints once done). ``run`` runs
+# ``pipeline.run_all``, every other command ``pipeline.stage_<command>``.
+_COMMANDS: dict[str, tuple[str, Callable[[RunConfig], str]]] = {
+    "ingest": ("parse the SARIF file and write findings.jsonl", _ingest_summary),
+    "context": ("extract code context for every finding",
+                lambda c: f"contexts written under {c.output_dir}"),
+    "prompts": ("compile adjudication prompts",
+                lambda c: f"prompts written to {c.output_dir / 'prompts.jsonl'}"),
+    "adjudicate": ("send prompts to the backend and record verdicts",
+                   lambda c: f"adjudications written to {c.output_dir / 'adjudications.jsonl'}"),
+    "evaluate": ("score verdicts against ground-truth labels",
+                 lambda c: f"report written to {c.output_dir / 'report.json'}{_report(c)}"),
+    "run": ("execute the full pipeline in order",
+            lambda c: f"pipeline complete; artifacts under {c.output_dir}{_report(c)}"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sarif-triage",
         description="Adjudicate SARIF static-analysis alerts with an LLM backend.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("ingest", "parse the SARIF file and write findings.jsonl"),
-        ("context", "extract code context for every finding"),
-        ("prompts", "compile adjudication prompts"),
-        ("adjudicate", "send prompts to the backend and record verdicts"),
-        ("evaluate", "score verdicts against ground-truth labels"),
-        ("run", "execute the full pipeline in order"),
-    ):
-        stage = sub.add_parser(name, help=help_text)
-        _add_common_flags(stage)
+    for name, (help_text, _) in _COMMANDS.items():
+        _add_common_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -80,15 +104,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return load_config(args.config, overrides)
 
 
-def _print_ingest_summary(config: RunConfig) -> None:
-    from .pipeline import read_rows
-
-    by_cwe = Counter(row["cwe_id"] for row in read_rows(config.output_dir / "findings.jsonl"))
-    print(f"ingested {by_cwe.total()} findings from {config.sarif_path}")
-    for cwe in sorted(by_cwe):
-        print(f"  {cwe}: {by_cwe[cwe]}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -101,33 +116,12 @@ def main(argv: list[str] | None = None) -> int:
     from . import pipeline
 
     try:
-        if args.command == "ingest":
-            pipeline.write_config_echo(config)
-            pipeline.stage_ingest(config, args.resume)
-            _print_ingest_summary(config)
-        elif args.command == "context":
-            pipeline.write_config_echo(config)
-            pipeline.stage_context(config, args.resume)
-            print(f"contexts written under {config.output_dir}")
-        elif args.command == "prompts":
-            pipeline.write_config_echo(config)
-            pipeline.stage_prompts(config, args.resume)
-            print(f"prompts written to {config.output_dir / 'prompts.jsonl'}")
-        elif args.command == "adjudicate":
-            pipeline.write_config_echo(config)
-            pipeline.stage_adjudicate(config, args.resume)
-            print(f"adjudications written to {config.output_dir / 'adjudications.jsonl'}")
-        elif args.command == "evaluate":
-            pipeline.write_config_echo(config)
-            pipeline.stage_evaluate(config, args.resume)
-            print(f"report written to {config.output_dir / 'report.json'}")
-            print((config.output_dir / "report.txt").read_text(encoding="utf-8"))
-        elif args.command == "run":
+        if args.command == "run":
             pipeline.run_all(config, args.resume)
-            print(f"pipeline complete; artifacts under {config.output_dir}")
-            report_txt = config.output_dir / "report.txt"
-            if report_txt.is_file():
-                print(report_txt.read_text(encoding="utf-8"))
+        else:
+            pipeline.write_config_echo(config)
+            getattr(pipeline, f"stage_{args.command}")(config, args.resume)
+        print(_COMMANDS[args.command][1](config))
     except pipeline.StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # An unparseable or non-SARIF input is a usage problem, not a

@@ -4,21 +4,20 @@ Standard library only, and no pipeline stage, so a process that only loads
 a config (or fails on a bad one) imports nothing else of the package.
 ``_FIELDS`` gives each key its JSON type, conversion and bound; a "path"
 is a string resolved against the config file's directory (an ``output_dir``
-flag override, against the working directory). A value that breaks its
-entry is a ``ConfigError`` naming the key. ``_check`` then checks what
-spans keys or reads the file system, before any stage runs.
+flag override, against the working directory). A key the table does not
+name, or a value that breaks its entry, is a ``ConfigError`` naming the key.
+``_check`` then checks what spans keys or reads the file system, before
+any stage runs or any file is written.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import urllib.parse
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
-
-if TYPE_CHECKING:
-    from .prompts import PromptMode
+from typing import Any, Callable, Mapping, NamedTuple
 
 
 class ConfigError(ValueError):
@@ -62,12 +61,9 @@ class RunConfig(NamedTuple):
     cwe_map: dict[str, str] = {}
     write_csv: bool = False
 
-    def modes(self) -> list[PromptMode]:
-        from .prompts import PromptMode
-
-        if self.prompt_mode == "BOTH":
-            return [PromptMode.BASELINE, PromptMode.OPTIMIZED]
-        return [PromptMode(self.prompt_mode)]
+    def modes(self) -> tuple[str, ...]:
+        """The names of the prompt modes the run compiles, in report order."""
+        return ("BASELINE", "OPTIMIZED") if self.prompt_mode == "BOTH" else (self.prompt_mode,)
 
 
 # The Python types ``json`` reads each type as; a number may be a string.
@@ -152,7 +148,11 @@ def config_from_dict(data: Mapping[str, Any], base_dir: Path | None = None) -> R
 
 
 def _record(cls: type, data: Mapping[str, Any], base_dir: Path, prefix: str) -> Any:
-    """``cls`` from the keys of ``data`` its table names; an absent key keeps its default."""
+    """``cls`` from the keys of ``data``, each of which its table must name;
+    an absent key keeps its default."""
+    for name in data:
+        if name not in _FIELDS[cls]:
+            raise ConfigError(f"config has an unknown key: {prefix}{name}")
     values = {}
     for name, field in _FIELDS[cls].items():
         if name not in cls._field_defaults and not data.get(name):
@@ -191,6 +191,12 @@ def _check(config: RunConfig) -> None:
         raise ConfigError(f"sarif_path does not exist: {config.sarif_path}")
     if not config.source_root.is_dir():
         raise ConfigError(f"source_root does not exist: {config.source_root}")
+    # The nearest path that exists, a dangling symlink included, is where
+    # making the directory would start.
+    existing = next(p for p in (config.output_dir, *config.output_dir.parents)
+                    if os.path.lexists(p))
+    if not existing.is_dir():
+        raise ConfigError(f"output_dir cannot be made a directory: {existing} is not one")
     if config.labels_path is not None and not config.labels_path.is_file():
         raise ConfigError(f"labels_path does not exist: {config.labels_path}")
     if config.rubric_dir is not None and not (config.rubric_dir / "generic.rubric").is_file():

@@ -161,6 +161,18 @@ def _methods(collector: _Collector, source: SourceSnapshot, uri: str) -> list[Me
     return records
 
 
+def _enclosing(
+    collector: _Collector, source: SourceSnapshot, idx: int | None, loc: CodeLocation
+) -> MethodRecord | None:
+    """The method record holding the step. A step that lies in none gets one
+    note, unless its file's scan ended unbalanced: that note covers it."""
+    method = enclosing_method(_methods(collector, source, loc.uri), loc.start_line)
+    note = f"no enclosing method: {loc.uri}:{loc.start_line} (step {idx})"
+    if method is None and source.method_scans[loc.uri][1] is None and note not in collector.notes:
+        collector.note(note)
+    return method
+
+
 def _resolved_step_locations(finding: Finding) -> list[tuple[int | None, CodeLocation]]:
     """Trace locations in order, or the primary location when the trace is
     empty. The int is the 1-based step index (None for the primary)."""
@@ -300,8 +312,8 @@ def extract_context(
 ) -> CodeContext:
     """Build the ordered code context for one finding.
 
-    Missing files and out-of-range lines mark the context as partial but
-    never abort extraction.
+    Missing files, out-of-range lines and steps of a pair that lie in no
+    method record mark the context as partial but never abort extraction.
     """
     collector = _Collector()
     steps = _resolved_step_locations(finding)
@@ -312,10 +324,8 @@ def extract_context(
         # segment order a stable refinement of trace order.
         if pos > 0 and resolved[pos - 1] and resolved[pos]:
             link_index, prev_loc = steps[pos - 1]
-            m_prev = enclosing_method(
-                _methods(collector, source, prev_loc.uri), prev_loc.start_line
-            )
-            m_cur = enclosing_method(_methods(collector, source, loc.uri), loc.start_line)
+            m_prev = _enclosing(collector, source, link_index, prev_loc)
+            m_cur = _enclosing(collector, source, idx, loc)
             # Records carry their file, so methods in different files differ.
             if m_prev is not None and m_prev == m_cur:
                 lo, hi = sorted(

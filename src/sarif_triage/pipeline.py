@@ -30,16 +30,17 @@ and re-running reproduces it. With the mock backend every artifact is
 byte-identical across reruns except ``audit/``, which records wall-clock
 timestamps, and ``.stamps/adjudicate.json``, which hashes those records.
 
-Every stage runs through ``_run_stage``: it declares its inputs once, and
-``--resume`` skips it only when those inputs and the outputs recorded in
-its stamp still hash-match. A stage that runs deletes the outputs its
-previous stamp recorded and it no longer writes. A stamp that cannot be
-decoded counts as absent. A stage reads an artifact of the run only
-through ``_vouched``: the SHA-256 it takes of the file for its own stamp
-must be the one the producer's stamp recorded, or it stops before any
-work. As two vouched files may come from different runs, ``evaluate``
-checks that each mode's rows cover the findings once each. The inputs
-each stamp keys on:
+Each stage is one ``_run_stage`` call of a function that hashes its inputs
+and a body that writes its outputs; any failure in either, a file it cannot
+hash included, is one ``StageError`` naming the stage. ``--resume`` skips
+it only when those inputs and the outputs recorded in its stamp still
+hash-match. A stage that runs deletes the outputs its previous stamp
+recorded and it no longer writes. A stamp that cannot be decoded counts as
+absent. A stage reads an artifact of the run only through ``_vouched``: the
+SHA-256 it takes of the file for its own stamp must be the one the
+producer's stamp recorded, or it stops before any work. As two vouched
+files may come from different runs, ``evaluate`` checks that each mode's
+rows cover the findings once each. The inputs each stamp keys on:
 
     ingest      the SARIF file, cwe_map
     context     findings.jsonl, every source file a finding names, limits,
@@ -176,34 +177,31 @@ def _run_stage(
     config: RunConfig,
     stage: str,
     resume: bool,
-    inputs: dict[str, str] | Callable[[dict[str, str] | None], dict[str, str]],
+    inputs: Callable[[dict[str, str] | None], dict[str, str]],
     body: Callable[[], dict[Path, str]],
 ) -> None:
     """Run ``body`` unless ``resume`` is set and the stage's stamp still
-    matches ``inputs``; then delete what the previous stamp recorded and
-    ``body`` no longer wrote, and stamp ``inputs`` with the ``{path: sha256}``
-    of each file ``body`` wrote. Any failure in ``inputs`` or ``body``
-    surfaces as a ``StageError``.
+    matches what ``inputs`` returns; then delete what the previous stamp
+    recorded and ``body`` no longer wrote, and stamp the inputs with the
+    ``{path: sha256}`` of each file ``body`` wrote. Any failure in
+    ``inputs`` or ``body`` surfaces as a ``StageError`` naming ``stage``.
 
-    ``inputs`` may be a function of the inputs the previous stamp recorded
-    (None when there is none to trust or ``resume`` is off), for a stage
-    whose stamp lists what else it depends on."""
+    ``inputs`` is given the inputs the previous stamp recorded (None when
+    there is none to trust or ``resume`` is off), for a stage whose stamp
+    lists what else it depends on."""
     previous = _read_stamp(config, stage)
     try:
-        if callable(inputs):
-            inputs = inputs(previous["inputs"] if resume and previous is not None else None)
-        if resume and previous is not None and _stamp_matches(config, previous, inputs):
+        hashed = inputs(previous["inputs"] if resume and previous is not None else None)
+        if resume and previous is not None and _stamp_matches(config, previous, hashed):
             return
         config.output_dir.mkdir(parents=True, exist_ok=True)
         outputs = body()
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(stage, str(exc)) from exc
     if previous is not None:
         _remove_stale_outputs(config, previous, outputs)
     stamp = {
-        "inputs": inputs,
+        "inputs": hashed,
         "outputs": {str(p.relative_to(config.output_dir)): sha for p, sha in outputs.items()},
     }
     path = _stamp_path(config, stage)
@@ -274,18 +272,18 @@ def read_rows(path: Path) -> Iterator[dict[str, Any]]:
             yield row
 
 
-def _vouched(config: RunConfig, stage: str, name: str, producer: str) -> tuple[Path, str]:
-    """The path and SHA-256 of the artifact ``name`` that ``stage`` reads,
-    once the ``producer`` stage's stamp records that hash as written; a
-    ``StageError`` when the file is missing or is not the one it wrote."""
+def _vouched(config: RunConfig, name: str, producer: str) -> str:
+    """The SHA-256 of the artifact ``name``, once the ``producer`` stage's
+    stamp records that hash as written; a ``ValueError`` when the file is
+    missing or is not the one it wrote."""
     path = config.output_dir / name
     if not path.is_file():
-        raise StageError(stage, f"missing input {path}; run {producer} first")
+        raise ValueError(f"missing input {path}; run {producer} first")
     sha = _sha256_file(path)
     stamp = _read_stamp(config, producer)
     if stamp is None or stamp["outputs"].get(name) != sha:
-        raise StageError(stage, f"{path} is not the one {producer} wrote; run {producer} again")
-    return path, sha
+        raise ValueError(f"{path} is not the one {producer} wrote; run {producer} again")
+    return sha
 
 
 # --------------------------------------------------------------------------
@@ -303,10 +301,11 @@ def write_config_echo(config: RunConfig) -> None:
 
 
 def stage_ingest(config: RunConfig, resume: bool = False) -> None:
-    inputs = {
-        "sarif": _sha256_file(config.sarif_path),
-        "cwe_map": _sha256_text(json.dumps(config.cwe_map, sort_keys=True)),
-    }
+    def inputs(stamped: dict[str, str] | None) -> dict[str, str]:
+        return {
+            "sarif": _sha256_file(config.sarif_path),
+            "cwe_map": _sha256_text(json.dumps(config.cwe_map, sort_keys=True)),
+        }
 
     def body() -> dict[Path, str]:
         results = _module.parse_sarif(config.sarif_path.read_bytes())
@@ -335,11 +334,11 @@ _CONTEXT_FILES = {"OPTIMIZED": "contexts.jsonl", "BASELINE": "contexts_baseline.
 def stage_context(config: RunConfig, resume: bool = False) -> None:
     from .source import SourceSnapshot
 
-    findings_path, findings_sha = _vouched(config, "context", "findings.jsonl", "ingest")
     source = SourceSnapshot(config.source_root)
-    findings = functools.cache(lambda: _load_findings(findings_path))
+    findings = functools.cache(lambda: _load_findings(config.output_dir / "findings.jsonl"))
 
     def inputs(stamped: dict[str, str] | None) -> dict[str, str]:
+        findings_sha = _vouched(config, "findings.jsonl", "ingest")
         if stamped is not None and stamped.get("findings") == findings_sha:
             # The stamp of these same findings lists the files they name.
             uris = [key[len("src:"):] for key in stamped if key.startswith("src:")]
@@ -363,52 +362,48 @@ def stage_context(config: RunConfig, resume: bool = False) -> None:
         }
         return {
             path: write_rows(path, (extract[mode](f).to_dict() for f in findings()))
-            for mode, name in _CONTEXT_FILES.items()
-            if mode in config.modes()
-            for path in [config.output_dir / name]
+            for mode in config.modes()
+            for path in [config.output_dir / _CONTEXT_FILES[mode]]
         }
 
     _run_stage(config, "context", resume, inputs, body)
 
 
 def stage_prompts(config: RunConfig, resume: bool = False) -> None:
-    findings_path, findings_sha = _vouched(config, "prompts", "findings.jsonl", "ingest")
     rubric_dir = Path(config.rubric_dir or SHIPPED_RUBRIC_DIR)
-    inputs = {
-        "findings": findings_sha,
-        **{f"rubric:{p.name}": _sha256_file(p) for p in sorted(rubric_dir.glob("*.rubric"))},
-        "prompt_mode": config.prompt_mode,
-        "budget": str(config.prompt_char_budget),
-    }
-    # The modes come from the string: ``config.modes()`` imports ``prompts``.
-    context_paths = {}
-    for mode, name in _CONTEXT_FILES.items():
-        if config.prompt_mode in (mode, "BOTH"):
-            context_paths[mode], inputs[name] = _vouched(config, "prompts", name, "context")
+
+    def inputs(stamped: dict[str, str] | None) -> dict[str, str]:
+        return {
+            "findings": _vouched(config, "findings.jsonl", "ingest"),
+            **{f"rubric:{p.name}": _sha256_file(p) for p in sorted(rubric_dir.glob("*.rubric"))},
+            "prompt_mode": config.prompt_mode,
+            "budget": str(config.prompt_char_budget),
+            **{name: _vouched(config, name, "context")
+               for name in map(_CONTEXT_FILES.get, config.modes())},
+        }
 
     def body() -> dict[Path, str]:
         from .context import CodeContext
+        from .prompts import PromptMode
         from .rubrics import load_rubrics, rubric_for
 
-        findings = _load_findings(findings_path)
+        findings = _load_findings(config.output_dir / "findings.jsonl")
         store = load_rubrics(rubric_dir)
-        modes = config.modes()
         contexts_by_mode = {
-            mode: {row["finding_id"]: CodeContext.from_dict(row) for row in read_rows(path)}
-            for mode, path in context_paths.items()
+            mode: {row["finding_id"]: CodeContext.from_dict(row)
+                   for row in read_rows(config.output_dir / _CONTEXT_FILES[mode])}
+            for mode in config.modes()
         }
 
         def rows() -> Iterator[dict[str, Any]]:
             for finding in findings:
-                for mode in modes:
-                    ctx = contexts_by_mode[mode.value].get(finding.finding_id)
+                for mode in config.modes():
+                    ctx = contexts_by_mode[mode].get(finding.finding_id)
                     if ctx is None:
-                        raise StageError(
-                            "prompts", f"no context for finding {finding.finding_id}"
-                        )
+                        raise ValueError(f"no context for finding {finding.finding_id}")
                     rubric = rubric_for(finding.cwe_id, store)
                     bundle = _module.compile_prompt(
-                        finding, ctx, rubric, mode, config.prompt_char_budget
+                        finding, ctx, rubric, PromptMode(mode), config.prompt_char_budget
                     )
                     yield bundle.to_dict()
 
@@ -421,14 +416,16 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
 def stage_adjudicate(
     config: RunConfig, resume: bool = False, sleep: Callable[[float], None] | None = None
 ) -> None:
-    prompts_path, prompts_sha = _vouched(config, "adjudicate", "prompts.jsonl", "prompts")
-    inputs = {
-        "prompts": prompts_sha,
-        "backend": _sha256_text(json.dumps(config.backend._asdict(), sort_keys=True)),
-        "max_output_chars": str(config.max_output_chars),
-    }
-    if config.backend.kind == "mock" and config.backend.script_path:
-        inputs["script"] = _sha256_file(Path(config.backend.script_path))
+    prompts_path = config.output_dir / "prompts.jsonl"
+
+    def inputs(stamped: dict[str, str] | None) -> dict[str, str]:
+        script = config.backend.kind == "mock" and config.backend.script_path
+        return {
+            "prompts": _vouched(config, "prompts.jsonl", "prompts"),
+            "backend": _sha256_text(json.dumps(config.backend._asdict(), sort_keys=True)),
+            "max_output_chars": str(config.max_output_chars),
+            **({"script": _sha256_file(Path(script))} if script else {}),
+        }
 
     def body() -> dict[Path, str]:
         from . import adjudicate as adj
@@ -443,7 +440,7 @@ def stage_adjudicate(
         try:
             bundles = [PromptBundle.from_dict(row) for row in read_rows(prompts_path)]
         except KeyError as exc:
-            raise StageError("adjudicate", f"{prompts_path} has a row with no {exc}, "
+            raise ValueError(f"{prompts_path} has a row with no {exc}, "
                              "as older versions wrote it; run prompts again") from exc
         backend = build_backend(config)
         try:
@@ -475,15 +472,16 @@ def stage_adjudicate(
 def stage_evaluate(config: RunConfig, resume: bool = False) -> None:
     if config.labels_path is None:
         raise ConfigError("evaluate requires labels_path in the config")
-    findings_path, findings_sha = _vouched(config, "evaluate", "findings.jsonl", "ingest")
-    adjudications_path, adjudications_sha = _vouched(config, "evaluate", "adjudications.jsonl",
-                                                     "adjudicate")
-    inputs = {
-        "findings": findings_sha,
-        "adjudications": adjudications_sha,
-        "labels": _sha256_file(config.labels_path),
-        "write_csv": str(config.write_csv),
-    }
+    findings_path = config.output_dir / "findings.jsonl"
+    adjudications_path = config.output_dir / "adjudications.jsonl"
+
+    def inputs(stamped: dict[str, str] | None) -> dict[str, str]:
+        return {
+            "findings": _vouched(config, "findings.jsonl", "ingest"),
+            "adjudications": _vouched(config, "adjudications.jsonl", "adjudicate"),
+            "labels": _sha256_file(config.labels_path),
+            "write_csv": str(config.write_csv),
+        }
 
     def body() -> dict[Path, str]:
         from . import adjudicate as adj
@@ -496,18 +494,16 @@ def stage_evaluate(config: RunConfig, resume: bool = False) -> None:
             try:
                 truths.append(ev.GroundTruth.from_dict(row))
             except ValueError as exc:
-                raise StageError(
-                    "evaluate", f"labels file {config.labels_path}, row {number}: {exc}"
-                ) from exc
+                raise ValueError(f"labels file {config.labels_path}, row {number}: {exc}") from exc
 
         ids = sorted(f.finding_id for f in findings)
         reports: dict[str, ev.EvalReport] = {}
         for mode in config.modes():
-            mode_rows = [r for r in results if r.mode == mode.value]
+            mode_rows = [r for r in results if r.mode == mode]
             if sorted(r.finding_id for r in mode_rows) != ids:
-                raise StageError("evaluate", f"{adjudications_path} does not hold one {mode.value} "
-                                 f"row per finding of {findings_path}; run adjudicate again")
-            reports[mode.value] = ev.build_report(findings, mode_rows, truths, mode.value)
+                raise ValueError(f"{adjudications_path} does not hold one {mode} row per "
+                                 f"finding of {findings_path}; run adjudicate again")
+            reports[mode] = ev.build_report(findings, mode_rows, truths, mode)
 
         deltas = None
         if "BASELINE" in reports and "OPTIMIZED" in reports:

@@ -155,7 +155,11 @@ def load_rubrics(directory: Path | str) -> dict[str, Rubric]:
     directory = Path(directory)
     store: dict[str, Rubric] = {}
     for path in sorted(directory.glob("*.rubric")):
-        rubric = parse_rubric_text(path.read_text(encoding="utf-8"), path.name)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidRubric(f"{path.name}: not UTF-8: {exc}") from exc
+        rubric = parse_rubric_text(text, path.name)
         if rubric.cwe_id in store:
             raise InvalidRubric(f"{path.name}: duplicate rubric for {rubric.cwe_id}")
         store[rubric.cwe_id] = rubric

@@ -123,7 +123,6 @@ def test_config_values_are_coerced_and_absent_keys_keep_their_defaults(corpus, t
                             "max_prompt_chars": "40000"},
                 "limits": {"max_total_lines": "50"},
                 "cwe_map": {"vendor/rule": 89},
-                "not_a_setting": True,
             }
         )
     )
@@ -252,6 +251,64 @@ def test_a_rubric_dir_with_no_rubric_exits_2_before_any_stage(
     assert main(["run", "--config", str(config)]) == EXIT_USAGE
     assert "rubric_dir holds no generic.rubric" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["not_a_setting", "backend.endpiont", "limits.max_lines"])
+def test_a_config_key_the_table_does_not_name_exits_2_naming_it(corpus, tmp_path, capsys, key):
+    section, _, name = key.rpartition(".")
+    extra = {section: {name: True}} if section else {name: True}
+    out = tmp_path / "out"
+    config = write_config(corpus, out, extra=extra)
+    assert main(["run", "--config", str(config)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: config has an unknown key: {key}\n"
+    assert not out.exists()
+
+
+def test_a_misspelt_labels_key_exits_2_and_keeps_the_earlier_report(corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    config = write_config(corpus, out)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    report = (out / "report.json").read_bytes()
+    data = json.loads(config.read_text(encoding="utf-8"))
+    data["label_path"] = data.pop("labels_path")
+    config.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == EXIT_USAGE
+    assert "error: config has an unknown key: label_path" in capsys.readouterr().err
+    assert (out / "report.json").read_bytes() == report
+
+
+@pytest.mark.parametrize("command", ["run", "ingest"])
+@pytest.mark.parametrize("under", [False, True])
+def test_an_output_dir_that_is_a_file_or_lies_under_one_exits_2(
+    corpus, tmp_path, capsys, command, under
+):
+    occupied = tmp_path / "occupied"
+    occupied.write_text("a file\n", encoding="utf-8")
+    config = write_config(corpus, occupied / "out" if under else occupied)
+    assert main([command, "--config", str(config)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: output_dir cannot be made a directory: {occupied} is not one\n"
+    )
+    assert occupied.read_text(encoding="utf-8") == "a file\n"
+
+
+@pytest.mark.parametrize("shape", ["dangling-symlink", "directory"])
+def test_a_rubric_file_that_cannot_be_hashed_stops_prompts_naming_it(
+    corpus, tmp_path, capsys, shape
+):
+    rubric_dir = tmp_path / "rubrics"
+    shutil.copytree(pipeline.SHIPPED_RUBRIC_DIR, rubric_dir, ignore=shutil.ignore_patterns("*.py"))
+    if shape == "directory":
+        (rubric_dir / "dir.rubric").mkdir()
+        name = "dir.rubric"
+    else:
+        (rubric_dir / "cwe-999.rubric").symlink_to(tmp_path / "nowhere")
+        name = "cwe-999.rubric"
+    config = write_config(corpus, tmp_path / "out", extra={"rubric_dir": str(rubric_dir)})
+    assert main(["run", "--config", str(config)]) == EXIT_STAGE_FAILURE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: stage prompts: ") and name in line
 
 
 @pytest.mark.parametrize(

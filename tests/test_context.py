@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from conftest import FIXTURES, JAVA_DIR, OWASP_SRC
 from corpus import build_corpus, write_config
 from sarif_triage import context as context_module
@@ -332,3 +334,33 @@ def test_context_using_an_unbalanced_files_methods_is_partial_and_names_it():
     )
     assert (SegmentReason.STEP_LINE, 5, 5) in _reasons(ctx)
     assert (SegmentReason.STEP_LINE, 9, 9) in _reasons(ctx)
+
+
+# A source, step and sink with four filler lines between each, in bodies
+# given as (lines before, lines after). Only the ordinary method is a
+# method record; the scanner records none of the other four.
+_FLOW = ["String a = source();", *["int f = 0;"] * 4, "String b = a.trim();",
+         *["int g = 0;"] * 4, "sink(b);"]
+_BODIES = {
+    "ordinary-method": (["class O {", "void m() {"], ["}", "}"]),
+    "compact-constructor": (["record P(String s) {", "P {"], ["}", "}"]),
+    "anonymous-class-in-field": (["class A {", "Runnable r = new Runnable() {",
+                                  "public void run() {"], ["}", "};", "}"]),
+    "enum-constant-body": (["enum E {", "C {", "void m() {"], ["}", "};", "}"]),
+    "static-initializer": (["class S {", "static {"], ["}", "}"]),
+}
+
+
+@pytest.mark.parametrize("body", sorted(_BODIES))
+def test_a_step_pair_outside_every_method_record_says_so(tmp_path, body):
+    before, after = _BODIES[body]
+    (tmp_path / "Flow.java").write_text("\n".join([*before, *_FLOW, *after]) + "\n")
+    steps = [len(before) + 1, len(before) + 6, len(before) + 11]
+    ctx = extract_context(_finding("Flow.java", steps), SourceSnapshot(tmp_path))
+    if body == "ordinary-method":
+        assert (len(ctx.segments), ctx.total_lines, ctx.partial, ctx.notes) == (5, 11, False, ())
+        return
+    assert _reasons(ctx) == [(SegmentReason.STEP_LINE, line, line) for line in steps]
+    assert ctx.partial is True
+    assert ctx.notes == tuple(f"no enclosing method: Flow.java:{line} (step {k})"
+                              for k, line in enumerate(steps, 1))

@@ -124,3 +124,9 @@ def test_custom_directory_overrides_shipped(tmp_path):
     (tmp_path / "generic.rubric").write_text(generic, encoding="utf-8")
     store = load_rubrics(tmp_path)
     assert set(store) == {"CWE-089", GENERIC_ID}
+
+
+def test_a_rubric_that_is_not_utf8_is_invalid_naming_the_file(tmp_path):
+    (tmp_path / "cwe-999.rubric").write_bytes(b"# a comment, then \xff\n")
+    with pytest.raises(InvalidRubric, match=r"^cwe-999\.rubric: not UTF-8: .*0xff"):
+        load_rubrics(tmp_path)

@@ -129,60 +129,23 @@ class AdjudicationResult(NamedTuple):
         )
 
 
-def _extract_outer_object(raw: str) -> str:
-    """Outermost brace-delimited substring, found with a string-aware scan
-    so braces inside JSON strings do not end the object early."""
-    start = raw.find("{")
-    if start < 0:
-        raise NotJson("no JSON object found in response")
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(raw)):
-        ch = raw[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return raw[start : i + 1]
-    raise NotJson("unterminated JSON object in response")
-
-
 def _validate_object(obj: Any) -> tuple[Verdict, Confidence, str]:
     if not isinstance(obj, dict):
         raise NotJson("response is not a JSON object")
     for name in ("verdict", "confidence", "reasoning"):
         if name not in obj:
             raise MissingField(name)
-    verdict_raw = obj["verdict"]
-    if not isinstance(verdict_raw, str):
-        raise BadEnum("verdict", verdict_raw)
-    try:
-        verdict = Verdict(verdict_raw.strip().upper())
-    except ValueError:
-        raise BadEnum("verdict", verdict_raw) from None
-    confidence_raw = obj["confidence"]
-    if not isinstance(confidence_raw, str):
-        raise BadEnum("confidence", confidence_raw)
-    try:
-        confidence = Confidence(confidence_raw.strip().upper())
-    except ValueError:
-        raise BadEnum("confidence", confidence_raw) from None
+    members = []
+    for name, enum in (("verdict", Verdict), ("confidence", Confidence)):
+        value = obj[name]
+        try:
+            members.append(enum(value.strip().upper()))
+        except (AttributeError, ValueError):  # not a string, or not a member
+            raise BadEnum(name, value) from None
     reasoning = obj["reasoning"]
     if not isinstance(reasoning, str) or not reasoning.strip():
         raise MissingField("reasoning")
-    return verdict, confidence, reasoning
+    return members[0], members[1], reasoning
 
 
 def validate_response(
@@ -194,21 +157,23 @@ def validate_response(
 
     Strict pass first: the response must be exactly one JSON object with
     ``verdict``, ``confidence``, and ``reasoning`` (enum values accepted
-    case-insensitively). On a strict JSON failure, one salvage pass extracts
-    the outermost object from surrounding prose and re-validates, setting
-    ``salvaged``. Anything else raises ``NotJson``, ``MissingField``, or
-    ``BadEnum``.
+    case-insensitively). On a strict JSON failure, one salvage pass decodes
+    the object that starts at the first ``{``, ignoring the prose around it,
+    and re-validates, setting ``salvaged``. Anything else raises
+    ``NotJson``, ``MissingField``, or ``BadEnum``.
     """
     salvaged = False
     # Past its integer digit or nesting limit, json raises these, not JSONDecodeError.
     try:
         obj = json.loads(raw.strip())
     except (ValueError, RecursionError):
-        candidate = _extract_outer_object(raw)  # may raise NotJson
+        start = raw.find("{")
+        if start < 0:
+            raise NotJson("no JSON object found in response") from None
         try:
-            obj = json.loads(candidate)
+            obj, _ = json.JSONDecoder().raw_decode(raw, start)
         except (ValueError, RecursionError) as exc:
-            raise NotJson(f"salvaged substring is not valid JSON: {exc}") from exc
+            raise NotJson(f"no valid JSON object at the first '{{': {exc}") from exc
         salvaged = True
     verdict, confidence, reasoning = _validate_object(obj)
     return Adjudication(

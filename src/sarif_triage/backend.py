@@ -98,6 +98,11 @@ class RetryPolicy(NamedTuple):
     sleep: Callable[[float], None] = time.sleep
 
 
+# The longest wait between two attempts, whatever the backoff or a
+# throttling reply asks for.
+MAX_RETRY_WAIT_S = 60.0
+
+
 class CallSlots:
     """The in-flight limit and a run's one stop rule.
 
@@ -137,13 +142,15 @@ def send(
 ) -> BackendReply:
     """Issue one request, retrying transport errors and rate limits with
     exponential backoff up to ``retry.attempt_cap`` attempts. A rate limit
-    waits for the longer of the backoff and the provider's ``retry_after_s``.
-    Each attempt holds one of ``slots`` while the backend call runs, and
-    none while it backs off. A ``BackendError`` that leaves carries the
-    number of calls made in ``attempt_count``."""
+    waits for the longer of the backoff and the provider's ``retry_after_s``;
+    no wait is longer than ``MAX_RETRY_WAIT_S``. Each attempt holds one of
+    ``slots`` while the backend call runs, and none while it backs off. A
+    ``BackendError`` that leaves carries the number of calls made in
+    ``attempt_count``."""
     retry = retry or RetryPolicy()
     slots = slots or CallSlots()
     calls = 0
+    backoff = retry.backoff_base_s
     last_error: BackendError | None = None
     try:
         for attempt in range(1, retry.attempt_cap + 1):
@@ -155,10 +162,12 @@ def send(
             except (TransportError, RateLimited) as exc:
                 last_error = exc
                 if attempt < retry.attempt_cap:
-                    wait = retry.backoff_base_s * (2 ** (attempt - 1))
+                    wait = backoff
                     if isinstance(exc, RateLimited):
                         wait = max(wait, exc.retry_after_s)
-                    retry.sleep(wait)
+                    retry.sleep(min(wait, MAX_RETRY_WAIT_S))
+                    # Doubled and clamped step by step, so no attempt number overflows.
+                    backoff = min(backoff * 2, MAX_RETRY_WAIT_S)
         raise Exhausted(
             f"gave up after {retry.attempt_cap} attempts: {last_error}"
         ) from last_error
@@ -178,21 +187,20 @@ class Backend:
 
 
 _RETRYABLE_STATUSES = {429, 502, 503, 504}
-RETRY_AFTER_CAP_S = 60.0  # longest wait a provider's retry header can ask for
 
 
 def _retry_after_s(headers: http.client.HTTPMessage) -> float:
     """The wait a throttling reply asks for: ``retry-after-ms``, or failing
-    that ``Retry-After`` as delta-seconds, clamped to ``RETRY_AFTER_CAP_S``;
-    header names match in any case. An absent, negative or unparsable value
-    (an HTTP-date included) is 0."""
+    that ``Retry-After`` as delta-seconds (``send`` clamps the wait); header
+    names match in any case. An absent, negative or unparsable value (an
+    HTTP-date included) is 0."""
     for name, per_second in (("retry-after-ms", 1000.0), ("Retry-After", 1.0)):
         try:
             seconds = float(headers.get(name, "")) / per_second
         except ValueError:
             continue
         if seconds >= 0:  # also false for NaN
-            return min(seconds, RETRY_AFTER_CAP_S)
+            return seconds
     return 0.0
 
 
@@ -375,12 +383,20 @@ class MockBackend(Backend):
 
     @classmethod
     def from_script_file(cls, path: Path | str) -> "MockBackend":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError(f"mock script {path} must be a JSON object")
-        for key in sorted(data.keys() - {"responses", "default"}):
-            raise ValueError(f"mock script {path}: unknown key {key!r}")
-        return cls(responses=data.get("responses", {}), default=data.get("default"))
+        """The backend a script file describes; a ``ValueError`` naming the
+        file for one that is not UTF-8 JSON of the shape above."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(data, dict):
+                raise ValueError("not a JSON object")
+            for key in sorted(data.keys() - {"responses", "default"}):
+                raise ValueError(f"unknown key {key!r}")
+            responses = data.get("responses", {})
+            if not isinstance(responses, dict):
+                raise ValueError("`responses` is not an object")
+            return cls(responses=responses, default=data.get("default"))
+        except (ValueError, RecursionError) as exc:  # RecursionError: past json's depth
+            raise ValueError(f"mock script {path}: {exc}") from exc
 
     def _lookup(self, request: BackendRequest) -> tuple[str, _MockEntry] | None:
         """The entry for the request's tag, else its finding id, else its
@@ -419,9 +435,8 @@ def _coerce_entry(key: str, value: Any) -> _MockEntry:
         failure = value.get("failure", "transport")
         if failure not in ("transport", "rate_limited"):
             raise ValueError(f"mock entry {key}: unknown failure kind {failure!r}")
-        return _MockEntry(
-            response=value["response"],
-            fail_first=int(value.get("fail_first", 0)),
-            failure=failure,
-        )
+        fail_first = value.get("fail_first", 0)
+        if type(fail_first) is not int or fail_first < 0:
+            raise ValueError(f"mock entry {key}: fail_first {fail_first!r} is not an integer >= 0")
+        return _MockEntry(response=value["response"], fail_first=fail_first, failure=failure)
     raise ValueError(f"mock entry {key} must be a string or an object with `response`")

@@ -9,7 +9,7 @@ before precision/recall/F1 are computed) and printed at three decimals.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 from .adjudicate import AdjudicationResult, Verdict
 from .ingest import Finding
@@ -22,13 +22,6 @@ class Label(str, Enum):
 
 
 _LABELS = tuple(label.value for label in Label)
-
-
-class Outcome(str, Enum):
-    TP = "TP"
-    FP = "FP"
-    TN = "TN"
-    FN = "FN"
 
 
 class MismatchedSets(ValueError):
@@ -123,31 +116,8 @@ class EvalReport(NamedTuple):
         }
 
 
-def score(verdict: Verdict, label: Label) -> Outcome:
-    """Classify one matched (verdict, label) pair. Positive class is the
-    FALSE_POSITIVE verdict."""
-    says_fp = verdict is Verdict.FALSE_POSITIVE
-    is_fp = label is Label.FALSE_POSITIVE
-    if says_fp and is_fp:
-        return Outcome.TP
-    if says_fp and not is_fp:
-        return Outcome.FP
-    if not says_fp and is_fp:
-        return Outcome.FN
-    return Outcome.TN
-
-
 def f1(p: float, r: float) -> float:
     return 2 * p * r / (p + r) if (p + r) else 0.0
-
-
-def counts_from_outcomes(outcomes: Iterable[Outcome]) -> ConfusionCounts:
-    tally = {o: 0 for o in Outcome}
-    for outcome in outcomes:
-        tally[outcome] += 1
-    return ConfusionCounts(
-        tp=tally[Outcome.TP], fp=tally[Outcome.FP], tn=tally[Outcome.TN], fn=tally[Outcome.FN]
-    )
 
 
 def cwe_sort_key(cwe_id: str) -> tuple[int, str]:
@@ -210,7 +180,7 @@ def build_report(
     cwe_of = {f.finding_id: f.cwe_id for f in findings}
     matched = match_truth(findings, truths)
 
-    outcomes_by_cwe: dict[str, list[Outcome]] = {cwe: [] for cwe in cwe_of.values()}
+    per_cwe = {cwe: ConfusionCounts() for cwe in sorted(set(cwe_of.values()), key=cwe_sort_key)}
     unevaluated = 0
     unmatched = 0
     for row in results:
@@ -221,12 +191,20 @@ def build_report(
         if truth is None:
             unmatched += 1
             continue
-        outcomes_by_cwe[cwe_of[row.finding_id]].append(score(row.adjudication.verdict, truth.label))
+        # The positive class is FALSE_POSITIVE: flagging a spurious alert.
+        says_fp = row.adjudication.verdict is Verdict.FALSE_POSITIVE
+        is_fp = truth.label is Label.FALSE_POSITIVE
+        if says_fp and is_fp:
+            cell = ConfusionCounts(tp=1)
+        elif says_fp:
+            cell = ConfusionCounts(fp=1)
+        elif is_fp:
+            cell = ConfusionCounts(fn=1)
+        else:
+            cell = ConfusionCounts(tn=1)
+        cwe = cwe_of[row.finding_id]
+        per_cwe[cwe] = per_cwe[cwe] + cell
 
-    per_cwe = {
-        cwe: counts_from_outcomes(outcomes_by_cwe[cwe])
-        for cwe in sorted(outcomes_by_cwe, key=cwe_sort_key)
-    }
     return EvalReport(
         mode=mode,
         overall=sum(per_cwe.values(), ConfusionCounts()),

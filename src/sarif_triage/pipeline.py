@@ -490,11 +490,18 @@ def stage_evaluate(config: RunConfig, resume: bool = False) -> None:
         findings = _load_findings(findings_path)
         results = [adj.AdjudicationResult.from_dict(row) for row in read_rows(adjudications_path)]
         truths = []
+        row_of_id: dict[str, int] = {}  # the row that labels each finding_id
         for number, row in enumerate(read_rows(config.labels_path), 1):
             try:
-                truths.append(ev.GroundTruth.from_dict(row))
+                truth = ev.GroundTruth.from_dict(row)
+                if truth.finding_id in row_of_id:
+                    raise ValueError(f"finding_id {truth.finding_id!r} is already labelled "
+                                     f"at row {row_of_id[truth.finding_id]}")
             except ValueError as exc:
                 raise ValueError(f"labels file {config.labels_path}, row {number}: {exc}") from exc
+            if truth.finding_id:
+                row_of_id[truth.finding_id] = number
+            truths.append(truth)
 
         ids = sorted(f.finding_id for f in findings)
         reports: dict[str, ev.EvalReport] = {}

@@ -26,12 +26,9 @@ from sarif_triage.evaluate import (
     EvalReport,
     GroundTruth,
     Label,
-    Outcome,
     build_report,
     compare_modes,
-    counts_from_outcomes,
     f1,
-    score,
 )
 from sarif_triage.ingest import CodeLocation, Finding, StepKind, TraceStep, canonicalize, parse_sarif
 from sarif_triage.methods import locate_methods
@@ -307,11 +304,13 @@ def test_criterion_6_metric_conservation():
         assert report.unmatched_count == expected_unmatched
 
         # micro-aggregation equals brute-force recomputation, exactly
-        outcomes = [score(v, l) for v, l in pairs]
-        assert counts == counts_from_outcomes(outcomes)
-        brute_tp = sum(1 for o in outcomes if o is Outcome.TP)
-        brute_fp = sum(1 for o in outcomes if o is Outcome.FP)
-        brute_fn = sum(1 for o in outcomes if o is Outcome.FN)
+        says_fp = [v is Verdict.FALSE_POSITIVE for v, _ in pairs]
+        is_fp = [l is Label.FALSE_POSITIVE for _, l in pairs]
+        brute_tp = sum(s and i for s, i in zip(says_fp, is_fp))
+        brute_fp = sum(s and not i for s, i in zip(says_fp, is_fp))
+        brute_fn = sum(not s and i for s, i in zip(says_fp, is_fp))
+        brute_tn = sum(not s and not i for s, i in zip(says_fp, is_fp))
+        assert counts == ConfusionCounts(brute_tp, brute_fp, brute_tn, brute_fn)
         p = brute_tp / (brute_tp + brute_fp) if brute_tp + brute_fp else 0.0
         r = brute_tp / (brute_tp + brute_fn) if brute_tp + brute_fn else 0.0
         expected_f1 = 2 * p * r / (p + r) if p + r else 0.0

@@ -71,11 +71,27 @@ def test_nested_braces_inside_reasoning_parse_fine():
     assert adjudication.reasoning == "guarded by if (x) { y } block"
 
 
+def test_a_prose_wrapped_reply_whose_reasoning_holds_a_brace_and_a_quote_is_salvaged_whole():
+    raw = ('My verdict: {"verdict":"FALSE_POSITIVE","confidence":"LOW",'
+           '"reasoning":"the sink sees \\"}\\" and \\\\ only"} -- and {not json}')
+    adjudication = validate_response(raw)
+    assert adjudication.salvaged is True
+    assert adjudication.verdict is Verdict.FALSE_POSITIVE
+    assert adjudication.reasoning == 'the sink sees "}" and \\ only'
+
+
 def test_not_json_at_all():
-    with pytest.raises(NotJson):
+    with pytest.raises(NotJson, match="^no JSON object found in response$"):
         validate_response("the alert looks fine to me")
-    with pytest.raises(NotJson):
+    with pytest.raises(NotJson, match="^no valid JSON object at the first '{': Expecting"):
         validate_response("broken { not json")
+    with pytest.raises(NotJson, match="at the first '{': Unterminated string"):
+        validate_response('Answer: {"verdict": "TRUE_POSITIVE", "reasoning": "cut sho')
+    # Past the decoder's nesting or integer digit limit: NotJson, not a crash.
+    with pytest.raises(NotJson, match="at the first '{': maximum recursion depth"):
+        validate_response("Answer: " + '{"a": ' * 100000)
+    with pytest.raises(NotJson, match="at the first '{': Exceeds the limit"):
+        validate_response('x {"verdict": ' + "9" * 5000 + "}")
 
 
 def test_case_insensitive_enums_normalize_to_canonical():

@@ -13,6 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from corpus import build_corpus, write_config
 from sarif_triage.adjudicate import adjudicate_all
 from sarif_triage.backend import (
     BackendError,
@@ -22,12 +23,13 @@ from sarif_triage.backend import (
     Exhausted,
     HttpBackend,
     MockBackend,
-    RETRY_AFTER_CAP_S,
+    MAX_RETRY_WAIT_S,
     RateLimited,
     RetryPolicy,
     TransportError,
     send,
 )
+from sarif_triage.cli import EXIT_OK, main
 from sarif_triage.prompts import PromptBundle, PromptMode, prompt_sha256
 
 NO_SLEEP = RetryPolicy(attempt_cap=4, backoff_base_s=0.0, sleep=lambda _: None)
@@ -113,6 +115,18 @@ def test_backoff_schedule_is_exponential():
     assert sleeps == [0.5, 1.0, 2.0]
 
 
+def test_no_wait_is_longer_than_the_cap_and_no_attempt_number_overflows():
+    for attempt_cap in (20, 1200):
+        sleeps: list[float] = []
+        backend = MockBackend(
+            responses={"fid.OPTIMIZED": {"response": "ok", "fail_first": attempt_cap - 1}}
+        )
+        policy = RetryPolicy(attempt_cap=attempt_cap, backoff_base_s=0.5, sleep=sleeps.append)
+        assert send(_request(), backend, policy).attempt_count == attempt_cap
+        assert sleeps[:8] == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, MAX_RETRY_WAIT_S]
+        assert sleeps[8:] == [MAX_RETRY_WAIT_S] * (attempt_cap - 9)
+
+
 def test_context_overflow_is_not_retried():
     attempts = []
 
@@ -143,6 +157,33 @@ def test_mock_script_file_round_trip(tmp_path):
     path.write_text(json.dumps({**script, "max_prompt_chars": 1000}))
     with pytest.raises(ValueError, match="unknown key 'max_prompt_chars'"):
         MockBackend.from_script_file(path)
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b'{"responses": [1]}', "`responses` is not an object"),
+        (b"{", "Expecting property name enclosed in double quotes"),
+        (b"[" * 100000, "maximum recursion depth exceeded"),
+        (b'{"default": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        (b'{"responses": {"f": {"response": "r", "fail_first": "two"}}}',
+         "mock entry f: fail_first 'two' is not an integer >= 0"),
+        (b'{"responses": {"f": {"response": "r", "fail_first": true}}}',
+         "mock entry f: fail_first True is not an integer >= 0"),
+        (b'{"responses": {"f": {"response": "r", "fail_first": -1}}}',
+         "mock entry f: fail_first -1 is not an integer >= 0"),
+        (b'["not", "an", "object"]', "not a JSON object"),
+    ],
+    ids=["responses-list", "cut-short", "too-deep", "not-utf8", "fail-first-string",
+         "fail-first-bool", "fail-first-negative", "top-level-list"],
+)
+def test_a_bad_mock_script_is_refused_naming_the_file(tmp_path, content, reason):
+    path = tmp_path / "script.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as info:
+        MockBackend.from_script_file(path)
+    assert str(info.value).startswith(f"mock script {path}: ")
+    assert reason in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +299,28 @@ def no_proxy_env(monkeypatch):
     return monkeypatch
 
 
+def test_a_live_run_adjudicates_every_finding_through_the_endpoint(
+    http_server, no_proxy_env, tmp_path
+):
+    corpus = build_corpus(tmp_path / "corpus")
+    config = json.loads(write_config(corpus, tmp_path / "out").read_text())
+    config["backend"] = {"kind": "live", "endpoint": http_server, "model": "stub-model",
+                         "backoff_base_s": 0.0}
+    config_path = tmp_path / "live.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    verdict = json.dumps({"verdict": "FALSE_POSITIVE", "confidence": "LOW", "reasoning": "stub"})
+    _Handler.script = [(200, _reply(verdict))] * len(corpus.findings)
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    assert [(seen["path"], seen["body"]["model"]) for seen in _Handler.seen] == (
+        [("/v1/chat/completions", "stub-model")] * len(corpus.findings)
+    )
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["modes"]["OPTIMIZED"]
+    assert {key: report["overall"][key] for key in ("tp", "fp", "tn", "fn")} == (
+        {"tp": 10, "fp": 10, "tn": 0, "fn": 0}
+    )
+    assert report["unevaluated_count"] == 0
+
+
 def test_http_backend_sends_two_messages_at_temperature_zero(http_server, monkeypatch):
     monkeypatch.setenv("SARIF_TRIAGE_API_KEY", "sk-test")
     backend = HttpBackend(endpoint=http_server)
@@ -293,7 +356,7 @@ def test_http_backend_retries_rate_limit_then_succeeds(http_server):
         ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, 0.5, 0.5),
         ({"Retry-After": "garbage"}, 0.5, 0.5),
         ({"Retry-After": "-3"}, 0.5, 0.5),
-        ({"Retry-After": "3600"}, 0.0, RETRY_AFTER_CAP_S),
+        ({"Retry-After": "3600"}, 0.0, MAX_RETRY_WAIT_S),
     ],
 )
 def test_retry_after_header_sets_the_wait_when_longer_than_the_backoff(

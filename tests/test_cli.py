@@ -868,6 +868,24 @@ def test_a_bad_labels_row_exits_1_naming_the_file_and_the_row(corpus, tmp_path, 
     assert (tmp_path / "run" / "out" / "adjudications.jsonl").is_file()
 
 
+@pytest.mark.parametrize("flip", [True, False], ids=["opposite-label", "same-label"])
+def test_a_labels_file_that_labels_a_finding_twice_exits_1_naming_both_rows(
+    corpus, tmp_path, capsys, flip
+):
+    labels = list(pipeline.read_rows(corpus.labels_path))
+    first = labels[0]
+    label = first["label"]
+    if flip:
+        label = "TRUE_VULNERABILITY" if label == "FALSE_POSITIVE" else "FALSE_POSITIVE"
+    repeat = {"finding_id": first["finding_id"], "label": label}
+    config = _config_with(corpus, tmp_path / "run", labels=[*labels, repeat])
+    assert main(["run", "--config", str(config)]) == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert (f"error: stage evaluate: labels file {tmp_path / 'run' / 'labels.jsonl'}, row 21: "
+            f"finding_id {first['finding_id']!r} is already labelled at row 1\n") in err
+    assert not (tmp_path / "run" / "out" / "report.json").exists()
+
+
 # A last labels line the decoder refuses, and the start of the reason given.
 _BAD_LABEL_LINES = {
     b"not json\n": "not JSON: Expecting value (column 1)",

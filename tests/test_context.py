@@ -170,6 +170,44 @@ def test_total_lines_cap_drops_intermediates_and_flags_truncated(tmp_path):
     assert ctx.total_lines <= 10
 
 
+def test_the_line_cap_keeps_every_segment_when_no_intermediate_is_left_to_shed():
+    limits = ContextLimits(max_total_lines=1)
+    ctx = extract_context(_finding("SameMethodFlow.java", [10, 11]), SourceSnapshot(JAVA_DIR), limits)
+    assert _reasons(ctx) == [(SegmentReason.STEP_LINE, 10, 10), (SegmentReason.STEP_LINE, 11, 11)]
+    assert ctx.truncated is True
+    assert ctx.total_lines == 2
+    assert ctx.notes == ()
+
+
+def _wide_tree(tmp_path):
+    lines = [f"line{i}" for i in range(1, 101)]
+    (tmp_path / "Wide.java").write_text("\n".join(lines) + "\n")
+
+
+def test_a_step_ending_past_the_file_is_clamped_with_a_note(tmp_path):
+    _wide_tree(tmp_path)
+    finding = _finding("Wide.java", [98])
+    step = finding.trace[0]._replace(location=_loc("Wide.java", 98, 120))
+    ctx = extract_context(finding._replace(trace=(step,)), SourceSnapshot(tmp_path))
+    assert _reasons(ctx) == [(SegmentReason.STEP_LINE, 98, 100)]
+    assert ctx.notes == ("end line clamped: Wide.java:120 -> 100 (step 1)",)
+    assert ctx.partial is True
+
+
+def test_window5_notes_a_missing_file_and_a_line_out_of_range(tmp_path):
+    _wide_tree(tmp_path)
+    finding = _finding("Wide.java", [3, 50, 500])
+    first = finding.trace[0]._replace(location=_loc("Nowhere.java", 3))
+    finding = finding._replace(trace=(first, *finding.trace[1:]))
+    ctx = extract_baseline_context(finding, SourceSnapshot(tmp_path), BaselineMode.WINDOW5)
+    assert _reasons(ctx) == [(SegmentReason.STEP_LINE, 45, 55)]
+    assert ctx.notes == (
+        "missing file: Nowhere.java (step 1)",
+        "line out of range: Wide.java:500 (step 3)",
+    )
+    assert ctx.partial is True
+
+
 def test_window5_clamps_at_file_start(tmp_path):
     lines = [f"line{i}" for i in range(1, 101)]
     (tmp_path / "Wide.java").write_text("\n".join(lines) + "\n")

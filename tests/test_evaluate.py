@@ -17,25 +17,22 @@ from sarif_triage.evaluate import (
     GroundTruth,
     Label,
     MismatchedSets,
-    Outcome,
     build_report,
     compare_modes,
-    counts_from_outcomes,
     f1,
     f1_delta,
     match_truth,
     render_report_csv,
     render_report_text,
-    score,
 )
 from sarif_triage.ingest import CodeLocation, Finding
 
 
 def test_score_definitions():
-    assert score(Verdict.FALSE_POSITIVE, Label.FALSE_POSITIVE) is Outcome.TP
-    assert score(Verdict.FALSE_POSITIVE, Label.TRUE_VULNERABILITY) is Outcome.FP
-    assert score(Verdict.TRUE_POSITIVE, Label.FALSE_POSITIVE) is Outcome.FN
-    assert score(Verdict.TRUE_POSITIVE, Label.TRUE_VULNERABILITY) is Outcome.TN
+    # ``_PAIRS`` states the (verdict, label) pair of each cell; the positive
+    # class is the FALSE_POSITIVE verdict.
+    for cell in _PAIRS:
+        assert _report_of([("CWE-089", cell)]).overall == ConfusionCounts(**{cell: 1}), cell
 
 
 def test_counts_match_brute_force_tally():
@@ -44,13 +41,16 @@ def test_counts_match_brute_force_tally():
         (rng.choice(list(Verdict)), rng.choice(list(Label)))
         for _ in range(10)
     ]
-    outcomes = [score(v, l) for v, l in pairs]
-    counts = counts_from_outcomes(outcomes)
-    brute = {o: sum(1 for x in outcomes if x is o) for o in Outcome}
-    assert counts.tp == brute[Outcome.TP]
-    assert counts.fp == brute[Outcome.FP]
-    assert counts.tn == brute[Outcome.TN]
-    assert counts.fn == brute[Outcome.FN]
+    findings = [_finding(f"f{i}", uri=f"F{i}.java") for i in range(len(pairs))]
+    results = [_ok(f"f{i}", verdict) for i, (verdict, _) in enumerate(pairs)]
+    truths = [GroundTruth(label=label, finding_id=f"f{i}") for i, (_, label) in enumerate(pairs)]
+    counts = build_report(findings, results, truths, "OPTIMIZED").overall
+    says_fp = [v is Verdict.FALSE_POSITIVE for v, _ in pairs]
+    is_fp = [l is Label.FALSE_POSITIVE for _, l in pairs]
+    assert counts.tp == sum(s and i for s, i in zip(says_fp, is_fp))
+    assert counts.fp == sum(s and not i for s, i in zip(says_fp, is_fp))
+    assert counts.tn == sum(not s and not i for s, i in zip(says_fp, is_fp))
+    assert counts.fn == sum(not s and i for s, i in zip(says_fp, is_fp))
     assert counts.total == 10
 
 
@@ -72,20 +72,20 @@ def test_f1_zero_denominators():
     assert zero.precision == 0.0 and zero.recall == 0.0 and zero.f1 == 0.0
 
 
-# The (verdict, label) pair that scores as each outcome.
+# The (verdict, label) pair that scores in each cell of the confusion matrix.
 _PAIRS = {
-    Outcome.TP: (Verdict.FALSE_POSITIVE, Label.FALSE_POSITIVE),
-    Outcome.FP: (Verdict.FALSE_POSITIVE, Label.TRUE_VULNERABILITY),
-    Outcome.FN: (Verdict.TRUE_POSITIVE, Label.FALSE_POSITIVE),
-    Outcome.TN: (Verdict.TRUE_POSITIVE, Label.TRUE_VULNERABILITY),
+    "tp": (Verdict.FALSE_POSITIVE, Label.FALSE_POSITIVE),
+    "fp": (Verdict.FALSE_POSITIVE, Label.TRUE_VULNERABILITY),
+    "fn": (Verdict.TRUE_POSITIVE, Label.FALSE_POSITIVE),
+    "tn": (Verdict.TRUE_POSITIVE, Label.TRUE_VULNERABILITY),
 }
 
 
-def _report_of(scored: list[tuple[str, Outcome]]):
-    """``build_report`` over one labelled finding per (CWE, outcome) pair."""
+def _report_of(scored: list[tuple[str, str]]):
+    """``build_report`` over one labelled finding per (CWE, cell) pair."""
     findings, results, truths = [], [], []
-    for i, (cwe, outcome) in enumerate(scored):
-        verdict, label = _PAIRS[outcome]
+    for i, (cwe, cell) in enumerate(scored):
+        verdict, label = _PAIRS[cell]
         findings.append(_finding(f"f{i}", cwe=cwe, uri=f"F{i}.java"))
         results.append(_ok(f"f{i}", verdict))
         truths.append(GroundTruth(label=label, finding_id=f"f{i}"))
@@ -94,10 +94,10 @@ def _report_of(scored: list[tuple[str, Outcome]]):
 
 def test_aggregate_micro_sums_counts_before_metrics():
     report = _report_of(
-        [("CWE-089", Outcome.TP)] * 2
-        + [("CWE-089", Outcome.FN)] * 1
-        + [("CWE-079", Outcome.TP)] * 3
-        + [("CWE-079", Outcome.FP)] * 1
+        [("CWE-089", "tp")] * 2
+        + [("CWE-089", "fn")] * 1
+        + [("CWE-079", "tp")] * 3
+        + [("CWE-079", "fp")] * 1
     )
     overall = report.overall
     # Hand computation: tp=5, fp=1, fn=1 -> P = R = 5/6
@@ -114,11 +114,11 @@ def test_empty_outcomes_give_zero_report():
     report = _report_of([])
     assert report.per_cwe == {}
     assert report.overall == ConfusionCounts()
-    assert counts_from_outcomes([]).f1 == 0.0
+    assert report.overall.f1 == 0.0
 
 
 def test_single_group_equals_overall():
-    report = _report_of([("CWE-089", Outcome.TP), ("CWE-089", Outcome.TN)])
+    report = _report_of([("CWE-089", "tp"), ("CWE-089", "tn")])
     assert report.per_cwe == {"CWE-089": report.overall}
 
 

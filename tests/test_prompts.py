@@ -104,6 +104,16 @@ def test_missing_step_line_renders_unavailable_and_continues(owasp_finding):
     assert f"[1] SOURCE: {LINE_UNAVAILABLE}" in trace
 
 
+def test_a_context_with_no_segment_compiles_to_the_no_context_text():
+    finding = _single_step_finding(uri="Nowhere.java")
+    ctx = extract_context(finding, SourceSnapshot(JAVA_DIR))
+    assert ctx.segments == ()
+    for mode in PromptMode:
+        bundle = compile_prompt(finding, ctx, rubric_for(finding.cwe_id, RUBRICS), mode)
+        inside = split_fences(bundle.user_text)[1].split("\n")
+        assert "(no code context available)" in inside, mode
+
+
 def test_compile_is_deterministic(owasp_finding, owasp_ctx):
     rubric = rubric_for(owasp_finding.cwe_id, RUBRICS)
     a = compile_prompt(owasp_finding, owasp_ctx, rubric, PromptMode.OPTIMIZED)

@@ -78,8 +78,12 @@ class CodeContext(NamedTuple):
     segments: tuple[ContextSegment, ...]
     truncated: bool
     total_lines: int
-    partial: bool = False
     notes: tuple[str, ...] = ()
+
+    @property
+    def partial(self) -> bool:
+        """True when a note says what the context is missing."""
+        return bool(self.notes)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -98,79 +102,95 @@ class CodeContext(NamedTuple):
             segments=tuple(ContextSegment.from_dict(s) for s in d["segments"]),
             truncated=d["truncated"],
             total_lines=d["total_lines"],
-            partial=d.get("partial", False),
             notes=tuple(d.get("notes", [])),
         )
 
 
-def _segment(
-    lines: list[str],
-    uri: str,
-    start: int,
-    end: int,
-    reason: SegmentReason,
-    step_index: int | None = None,
-) -> ContextSegment:
-    text = "\n".join(lines[start - 1 : end])
-    return ContextSegment(
-        file=uri,
-        start_line=start,
-        end_line=end,
-        text=text,
-        reason=reason,
-        step_index=step_index,
-    )
+def _label(idx: int | None) -> str:
+    return f"step {idx}" if idx is not None else "primary location"
 
 
 class _Collector:
-    def __init__(self) -> None:
-        self.segments: list[ContextSegment] = []
-        self.seen: set[tuple[str, int, int]] = set()
-        self.notes: list[str] = []
-        self.partial = False
+    """One context's segments and notes, cut from one snapshot. Each span
+    and each note is kept once, in the order first added."""
 
-    def add(self, segment: ContextSegment) -> None:
-        key = (segment.file, segment.start_line, segment.end_line)
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        self.segments.append(segment)
+    def __init__(self, source: SourceSnapshot) -> None:
+        self.source = source
+        self.segments: dict[tuple[str, int, int], ContextSegment] = {}
+        self.notes: dict[str, None] = {}
+
+    def add(
+        self,
+        uri: str,
+        start: int,
+        end: int,
+        reason: SegmentReason,
+        step_index: int | None = None,
+        elided_after: int = 0,
+    ) -> None:
+        """Keep lines ``start`` to ``end`` of ``uri``, which the caller has
+        found to exist, as a segment, unless one already holds that span."""
+        key = (uri, start, end)
+        if key not in self.segments:
+            text = "\n".join(self.source.lines(uri)[start - 1 : end])
+            self.segments[key] = ContextSegment(
+                uri, start, end, text, reason, step_index, elided_after
+            )
 
     def note(self, message: str) -> None:
-        self.notes.append(message)
-        self.partial = True
+        self.notes[message] = None
 
+    def lines(self, idx: int | None, loc: CodeLocation) -> list[str] | None:
+        """The lines of the step's file; None, with a note, when the file is
+        missing or the step starts past its end."""
+        lines = self.source.lines(loc.uri)
+        if lines is None:
+            self.note(f"missing file: {loc.uri} ({_label(idx)})")
+        elif loc.start_line > len(lines):
+            self.note(
+                f"line out of range: {loc.uri}:{loc.start_line}"
+                f" ({_label(idx)}, file has {len(lines)} lines)"
+            )
+        else:
+            return lines
+        return None
 
-def _methods(collector: _Collector, source: SourceSnapshot, uri: str) -> list[MethodRecord]:
-    """The file's method records, scanned once per snapshot. A scan that
-    ended unbalanced may have lost some, so it marks the context partial,
-    with one note per file."""
-    if uri not in source.method_scans:
-        lines = source.lines(uri)
-        # The scanner reports an unbalanced file by warning; the warning is
-        # kept here so every context that uses the file can say so.
-        # catch_warnings swaps process-wide state: scan on one thread.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", UnbalancedBraces)
-            records = [] if lines is None else locate_methods("\n".join(lines), uri)
-        problems = [str(w.message) for w in caught if issubclass(w.category, UnbalancedBraces)]
-        source.method_scans[uri] = (records, "; ".join(problems) or None)
-    records, problem = source.method_scans[uri]
-    if problem is not None and f"unbalanced braces: {problem}" not in collector.notes:
-        collector.note(f"unbalanced braces: {problem}")
-    return records
+    def method(self, idx: int | None, loc: CodeLocation) -> MethodRecord | None:
+        """The method record holding the step, whose lines exist, from one
+        scan of its file per snapshot. A scan that ended unbalanced may have
+        lost records, so its file's note is added; otherwise a step that
+        lies in no record gets a note of its own."""
+        scans = self.source.method_scans
+        if loc.uri not in scans:
+            # The scanner reports an unbalanced file by warning; the warning
+            # is kept so every context that uses the file can say so.
+            # catch_warnings swaps process-wide state: scan on one thread.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UnbalancedBraces)
+                records = locate_methods("\n".join(self.source.lines(loc.uri)), loc.uri)
+            problems = [str(w.message) for w in caught if issubclass(w.category, UnbalancedBraces)]
+            problem = f"unbalanced braces: {'; '.join(problems)}" if problems else None
+            scans[loc.uri] = (records, problem)
+        records, problem = scans[loc.uri]
+        method = enclosing_method(records, loc.start_line)
+        if problem is not None:
+            self.note(problem)
+        elif method is None:
+            self.note(f"no enclosing method: {loc.uri}:{loc.start_line} (step {idx})")
+        return method
 
-
-def _enclosing(
-    collector: _Collector, source: SourceSnapshot, idx: int | None, loc: CodeLocation
-) -> MethodRecord | None:
-    """The method record holding the step. A step that lies in none gets one
-    note, unless its file's scan ended unbalanced: that note covers it."""
-    method = enclosing_method(_methods(collector, source, loc.uri), loc.start_line)
-    note = f"no enclosing method: {loc.uri}:{loc.start_line} (step {idx})"
-    if method is None and source.method_scans[loc.uri][1] is None and note not in collector.notes:
-        collector.note(note)
-    return method
+    def context(self, finding_id: str, limits: ContextLimits) -> CodeContext:
+        """The context of what was collected. Over the line cap it is
+        truncated, and intermediate segments are shed longest first."""
+        segments = list(self.segments.values())
+        total = sum(s.line_count() for s in segments)
+        truncated = total > limits.max_total_lines
+        while total > limits.max_total_lines:
+            victim = drop_longest_intermediate(segments)
+            if victim is None:
+                break
+            total -= victim.line_count()
+        return CodeContext(finding_id, tuple(segments), truncated, total, tuple(self.notes))
 
 
 def _resolved_step_locations(finding: Finding) -> list[tuple[int | None, CodeLocation]]:
@@ -181,38 +201,8 @@ def _resolved_step_locations(finding: Finding) -> list[tuple[int | None, CodeLoc
     return [(None, finding.primary_location)]
 
 
-def _probe_step(
-    collector: _Collector, source: SourceSnapshot, idx: int | None, loc: CodeLocation
-) -> bool:
-    """Check that the step's file and line exist, recording a note (and
-    marking the context partial) when they do not."""
-    lines = source.lines(loc.uri)
-    label = f"step {idx}" if idx is not None else "primary location"
-    if lines is None:
-        collector.note(f"missing file: {loc.uri} ({label})")
-        return False
-    if loc.start_line > len(lines):
-        collector.note(
-            f"line out of range: {loc.uri}:{loc.start_line} ({label}, file has {len(lines)} lines)"
-        )
-        return False
-    return True
-
-
-def _emit_step_line(
-    collector: _Collector, source: SourceSnapshot, idx: int | None, loc: CodeLocation
-) -> None:
-    lines = source.lines(loc.uri)
-    end = min(loc.end_line, len(lines))
-    if end < loc.end_line:
-        label = f"step {idx}" if idx is not None else "primary location"
-        collector.note(f"end line clamped: {loc.uri}:{loc.end_line} -> {end} ({label})")
-    collector.add(_segment(lines, loc.uri, loc.start_line, end, SegmentReason.STEP_LINE, idx))
-
-
 def _add_intermediate(
     collector: _Collector,
-    source: SourceSnapshot,
     uri: str,
     lo_end: int,
     hi_start: int,
@@ -222,60 +212,33 @@ def _add_intermediate(
     start, end = lo_end + 1, hi_start - 1
     if start > end:
         return
-    lines = source.lines(uri)
-    assert lines is not None  # caller resolved both step lines already
-    span = end - start + 1
-    if span > limits.intermediate_elide_threshold:
+    if end - start + 1 > limits.intermediate_elide_threshold:
         # The config holds head, tail >= 1 and head + tail <= threshold, so
         # both segments are non-empty and at least one line is elided.
         head_end = start + limits.elide_head_lines - 1
         tail_start = end - limits.elide_tail_lines + 1
-        head = _segment(lines, uri, start, head_end, SegmentReason.INTERMEDIATE, step_index)
-        head = head._replace(elided_after=tail_start - head_end - 1)
-        collector.add(head)
-        collector.add(
-            _segment(lines, uri, tail_start, end, SegmentReason.INTERMEDIATE, step_index)
-        )
+        collector.add(uri, start, head_end, SegmentReason.INTERMEDIATE, step_index,
+                      elided_after=tail_start - head_end - 1)
+        collector.add(uri, tail_start, end, SegmentReason.INTERMEDIATE, step_index)
     else:
-        collector.add(_segment(lines, uri, start, end, SegmentReason.INTERMEDIATE, step_index))
-
-
-def _add_method_signature(
-    collector: _Collector, source: SourceSnapshot, method: MethodRecord
-) -> None:
-    collector.add(
-        _segment(
-            source.lines(method.file),
-            method.file,
-            method.start_line,
-            method.signature_end_line,
-            SegmentReason.METHOD_SIGNATURE,
-        )
-    )
+        collector.add(uri, start, end, SegmentReason.INTERMEDIATE, step_index)
 
 
 def _add_call_site(
     collector: _Collector,
-    source: SourceSnapshot,
     caller: MethodRecord,
     callee_name: str,
     from_line: int,
-    to_line: int,
     step_index: int | None,
 ) -> None:
-    """First line in the caller's body between the step lines that mentions
-    the callee followed by an opening paren; omitted when none matches."""
-    lines = source.lines(caller.file)
-    start = max(from_line, caller.start_line)
-    end = min(to_line, caller.end_line, len(lines))
-    pattern = re.compile(r"\b" + re.escape(callee_name) + r"\s*\(")
-    for lineno in range(start, end + 1):
+    """The first line of the caller's body, from ``from_line`` (a line in it)
+    to its end, that calls the callee: its name, not continuing another
+    identifier, then an opening paren. Omitted when no line does."""
+    lines = collector.source.lines(caller.file)
+    pattern = re.compile(r"(?<![\w$])" + re.escape(callee_name) + r"\s*\(")
+    for lineno in range(from_line, caller.end_line + 1):
         if pattern.search(lines[lineno - 1]):
-            collector.add(
-                _segment(
-                    lines, caller.file, lineno, lineno, SegmentReason.CALL_SITE, step_index
-                )
-            )
+            collector.add(caller.file, lineno, lineno, SegmentReason.CALL_SITE, step_index)
             return
 
 
@@ -291,20 +254,6 @@ def drop_longest_intermediate(segments: list[ContextSegment]) -> ContextSegment 
     return victim
 
 
-def _apply_line_cap(
-    collector: _Collector, limits: ContextLimits
-) -> tuple[list[ContextSegment], bool, int]:
-    segments = list(collector.segments)
-    total = sum(s.line_count() for s in segments)
-    truncated = total > limits.max_total_lines
-    while total > limits.max_total_lines:
-        victim = drop_longest_intermediate(segments)
-        if victim is None:
-            break
-        total -= victim.line_count()
-    return segments, truncated, total
-
-
 def extract_context(
     finding: Finding,
     source: SourceSnapshot,
@@ -315,48 +264,43 @@ def extract_context(
     Missing files, out-of-range lines and steps of a pair that lie in no
     method record mark the context as partial but never abort extraction.
     """
-    collector = _Collector()
+    collector = _Collector(source)
     steps = _resolved_step_locations(finding)
 
-    resolved = [_probe_step(collector, source, idx, loc) for idx, loc in steps]
+    resolved = [collector.lines(idx, loc) for idx, loc in steps]
     for pos, (idx, loc) in enumerate(steps):
+        lines = resolved[pos]
+        if lines is None:
+            continue
         # Between-pair segments come before the later step line, keeping
         # segment order a stable refinement of trace order.
-        if pos > 0 and resolved[pos - 1] and resolved[pos]:
+        if pos > 0 and resolved[pos - 1] is not None:
             link_index, prev_loc = steps[pos - 1]
-            m_prev = _enclosing(collector, source, link_index, prev_loc)
-            m_cur = _enclosing(collector, source, idx, loc)
+            m_prev = collector.method(link_index, prev_loc)
+            m_cur = collector.method(idx, loc)
             # Records carry their file, so methods in different files differ.
             if m_prev is not None and m_prev == m_cur:
                 lo, hi = sorted(
                     [(prev_loc.start_line, prev_loc.end_line), (loc.start_line, loc.end_line)]
                 )
-                _add_intermediate(collector, source, loc.uri, lo[1], hi[0], link_index, limits)
+                _add_intermediate(collector, loc.uri, lo[1], hi[0], link_index, limits)
             else:
                 # Different methods (or files): capture both enclosing
                 # signatures plus the call site when identifiable.
-                if m_prev is not None:
-                    _add_method_signature(collector, source, m_prev)
-                if m_cur is not None:
-                    _add_method_signature(collector, source, m_cur)
+                for method in (m_prev, m_cur):
+                    if method is not None:
+                        collector.add(method.file, method.start_line,
+                                      method.signature_end_line, SegmentReason.METHOD_SIGNATURE)
                 if m_prev is not None and m_cur is not None:
-                    to_line = loc.start_line if prev_loc.uri == loc.uri else m_prev.end_line
-                    _add_call_site(
-                        collector, source, m_prev, m_cur.name,
-                        prev_loc.start_line, to_line, link_index,
-                    )
-        if resolved[pos]:
-            _emit_step_line(collector, source, idx, loc)
+                    # Records never overlap, so the callee, wherever it is
+                    # declared, is outside the caller's body.
+                    _add_call_site(collector, m_prev, m_cur.name, prev_loc.start_line, link_index)
+        end = min(loc.end_line, len(lines))
+        if end < loc.end_line:
+            collector.note(f"end line clamped: {loc.uri}:{loc.end_line} -> {end} ({_label(idx)})")
+        collector.add(loc.uri, loc.start_line, end, SegmentReason.STEP_LINE, idx)
 
-    segments, truncated, total = _apply_line_cap(collector, limits)
-    return CodeContext(
-        finding_id=finding.finding_id,
-        segments=tuple(segments),
-        truncated=truncated,
-        total_lines=total,
-        partial=collector.partial,
-        notes=tuple(collector.notes),
-    )
+    return collector.context(finding.finding_id, limits)
 
 
 def extract_baseline_context(
@@ -367,44 +311,19 @@ def extract_baseline_context(
 ) -> CodeContext:
     """Minimal-context baselines: an 11-line window around each step, or one
     whole-file segment per distinct file in the trace."""
-    collector = _Collector()
-    steps = _resolved_step_locations(finding)
-
-    if mode is BaselineMode.WINDOW5:
-        for idx, loc in steps:
-            lines = source.lines(loc.uri)
-            label = f"step {idx}" if idx is not None else "primary location"
-            if lines is None:
-                collector.note(f"missing file: {loc.uri} ({label})")
-                continue
-            if loc.start_line > len(lines):
-                collector.note(f"line out of range: {loc.uri}:{loc.start_line} ({label})")
-                continue
-            start = max(1, loc.start_line - 5)
-            end = min(len(lines), loc.start_line + 5)
-            collector.add(_segment(lines, loc.uri, start, end, SegmentReason.STEP_LINE, idx))
-    elif mode is BaselineMode.WHOLE_FILE:
-        seen_files: set[str] = set()
-        for idx, loc in steps:
-            if loc.uri in seen_files:
-                continue
-            seen_files.add(loc.uri)
+    collector = _Collector(source)
+    for idx, loc in _resolved_step_locations(finding):
+        if mode is BaselineMode.WINDOW5:
+            lines = collector.lines(idx, loc)
+            if lines is not None:
+                start, end = max(1, loc.start_line - 5), min(len(lines), loc.start_line + 5)
+                collector.add(loc.uri, start, end, SegmentReason.STEP_LINE, idx)
+        elif mode is BaselineMode.WHOLE_FILE:
             lines = source.lines(loc.uri)
             if lines is None:
                 collector.note(f"missing file: {loc.uri}")
-                continue
-            collector.add(
-                _segment(lines, loc.uri, 1, len(lines), SegmentReason.STEP_LINE, idx)
-            )
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown baseline mode: {mode}")
-
-    total = sum(s.line_count() for s in collector.segments)
-    return CodeContext(
-        finding_id=finding.finding_id,
-        segments=tuple(collector.segments),
-        truncated=total > limits.max_total_lines,
-        total_lines=total,
-        partial=collector.partial,
-        notes=tuple(collector.notes),
-    )
+            else:
+                collector.add(loc.uri, 1, len(lines), SegmentReason.STEP_LINE, idx)
+        else:  # pragma: no cover - enum is closed
+            raise ValueError(f"unknown baseline mode: {mode}")
+    return collector.context(finding.finding_id, limits)

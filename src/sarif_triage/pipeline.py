@@ -295,7 +295,10 @@ def write_config_echo(config: RunConfig) -> None:
     # one goes in as a dict.
     echo = {**config._asdict(), "backend": config.backend._asdict(),
             "limits": config.limits._asdict()}
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # say, a component longer than the OS allows
+        raise ConfigError(f"output_dir cannot be made a directory: {exc}") from exc
     write_file(config.output_dir / "run_config.json",
                [json.dumps(echo, indent=2, sort_keys=True, default=str) + "\n"])
 

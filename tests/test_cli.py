@@ -293,6 +293,17 @@ def test_an_output_dir_that_is_a_file_or_lies_under_one_exits_2(
     assert occupied.read_text(encoding="utf-8") == "a file\n"
 
 
+@pytest.mark.parametrize("command", ["run", "context", "evaluate"])
+def test_an_output_dir_the_os_will_not_make_exits_2(corpus, tmp_path, capsys, command):
+    out = tmp_path / ("x" * 300)  # one component past every file system's name limit
+    config = write_config(corpus, out)
+    assert main([command, "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: output_dir cannot be made a directory: ")
+    assert err.count("\n") == 1
+    assert str(errno.ENAMETOOLONG) in err
+
+
 @pytest.mark.parametrize("shape", ["dangling-symlink", "directory"])
 def test_a_rubric_file_that_cannot_be_hashed_stops_prompts_naming_it(
     corpus, tmp_path, capsys, shape

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -203,7 +204,7 @@ def test_window5_notes_a_missing_file_and_a_line_out_of_range(tmp_path):
     assert _reasons(ctx) == [(SegmentReason.STEP_LINE, 45, 55)]
     assert ctx.notes == (
         "missing file: Nowhere.java (step 1)",
-        "line out of range: Wide.java:500 (step 3)",
+        "line out of range: Wide.java:500 (step 3, file has 100 lines)",
     )
     assert ctx.partial is True
 
@@ -374,6 +375,46 @@ def test_context_using_an_unbalanced_files_methods_is_partial_and_names_it():
     assert (SegmentReason.STEP_LINE, 9, 9) in _reasons(ctx)
 
 
+def _two_method_flow(tmp_path, callee, calls, callee_first):
+    """``go`` reads a source and makes ``calls``, one a line; ``callee``
+    holds the sink, declared above or below ``go``. The steps are the
+    source and the sink."""
+    callee_body = [f"    void {callee}(String s) {{", "        sink(s);", "    }"]
+    caller_body = ["    void go() {", "        String s = source();",
+                   *(f"        {call};" for call in calls), "        done();", "    }"]
+    methods = [*callee_body, "", *caller_body] if callee_first else [*caller_body, "", *callee_body]
+    lines = ["class Flow {", *methods, "}"]
+    (tmp_path / "Flow.java").write_text("\n".join(lines) + "\n")
+    source, sink = lines.index("        String s = source();"), lines.index("        sink(s);")
+    return _finding("Flow.java", [source + 1, sink + 1]), lines
+
+
+@pytest.mark.parametrize("callee_first", [False, True])
+def test_the_call_site_is_found_wherever_the_callee_is_declared(tmp_path, callee_first):
+    finding, lines = _two_method_flow(tmp_path, "load", ["load(s)"], callee_first)
+    ctx = extract_context(finding, SourceSnapshot(tmp_path))
+    call_sites = [s for s in ctx.segments if s.reason is SegmentReason.CALL_SITE]
+    assert [(s.start_line, s.text) for s in call_sites] == [
+        (lines.index("        load(s);") + 1, "        load(s);")
+    ]
+    assert call_sites[0].step_index == 1
+    assert ctx.notes == ()
+
+
+@pytest.mark.parametrize("callee, calls, found", [
+    ("$load", ["$load(s)"], ["$load(s);"]),
+    ("load$", ["load$ (s)"], ["load$ (s);"]),
+    ("run", ["a$run(s)", "run(s)"], ["run(s);"]),
+    ("run", ["a$run(s)", "b_run(s)", "run$(s)"], []),
+])
+def test_the_call_site_pattern_bounds_the_name_by_identifier_characters(
+    tmp_path, callee, calls, found
+):
+    finding, _ = _two_method_flow(tmp_path, callee, calls, False)
+    ctx = extract_context(finding, SourceSnapshot(tmp_path))
+    assert [s.text.strip() for s in ctx.segments if s.reason is SegmentReason.CALL_SITE] == found
+
+
 # A source, step and sink with four filler lines between each, in bodies
 # given as (lines before, lines after). Only the ordinary method is a
 # method record; the scanner records none of the other four.
@@ -402,3 +443,77 @@ def test_a_step_pair_outside_every_method_record_says_so(tmp_path, body):
     assert ctx.partial is True
     assert ctx.notes == tuple(f"no enclosing method: Flow.java:{line} (step {k})"
                               for k, line in enumerate(steps, 1))
+
+
+# Contexts pinned byte for byte: seeded findings over the three fixture
+# trees, each extracted by ``extract_context`` under the default and a tight
+# set of limits and by both baseline styles. Steps may name a missing file,
+# a line past the end, or a range ending past it; the tight limits elide
+# and cap. A case's value is the start of the SHA-256 of its artifact row;
+# a change meant to alter context bytes rewrites the file from
+# ``_pinned_contexts`` and names the cases that moved.
+_CONTEXT_PIN = FIXTURES / "context_pin.json"
+_PIN_TREES = {"java": JAVA_DIR, "java_bad": FIXTURES / "java_bad", "src_owasp": OWASP_SRC}
+_TIGHT = ContextLimits(max_total_lines=10, intermediate_elide_threshold=4,
+                       elide_head_lines=1, elide_tail_lines=2)
+_PIN_EXTRACTORS = {
+    "extract": lambda f, s: extract_context(f, s),
+    "extract-tight": lambda f, s: extract_context(f, s, _TIGHT),
+    "WINDOW5": lambda f, s: extract_baseline_context(f, s, BaselineMode.WINDOW5, _TIGHT),
+    "WHOLE_FILE": lambda f, s: extract_baseline_context(f, s, BaselineMode.WHOLE_FILE, _TIGHT),
+}
+
+
+def _pin_findings(tree, source, count=60):
+    rng = random.Random(f"context-pin:{tree}")
+    uris = sorted(p.relative_to(source.root).as_posix()
+                  for p in _PIN_TREES[tree].rglob("*.java")) + ["Missing.java"]
+
+    def location(uri, near=None):
+        size = len(source.lines(uri) or ())
+        # Most steps land a few lines past the one before, in its file.
+        start = rng.randint(1, size + 2) if near is None else near + rng.randint(1, 8)
+        return _loc(uri, start, start + rng.choice([0, 0, 0, 1, 4]))
+
+    for number in range(count):
+        uri = rng.choice(uris)
+        steps = []
+        for index in range(1, rng.randint(0, 5) + 1):
+            near = None
+            if rng.random() < 0.2:
+                uri = rng.choice(uris)
+            elif steps and rng.random() < 0.7:
+                near = steps[-1].location.start_line
+            steps.append(TraceStep(index, StepKind.STEP, location(uri, near), ""))
+        primary = steps[-1].location if steps else location(uri)
+        yield Finding(f"{number:064x}", "java/pin", "CWE-089", "msg", primary, tuple(steps), number)
+
+
+def _pinned_contexts():
+    for tree in _PIN_TREES:
+        source = SourceSnapshot(_PIN_TREES[tree])
+        for finding in _pin_findings(tree, source):
+            for name, extract in _PIN_EXTRACTORS.items():
+                yield f"{tree}/{finding.origin_index:02d}/{name}", extract(finding, source)
+
+
+def _row_digest(ctx):
+    row = json.dumps(ctx.to_dict(), ensure_ascii=False)
+    return hashlib.sha256(row.encode("utf-8")).hexdigest()[:16]
+
+
+def test_contexts_match_the_pinned_bytes():
+    contexts = dict(_pinned_contexts())
+    pinned = json.loads(_CONTEXT_PIN.read_text(encoding="utf-8"))
+    assert {case: _row_digest(ctx) for case, ctx in contexts.items()} == pinned
+    # The pinned cases reach every note kind, elision, the cap and call sites.
+    notes = {note.split(":")[0] for ctx in contexts.values() for note in ctx.notes}
+    assert notes == {"missing file", "line out of range", "end line clamped",
+                     "unbalanced braces", "no enclosing method"}
+    assert any("line out of range" in note for case, ctx in contexts.items()
+               if case.endswith("/WINDOW5") for note in ctx.notes)
+    segments = [s for ctx in contexts.values() for s in ctx.segments]
+    assert {s.reason for s in segments} == set(SegmentReason)
+    assert any(s.elided_after for s in segments)
+    assert any(ctx.truncated for case, ctx in contexts.items() if case.endswith("/extract-tight"))
+    assert any(ctx.truncated for case, ctx in contexts.items() if case.endswith("/WHOLE_FILE"))

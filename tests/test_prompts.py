@@ -196,7 +196,6 @@ def test_injected_instructions_stay_inside_fences(owasp_finding):
         segments=poisoned_segments,
         truncated=ctx.truncated,
         total_lines=ctx.total_lines,
-        partial=ctx.partial,
         notes=ctx.notes,
     )
     rubric = rubric_for(owasp_finding.cwe_id, RUBRICS)

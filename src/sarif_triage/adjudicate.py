@@ -9,10 +9,11 @@ fails is marked UNEVALUATED, never dropped.
 from __future__ import annotations
 
 import json
+import queue
 import threading
 import time
 from enum import Enum
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .backend import (
     Backend,
@@ -251,6 +252,7 @@ def adjudicate_all(
     retry: RetryPolicy | None = None,
     max_output_chars: int = 16384,
     max_prompt_chars: int | None = None,
+    on_audit: Callable[[dict[str, Any]], None] | None = None,
 ) -> tuple[list[AdjudicationResult], list[dict[str, Any]]]:
     """Adjudicate every bundle exactly once: the results and their audit
     records, in input order regardless of completion order.
@@ -259,10 +261,13 @@ def adjudicate_all(
     ``parallelism`` slots only while the backend call runs, so a backoff
     between retries holds none. Up to ``parallelism * retry.attempt_cap``
     daemon threads run, enough for others to fill the slots while some wait.
-    The first exception other than a ``BackendError`` that a call, a worker
-    or the caller meets (a bug, Ctrl-C) stops the run: no further call
-    starts, and that exception leaves at once, without waiting for the
-    calls in flight or the backoffs in progress.
+    The calling thread hands each bundle's audit record to ``on_audit`` as
+    soon as that bundle is done, in completion order, while the other calls
+    are still in flight. The first exception other than a ``BackendError``
+    that a call, a worker or the caller meets (a bug, Ctrl-C, an ``on_audit``
+    that raises) stops the run: no further call starts, and that exception
+    leaves at once, without waiting for the calls in flight or the backoffs
+    in progress.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -271,7 +276,8 @@ def adjudicate_all(
     pairs: list[Any] = [None] * len(bundles)
     cursor = iter(range(len(bundles)))
     cursor_lock = threading.Lock()  # one index per thread, GIL or not
-    ended = threading.Semaphore(0)
+    # Each finished bundle's index, and a None as each worker ends.
+    done: queue.SimpleQueue[int | None] = queue.SimpleQueue()
 
     def work() -> None:
         try:
@@ -282,20 +288,24 @@ def adjudicate_all(
                     return
                 pairs[i] = _adjudicate_one(bundles[i], backend, model, retry, slots,
                                            max_output_chars, max_prompt_chars)
+                done.put(i)
         except BaseException as exc:
             slots.fail(exc)
         finally:
-            ended.release()
+            done.put(None)
 
     workers = max(1, min(len(bundles), parallelism * retry.attempt_cap))
     try:
         for _ in range(workers):
             threading.Thread(target=work, daemon=True).start()
-        for _ in range(workers):
-            ended.acquire()
-            if slots.failure is not None:
-                break
-    except BaseException as exc:  # Ctrl-C reached the caller
+        running = workers
+        while running and slots.failure is None:
+            i = done.get()
+            if i is None:
+                running -= 1
+            elif on_audit is not None:
+                on_audit(pairs[i][1])
+    except BaseException as exc:  # Ctrl-C reached the caller, or on_audit raised
         slots.fail(exc)
     if slots.failure is not None:
         raise slots.failure

@@ -134,13 +134,15 @@ def match_truth(
     """Resolve ground truth per finding id.
 
     Exact finding_id match wins; otherwise the (rule_id, uri, start_line)
-    triple is tried. A triple shared by several findings or several truth
-    entries is ambiguous and stays unmatched.
+    triple is tried, for a row with no id or one whose id names no finding.
+    A triple shared by several findings or several truth entries is
+    ambiguous and stays unmatched.
     """
+    ids = {f.finding_id for f in findings}
     by_id: dict[str, GroundTruth] = {}
     triple_truths: dict[tuple[str, str, int], list[GroundTruth]] = {}
     for truth in truths:
-        if truth.finding_id:
+        if truth.finding_id in ids:
             by_id[truth.finding_id] = truth
         elif truth.rule_id and truth.uri and truth.start_line is not None:
             key = (truth.rule_id, truth.uri, truth.start_line)

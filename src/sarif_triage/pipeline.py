@@ -419,6 +419,11 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
 def stage_adjudicate(
     config: RunConfig, resume: bool = False, sleep: Callable[[float], None] | None = None
 ) -> None:
+    """Send every prompt of ``prompts.jsonl`` to the backend. Each call's
+    audit record is written to ``audit/<fid>.<mode>.json`` as soon as the
+    call returns, so an interrupt keeps every record already received;
+    ``adjudications.jsonl`` is written once every call is back. A stage
+    that completes then deletes every other file directly under ``audit/``."""
     prompts_path = config.output_dir / "prompts.jsonl"
 
     def inputs(stamped: dict[str, str] | None) -> dict[str, str]:
@@ -445,9 +450,18 @@ def stage_adjudicate(
         except KeyError as exc:
             raise ValueError(f"{prompts_path} has a row with no {exc}, "
                              "as older versions wrote it; run prompts again") from exc
+        audit_dir = config.output_dir / "audit"
+        audit_dir.mkdir(exist_ok=True)
+        outputs: dict[Path, str] = {}
+
+        def write_audit(record: dict[str, Any]) -> None:
+            path = audit_dir / f"{record['finding_id']}.{record['mode'].lower()}.json"
+            text = json.dumps(record, ensure_ascii=False, indent=2) + "\n"
+            outputs[path] = write_file(path, [text])
+
         backend = build_backend(config)
         try:
-            results, audits = adj.adjudicate_all(
+            results, _ = adj.adjudicate_all(
                 bundles,
                 backend,
                 parallelism=config.parallelism,
@@ -455,18 +469,18 @@ def stage_adjudicate(
                 retry=retry,
                 max_output_chars=config.max_output_chars,
                 max_prompt_chars=config.backend.max_prompt_chars,
+                on_audit=write_audit,
             )
         finally:
             backend.close()
         path = config.output_dir / "adjudications.jsonl"
-        outputs = {path: write_rows(path, (r.to_dict() for r in results))}
-        audit_dir = config.output_dir / "audit"
-        audit_dir.mkdir(exist_ok=True)
-        # Audit writing is serialized here, one record per (finding, mode).
-        for record in audits:
-            path = audit_dir / f"{record['finding_id']}.{record['mode'].lower()}.json"
-            text = json.dumps(record, ensure_ascii=False, indent=2) + "\n"
-            outputs[path] = write_file(path, [text])
+        outputs[path] = write_rows(path, (r.to_dict() for r in results))
+        # audit/ holds this run's records only: an interrupted run's record of
+        # a (finding, mode) this run no longer has goes, as does a killed
+        # write's temporary file.
+        for stray in audit_dir.iterdir():
+            if stray not in outputs and not stray.is_dir():
+                stray.unlink()
         return outputs
 
     _run_stage(config, "adjudicate", resume, inputs, body)

@@ -134,6 +134,22 @@ def test_adjudicate_all_matches_scripted_labels():
         assert audit["status"] == STATUS_OK
 
 
+class _AuditLog(list):
+    """An ``on_audit`` that keeps each record it is handed and checks that
+    the calling thread hands it."""
+
+    def __init__(self):
+        super().__init__()
+        self.caller = threading.get_ident()
+
+    def __call__(self, record):
+        assert threading.get_ident() == self.caller
+        self.append(record)
+
+    def saw_each_once(self, audits) -> bool:
+        return sorted(map(id, self)) == sorted(map(id, audits))
+
+
 def _flaky_script(verdicts: dict[str, str]) -> dict:
     """The oracle script with every third finding failing its first one or
     two attempts, alternating transport errors and rate limits."""
@@ -157,8 +173,11 @@ def test_parallelism_does_not_change_serialized_output(tmp_path):
     paths = []
     for parallelism in (1, 4):
         backend = MockBackend(responses=_flaky_script(verdicts))
-        results, _ = adjudicate_all(bundles, backend, parallelism=parallelism, retry=retry)
+        seen = _AuditLog()
+        results, audits = adjudicate_all(bundles, backend, parallelism=parallelism, retry=retry,
+                                         on_audit=seen)
         assert [r.adjudication.attempt_count for r in results][:4] == [2, 1, 1, 3]
+        assert seen.saw_each_once(audits)
         path = tmp_path / f"adjudications_{parallelism}.jsonl"
         write_rows(path, (r.to_dict() for r in results))
         paths.append(path)
@@ -219,9 +238,11 @@ def test_retry_metadata_lands_in_the_adjudication():
         }
     }
     backend = MockBackend(responses=script)
-    results, audits = adjudicate_all([_bundle("f1")], backend, retry=NO_SLEEP)
+    seen = _AuditLog()
+    results, audits = adjudicate_all([_bundle("f1")], backend, retry=NO_SLEEP, on_audit=seen)
     assert results[0].adjudication.attempt_count == 3
     assert audits[0]["attempt_count"] == 3
+    assert seen.saw_each_once(audits)
 
 
 def test_a_failed_call_audits_the_requests_it_made():
@@ -335,14 +356,17 @@ def test_in_flight_calls_never_exceed_parallelism_while_retrying():
     # acquire show as a wrong peak.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
+    seen = _AuditLog()
     try:
-        results, _ = adjudicate_all(
-            [_bundle(fid) for fid in verdicts], backend, parallelism=3, retry=retry
+        results, audits = adjudicate_all(
+            [_bundle(fid) for fid in verdicts], backend, parallelism=3, retry=retry,
+            on_audit=seen,
         )
     finally:
         sys.setswitchinterval(interval)
     assert all(r.status == STATUS_OK for r in results)
     assert backend.peak == 3
+    assert seen.saw_each_once(audits)
 
 
 def test_worker_threads_are_bounded_by_parallelism_times_attempt_cap():
@@ -353,10 +377,12 @@ def test_worker_threads_are_bounded_by_parallelism_times_attempt_cap():
     }
     backend = _CountingBackend(script, parallelism=2)
     retry = RetryPolicy(attempt_cap=2, backoff_base_s=0.005)
-    results, _ = adjudicate_all(
-        [_bundle(fid) for fid in verdicts], backend, parallelism=2, retry=retry
+    seen = _AuditLog()
+    results, audits = adjudicate_all(
+        [_bundle(fid) for fid in verdicts], backend, parallelism=2, retry=retry, on_audit=seen
     )
     assert [r.adjudication.attempt_count for r in results] == [2] * 40
+    assert seen.saw_each_once(audits)
     assert backend.peak <= 2
     assert len(backend.threads) <= 2 * 2
 

@@ -1262,6 +1262,23 @@ def test_rerun_removes_artifacts_the_new_config_no_longer_writes(corpus, tmp_pat
     assert json.loads((out / "report.json").read_text())["modes"].keys() == {"OPTIMIZED"}
 
 
+def test_a_completed_adjudicate_leaves_only_its_own_records_in_audit(corpus, tmp_path):
+    out = tmp_path / "out"
+    config = write_config(corpus, out)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    records = sorted(p.name for p in (out / "audit").iterdir())
+    # A record of a finding this run no longer has, a killed write's
+    # temporary file, and files the stage never wrote outside audit/.
+    (out / "audit" / "stray.json").write_text("{}\n")
+    (out / "audit" / ".x.optimized.json.tmp").write_text("{")
+    (out / "notes.txt").write_text("kept\n")
+    (out / ".y.json.tmp").write_text("kept\n")
+    before = _artifacts(out)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    assert sorted(p.name for p in (out / "audit").iterdir()) == records
+    assert _artifacts(out) == before
+
+
 def _old_context_copies(out: Path) -> list[tuple[str, str]]:
     """One indented copy of each context row."""
     copies = []

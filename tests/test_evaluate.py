@@ -168,6 +168,29 @@ def test_match_precedence_finding_id_then_triple():
     assert matched["f2"].label is Label.TRUE_VULNERABILITY
 
 
+def test_a_row_whose_id_names_no_finding_falls_back_to_its_triple():
+    findings = [_finding("f1", uri="A.java", line=1), _finding("f2", uri="B.java", line=2)]
+    moved = GroundTruth(label=Label.TRUE_VULNERABILITY, finding_id="gone", rule_id="r",
+                        uri="A.java", start_line=1)
+    assert match_truth(findings, [moved]) == {"f1": moved}
+    # The same row without the id matches the same finding.
+    assert match_truth(findings, [moved._replace(finding_id=None)]) == {
+        "f1": moved._replace(finding_id=None)
+    }
+
+
+def test_a_row_whose_id_names_a_finding_never_claims_a_second_one_by_its_triple():
+    findings = [_finding("f1", uri="A.java", line=1), _finding("f2", uri="B.java", line=2)]
+    row = GroundTruth(label=Label.FALSE_POSITIVE, finding_id="f1", rule_id="r",
+                      uri="B.java", start_line=2)
+    assert match_truth(findings, [row]) == {"f1": row}
+    # A stale id and an id-less row on one triple stay ambiguous.
+    stale = GroundTruth(label=Label.FALSE_POSITIVE, finding_id="gone", rule_id="r",
+                        uri="B.java", start_line=2)
+    plain = stale._replace(finding_id=None, label=Label.TRUE_VULNERABILITY)
+    assert match_truth(findings, [stale, plain]) == {}
+
+
 def test_ambiguous_triple_stays_unmatched():
     findings = [
         _finding("f1", uri="A.java", line=1),

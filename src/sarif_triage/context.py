@@ -15,13 +15,12 @@ any offset math. Extraction is pure over (finding, snapshot, limits).
 from __future__ import annotations
 
 import re
-import warnings
 from enum import Enum
 from typing import Any, Mapping, NamedTuple
 
 from .config import ContextLimits
 from .ingest import CodeLocation, Finding
-from .methods import MethodRecord, UnbalancedBraces, enclosing_method, locate_methods
+from .methods import MethodRecord, enclosing_method, locate_methods
 from .source import SourceSnapshot
 
 
@@ -162,19 +161,11 @@ class _Collector:
         lies in no record gets a note of its own."""
         scans = self.source.method_scans
         if loc.uri not in scans:
-            # The scanner reports an unbalanced file by warning; the warning
-            # is kept so every context that uses the file can say so.
-            # catch_warnings swaps process-wide state: scan on one thread.
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", UnbalancedBraces)
-                records = locate_methods("\n".join(self.source.lines(loc.uri)), loc.uri)
-            problems = [str(w.message) for w in caught if issubclass(w.category, UnbalancedBraces)]
-            problem = f"unbalanced braces: {'; '.join(problems)}" if problems else None
-            scans[loc.uri] = (records, problem)
-        records, problem = scans[loc.uri]
-        method = enclosing_method(records, loc.start_line)
-        if problem is not None:
-            self.note(problem)
+            scans[loc.uri] = locate_methods("\n".join(self.source.lines(loc.uri)), loc.uri)
+        scan = scans[loc.uri]
+        method = enclosing_method(scan, loc.start_line)
+        if scan.problems:
+            self.note(f"unbalanced braces: {'; '.join(scan.problems)}")
         elif method is None:
             self.note(f"no enclosing method: {loc.uri}:{loc.start_line} (step {idx})")
         return method
@@ -191,14 +182,6 @@ class _Collector:
                 break
             total -= victim.line_count()
         return CodeContext(finding_id, tuple(segments), truncated, total, tuple(self.notes))
-
-
-def _resolved_step_locations(finding: Finding) -> list[tuple[int | None, CodeLocation]]:
-    """Trace locations in order, or the primary location when the trace is
-    empty. The int is the 1-based step index (None for the primary)."""
-    if finding.trace:
-        return [(step.index, step.location) for step in finding.trace]
-    return [(None, finding.primary_location)]
 
 
 def _add_intermediate(
@@ -265,7 +248,7 @@ def extract_context(
     method record mark the context as partial but never abort extraction.
     """
     collector = _Collector(source)
-    steps = _resolved_step_locations(finding)
+    steps = finding.steps()
 
     resolved = [collector.lines(idx, loc) for idx, loc in steps]
     for pos, (idx, loc) in enumerate(steps):
@@ -312,7 +295,7 @@ def extract_baseline_context(
     """Minimal-context baselines: an 11-line window around each step, or one
     whole-file segment per distinct file in the trace."""
     collector = _Collector(source)
-    for idx, loc in _resolved_step_locations(finding):
+    for idx, loc in finding.steps():
         if mode is BaselineMode.WINDOW5:
             lines = collector.lines(idx, loc)
             if lines is not None:

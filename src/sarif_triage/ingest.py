@@ -57,33 +57,16 @@ class StepKind(str, Enum):
     SINK = "SINK"
 
 
-class _Location(NamedTuple):
+class CodeLocation(NamedTuple):
+    """A physical source location. Lines and columns are 1-based; the end
+    column is exclusive, following the SARIF region convention. The SARIF
+    reader refuses a region whose lines are not ``1 <= start <= end``."""
+
     uri: str
     start_line: int
     end_line: int
     start_column: int | None = None
     end_column: int | None = None
-
-
-class CodeLocation(_Location):
-    """A physical source location. Lines and columns are 1-based; the end
-    column is exclusive, following the SARIF region convention."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        uri: str,
-        start_line: int,
-        end_line: int,
-        start_column: int | None = None,
-        end_column: int | None = None,
-    ) -> "CodeLocation":
-        if start_line < 1:
-            raise ValueError(f"start_line must be >= 1, got {start_line}")
-        if end_line < start_line:
-            raise ValueError(f"end_line {end_line} precedes start_line {start_line}")
-        return super().__new__(cls, uri, start_line, end_line, start_column, end_column)
 
     def to_dict(self) -> dict[str, Any]:
         return self._asdict()
@@ -136,6 +119,14 @@ class Finding(NamedTuple):
     trace: tuple[TraceStep, ...]
     origin_index: int
     extra_flow_count: int = 0
+
+    def steps(self) -> list[tuple[int | None, CodeLocation]]:
+        """The locations a code context reads: each trace step's, with its
+        1-based index, or the primary location, with None, when the trace
+        is empty."""
+        if self.trace:
+            return [(step.index, step.location) for step in self.trace]
+        return [(None, self.primary_location)]
 
     def to_dict(self) -> dict[str, Any]:
         # Key order is fixed and documented; findings.jsonl relies on it.

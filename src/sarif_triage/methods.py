@@ -19,13 +19,7 @@ produce separate records; they belong to the enclosing method.
 from __future__ import annotations
 
 import re
-import warnings
 from typing import NamedTuple
-
-
-class UnbalancedBraces(Warning):
-    """Emitted when a file ends at nonzero brace depth. Methods closed
-    before the imbalance are still returned."""
 
 
 class MethodRecord(NamedTuple):
@@ -35,6 +29,16 @@ class MethodRecord(NamedTuple):
     end_line: int
     file: str
     signature_end_line: int  # line holding the body's opening brace
+
+
+class MethodScan(list[MethodRecord]):
+    """The ``MethodRecord``s of one file, and ``problems``: each brace the
+    scan could not balance, in the order met. Records closed before a
+    problem are still there; one it left open is lost."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.problems: list[str] = []
 
 
 _TYPE_KEYWORDS = {"class", "interface", "enum"}
@@ -127,14 +131,12 @@ def _method_name(body: str) -> str | None:
     return m.group()
 
 
-def locate_methods(source_text: str, file: str) -> list[MethodRecord]:
-    """Scan ``source_text`` and return every method/constructor record.
-
-    Emits an ``UnbalancedBraces`` warning when the file ends at nonzero
-    brace depth; records closed before that point are still returned.
-    """
+def locate_methods(source_text: str, file: str) -> MethodScan:
+    """Scan ``source_text`` and return every method/constructor record,
+    with a problem for each unmatched closing brace and one for a file
+    that ends at nonzero brace depth."""
     text = source_text.replace("\r\n", "\n").replace("\r", "\n")
-    records: list[MethodRecord] = []
+    records = MethodScan()
     # One entry per open brace block; a method's holds its name, signature,
     # first line and the line of its opening brace.
     stack: list[tuple[str, tuple[str, str, int, int] | None]] = []
@@ -221,9 +223,7 @@ def locate_methods(source_text: str, file: str) -> list[MethodRecord]:
                             signature_end_line=brace_line,
                         ))
                 else:
-                    warnings.warn(
-                        UnbalancedBraces(f"{file}:{line_at(at)}: unmatched closing brace")
-                    )
+                    records.problems.append(f"{file}:{line_at(at)}: unmatched closing brace")
                 pending.clear()
                 pending_start = None
                 paren_depth = 0
@@ -240,11 +240,7 @@ def locate_methods(source_text: str, file: str) -> list[MethodRecord]:
             pending.append(match.group())
 
     if stack:
-        warnings.warn(
-            UnbalancedBraces(
-                f"{file}: file ends inside {len(stack)} unclosed brace block(s)"
-            )
-        )
+        records.problems.append(f"{file}: file ends inside {len(stack)} unclosed brace block(s)")
     records.sort(key=lambda r: (r.start_line, r.end_line))
     return records
 

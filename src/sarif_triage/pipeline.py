@@ -39,12 +39,13 @@ recorded and it no longer writes. A stamp that cannot be decoded counts as
 absent. A stage reads an artifact of the run only through ``_vouched``: the
 SHA-256 it takes of the file for its own stamp must be the one the
 producer's stamp recorded, or it stops before any work. As two vouched
-files may come from different runs, ``evaluate`` checks that each mode's
-rows cover the findings once each. The inputs each stamp keys on:
+files may come from different runs, ``prompts`` checks that each finding
+has a context and ``evaluate`` that each mode's rows cover the findings
+once each. The inputs each stamp keys on:
 
     ingest      the SARIF file, cwe_map
-    context     findings.jsonl, every source file a finding names, limits,
-                baseline_style, prompt_mode
+    context     findings.jsonl, every source file a finding's context reads
+                (``Finding.steps``), limits, baseline_style, prompt_mode
     prompts     findings.jsonl, the contexts*.jsonl of its modes, every
                 rubric file, prompt_mode, prompt_char_budget
     adjudicate  prompts.jsonl, the backend config, the mock script,
@@ -326,9 +327,8 @@ def _load_findings(path: Path) -> list[Finding]:
 
 
 def _source_uris(findings: list[Finding]) -> list[str]:
-    """Every file a finding's primary location or trace names, sorted."""
-    return sorted({step.location.uri for f in findings for step in f.trace}
-                  | {f.primary_location.uri for f in findings})
+    """Every file a finding's context reads, sorted."""
+    return sorted({loc.uri for f in findings for _, loc in f.steps()})
 
 
 _CONTEXT_FILES = {"OPTIMIZED": "contexts.jsonl", "BASELINE": "contexts_baseline.jsonl"}
@@ -390,7 +390,8 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
         from .prompts import PromptMode
         from .rubrics import load_rubrics, rubric_for
 
-        findings = _load_findings(config.output_dir / "findings.jsonl")
+        findings_path = config.output_dir / "findings.jsonl"
+        findings = _load_findings(findings_path)
         store = load_rubrics(rubric_dir)
         contexts_by_mode = {
             mode: {row["finding_id"]: CodeContext.from_dict(row)
@@ -403,7 +404,9 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
                 for mode in config.modes():
                     ctx = contexts_by_mode[mode].get(finding.finding_id)
                     if ctx is None:
-                        raise ValueError(f"no context for finding {finding.finding_id}")
+                        raise ValueError(
+                            f"{config.output_dir / _CONTEXT_FILES[mode]} holds no context for "
+                            f"finding {finding.finding_id} of {findings_path}; run context again")
                     rubric = rubric_for(finding.cwe_id, store)
                     bundle = _module.compile_prompt(
                         finding, ctx, rubric, PromptMode(mode), config.prompt_char_budget

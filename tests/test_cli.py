@@ -92,20 +92,20 @@ def test_a_config_file_that_is_not_a_json_object_exits_2_naming_the_path(
     assert f"config file {config}" in capsys.readouterr().err
 
 
-def test_missing_sarif_path_exits_2(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "sarif_path": str(tmp_path / "absent.sarif"),
-                "source_root": str(tmp_path),
-                "output_dir": str(tmp_path / "out"),
-                "backend": {"kind": "mock", "script_path": str(tmp_path / "absent.json")},
-            }
-        )
-    )
-    assert main(["ingest", "--config", str(config)]) == EXIT_USAGE
-    assert "absent.sarif" in capsys.readouterr().err
+@pytest.mark.parametrize("key", ["sarif_path", "source_root", "labels_path",
+                                 "backend.script_path"])
+def test_a_missing_path_exits_2_naming_its_key_and_the_path(corpus, tmp_path, capsys, key):
+    out = tmp_path / "out"
+    config_path = write_config(corpus, out)
+    config = json.loads(config_path.read_text())
+    section, _, name = key.rpartition(".")
+    absent = tmp_path / "absent"
+    (config[section] if section else config)[name] = str(absent)
+    config_path.write_text(json.dumps(config))
+    assert main(["ingest", "--config", str(config_path)]) == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and key in line and line.endswith(f": {absent}")
+    assert not out.exists()
 
 
 def test_config_values_are_coerced_and_absent_keys_keep_their_defaults(corpus, tmp_path):
@@ -194,6 +194,10 @@ def test_run_config_json_echoes_flag_overrides_and_nested_sections_as_objects(
         ("limits", [1]),
         ("parallelism", 1.7),
         ("parallelism", True),
+        # Outside the allowed set.
+        ("prompt_mode", "fast"),
+        ("baseline_style", "window9"),
+        ("backend.kind", "remote"),
     ],
 )
 def test_a_config_value_that_does_not_convert_exits_2_naming_its_key(
@@ -700,6 +704,29 @@ def test_evaluate_after_a_new_ingest_asks_for_adjudicate_again(corpus, tmp_path,
         f"row per finding of {out / 'findings.jsonl'}; run adjudicate again" in err
 
 
+def test_prompts_after_a_new_ingest_asks_for_context_again(tmp_path, capsys):
+    # The context stamp still vouches for contexts.jsonl, but it holds the
+    # contexts of the earlier ingest's findings.
+    corpus = build_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    config = write_config(corpus, out)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    prompts = (out / "prompts.jsonl").read_bytes()
+    sarif = json.loads(corpus.sarif_path.read_text(encoding="utf-8"))
+    region = sarif["runs"][0]["results"][0]["locations"][0]["physicalLocation"]["region"]
+    region["startLine"] += 1
+    region["endLine"] += 1
+    corpus.sarif_path.write_text(json.dumps(sarif), encoding="utf-8")
+    moved = canonicalize(parse_sarif(corpus.sarif_path.read_bytes()))[0].finding_id
+    assert main(["ingest", "--config", str(config)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["prompts", "--config", str(config)]) == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert err == (f"error: stage prompts: {out / 'contexts.jsonl'} holds no context for "
+                   f"finding {moved} of {out / 'findings.jsonl'}; run context again\n")
+    assert (out / "prompts.jsonl").read_bytes() == prompts
+
+
 def _artifacts(out: Path) -> dict[str, bytes]:
     """Every file under ``out`` outside ``audit/`` and ``.stamps/``."""
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
@@ -920,6 +947,30 @@ def test_a_labels_line_that_is_not_json_exits_1_naming_the_file_and_the_line(
         assert (tmp_path / "run" / "out" / "adjudications.jsonl").is_file()
 
 
+def test_blank_lines_and_crlf_ends_in_the_labels_file_change_no_score_and_no_row_number(
+    corpus, tmp_path, capsys
+):
+    config = _config_with(corpus, tmp_path / "run", labels=pipeline.read_rows(corpus.labels_path))
+    out = tmp_path / "run" / "out"
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    report = (out / "report.json").read_bytes()
+    labels_path = tmp_path / "run" / "labels.jsonl"
+    rows = labels_path.read_text(encoding="utf-8").splitlines()
+    # A blank line and a whitespace-only one, then a blank line after each row.
+    lines = ["", " \t", *(line for row in rows for line in (row, ""))]
+    labels_path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    assert main(["run", "--config", str(config), "--resume"]) == EXIT_OK
+    assert (out / "report.json").read_bytes() == report
+    # The 20 rows end on line 42; a row counts only rows, a line every line.
+    spaced = labels_path.read_bytes()
+    labels_path.write_bytes(spaced + b'{"finding_id": "x"}\r\n')
+    assert main(["run", "--config", str(config), "--resume"]) == EXIT_STAGE_FAILURE
+    assert f"error: stage evaluate: labels file {labels_path}, row 21: " in capsys.readouterr().err
+    labels_path.write_bytes(spaced + b"not json\r\n")
+    assert main(["run", "--config", str(config), "--resume"]) == EXIT_STAGE_FAILURE
+    assert f"error: stage evaluate: {labels_path}, line 43: not JSON" in capsys.readouterr().err
+
+
 def test_a_findings_line_that_is_not_json_stops_context_naming_the_file_and_the_line(
     corpus, tmp_path, capsys
 ):
@@ -1131,16 +1182,19 @@ def test_resume_reruns_a_stage_whose_stamp_has_the_wrong_shape(corpus, tmp_path,
     assert _tree_bytes(out, *artifacts) == artifacts
 
 
-def _move_a_middle_step_to_a_helper(corpus) -> None:
-    """Move the middle trace step of the corpus's first finding to
-    ``gen/Helper.java``, a file no other location names; the labels and the
-    mock script follow the finding's new id."""
+def _move_a_location_to_a_helper(corpus, primary: bool = False) -> None:
+    """Move the middle trace step of the corpus's first finding (or, with
+    ``primary``, its primary location) to ``gen/Helper.java``, a file no
+    other location names; the labels and the mock script follow the
+    finding's new id."""
     helper = corpus.source_root / "gen" / "Helper.java"
     helper.write_text("package gen;\n\nclass Helper {\n    String pass(String v) {\n"
                       "        return v.trim();\n    }\n}\n", encoding="utf-8")
     sarif = json.loads(corpus.sarif_path.read_text(encoding="utf-8"))
-    middle = sarif["runs"][0]["results"][0]["codeFlows"][0]["threadFlows"][0]["locations"][1]
-    middle["location"]["physicalLocation"] = {
+    result = sarif["runs"][0]["results"][0]
+    moved = (result["locations"][0] if primary
+             else result["codeFlows"][0]["threadFlows"][0]["locations"][1]["location"])
+    moved["physicalLocation"] = {
         "artifactLocation": {"uri": "gen/Helper.java"},
         "region": {"startLine": 5, "endLine": 5, "startColumn": 16, "endColumn": 24},
     }
@@ -1216,7 +1270,7 @@ _INPUT_EDITS = {
 @pytest.mark.parametrize("edit", sorted(_INPUT_EDITS))
 def test_resume_reruns_exactly_the_stages_an_edited_input_reaches(tmp_path, edit):
     corpus = build_corpus(tmp_path / "corpus")
-    _move_a_middle_step_to_a_helper(corpus)
+    _move_a_location_to_a_helper(corpus)
     rubric_dir = tmp_path / "rubrics"
     shutil.copytree(Path(pipeline.__file__).with_name("rubrics"), rubric_dir,
                     ignore=shutil.ignore_patterns("*.py", "__pycache__"))
@@ -1238,13 +1292,32 @@ def test_resume_after_a_sarif_edit_watches_the_files_the_new_findings_name(tmp_p
     out = tmp_path / "out"
     config = write_config(corpus, out)
     assert main(["run", "--config", str(config)]) == EXIT_OK
-    _move_a_middle_step_to_a_helper(corpus)
+    _move_a_location_to_a_helper(corpus)
     assert main(["run", "--config", str(config), "--resume"]) == EXIT_OK
     outputs = _stage_outputs(out)
     _backdate(outputs)
     _edit_helper(corpus, None)
     assert main(["run", "--config", str(config), "--resume"]) == EXIT_OK
     assert _rewritten(outputs) == {"context", "prompts", "adjudicate"}
+
+
+def test_resume_ignores_a_file_that_only_a_traced_finding_s_primary_location_names(tmp_path):
+    # A context reads a finding's trace steps, and its primary location only
+    # when the trace is empty, so the context stamp keys on those files alone.
+    corpus = build_corpus(tmp_path / "corpus")
+    _move_a_location_to_a_helper(corpus, primary=True)
+    out = tmp_path / "out"
+    config = write_config(corpus, out)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    [moved] = [row for row in pipeline.read_rows(out / "findings.jsonl")
+               if row["primary_location"]["uri"] == "gen/Helper.java"]
+    assert moved["trace"]
+    assert "src:gen/Helper.java" not in json.loads(_stamp_texts(out)["context"])["inputs"]
+    outputs = _stage_outputs(out)
+    _backdate(outputs)
+    _edit_helper(corpus, None)
+    assert main(["run", "--config", str(config), "--resume"]) == EXIT_OK
+    assert _rewritten(outputs) == set()
 
 
 def test_rerun_removes_artifacts_the_new_config_no_longer_writes(corpus, tmp_path):

@@ -313,12 +313,17 @@ def _report_with_f1(value, total=10, cwe_f1s=None):
 
 
 def test_compare_modes_reports_signed_deltas():
-    baseline = _report_with_f1(0.690)
-    optimized = _report_with_f1(0.884)
+    baseline = _report_with_f1(0.690, cwe_f1s={"CWE-089": 0.900})
+    optimized = _report_with_f1(0.884, cwe_f1s={"CWE-089": 0.800})
     rows = compare_modes(baseline, optimized)
     assert rows[0].group == "overall"
     assert rows[0].delta == pytest.approx(0.194)
     assert rows[0].rendered() == "+0.194"
+    assert rows[0].to_dict()["direction"] == "up"
+    assert rows[1].group == "CWE-089"
+    assert rows[1].delta == pytest.approx(-0.1)
+    assert rows[1].rendered() == "-0.100"
+    assert rows[1].to_dict()["direction"] == "down"
 
 
 def test_compare_modes_zero_delta_on_equal_reports():

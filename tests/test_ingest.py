@@ -266,7 +266,14 @@ def test_normalize_cwe(raw, expected):
 
 
 def test_bad_location_line_rejected():
-    with pytest.raises(ValueError):
-        CodeLocation(uri="A.java", start_line=0, end_line=1)
-    with pytest.raises(ValueError):
-        CodeLocation(uri="A.java", start_line=5, end_line=4)
+    # The SARIF reader is the one place that checks a location's lines.
+    with pytest.raises(NotSarif, match=r"^runs\[0\]\.results\[0\]\.locations\[0\]"
+                       r"\.physicalLocation\.region\.startLine is not an integer >= 1: 0$"):
+        parse_sarif(_sarif([_result(line=0)]))
+    flow = _flow([("A.java", 5, "step")])
+    flow[0]["threadFlows"][0]["locations"][0]["location"]["physicalLocation"]["region"][
+        "endLine"] = 4
+    with pytest.raises(NotSarif, match=r"^runs\[0\]\.results\[0\]\.codeFlows\[0\]"
+                       r"\.threadFlows\[0\]\.locations\[0\]\.location\.physicalLocation"
+                       r"\.region\.endLine 4 precedes startLine 5$"):
+        parse_sarif(_sarif([_result(flows=flow)]))

@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from conftest import BOUNDARY_TABLE, FIXTURES, JAVA_DIR
-from sarif_triage.methods import UnbalancedBraces, enclosing_method, locate_methods
+from sarif_triage.methods import enclosing_method, locate_methods
 
 
 def _records(name: str):
@@ -85,10 +85,8 @@ def test_full_boundary_table_equivalence():
 
 
 def test_text_block_with_a_lone_quote_and_a_brace_keeps_both_methods():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        records = _records("TextBlock.java")
-    assert caught == []
+    records = _records("TextBlock.java")
+    assert records.problems == []
     assert [(r.name, r.start_line, r.signature_end_line, r.end_line) for r in records] == [
         ("banner", 8, 8, 10),
         ("query", 12, 12, 17),
@@ -97,21 +95,26 @@ def test_text_block_with_a_lone_quote_and_a_brace_keeps_both_methods():
 
 def test_unterminated_text_block_runs_to_the_end_of_the_file():
     source = 'class A {\n void m() {\n  String s = """\n   } }\n'
-    with pytest.warns(UnbalancedBraces, match="2 unclosed"):
-        assert locate_methods(source, "Open.java") == []
+    records = locate_methods(source, "Open.java")
+    assert records == []
+    assert records.problems == ["Open.java: file ends inside 2 unclosed brace block(s)"]
 
 
-def test_unbalanced_file_warns_and_returns_closed_methods():
+def test_unbalanced_file_returns_closed_methods_and_its_problem_under_warnings_as_errors():
+    # The scan reports through its result, not through process-wide warning
+    # state, so a filter that turns warnings into errors changes nothing.
     source = (FIXTURES / "java_bad" / "Unbalanced.java").read_text()
-    with pytest.warns(UnbalancedBraces):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         records = locate_methods(source, "Unbalanced.java")
     assert [r.name for r in records] == ["closed"]
+    assert records.problems == ["Unbalanced.java: file ends inside 2 unclosed brace block(s)"]
 
 
-def test_stray_closing_brace_warns():
-    with pytest.warns(UnbalancedBraces):
-        records = locate_methods("}\nclass A {\n void m() {\n }\n}\n", "Stray.java")
+def test_stray_closing_brace_is_a_problem():
+    records = locate_methods("}\nclass A {\n void m() {\n }\n}\n", "Stray.java")
     assert [r.name for r in records] == ["m"]
+    assert records.problems == ["Stray.java:1: unmatched closing brace"]
 
 
 def test_crlf_input_is_normalized_before_line_math():

@@ -1,7 +1,8 @@
 """Differential test: the token scanner against the frozen character
 scanner it replaced (``char_scanner_oracle``). On every source without a
-Java text block the two must return the same records and emit the same
-warnings."""
+Java text block the two must return the same records, and the token
+scanner's problems must be the messages of the warnings the character
+scanner emits."""
 
 from __future__ import annotations
 
@@ -17,20 +18,21 @@ import char_scanner_oracle  # noqa: E402
 from sarif_triage import methods  # noqa: E402
 
 
-def _scan(module, source: str):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        records = module.locate_methods(source, "Gen.java")
-    rows = [
+def _rows(records):
+    return [
         (r.name, r.signature_line, r.start_line, r.end_line, r.file, r.signature_end_line)
         for r in records
     ]
-    return rows, [(type(w.message).__name__, str(w.message)) for w in caught]
 
 
 def _assert_same(source: str) -> None:
     assert '"""' not in source
-    assert _scan(methods, source) == _scan(char_scanner_oracle, source)
+    scan = methods.locate_methods(source, "Gen.java")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        expected = char_scanner_oracle.locate_methods(source, "Gen.java")
+    assert _rows(scan) == _rows(expected)
+    assert scan.problems == [str(w.message) for w in caught]
 
 
 # --------------------------------------------------------------------------

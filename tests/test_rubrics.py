@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from sarif_triage.pipeline import SHIPPED_RUBRIC_DIR
@@ -130,3 +133,55 @@ def test_a_rubric_that_is_not_utf8_is_invalid_naming_the_file(tmp_path):
     (tmp_path / "cwe-999.rubric").write_bytes(b"# a comment, then \xff\n")
     with pytest.raises(InvalidRubric, match=r"^cwe-999\.rubric: not UTF-8: .*0xff"):
         load_rubrics(tmp_path)
+
+
+def _line(number: int, new):
+    """An edit of a copied ``cwe-089.rubric`` that replaces line ``number``
+    with ``new`` of its text."""
+    def edit(directory: Path) -> None:
+        path = directory / "cwe-089.rubric"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[number - 1] = new(lines[number - 1])
+        path.write_text("".join(lines), encoding="utf-8")
+    return edit
+
+
+def _remove_every_rubric(directory: Path) -> None:
+    for path in directory.glob("*.rubric"):
+        path.unlink()
+
+
+# Each edit of a directory holding copies of the shipped cwe-089 and generic
+# rubrics, and the refusal it meets, which names the file and, for a fault
+# of one line, the line.
+_REFUSALS = {
+    "rule-without-text": (_line(4, lambda text: "rule HIGH_RISK:\n"),
+                          "cwe-089.rubric:4: rule 1 has no text"),
+    "rule-without-period": (_line(5, lambda text: text.replace("parameters.", "parameters")),
+                            "cwe-089.rubric:5: rule 2 must be a single declarative sentence "
+                            "ending with a period"),
+    "check-not-a-question": (_line(17, lambda text: text.replace("?", ".")),
+                             "cwe-089.rubric:17: checklist entries must be questions"),
+    "unrecognized-line": (_line(3, lambda text: text + "severity: high\n"),
+                          "cwe-089.rubric:4: unrecognized line 'severity: high'"),
+    "no-cwe-header": (_line(2, lambda text: ""), "cwe-089.rubric: missing `cwe:` header"),
+    "bad-cwe-id": (_line(2, lambda text: "cwe: CWE-89\n"), "cwe-089.rubric: bad cwe id 'CWE-89'"),
+    "no-title": (_line(3, lambda text: ""), "cwe-089.rubric: missing `title:` header"),
+    "two-files-for-one-cwe": (
+        lambda directory: shutil.copy(directory / "cwe-089.rubric", directory / "cwe-89.rubric"),
+        "cwe-89.rubric: duplicate rubric for CWE-089",
+    ),
+    "no-rubric-file": (_remove_every_rubric, "no *.rubric files found in {directory}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_an_edited_shipped_rubric_is_refused_naming_the_file_and_line(tmp_path, case):
+    for name in ("cwe-089.rubric", "generic.rubric"):
+        shutil.copy(SHIPPED_RUBRIC_DIR / name, tmp_path)
+    load_rubrics(tmp_path)
+    edit, message = _REFUSALS[case]
+    edit(tmp_path)
+    with pytest.raises(InvalidRubric) as refused:
+        load_rubrics(tmp_path)
+    assert str(refused.value) == message.format(directory=tmp_path)

@@ -386,7 +386,7 @@ class MockBackend(Backend):
         """The backend a script file describes; a ``ValueError`` naming the
         file for one that is not UTF-8 JSON of the shape above."""
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
             if not isinstance(data, dict):
                 raise ValueError("not a JSON object")
             for key in sorted(data.keys() - {"responses", "default"}):

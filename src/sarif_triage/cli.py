@@ -1,15 +1,16 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages (``ingest``, ``context``,
-``prompts``, ``adjudicate``, ``evaluate``) plus ``run`` for the whole
-chain. All of them read a JSON config file; a handful of flags override
-config values (flags win).
+One parser: a command, either a pipeline stage (``ingest``, ``context``,
+``prompts``, ``adjudicate``, ``evaluate``) or ``run`` for the whole chain,
+and flags in any order around it. Every command reads a JSON config file;
+each override flag stores under the config key it overrides, and a flag
+not given overrides nothing (flags win).
 
 Exit codes: 0 success, 1 stage failure, 2 usage or configuration error,
 including a SARIF file that is not JSON or not usable SARIF.
 
 Only ``config`` is imported up front; the pipeline is imported when a
-subcommand runs, so a bad config is rejected before any stage is loaded.
+command runs, so a bad config is rejected before any stage is loaded.
 """
 
 from __future__ import annotations
@@ -24,30 +25,6 @@ from .config import ConfigError, RunConfig, load_config
 EXIT_OK = 0
 EXIT_STAGE_FAILURE = 1
 EXIT_USAGE = 2
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--output", help="override output_dir from the config")
-    parser.add_argument(
-        "--prompt-mode",
-        choices=["OPTIMIZED", "BASELINE", "BOTH"],
-        help="override prompt_mode from the config",
-    )
-    parser.add_argument(
-        "--backend", choices=["mock", "live"], help="override backend.kind from the config"
-    )
-    parser.add_argument(
-        "--parallelism", type=int, help="override parallelism from the config"
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip stages whose recorded inputs and outputs still hash-match",
-    )
-    parser.add_argument(
-        "--csv", action="store_true", help="also write report.csv in the evaluate stage"
-    )
 
 
 def _ingest_summary(config: RunConfig) -> str:
@@ -85,30 +62,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sarif-triage",
         description="Adjudicate SARIF static-analysis alerts with an LLM backend.",
+        epilog="commands:\n" + "".join(f"  {name:<12}{help_text}\n"
+                                       for name, (help_text, _) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _COMMANDS.items():
-        _add_common_flags(sub.add_parser(name, help=help_text))
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands below")
+    parser.add_argument("--config", required=True, help="path to the JSON run config")
+    parser.add_argument("--output", dest="output_dir", help="override output_dir from the config")
+    parser.add_argument(
+        "--prompt-mode",
+        choices=["OPTIMIZED", "BASELINE", "BOTH"],
+        help="override prompt_mode from the config",
+    )
+    parser.add_argument(
+        "--backend", dest="backend.kind", choices=["mock", "live"],
+        help="override backend.kind from the config",
+    )
+    parser.add_argument(
+        "--parallelism", type=int, help="override parallelism from the config"
+    )
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        help="skip stages whose recorded inputs and outputs still hash-match",
+    )
+    parser.add_argument(
+        "--csv", dest="write_csv", action="store_const", const=True,
+        help="also write report.csv in the evaluate stage",
+    )
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        "output_dir": args.output,
-        "prompt_mode": args.prompt_mode,
-        "backend.kind": args.backend,
-        "parallelism": args.parallelism,
-    }
-    if args.csv:
-        overrides["write_csv"] = True
-    return load_config(args.config, overrides)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    overrides = vars(build_parser().parse_args(argv))
+    command, resume = overrides.pop("command"), overrides.pop("resume")
     try:
-        config = _config_from_args(args)
+        config = load_config(overrides.pop("config"), overrides)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -116,12 +106,12 @@ def main(argv: list[str] | None = None) -> int:
     from . import pipeline
 
     try:
-        if args.command == "run":
-            pipeline.run_all(config, args.resume)
+        if command == "run":
+            pipeline.run_all(config, resume)
         else:
             pipeline.write_config_echo(config)
-            getattr(pipeline, f"stage_{args.command}")(config, args.resume)
-        print(_COMMANDS[args.command][1](config))
+            getattr(pipeline, f"stage_{command}")(config, resume)
+        print(_COMMANDS[command][1](config))
     except pipeline.StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # An unparseable or non-SARIF input is a usage problem, not a

@@ -125,7 +125,7 @@ def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) ->
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ConfigError(f"config file {path} cannot be read as JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Any, NamedTuple
 
 from .adjudicate import AdjudicationResult, Verdict
-from .ingest import Finding
+from .ingest import Finding, normalize_uri
 from .rubrics import SHIPPED_CWES
 
 
@@ -134,7 +134,8 @@ def match_truth(
     """Resolve ground truth per finding id.
 
     Exact finding_id match wins; otherwise the (rule_id, uri, start_line)
-    triple is tried, for a row with no id or one whose id names no finding.
+    triple is tried, for a row with no id or one whose id names no finding,
+    its uri normalized as ingest normalizes the findings'.
     A triple shared by several findings or several truth entries is
     ambiguous and stays unmatched.
     """
@@ -145,7 +146,7 @@ def match_truth(
         if truth.finding_id in ids:
             by_id[truth.finding_id] = truth
         elif truth.rule_id and truth.uri and truth.start_line is not None:
-            key = (truth.rule_id, truth.uri, truth.start_line)
+            key = (truth.rule_id, normalize_uri(truth.uri), truth.start_line)
             triple_truths.setdefault(key, []).append(truth)
 
     triple_findings: dict[tuple[str, str, int], list[str]] = {}

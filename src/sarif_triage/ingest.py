@@ -166,7 +166,9 @@ class SarifResult(NamedTuple):
     code_flow_count: int
 
 
-def _normalize_uri(uri: str) -> str:
+def normalize_uri(uri: str) -> str:
+    """``uri`` as a finding holds it: ``/`` separators, no ``file://`` or
+    ``./`` prefix, percent-escapes decoded."""
     uri = uri.replace("\\", "/")
     if uri.startswith("file://"):
         uri = uri[len("file://"):]
@@ -235,7 +237,7 @@ def _location_from_sarif(obj: Any, where: str) -> CodeLocation:
     if end_line < start_line:
         raise NotSarif(f"{where}.endLine {end_line} precedes startLine {start_line}")
     return CodeLocation(
-        uri=_normalize_uri(uri),
+        uri=normalize_uri(uri),
         start_line=start_line,
         end_line=end_line,
         start_column=_position(region, "startColumn", where),
@@ -315,7 +317,8 @@ def _parse_result(obj: Any, where: str, rule_cwes: Mapping[str, str]) -> SarifRe
 
 
 def parse_sarif(raw: bytes | str) -> tuple[SarifResult, ...]:
-    """Parse a SARIF 2.1.0 document into every run's results, in file order.
+    """Parse a SARIF 2.1.0 document into every run's results, in file order;
+    a UTF-8 byte-order mark that opens a byte stream is skipped.
 
     Raises ``MalformedJson`` for byte streams that are not JSON and
     ``NotSarif`` for JSON that violates the SARIF shape this pipeline
@@ -330,7 +333,7 @@ def parse_sarif(raw: bytes | str) -> tuple[SarifResult, ...]:
     """
     if isinstance(raw, bytes):
         try:
-            raw = raw.decode("utf-8")
+            raw = raw.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise MalformedJson(f"input is not UTF-8: {exc}") from exc
     try:

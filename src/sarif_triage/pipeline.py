@@ -60,6 +60,7 @@ recorded, ``--resume`` takes the source files to hash from that stamp's
 
 from __future__ import annotations
 
+import codecs
 import functools
 import hashlib
 import importlib
@@ -178,21 +179,17 @@ def _run_stage(
     config: RunConfig,
     stage: str,
     resume: bool,
-    inputs: Callable[[dict[str, str] | None], dict[str, str]],
+    inputs: Callable[[], dict[str, str]],
     body: Callable[[], dict[Path, str]],
 ) -> None:
     """Run ``body`` unless ``resume`` is set and the stage's stamp still
     matches what ``inputs`` returns; then delete what the previous stamp
     recorded and ``body`` no longer wrote, and stamp the inputs with the
     ``{path: sha256}`` of each file ``body`` wrote. Any failure in
-    ``inputs`` or ``body`` surfaces as a ``StageError`` naming ``stage``.
-
-    ``inputs`` is given the inputs the previous stamp recorded (None when
-    there is none to trust or ``resume`` is off), for a stage whose stamp
-    lists what else it depends on."""
+    ``inputs`` or ``body`` surfaces as a ``StageError`` naming ``stage``."""
     previous = _read_stamp(config, stage)
     try:
-        hashed = inputs(previous["inputs"] if resume and previous is not None else None)
+        hashed = inputs()
         if resume and previous is not None and _stamp_matches(config, previous, hashed):
             return
         config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -255,11 +252,14 @@ def write_rows(path: Path, rows: Iterable[dict[str, Any]]) -> str:
 
 
 def read_rows(path: Path) -> Iterator[dict[str, Any]]:
-    """The JSON object on each non-blank line of ``path``, in order; a
-    ``ValueError`` naming the path and the line for one that is not UTF-8,
-    not JSON, or past the decoder's depth or digit limit."""
+    """The JSON object on each non-blank line of ``path``, in order, past a
+    UTF-8 byte-order mark that opens the file; a ``ValueError`` naming the
+    path and the line for one that is not UTF-8, not JSON, or past the
+    decoder's depth or digit limit."""
     with path.open("rb") as fh:
         for number, line in enumerate(fh, 1):
+            if number == 1:
+                line = line.removeprefix(codecs.BOM_UTF8)
             if not line.strip():
                 continue
             try:
@@ -305,7 +305,7 @@ def write_config_echo(config: RunConfig) -> None:
 
 
 def stage_ingest(config: RunConfig, resume: bool = False) -> None:
-    def inputs(stamped: dict[str, str] | None) -> dict[str, str]:
+    def inputs() -> dict[str, str]:
         return {
             "sarif": _sha256_file(config.sarif_path),
             "cwe_map": _sha256_text(json.dumps(config.cwe_map, sort_keys=True)),
@@ -340,11 +340,12 @@ def stage_context(config: RunConfig, resume: bool = False) -> None:
     source = SourceSnapshot(config.source_root)
     findings = functools.cache(lambda: _load_findings(config.output_dir / "findings.jsonl"))
 
-    def inputs(stamped: dict[str, str] | None) -> dict[str, str]:
+    def inputs() -> dict[str, str]:
         findings_sha = _vouched(config, "findings.jsonl", "ingest")
-        if stamped is not None and stamped.get("findings") == findings_sha:
+        stamp = _read_stamp(config, "context") if resume else None
+        if stamp is not None and stamp["inputs"].get("findings") == findings_sha:
             # The stamp of these same findings lists the files they name.
-            uris = [key[len("src:"):] for key in stamped if key.startswith("src:")]
+            uris = [key[len("src:"):] for key in stamp["inputs"] if key.startswith("src:")]
         else:
             uris = _source_uris(findings())
         return {
@@ -375,7 +376,7 @@ def stage_context(config: RunConfig, resume: bool = False) -> None:
 def stage_prompts(config: RunConfig, resume: bool = False) -> None:
     rubric_dir = Path(config.rubric_dir or SHIPPED_RUBRIC_DIR)
 
-    def inputs(stamped: dict[str, str] | None) -> dict[str, str]:
+    def inputs() -> dict[str, str]:
         return {
             "findings": _vouched(config, "findings.jsonl", "ingest"),
             **{f"rubric:{p.name}": _sha256_file(p) for p in sorted(rubric_dir.glob("*.rubric"))},
@@ -429,7 +430,7 @@ def stage_adjudicate(
     that completes then deletes every other file directly under ``audit/``."""
     prompts_path = config.output_dir / "prompts.jsonl"
 
-    def inputs(stamped: dict[str, str] | None) -> dict[str, str]:
+    def inputs() -> dict[str, str]:
         script = config.backend.kind == "mock" and config.backend.script_path
         return {
             "prompts": _vouched(config, "prompts.jsonl", "prompts"),
@@ -495,7 +496,7 @@ def stage_evaluate(config: RunConfig, resume: bool = False) -> None:
     findings_path = config.output_dir / "findings.jsonl"
     adjudications_path = config.output_dir / "adjudications.jsonl"
 
-    def inputs(stamped: dict[str, str] | None) -> dict[str, str]:
+    def inputs() -> dict[str, str]:
         return {
             "findings": _vouched(config, "findings.jsonl", "ingest"),
             "adjudications": _vouched(config, "adjudications.jsonl", "adjudicate"),

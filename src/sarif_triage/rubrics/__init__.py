@@ -156,7 +156,7 @@ def load_rubrics(directory: Path | str) -> dict[str, Rubric]:
     store: dict[str, Rubric] = {}
     for path in sorted(directory.glob("*.rubric")):
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise InvalidRubric(f"{path.name}: not UTF-8: {exc}") from exc
         rubric = parse_rubric_text(text, path.name)

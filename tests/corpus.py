@@ -7,8 +7,9 @@ builds of the same corpus are byte-identical.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from sarif_triage.ingest import Finding, canonicalize, parse_sarif
@@ -99,6 +100,22 @@ class Corpus:
     mock_script_path: Path
     findings: list[Finding]
     labels: dict[str, str]  # finding_id -> label
+    digest: str = field(init=False)  # ``files_digest()`` as built
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "digest", self.files_digest())
+
+    def files_digest(self) -> str:
+        """SHA-256 over the name and bytes of every source file and of the
+        SARIF, labels and mock script files; the configs ``write_config``
+        puts beside them are left out."""
+        digest = hashlib.sha256()
+        paths = [*self.source_root.rglob("*"), self.sarif_path, self.labels_path,
+                 self.mock_script_path]
+        for path in sorted(p for p in paths if p.is_file()):
+            digest.update(f"{path.relative_to(self.root)}\0".encode())
+            digest.update(hashlib.sha256(path.read_bytes()).digest())
+        return digest.hexdigest()
 
 
 def build_corpus(root: Path, flaky_first: int = 0) -> Corpus:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import errno
 import hashlib
 import json
@@ -16,7 +17,7 @@ import pytest
 
 from corpus import build_corpus, write_config
 from sarif_triage import pipeline
-from sarif_triage.cli import EXIT_OK, EXIT_STAGE_FAILURE, EXIT_USAGE, main
+from sarif_triage.cli import _COMMANDS, EXIT_OK, EXIT_STAGE_FAILURE, EXIT_USAGE, main
 from sarif_triage.context import ContextLimits
 from sarif_triage.ingest import canonicalize, parse_sarif
 from sarif_triage.pipeline import BackendConfig, load_config
@@ -25,6 +26,18 @@ from sarif_triage.pipeline import BackendConfig, load_config
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     return build_corpus(tmp_path_factory.mktemp("corpus"))
+
+
+@pytest.fixture(autouse=True)
+def _corpus_unchanged(request):
+    """Fails a test that leaves the shared ``corpus``'s files other than
+    built, before a later test of the module reads them."""
+    yield
+    if "corpus" in request.fixturenames:
+        corpus = request.getfixturevalue("corpus")
+        if corpus.files_digest() != corpus.digest:
+            pytest.fail(f"the shared corpus under {corpus.root} was changed; "
+                        "build a corpus of the test's own with build_corpus")
 
 
 def _tree_bytes(root: Path, *names: str) -> dict[str, bytes]:
@@ -372,6 +385,45 @@ def test_a_relative_output_flag_resolves_against_the_working_directory(
     assert (elsewhere / "rel_out" / "report.json").is_file()
     assert not (config_dir / "rel_out").exists()
     assert not (tmp_path / "out").exists()
+
+
+def test_help_lists_every_command_with_its_help_text(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == EXIT_OK
+    printed = capsys.readouterr().out
+    for name, (help_text, _) in _COMMANDS.items():
+        assert re.search(rf"^  {name} +{re.escape(help_text)}$", printed, re.M), name
+
+
+def test_flags_before_the_command_run_as_flags_after_it(corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="BOTH")
+    names = ("run_config.json", "findings.jsonl", "contexts.jsonl", "contexts_baseline.jsonl",
+             "prompts.jsonl", "adjudications.jsonl", "report.json", "report.txt", "report.csv")
+    runs = []
+    for argv in (["--config", str(config), "--csv", "run"], ["run", "--config", str(config), "--csv"]):
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(argv) == EXIT_OK
+        runs.append((capsys.readouterr().out, _tree_bytes(out, *names)))
+    assert runs[0] == runs[1]
+    assert set(runs[0][1]) == set(names)
+
+
+@pytest.mark.parametrize("argv", [["rerun", "--config", "c.json"], ["run"]],
+                         ids=["unknown-command", "no-config"])
+def test_a_command_line_the_parser_refuses_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == EXIT_USAGE
+    assert "sarif-triage: error: " in capsys.readouterr().err
+
+
+def test_without_the_csv_flag_the_config_s_write_csv_holds(corpus, tmp_path):
+    out = tmp_path / "out"
+    config = write_config(corpus, out, extra={"write_csv": True})
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    assert (out / "report.csv").is_file()
 
 
 def test_a_sarif_schema_error_exits_2_from_ingest_and_from_run(corpus, tmp_path, capsys):
@@ -969,6 +1021,32 @@ def test_blank_lines_and_crlf_ends_in_the_labels_file_change_no_score_and_no_row
     labels_path.write_bytes(spaced + b"not json\r\n")
     assert main(["run", "--config", str(config), "--resume"]) == EXIT_STAGE_FAILURE
     assert f"error: stage evaluate: {labels_path}, line 43: not JSON" in capsys.readouterr().err
+
+
+# Some editors open what they save with a UTF-8 byte-order mark; RFC 8259
+# §8.1 lets a JSON parser ignore it.
+@pytest.mark.parametrize(
+    "name", ["config.json", "alerts.sarif", "labels.jsonl", "script.json", "rubrics/cwe-089.rubric"]
+)
+def test_a_byte_order_mark_opening_a_file_the_user_writes_changes_no_artifact(
+    corpus, tmp_path, name
+):
+    root = tmp_path / "run"
+    config_path = _config_with(corpus, root, labels=pipeline.read_rows(corpus.labels_path),
+                               script=json.loads(corpus.mock_script_path.read_text()))
+    shutil.copy(corpus.sarif_path, root / "alerts.sarif")
+    shutil.copytree(pipeline.SHIPPED_RUBRIC_DIR, root / "rubrics",
+                    ignore=shutil.ignore_patterns("*.py"))
+    config = json.loads(config_path.read_text())
+    config.update(sarif_path=str(root / "alerts.sarif"), rubric_dir=str(root / "rubrics"))
+    config_path.write_text(json.dumps(config))
+    artifacts = ("findings.jsonl", "prompts.jsonl", "adjudications.jsonl", "report.json")
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    plain = _tree_bytes(root / "out", *artifacts)
+    path = root / name
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    assert _tree_bytes(root / "out", *artifacts) == plain
 
 
 def test_a_findings_line_that_is_not_json_stops_context_naming_the_file_and_the_line(

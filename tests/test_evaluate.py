@@ -191,6 +191,15 @@ def test_a_row_whose_id_names_a_finding_never_claims_a_second_one_by_its_triple(
     assert match_truth(findings, [stale, plain]) == {}
 
 
+@pytest.mark.parametrize(
+    "uri", ["./src/main/A.java", "src\\main\\A.java", "file://src/main/A.java", "src/main/A%2Ejava"]
+)
+def test_a_triple_s_uri_matches_as_the_findings_uris_are_normalized(uri):
+    findings = [_finding("f1", uri="src/main/A.java", line=1)]
+    row = GroundTruth(label=Label.FALSE_POSITIVE, rule_id="r", uri=uri, start_line=1)
+    assert match_truth(findings, [row]) == {"f1": row}
+
+
 def test_ambiguous_triple_stays_unmatched():
     findings = [
         _finding("f1", uri="A.java", line=1),

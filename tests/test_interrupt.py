@@ -31,6 +31,18 @@ def corpus(tmp_path_factory):
     return build_corpus(tmp_path_factory.mktemp("corpus"))
 
 
+@pytest.fixture(autouse=True)
+def _corpus_unchanged(request):
+    """Fails a test that leaves the shared ``corpus``'s files other than
+    built, before a later test of the module reads them."""
+    yield
+    if "corpus" in request.fixturenames:
+        corpus = request.getfixturevalue("corpus")
+        if corpus.files_digest() != corpus.digest:
+            pytest.fail(f"the shared corpus under {corpus.root} was changed; "
+                        "build a corpus of the test's own with build_corpus")
+
+
 def _audit_names(out: Path) -> list[str]:
     return sorted(p.name for p in (out / "audit").glob("*.json"))
 

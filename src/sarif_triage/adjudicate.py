@@ -200,10 +200,9 @@ def _adjudicate_one(
     """The result for one bundle and its audit record, the dict written to
     ``audit/<fid>.<mode>.json``. A prompt over ``max_prompt_chars`` sends
     no request; a reply over ``max_output_chars`` is not kept."""
-    mode = bundle.mode.value
     audit: dict[str, Any] = {
         "finding_id": bundle.finding_id,
-        "mode": mode,
+        "mode": bundle.mode,
         "prompt_sha256": bundle.prompt_sha256,
         "model": model,
         "requested_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
@@ -215,7 +214,7 @@ def _adjudicate_one(
         "attempt_count": 0,
     }
     request = BackendRequest(model, bundle.system_text, bundle.user_text,
-                             tag=f"{bundle.finding_id}.{mode}")
+                             tag=f"{bundle.finding_id}.{bundle.mode}")
     adjudication: Adjudication | None = None
     try:
         chars = len(bundle.system_text) + len(bundle.user_text)
@@ -240,7 +239,7 @@ def _adjudicate_one(
         audit.update(error=f"{type(exc).__name__}: {exc}", attempt_count=exc.attempt_count)
     except ResponseValidationError as exc:
         audit["error"] = f"{type(exc).__name__}: {exc}"
-    result = AdjudicationResult(bundle.finding_id, mode, adjudication, audit["error"])
+    result = AdjudicationResult(bundle.finding_id, bundle.mode, adjudication, audit["error"])
     return result, audit
 
 

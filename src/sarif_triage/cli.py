@@ -3,8 +3,9 @@
 One parser: a command, either a pipeline stage (``ingest``, ``context``,
 ``prompts``, ``adjudicate``, ``evaluate``) or ``run`` for the whole chain,
 and flags in any order around it. Every command reads a JSON config file;
-each override flag stores under the config key it overrides, and a flag
-not given overrides nothing (flags win).
+each override flag stores its text under the config key it overrides, a
+flag not given overrides nothing (flags win), and the config's table alone
+says which values a key accepts, so a flag accepts what its key accepts.
 
 Exit codes: 0 success, 1 stage failure, 2 usage or configuration error,
 including a SARIF file that is not JSON or not usable SARIF.
@@ -70,18 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="one of the commands below")
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--output", dest="output_dir", help="override output_dir from the config")
-    parser.add_argument(
-        "--prompt-mode",
-        choices=["OPTIMIZED", "BASELINE", "BOTH"],
-        help="override prompt_mode from the config",
-    )
-    parser.add_argument(
-        "--backend", dest="backend.kind", choices=["mock", "live"],
-        help="override backend.kind from the config",
-    )
-    parser.add_argument(
-        "--parallelism", type=int, help="override parallelism from the config"
-    )
+    parser.add_argument("--prompt-mode", help="override prompt_mode from the config")
+    parser.add_argument("--backend", dest="backend.kind",
+                        help="override backend.kind from the config")
+    parser.add_argument("--parallelism", help="override parallelism from the config")
     parser.add_argument(
         "--resume",
         action="store_true",

@@ -120,7 +120,8 @@ def parse_endpoint(endpoint: str) -> urllib.parse.SplitResult:
 def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) -> RunConfig:
     """Read a JSON config file and apply flag overrides (flags win; a key
     in a section is written ``backend.kind``). A relative ``output_dir``
-    override is taken from the working directory, where the flag was given."""
+    override is taken from the working directory, where the flag was given;
+    an empty one stays empty, so it is refused as an empty config value is."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -135,7 +136,7 @@ def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) ->
             continue
         section, _, name = key.rpartition(".")
         if not section:
-            data[key] = str(Path(value).absolute()) if key == "output_dir" else value
+            data[key] = str(Path(value).absolute()) if key == "output_dir" and value else value
         elif isinstance(data.setdefault(section, {}), dict):  # else the table names it
             data[section] = {**data[section], name: value}
     return config_from_dict(data, base_dir=path.parent)

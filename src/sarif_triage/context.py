@@ -4,7 +4,7 @@ Reconstructs the precise code path between dataflow steps: the exact line
 of every step, the intermediate lines between consecutive steps that share
 a method, and method signatures plus call sites when a flow crosses method
 boundaries. A windowed and a whole-file baseline extractor are provided for
-comparison runs.
+comparison runs; the baseline style is the name the run config gives it.
 
 Source text comes from one ``SourceSnapshot`` (``source``) per run, shared
 by both extractors and the context stamp; the method scan of each file is
@@ -29,11 +29,6 @@ class SegmentReason(str, Enum):
     INTERMEDIATE = "INTERMEDIATE"
     METHOD_SIGNATURE = "METHOD_SIGNATURE"
     CALL_SITE = "CALL_SITE"
-
-
-class BaselineMode(str, Enum):
-    WINDOW5 = "WINDOW5"
-    WHOLE_FILE = "WHOLE_FILE"
 
 
 class ContextSegment(NamedTuple):
@@ -289,24 +284,25 @@ def extract_context(
 def extract_baseline_context(
     finding: Finding,
     source: SourceSnapshot,
-    mode: BaselineMode,
+    style: str,
     limits: ContextLimits = ContextLimits(),
 ) -> CodeContext:
-    """Minimal-context baselines: an 11-line window around each step, or one
-    whole-file segment per distinct file in the trace."""
+    """Minimal-context baselines by ``style``: ``WINDOW5``, an 11-line window
+    around each step, or ``WHOLE_FILE``, one whole-file segment per distinct
+    file in the trace; another name is a ``ValueError``."""
     collector = _Collector(source)
     for idx, loc in finding.steps():
-        if mode is BaselineMode.WINDOW5:
+        if style == "WINDOW5":
             lines = collector.lines(idx, loc)
             if lines is not None:
                 start, end = max(1, loc.start_line - 5), min(len(lines), loc.start_line + 5)
                 collector.add(loc.uri, start, end, SegmentReason.STEP_LINE, idx)
-        elif mode is BaselineMode.WHOLE_FILE:
+        elif style == "WHOLE_FILE":
             lines = source.lines(loc.uri)
             if lines is None:
                 collector.note(f"missing file: {loc.uri}")
             else:
                 collector.add(loc.uri, 1, len(lines), SegmentReason.STEP_LINE, idx)
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown baseline mode: {mode}")
+        else:
+            raise ValueError(f"unknown baseline style: {style!r}")
     return collector.context(finding.finding_id, limits)

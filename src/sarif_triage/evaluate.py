@@ -120,12 +120,9 @@ def f1(p: float, r: float) -> float:
     return 2 * p * r / (p + r) if (p + r) else 0.0
 
 
-def cwe_sort_key(cwe_id: str) -> tuple[int, str]:
-    """Shipped CWEs in their reporting order, then the rest alphabetically."""
-    try:
-        return (SHIPPED_CWES.index(cwe_id), cwe_id)
-    except ValueError:
-        return (len(SHIPPED_CWES), cwe_id)
+def cwe_sort_key(cwe_id: str) -> tuple[bool, str]:
+    """Shipped CWEs first, then the rest, each group by name."""
+    return (cwe_id not in SHIPPED_CWES, cwe_id)
 
 
 def match_truth(

@@ -47,7 +47,8 @@ _NON_METHOD_NAMES = {
     "return", "new", "throw", "synchronized", "assert", "case",
 }
 _IDENT = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-_ANNOTATION = re.compile(r"@\s*[A-Za-z_$][A-Za-z0-9_$.]*")
+# ``@interface`` declares an annotation type; it is not an annotation.
+_ANNOTATION = re.compile(r"@\s*(?!interface(?![A-Za-z0-9_$]))[A-Za-z_$][A-Za-z0-9_$.]*")
 _TRAILING_IDENT = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*$")
 # Comments and literals, whose braces and parens do not count. One left
 # open runs to the end of the file.

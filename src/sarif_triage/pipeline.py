@@ -357,9 +357,7 @@ def stage_context(config: RunConfig, resume: bool = False) -> None:
         }
 
     def body() -> dict[Path, str]:
-        from .context import BaselineMode
-
-        style = BaselineMode(config.baseline_style)
+        style = config.baseline_style
         extract = {
             "OPTIMIZED": lambda f: _module.extract_context(f, source, config.limits),
             "BASELINE": lambda f: _module.extract_baseline_context(f, source, style, config.limits),
@@ -388,7 +386,6 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
 
     def body() -> dict[Path, str]:
         from .context import CodeContext
-        from .prompts import PromptMode
         from .rubrics import load_rubrics, rubric_for
 
         findings_path = config.output_dir / "findings.jsonl"
@@ -410,7 +407,7 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
                             f"finding {finding.finding_id} of {findings_path}; run context again")
                     rubric = rubric_for(finding.cwe_id, store)
                     bundle = _module.compile_prompt(
-                        finding, ctx, rubric, PromptMode(mode), config.prompt_char_budget
+                        finding, ctx, rubric, mode, config.prompt_char_budget
                     )
                     yield bundle.to_dict()
 

@@ -11,24 +11,19 @@ structure: an evidence line that would itself read as a sentinel is
 prefixed with ``FENCE_LOOKALIKE``, and analyzer text placed outside the
 fences is folded onto one line.
 
-Each mode's user text is one f-string, filled in a single pass: text that
-looks like a placeholder or a fence inside a value is never read again.
+A prompt mode is its config name, ``OPTIMIZED`` or ``BASELINE``. Each
+mode's user text is one f-string, filled in a single pass: text that looks
+like a placeholder or a fence inside a value is never read again.
 """
 
 from __future__ import annotations
 
 import hashlib
-from enum import Enum
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .context import CodeContext, ContextSegment, SegmentReason, drop_longest_intermediate
 from .ingest import Finding, TraceStep
 from .rubrics import Rubric
-
-
-class PromptMode(str, Enum):
-    OPTIMIZED = "OPTIMIZED"
-    BASELINE = "BASELINE"
 
 
 # Sentinel lines, each exactly 24 characters. Evidence bytes live strictly
@@ -64,26 +59,26 @@ SCOPE_RULES = """## Scope and evidence rules
 
 # The analyzer values each mode's user text shows, as ``prompts.jsonl``
 # lists them.
-_OPTIMIZED_FIELDS = ("cwe_id", "rule_id", "message", "code_snippet", "vulnerability_location",
-                     "annotated_trace")
-_BASELINE_FIELDS = ("rule_id", "message", "code_snippet")
+_SHOWN_FIELDS = {"OPTIMIZED": ("cwe_id", "rule_id", "message", "code_snippet",
+                               "vulnerability_location", "annotated_trace"),
+                 "BASELINE": ("rule_id", "message", "code_snippet")}
 
 
 class PromptBundle(NamedTuple):
     finding_id: str
-    mode: PromptMode
+    mode: str
     system_text: str
     user_text: str
     prompt_sha256: str
 
     @property
     def placeholders_used(self) -> tuple[str, ...]:
-        return _OPTIMIZED_FIELDS if self.mode is PromptMode.OPTIMIZED else _BASELINE_FIELDS
+        return _SHOWN_FIELDS[self.mode]
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "finding_id": self.finding_id,
-            "mode": self.mode.value,
+            "mode": self.mode,
             "prompt_sha256": self.prompt_sha256,
             "placeholders_used": list(self.placeholders_used),
             "system_text": self.system_text,
@@ -94,7 +89,7 @@ class PromptBundle(NamedTuple):
     def from_dict(cls, d: Mapping[str, Any]) -> "PromptBundle":
         return cls(
             finding_id=d["finding_id"],
-            mode=PromptMode(d["mode"]),
+            mode=d["mode"],
             system_text=d["system_text"],
             user_text=d["user_text"],
             prompt_sha256=d["prompt_sha256"],
@@ -241,17 +236,18 @@ def compile_prompt(
     finding: Finding,
     ctx: CodeContext,
     rubric: Rubric,
-    mode: PromptMode,
+    mode: str,
     char_budget: int | None = None,
 ) -> PromptBundle:
-    """Compile the adjudication prompt for one finding.
+    """Compile the ``mode`` prompt (``OPTIMIZED`` or ``BASELINE``; another
+    name is a ``KeyError``) for one finding.
 
     Everything but the code snippet is rendered once. When ``char_budget``
     is set and the user text overflows it, intermediate code segments are
     dropped longest-first and only the snippet is rendered again; the
     annotated trace is never truncated.
     """
-    text_for = _optimized_text if mode is PromptMode.OPTIMIZED else _baseline_text
+    text_for = {"OPTIMIZED": _optimized_text, "BASELINE": _baseline_text}[mode]
     fill = text_for(finding, ctx, rubric)
     segments = list(ctx.segments)
     user_text = fill(_fence_safe(render_snippet(segments)))

@@ -1,7 +1,8 @@
 """CWE micro-rubrics: compact declarative rule lists injected into prompts.
 
 Rubrics live as one human-editable text file per CWE (``cwe-NNN.rubric``,
-plus ``generic.rubric`` for the fallback). The format is line-oriented:
+plus ``generic.rubric`` for the fallback); a file shipped in this package
+ships its CWE, listed first in reports. The format is line-oriented:
 
     # comment
     cwe: CWE-089
@@ -29,19 +30,8 @@ from typing import NamedTuple
 
 GENERIC_ID = "GENERIC"
 
-#: CWEs with a shipped rubric, in the canonical reporting order.
-SHIPPED_CWES = (
-    "CWE-022",
-    "CWE-078",
-    "CWE-079",
-    "CWE-089",
-    "CWE-090",
-    "CWE-327",
-    "CWE-330",
-    "CWE-501",
-    "CWE-614",
-    "CWE-643",
-)
+#: CWEs with a shipped rubric, sorted: one per ``cwe-NNN.rubric`` file here.
+SHIPPED_CWES = tuple(sorted(p.stem.upper() for p in Path(__file__).parent.glob("cwe-*.rubric")))
 
 MIN_RULES = 10
 MAX_RULES = 20

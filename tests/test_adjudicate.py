@@ -22,7 +22,7 @@ from sarif_triage.adjudicate import (
 )
 from sarif_triage.backend import BackendError, MockBackend, RateLimited, RetryPolicy
 from sarif_triage.pipeline import read_rows, write_rows
-from sarif_triage.prompts import PromptBundle, PromptMode, prompt_sha256
+from sarif_triage.prompts import PromptBundle, prompt_sha256
 
 NO_SLEEP = RetryPolicy(attempt_cap=4, backoff_base_s=0.0, sleep=lambda _: None)
 
@@ -102,7 +102,7 @@ def test_case_insensitive_enums_normalize_to_canonical():
     assert adjudication.confidence is Confidence.MEDIUM
 
 
-def _bundle(fid: str, mode=PromptMode.OPTIMIZED, user="user") -> PromptBundle:
+def _bundle(fid: str, mode="OPTIMIZED", user="user") -> PromptBundle:
     return PromptBundle(
         finding_id=fid,
         mode=mode,
@@ -182,6 +182,13 @@ def test_parallelism_does_not_change_serialized_output(tmp_path):
         write_rows(path, (r.to_dict() for r in results))
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("parallelism", [0, -1])
+def test_a_parallelism_below_one_is_refused(parallelism):
+    with pytest.raises(ValueError, match="parallelism must be >= 1"):
+        adjudicate_all([_bundle("f1")], MockBackend(responses={"f1": "ok"}),
+                       parallelism=parallelism, retry=NO_SLEEP)
 
 
 def test_overflow_yields_unevaluated_placeholder_not_a_drop():

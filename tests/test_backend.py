@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 import shutil
 import socket
 import ssl
@@ -30,7 +31,7 @@ from sarif_triage.backend import (
     send,
 )
 from sarif_triage.cli import EXIT_OK, main
-from sarif_triage.prompts import PromptBundle, PromptMode, prompt_sha256
+from sarif_triage.prompts import PromptBundle, prompt_sha256
 
 NO_SLEEP = RetryPolicy(attempt_cap=4, backoff_base_s=0.0, sleep=lambda _: None)
 
@@ -173,9 +174,16 @@ def test_mock_script_file_round_trip(tmp_path):
         (b'{"responses": {"f": {"response": "r", "fail_first": -1}}}',
          "mock entry f: fail_first -1 is not an integer >= 0"),
         (b'["not", "an", "object"]', "not a JSON object"),
+        (b'{"responses": {"f": {"response": "r", "fail_first": 1, "failure": "timeout"}}}',
+         "mock entry f: unknown failure kind 'timeout'"),
+        (b'{"responses": {"f": 5}}', "mock entry f must be a string or an object with `response`"),
+        (b'{"responses": {"f": {"reply": "r"}}}',
+         "mock entry f must be a string or an object with `response`"),
+        (b'{"default": ["r"]}', "mock entry default must be a string or an object with `response`"),
     ],
     ids=["responses-list", "cut-short", "too-deep", "not-utf8", "fail-first-string",
-         "fail-first-bool", "fail-first-negative", "top-level-list"],
+         "fail-first-bool", "fail-first-negative", "top-level-list", "unknown-failure-kind",
+         "entry-number", "entry-without-response", "default-list"],
 )
 def test_a_bad_mock_script_is_refused_naming_the_file(tmp_path, content, reason):
     path = tmp_path / "script.json"
@@ -384,6 +392,15 @@ def test_http_backend_maps_overflow_and_other_errors(http_server):
     _Handler.script = [(200, "[" * 100000)]  # nested past the decoder's depth limit
     with pytest.raises(BackendError, match="malformed"):
         backend.complete(_request())
+    _Handler.script = [(200, {"choices": [{"message": {"content": None}}]})]
+    with pytest.raises(BackendError, match="completion content is not a string"):
+        backend.complete(_request())
+
+
+def test_an_endpoint_query_string_stays_on_the_request_target(http_server, no_proxy_env):
+    backend = HttpBackend(endpoint=http_server + "?api-version=2024-06-01&x=%2F")
+    assert backend.complete(_request(user="q")).text == "q"
+    assert _Handler.seen[0]["path"] == "/v1/chat/completions?api-version=2024-06-01&x=%2F"
 
 
 def test_a_backend_error_from_send_counts_the_calls_it_made(http_server):
@@ -401,7 +418,7 @@ def test_a_backend_error_from_send_counts_the_calls_it_made(http_server):
 
 def test_a_prompt_over_the_limit_never_reaches_the_http_server(http_server):
     request = _request(user="x" * 100)
-    bundle = PromptBundle("fid", PromptMode.OPTIMIZED, request.system_text, request.user_text,
+    bundle = PromptBundle("fid", "OPTIMIZED", request.system_text, request.user_text,
                           prompt_sha256(request.system_text, request.user_text))
     backend = HttpBackend(endpoint=http_server)
     try:
@@ -496,6 +513,35 @@ def test_https_through_a_proxy_opens_a_connect_tunnel(http_server, no_proxy_env)
     assert [(seen["method"], seen["path"], seen["proxy_auth"]) for seen in _Handler.seen] == [
         ("CONNECT", "upstream.invalid:443", "Basic " + base64.b64encode(b"me:pw").decode())
     ]
+
+
+@pytest.mark.parametrize("proxy", ["https://proxy.invalid:3128", "socks5://proxy.invalid:1080"])
+def test_a_proxy_that_is_not_plain_http_is_refused_naming_it(no_proxy_env, proxy):
+    no_proxy_env.setenv("https_proxy", proxy)
+    with pytest.raises(ValueError, match=re.escape(f"unsupported https proxy: {proxy!r}")):
+        HttpBackend(endpoint="https://upstream.invalid/v1/chat/completions")
+
+
+class _HangUpHandler(_Handler):
+    """Reads each request and closes the connection without a reply."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self._record()
+        self.close_connection = True
+
+
+def test_a_fresh_connection_dropped_before_the_reply_is_a_transport_error(no_proxy_env):
+    with _serve(_HangUpHandler) as server:
+        backend = HttpBackend(endpoint=server.url(), timeout_s=5)
+        try:
+            with pytest.raises(TransportError, match="RemoteDisconnected"):
+                backend.complete(_request())
+        finally:
+            backend.close()
+        # The connection was new, so the drop is not taken for an idle
+        # connection gone stale: there is no second request.
+        assert len(_Handler.seen) == 1
 
 
 def test_concurrent_calls_never_share_a_connection(keepalive_server):

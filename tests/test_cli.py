@@ -1158,6 +1158,45 @@ def test_prompt_mode_flag_overrides_config(corpus, tmp_path):
     assert _prompt_modes(out) == {"BASELINE": 20}
 
 
+def test_a_flag_accepts_what_its_config_key_accepts(corpus, tmp_path):
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="OPTIMIZED")
+    argv = ["run", "--config", str(config), "--prompt-mode", "both", "--parallelism", "2"]
+    assert main(argv) == EXIT_OK
+    assert _prompt_modes(out) == {"BASELINE": 20, "OPTIMIZED": 20}
+    echo = json.loads((out / "run_config.json").read_text())
+    assert (echo["prompt_mode"], echo["parallelism"]) == ("BOTH", 2)
+
+
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [("--prompt-mode", "bogus", "prompt_mode"), ("--backend", "remote", "backend.kind"),
+     ("--parallelism", "two", "parallelism"), ("--parallelism", "0", "parallelism")],
+)
+def test_a_flag_value_its_config_key_refuses_exits_2_naming_the_key(
+    corpus, tmp_path, capsys, flag, value, key
+):
+    out = tmp_path / "out"
+    config = write_config(corpus, out)
+    assert main(["run", "--config", str(config), flag, value]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key} has an unusable value: "), err
+    assert not out.exists()
+
+
+def test_an_empty_output_flag_is_refused_as_an_empty_output_dir_is(
+    corpus, tmp_path, capsys, monkeypatch
+):
+    config = write_config(corpus, tmp_path / "out")
+    workdir = tmp_path / "workdir"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    assert main(["run", "--config", str(config), "--output", ""]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: config is missing required key: output_dir\n"
+    assert list(workdir.iterdir()) == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_resume_skips_unchanged_stages(corpus, tmp_path):
     out = tmp_path / "out"
     config = write_config(corpus, out, prompt_mode="BOTH")

@@ -10,7 +10,6 @@ from conftest import FIXTURES, JAVA_DIR, OWASP_SRC
 from corpus import build_corpus, write_config
 from sarif_triage import context as context_module
 from sarif_triage.context import (
-    BaselineMode,
     ContextLimits,
     SegmentReason,
     SourceSnapshot,
@@ -200,7 +199,7 @@ def test_window5_notes_a_missing_file_and_a_line_out_of_range(tmp_path):
     finding = _finding("Wide.java", [3, 50, 500])
     first = finding.trace[0]._replace(location=_loc("Nowhere.java", 3))
     finding = finding._replace(trace=(first, *finding.trace[1:]))
-    ctx = extract_baseline_context(finding, SourceSnapshot(tmp_path), BaselineMode.WINDOW5)
+    ctx = extract_baseline_context(finding, SourceSnapshot(tmp_path), "WINDOW5")
     assert _reasons(ctx) == [(SegmentReason.STEP_LINE, 45, 55)]
     assert ctx.notes == (
         "missing file: Nowhere.java (step 1)",
@@ -213,7 +212,7 @@ def test_window5_clamps_at_file_start(tmp_path):
     lines = [f"line{i}" for i in range(1, 101)]
     (tmp_path / "Wide.java").write_text("\n".join(lines) + "\n")
     ctx = extract_baseline_context(
-        _finding("Wide.java", [3]), SourceSnapshot(tmp_path), BaselineMode.WINDOW5
+        _finding("Wide.java", [3]), SourceSnapshot(tmp_path), "WINDOW5"
     )
     assert [(s.start_line, s.end_line) for s in ctx.segments] == [(1, 8)]
 
@@ -222,19 +221,26 @@ def test_window5_is_five_lines_each_side(tmp_path):
     lines = [f"line{i}" for i in range(1, 101)]
     (tmp_path / "Wide.java").write_text("\n".join(lines) + "\n")
     ctx = extract_baseline_context(
-        _finding("Wide.java", [50]), SourceSnapshot(tmp_path), BaselineMode.WINDOW5
+        _finding("Wide.java", [50]), SourceSnapshot(tmp_path), "WINDOW5"
     )
     assert [(s.start_line, s.end_line) for s in ctx.segments] == [(45, 55)]
 
 
 def test_whole_file_emits_one_segment_per_distinct_file():
     ctx = extract_baseline_context(
-        _finding("SameMethodFlow.java", [10, 15, 16]), SourceSnapshot(JAVA_DIR), BaselineMode.WHOLE_FILE
+        _finding("SameMethodFlow.java", [10, 15, 16]), SourceSnapshot(JAVA_DIR), "WHOLE_FILE"
     )
     assert len(ctx.segments) == 1
     seg = ctx.segments[0]
     assert (seg.start_line, seg.end_line) == (1, 18)
     assert seg.text.startswith("package fixtures;")
+
+
+@pytest.mark.parametrize("style", ["WINDOW", "window5", "BASELINE"])
+def test_a_baseline_style_the_config_does_not_name_is_refused(style):
+    finding = _finding("SameMethodFlow.java", [10])
+    with pytest.raises(ValueError, match=f"unknown baseline style: '{style}'"):
+        extract_baseline_context(finding, SourceSnapshot(JAVA_DIR), style)
 
 
 def test_coverage_and_bounds_invariants(owasp_finding):
@@ -459,8 +465,8 @@ _TIGHT = ContextLimits(max_total_lines=10, intermediate_elide_threshold=4,
 _PIN_EXTRACTORS = {
     "extract": lambda f, s: extract_context(f, s),
     "extract-tight": lambda f, s: extract_context(f, s, _TIGHT),
-    "WINDOW5": lambda f, s: extract_baseline_context(f, s, BaselineMode.WINDOW5, _TIGHT),
-    "WHOLE_FILE": lambda f, s: extract_baseline_context(f, s, BaselineMode.WHOLE_FILE, _TIGHT),
+    "WINDOW5": lambda f, s: extract_baseline_context(f, s, "WINDOW5", _TIGHT),
+    "WHOLE_FILE": lambda f, s: extract_baseline_context(f, s, "WHOLE_FILE", _TIGHT),
 }
 
 

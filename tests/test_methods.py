@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from conftest import BOUNDARY_TABLE, FIXTURES, JAVA_DIR
-from sarif_triage.methods import enclosing_method, locate_methods
+from sarif_triage.methods import _strip_leading_annotations, enclosing_method, locate_methods
 
 
 def _records(name: str):
@@ -131,3 +131,18 @@ def test_enclosing_method_picks_innermost_containing_span():
     assert enclosing_method(records, 10).name == "doGet"
     assert enclosing_method(records, 17).name == "runSql"
     assert enclosing_method(records, 1) is None
+
+
+@pytest.mark.parametrize(
+    "prefix", ["", "public ", "@Retention(RUNTIME) ", "@Retention(RUNTIME) public "],
+    ids=["bare", "public", "annotated", "annotated-public"],
+)
+def test_an_annotation_type_is_a_type_whatever_precedes_it(prefix):
+    source = f"{prefix}@interface Marker {{\n  class Inner {{\n    void m() {{\n    }}\n  }}\n}}\n"
+    records = locate_methods(source, "Marker.java")
+    assert [(r.name, r.start_line, r.end_line) for r in records] == [("m", 3, 4)]
+    assert records.problems == []
+
+
+def test_unterminated_annotation_args_leave_the_rest_of_the_declaration():
+    assert _strip_leading_annotations('@A @B("x", (1) class C') == '("x", (1) class C'

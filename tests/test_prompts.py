@@ -18,8 +18,8 @@ from sarif_triage.prompts import (
     EVIDENCE_CLOSE,
     EVIDENCE_OPEN,
     LINE_UNAVAILABLE,
-    PromptMode,
     SYSTEM_TEXT,
+    _wrap_region,
     compile_prompt,
     prompt_sha256,
     render_trace,
@@ -97,6 +97,27 @@ def test_step_without_columns_wraps_whole_line():
     assert first_line == "[1] SOURCE: [[[return a + 1;]]]"
 
 
+@pytest.mark.parametrize(
+    "line, columns, wrapped",
+    [
+        ("    return a + 1;", (12, None), "return [[[a + 1;]]]"),
+        ("    return a + 1;", (40, 45), "[[[return a + 1;]]]"),  # starts past the text
+        ("   ", (2, 3), "[[[]]]"),
+        ("", None, "[[[]]]"),
+    ],
+    ids=["open-end", "past-the-text", "blank", "empty"],
+)
+def test_wrap_region_marks_the_step_columns_or_else_the_whole_line(line, columns, wrapped):
+    step = _single_step_finding(columns=columns).trace[0]
+    assert _wrap_region(line, step) == wrapped
+
+
+def test_render_trace_refuses_a_finding_with_no_trace():
+    finding = _single_step_finding()._replace(trace=())
+    with pytest.raises(ValueError, match="render_trace requires a non-empty trace"):
+        render_trace(finding, extract_context(finding, SourceSnapshot(JAVA_DIR)))
+
+
 def test_missing_step_line_renders_unavailable_and_continues(owasp_finding):
     empty_ctx = extract_context(owasp_finding, SourceSnapshot(JAVA_DIR))  # wrong tree: files absent
     trace = render_trace(owasp_finding, empty_ctx)
@@ -108,16 +129,23 @@ def test_a_context_with_no_segment_compiles_to_the_no_context_text():
     finding = _single_step_finding(uri="Nowhere.java")
     ctx = extract_context(finding, SourceSnapshot(JAVA_DIR))
     assert ctx.segments == ()
-    for mode in PromptMode:
+    for mode in ("OPTIMIZED", "BASELINE"):
         bundle = compile_prompt(finding, ctx, rubric_for(finding.cwe_id, RUBRICS), mode)
         inside = split_fences(bundle.user_text)[1].split("\n")
         assert "(no code context available)" in inside, mode
 
 
+@pytest.mark.parametrize("mode", ["BOTH", "optimized", "GENERIC"])
+def test_a_prompt_mode_the_table_does_not_name_is_refused(owasp_finding, owasp_ctx, mode):
+    rubric = rubric_for(owasp_finding.cwe_id, RUBRICS)
+    with pytest.raises(KeyError, match=mode):
+        compile_prompt(owasp_finding, owasp_ctx, rubric, mode)
+
+
 def test_compile_is_deterministic(owasp_finding, owasp_ctx):
     rubric = rubric_for(owasp_finding.cwe_id, RUBRICS)
-    a = compile_prompt(owasp_finding, owasp_ctx, rubric, PromptMode.OPTIMIZED)
-    b = compile_prompt(owasp_finding, owasp_ctx, rubric, PromptMode.OPTIMIZED)
+    a = compile_prompt(owasp_finding, owasp_ctx, rubric, "OPTIMIZED")
+    b = compile_prompt(owasp_finding, owasp_ctx, rubric, "OPTIMIZED")
     assert a.prompt_sha256 == b.prompt_sha256
     assert a == b
     assert a.prompt_sha256 == prompt_sha256(a.system_text, a.user_text)
@@ -125,7 +153,7 @@ def test_compile_is_deterministic(owasp_finding, owasp_ctx):
 
 def test_optimized_segments_appear_in_fixed_order(owasp_finding, owasp_ctx):
     rubric = rubric_for(owasp_finding.cwe_id, RUBRICS)
-    bundle = compile_prompt(owasp_finding, owasp_ctx, rubric, PromptMode.OPTIMIZED)
+    bundle = compile_prompt(owasp_finding, owasp_ctx, rubric, "OPTIMIZED")
     markers = [
         "## Scope and evidence rules",
         "## Weakness rubric",
@@ -145,7 +173,7 @@ def test_optimized_segments_appear_in_fixed_order(owasp_finding, owasp_ctx):
 
 def test_every_context_byte_lies_inside_evidence_fences(owasp_finding, owasp_ctx):
     rubric = rubric_for(owasp_finding.cwe_id, RUBRICS)
-    bundle = compile_prompt(owasp_finding, owasp_ctx, rubric, PromptMode.OPTIMIZED)
+    bundle = compile_prompt(owasp_finding, owasp_ctx, rubric, "OPTIMIZED")
     outside, inside = split_fences(bundle.user_text)
     for seg in owasp_ctx.segments:
         assert seg.text in inside
@@ -154,7 +182,7 @@ def test_every_context_byte_lies_inside_evidence_fences(owasp_finding, owasp_ctx
 
 def test_no_unresolved_placeholder_tokens_remain(owasp_finding, owasp_ctx):
     rubric = rubric_for(owasp_finding.cwe_id, RUBRICS)
-    for mode in PromptMode:
+    for mode in ("OPTIMIZED", "BASELINE"):
         bundle = compile_prompt(owasp_finding, owasp_ctx, rubric, mode)
         assert not re.search(
             r"\{(cwe_id|rule_id|message|code_snippet|vulnerability_location|annotated_trace|rubric|checklist)\}",
@@ -164,8 +192,8 @@ def test_no_unresolved_placeholder_tokens_remain(owasp_finding, owasp_ctx):
 
 def test_baseline_prompt_is_minimal(owasp_finding, owasp_ctx):
     rubric = rubric_for(owasp_finding.cwe_id, RUBRICS)
-    optimized = compile_prompt(owasp_finding, owasp_ctx, rubric, PromptMode.OPTIMIZED)
-    baseline = compile_prompt(owasp_finding, owasp_ctx, rubric, PromptMode.BASELINE)
+    optimized = compile_prompt(owasp_finding, owasp_ctx, rubric, "OPTIMIZED")
+    baseline = compile_prompt(owasp_finding, owasp_ctx, rubric, "BASELINE")
     assert "[1] SOURCE:" not in baseline.user_text
     assert "Weakness rubric" not in baseline.user_text
     for rule in rubric.rules:
@@ -199,8 +227,8 @@ def test_injected_instructions_stay_inside_fences(owasp_finding):
         notes=ctx.notes,
     )
     rubric = rubric_for(owasp_finding.cwe_id, RUBRICS)
-    benign = compile_prompt(owasp_finding, ctx, rubric, PromptMode.OPTIMIZED)
-    adversarial = compile_prompt(owasp_finding, poisoned, rubric, PromptMode.OPTIMIZED)
+    benign = compile_prompt(owasp_finding, ctx, rubric, "OPTIMIZED")
+    adversarial = compile_prompt(owasp_finding, poisoned, rubric, "OPTIMIZED")
     outside_benign, _ = split_fences(benign.user_text)
     outside_adv, inside_adv = split_fences(adversarial.user_text)
     assert payload in inside_adv
@@ -230,9 +258,9 @@ def test_budget_elides_longest_intermediate_first_and_never_the_trace(tmp_path):
     )
     ctx = extract_context(finding, SourceSnapshot(tmp_path))
     rubric = rubric_for("CWE-089", RUBRICS)
-    full = compile_prompt(finding, ctx, rubric, PromptMode.OPTIMIZED)
+    full = compile_prompt(finding, ctx, rubric, "OPTIMIZED")
     budget = len(full.user_text) - 200
-    trimmed = compile_prompt(finding, ctx, rubric, PromptMode.OPTIMIZED, char_budget=budget)
+    trimmed = compile_prompt(finding, ctx, rubric, "OPTIMIZED", char_budget=budget)
     assert len(trimmed.user_text) <= budget
     assert "int v20" not in trimmed.user_text  # intermediate body elided
     trace_text = render_trace(finding, ctx)
@@ -278,12 +306,12 @@ def _pin_finding_and_context() -> tuple[Finding, CodeContext]:
     return finding, ctx
 
 
-def _pin_bundle(mode: PromptMode, char_budget: int | None) -> dict:
+def _pin_bundle(mode: str, char_budget: int | None) -> dict:
     finding, ctx = _pin_finding_and_context()
     bundle = compile_prompt(finding, ctx, rubric_for(finding.cwe_id, RUBRICS), mode,
                             char_budget=char_budget)
     return {
-        "mode": mode.value,
+        "mode": mode,
         "char_budget": char_budget,
         "system_text": bundle.system_text,
         "user_text": bundle.user_text,
@@ -297,7 +325,7 @@ def test_every_mode_compiles_to_the_pinned_bytes():
     length, which sheds the six-line intermediate segment only."""
     pinned = json.loads(_PIN_FIXTURE.read_text(encoding="utf-8"))
     assert [row["mode"] for row in pinned] == ["OPTIMIZED", "OPTIMIZED", "BASELINE", "BASELINE"]
-    assert [_pin_bundle(PromptMode(row["mode"]), row["char_budget"]) for row in pinned] == pinned
+    assert [_pin_bundle(row["mode"], row["char_budget"]) for row in pinned] == pinned
     for full, shed in zip(pinned[::2], pinned[1::2]):
         assert full["char_budget"] is None
         assert len(shed["user_text"]) <= shed["char_budget"] < len(full["user_text"])

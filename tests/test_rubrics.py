@@ -27,6 +27,12 @@ def test_shipped_directory_loads_ten_cwes_plus_generic(store):
     assert set(SHIPPED_CWES) | {GENERIC_ID} == set(store)
 
 
+def test_the_shipped_cwes_are_the_shipped_rubric_files_sorted(store):
+    names = [path.name for path in sorted(SHIPPED_RUBRIC_DIR.glob("cwe-*.rubric"))]
+    assert [f"{cwe.lower()}.rubric" for cwe in SHIPPED_CWES] == names
+    assert list(SHIPPED_CWES) == sorted(store.keys() - {GENERIC_ID})
+
+
 def test_every_shipped_rubric_meets_invariants(store):
     for rubric in store.values():
         assert 10 <= len(rubric.rules) <= 20, rubric.cwe_id

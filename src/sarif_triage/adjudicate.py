@@ -3,7 +3,9 @@ verdicts, and keep a complete audit record for every attempt.
 
 Findings are evaluated independently and results always come back in input
 order regardless of completion order. A finding whose call or validation
-fails is marked UNEVALUATED, never dropped.
+fails is marked UNEVALUATED, never dropped. A verdict and a confidence are
+names in ``VERDICTS`` and ``CONFIDENCES``, as ``adjudications.jsonl`` spells
+them; a reply's are checked against those tuples when it is validated.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import json
 import queue
 import threading
 import time
-from enum import Enum
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .backend import (
@@ -24,18 +25,11 @@ from .backend import (
     RetryPolicy,
     send,
 )
+from .ingest import from_row
 from .prompts import PromptBundle
 
-
-class Verdict(str, Enum):
-    TRUE_POSITIVE = "TRUE_POSITIVE"
-    FALSE_POSITIVE = "FALSE_POSITIVE"
-
-
-class Confidence(str, Enum):
-    HIGH = "HIGH"
-    MEDIUM = "MEDIUM"
-    LOW = "LOW"
+VERDICTS = ("TRUE_POSITIVE", "FALSE_POSITIVE")
+CONFIDENCES = ("HIGH", "MEDIUM", "LOW")
 
 
 class ResponseValidationError(ValueError):
@@ -64,24 +58,13 @@ STATUS_UNEVALUATED = "UNEVALUATED"
 
 
 class Adjudication(NamedTuple):
-    verdict: Verdict
-    confidence: Confidence
+    verdict: str  # one of VERDICTS
+    confidence: str  # one of CONFIDENCES
     reasoning: str
     salvaged: bool
     raw_response: str
     latency_ms: int
     attempt_count: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "verdict": self.verdict.value,
-            "confidence": self.confidence.value,
-            "reasoning": self.reasoning,
-            "salvaged": self.salvaged,
-            "raw_response": self.raw_response,
-            "latency_ms": self.latency_ms,
-            "attempt_count": self.attempt_count,
-        }
 
 
 class AdjudicationResult(NamedTuple):
@@ -104,45 +87,32 @@ class AdjudicationResult(NamedTuple):
             "status": self.status,
         }
         if self.adjudication is not None:
-            row.update(self.adjudication.to_dict())
+            row.update(self.adjudication._asdict())
         if self.error is not None:
             row["error"] = self.error
         return row
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "AdjudicationResult":
-        adjudication = None
-        if d.get("status") == STATUS_OK:
-            adjudication = Adjudication(
-                verdict=Verdict(d["verdict"]),
-                confidence=Confidence(d["confidence"]),
-                reasoning=d["reasoning"],
-                salvaged=d.get("salvaged", False),
-                raw_response=d.get("raw_response", ""),
-                latency_ms=d.get("latency_ms", 0),
-                attempt_count=d.get("attempt_count", 1),
-            )
-        return cls(
-            finding_id=d["finding_id"],
-            mode=d["mode"],
-            adjudication=adjudication,
-            error=d.get("error"),
-        )
+        # Only an OK row holds the adjudication's keys; only a failed one, "error".
+        adjudication = from_row(Adjudication, d) if d["status"] == STATUS_OK else None
+        return cls(d["finding_id"], d["mode"], adjudication, d.get("error"))
 
 
-def _validate_object(obj: Any) -> tuple[Verdict, Confidence, str]:
+def _validate_object(obj: Any) -> tuple[str, str, str]:
     if not isinstance(obj, dict):
         raise NotJson("response is not a JSON object")
     for name in ("verdict", "confidence", "reasoning"):
         if name not in obj:
             raise MissingField(name)
     members = []
-    for name, enum in (("verdict", Verdict), ("confidence", Confidence)):
+    for name, allowed in (("verdict", VERDICTS), ("confidence", CONFIDENCES)):
         value = obj[name]
-        try:
-            members.append(enum(value.strip().upper()))
-        except (AttributeError, ValueError):  # not a string, or not a member
-            raise BadEnum(name, value) from None
+        # Case folds in ASCII only: upper-cased, a dotless i reads as an I.
+        text = value.strip() if isinstance(value, str) else ""
+        if not text.isascii() or text.upper() not in allowed:
+            raise BadEnum(name, value)
+        members.append(text.upper())
     reasoning = obj["reasoning"]
     if not isinstance(reasoning, str) or not reasoning.strip():
         raise MissingField("reasoning")
@@ -157,10 +127,10 @@ def validate_response(
     """Validate a model response against the closed verdict schema.
 
     Strict pass first: the response must be exactly one JSON object with
-    ``verdict``, ``confidence``, and ``reasoning`` (enum values accepted
-    case-insensitively). On a strict JSON failure, one salvage pass decodes
-    the object that starts at the first ``{``, ignoring the prose around it,
-    and re-validates, setting ``salvaged``. Anything else raises
+    ``verdict``, ``confidence``, and ``reasoning`` (their values accepted
+    case-insensitively in ASCII). On a strict JSON failure, one salvage pass
+    decodes the object that starts at the first ``{``, ignoring the prose
+    around it, and re-validates, setting ``salvaged``. Anything else raises
     ``NotJson``, ``MissingField``, or ``BadEnum``.
     """
     salvaged = False
@@ -230,8 +200,8 @@ def _adjudicate_one(
         adjudication = validate_response(reply.text, reply.latency_ms, reply.attempt_count)
         audit["status"] = STATUS_OK
         audit["parsed"] = {
-            "verdict": adjudication.verdict.value,
-            "confidence": adjudication.confidence.value,
+            "verdict": adjudication.verdict,
+            "confidence": adjudication.confidence,
             "reasoning": adjudication.reasoning,
             "salvaged": adjudication.salvaged,
         }

@@ -77,6 +77,12 @@ class _Field(NamedTuple):
     bound: float | tuple[str, ...] | None = None  # a finite minimum, or the allowed values
 
 
+def _ascii_upper(name: str) -> str:
+    """``name`` upper-cased when it is ASCII; upper-cased, another letter
+    may read as an ASCII one (a dotless i as an I)."""
+    return name.upper() if name.isascii() else name
+
+
 _STRING = _Field("string")
 _PATH = _Field("path")
 _COUNT = _Field("integer", int, 1)
@@ -91,8 +97,8 @@ _FIELDS: dict[type, dict[str, _Field]] = {
     },
     RunConfig: {
         "sarif_path": _PATH, "source_root": _PATH, "output_dir": _PATH,
-        "prompt_mode": _Field("string", str.upper, ("OPTIMIZED", "BASELINE", "BOTH")),
-        "baseline_style": _Field("string", str.upper, ("WINDOW5", "WHOLE_FILE")),
+        "prompt_mode": _Field("string", _ascii_upper, ("OPTIMIZED", "BASELINE", "BOTH")),
+        "baseline_style": _Field("string", _ascii_upper, ("WINDOW5", "WHOLE_FILE")),
         "backend": _Field("object", BackendConfig), "limits": _Field("object", ContextLimits),
         "prompt_char_budget": _COUNT, "max_output_chars": _COUNT, "parallelism": _COUNT,
         "labels_path": _PATH, "rubric_dir": _PATH,

@@ -5,6 +5,8 @@ of every step, the intermediate lines between consecutive steps that share
 a method, and method signatures plus call sites when a flow crosses method
 boundaries. A windowed and a whole-file baseline extractor are provided for
 comparison runs; the baseline style is the name the run config gives it.
+A segment's reason, like each field of a record, is the value its
+``contexts.jsonl`` row holds: an upper-case name such as ``STEP_LINE``.
 
 Source text comes from one ``SourceSnapshot`` (``source``) per run, shared
 by both extractors and the context stamp; the method scan of each file is
@@ -15,20 +17,12 @@ any offset math. Extraction is pure over (finding, snapshot, limits).
 from __future__ import annotations
 
 import re
-from enum import Enum
 from typing import Any, Mapping, NamedTuple
 
 from .config import ContextLimits
-from .ingest import CodeLocation, Finding
+from .ingest import CodeLocation, Finding, from_row
 from .methods import MethodRecord, enclosing_method, locate_methods
 from .source import SourceSnapshot
-
-
-class SegmentReason(str, Enum):
-    STEP_LINE = "STEP_LINE"
-    INTERMEDIATE = "INTERMEDIATE"
-    METHOD_SIGNATURE = "METHOD_SIGNATURE"
-    CALL_SITE = "CALL_SITE"
 
 
 class ContextSegment(NamedTuple):
@@ -36,7 +30,7 @@ class ContextSegment(NamedTuple):
     start_line: int
     end_line: int
     text: str
-    reason: SegmentReason
+    reason: str  # STEP_LINE, INTERMEDIATE, METHOD_SIGNATURE or CALL_SITE
     step_index: int | None = None
     elided_after: int = 0  # lines elided between this segment and the next
 
@@ -48,23 +42,11 @@ class ContextSegment(NamedTuple):
             "file": self.file,
             "start_line": self.start_line,
             "end_line": self.end_line,
-            "reason": self.reason.value,
+            "reason": self.reason,
             "step_index": self.step_index,
             "elided_after": self.elided_after,
             "text": self.text,
         }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "ContextSegment":
-        return cls(
-            file=d["file"],
-            start_line=d["start_line"],
-            end_line=d["end_line"],
-            text=d["text"],
-            reason=SegmentReason(d["reason"]),
-            step_index=d.get("step_index"),
-            elided_after=d.get("elided_after", 0),
-        )
 
 
 class CodeContext(NamedTuple):
@@ -91,13 +73,8 @@ class CodeContext(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "CodeContext":
-        return cls(
-            finding_id=d["finding_id"],
-            segments=tuple(ContextSegment.from_dict(s) for s in d["segments"]),
-            truncated=d["truncated"],
-            total_lines=d["total_lines"],
-            notes=tuple(d.get("notes", [])),
-        )
+        return from_row(cls, d, notes=tuple, segments=lambda rows: tuple(
+            from_row(ContextSegment, row) for row in rows))
 
 
 def _label(idx: int | None) -> str:
@@ -118,7 +95,7 @@ class _Collector:
         uri: str,
         start: int,
         end: int,
-        reason: SegmentReason,
+        reason: str,
         step_index: int | None = None,
         elided_after: int = 0,
     ) -> None:
@@ -195,11 +172,11 @@ def _add_intermediate(
         # both segments are non-empty and at least one line is elided.
         head_end = start + limits.elide_head_lines - 1
         tail_start = end - limits.elide_tail_lines + 1
-        collector.add(uri, start, head_end, SegmentReason.INTERMEDIATE, step_index,
+        collector.add(uri, start, head_end, "INTERMEDIATE", step_index,
                       elided_after=tail_start - head_end - 1)
-        collector.add(uri, tail_start, end, SegmentReason.INTERMEDIATE, step_index)
+        collector.add(uri, tail_start, end, "INTERMEDIATE", step_index)
     else:
-        collector.add(uri, start, end, SegmentReason.INTERMEDIATE, step_index)
+        collector.add(uri, start, end, "INTERMEDIATE", step_index)
 
 
 def _add_call_site(
@@ -216,7 +193,7 @@ def _add_call_site(
     pattern = re.compile(r"(?<![\w$])" + re.escape(callee_name) + r"\s*\(")
     for lineno in range(from_line, caller.end_line + 1):
         if pattern.search(lines[lineno - 1]):
-            collector.add(caller.file, lineno, lineno, SegmentReason.CALL_SITE, step_index)
+            collector.add(caller.file, lineno, lineno, "CALL_SITE", step_index)
             return
 
 
@@ -224,7 +201,7 @@ def drop_longest_intermediate(segments: list[ContextSegment]) -> ContextSegment 
     """Remove and return the longest ``INTERMEDIATE`` segment, the earliest
     starting of equal ones; None when there is none. Step lines, signatures
     and call sites are never shed."""
-    candidates = [s for s in segments if s.reason is SegmentReason.INTERMEDIATE]
+    candidates = [s for s in segments if s.reason == "INTERMEDIATE"]
     if not candidates:
         return None
     victim = max(candidates, key=lambda s: (s.line_count(), -s.start_line))
@@ -268,7 +245,7 @@ def extract_context(
                 for method in (m_prev, m_cur):
                     if method is not None:
                         collector.add(method.file, method.start_line,
-                                      method.signature_end_line, SegmentReason.METHOD_SIGNATURE)
+                                      method.signature_end_line, "METHOD_SIGNATURE")
                 if m_prev is not None and m_cur is not None:
                     # Records never overlap, so the callee, wherever it is
                     # declared, is outside the caller's body.
@@ -276,7 +253,7 @@ def extract_context(
         end = min(loc.end_line, len(lines))
         if end < loc.end_line:
             collector.note(f"end line clamped: {loc.uri}:{loc.end_line} -> {end} ({_label(idx)})")
-        collector.add(loc.uri, loc.start_line, end, SegmentReason.STEP_LINE, idx)
+        collector.add(loc.uri, loc.start_line, end, "STEP_LINE", idx)
 
     return collector.context(finding.finding_id, limits)
 
@@ -296,13 +273,13 @@ def extract_baseline_context(
             lines = collector.lines(idx, loc)
             if lines is not None:
                 start, end = max(1, loc.start_line - 5), min(len(lines), loc.start_line + 5)
-                collector.add(loc.uri, start, end, SegmentReason.STEP_LINE, idx)
+                collector.add(loc.uri, start, end, "STEP_LINE", idx)
         elif style == "WHOLE_FILE":
             lines = source.lines(loc.uri)
             if lines is None:
                 collector.note(f"missing file: {loc.uri}")
             else:
-                collector.add(loc.uri, 1, len(lines), SegmentReason.STEP_LINE, idx)
+                collector.add(loc.uri, 1, len(lines), "STEP_LINE", idx)
         else:
             raise ValueError(f"unknown baseline style: {style!r}")
     return collector.context(finding.finding_id, limits)

@@ -4,24 +4,21 @@ The task is false-positive identification, so the positive class is
 FALSE_POSITIVE: a true positive here means the model correctly flagged a
 spurious alert. Metrics are micro-aggregated (counts summed within a group
 before precision/recall/F1 are computed) and printed at three decimals.
+A label and a verdict are the upper-case names the labels file and
+``adjudications.jsonl`` spell; a label is checked against ``LABELS`` as the
+labels file is read.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Any, NamedTuple
 
-from .adjudicate import AdjudicationResult, Verdict
+from .adjudicate import AdjudicationResult
 from .ingest import Finding, normalize_uri
 from .rubrics import SHIPPED_CWES
 
 
-class Label(str, Enum):
-    TRUE_VULNERABILITY = "TRUE_VULNERABILITY"
-    FALSE_POSITIVE = "FALSE_POSITIVE"
-
-
-_LABELS = tuple(label.value for label in Label)
+LABELS = ("TRUE_VULNERABILITY", "FALSE_POSITIVE")
 
 
 class MismatchedSets(ValueError):
@@ -29,7 +26,7 @@ class MismatchedSets(ValueError):
 
 
 class GroundTruth(NamedTuple):
-    label: Label
+    label: str  # one of LABELS
     finding_id: str | None = None
     rule_id: str | None = None
     uri: str | None = None
@@ -39,8 +36,8 @@ class GroundTruth(NamedTuple):
     def from_dict(cls, d: Any) -> "GroundTruth":
         """One row of a labels file; ``ValueError`` for a row that would be
         misread or could never match."""
-        if not isinstance(d, dict) or d.get("label") not in _LABELS:
-            raise ValueError(f"not an object whose label is {' or '.join(_LABELS)}")
+        if not isinstance(d, dict) or d.get("label") not in LABELS:
+            raise ValueError(f"not an object whose label is {' or '.join(LABELS)}")
         for key, kind in (("finding_id", str), ("rule_id", str), ("uri", str), ("start_line", int)):
             value = d.get(key)
             if value is not None and (type(value) is not kind or kind is int and value < 1):
@@ -49,13 +46,7 @@ class GroundTruth(NamedTuple):
         # The keys ``match_truth`` matches on: a row without them never matches.
         if not (d.get("finding_id") or d.get("rule_id") and d.get("uri") and d.get("start_line")):
             raise ValueError("has neither a finding_id nor all of rule_id, uri and start_line")
-        return cls(
-            label=Label(d["label"]),
-            finding_id=d.get("finding_id"),
-            rule_id=d.get("rule_id"),
-            uri=d.get("uri"),
-            start_line=d.get("start_line"),
-        )
+        return cls(**{name: d.get(name) for name in cls._fields})
 
 
 class ConfusionCounts(NamedTuple):
@@ -106,14 +97,8 @@ class EvalReport(NamedTuple):
         return [("overall", self.overall), *self.per_cwe.items()]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "overall": self.overall.to_dict(),
-            "per_cwe": {cwe: m.to_dict() for cwe, m in self.per_cwe.items()},
-            "unevaluated_count": self.unevaluated_count,
-            "unmatched_count": self.unmatched_count,
-            "total_findings": self.total_findings,
-        }
+        return {**self._asdict(), "overall": self.overall.to_dict(),
+                "per_cwe": {cwe: m.to_dict() for cwe, m in self.per_cwe.items()}}
 
 
 def f1(p: float, r: float) -> float:
@@ -192,8 +177,8 @@ def build_report(
             unmatched += 1
             continue
         # The positive class is FALSE_POSITIVE: flagging a spurious alert.
-        says_fp = row.adjudication.verdict is Verdict.FALSE_POSITIVE
-        is_fp = truth.label is Label.FALSE_POSITIVE
+        says_fp = row.adjudication.verdict == "FALSE_POSITIVE"
+        is_fp = truth.label == "FALSE_POSITIVE"
         if says_fp and is_fp:
             cell = ConfusionCounts(tp=1)
         elif says_fp:
@@ -233,13 +218,7 @@ class DeltaRow(NamedTuple):
         return f"{self.delta:+.3f}"
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "group": self.group,
-            "baseline_f1": self.baseline_f1,
-            "optimized_f1": self.optimized_f1,
-            "delta": self.delta,
-            "direction": self.marker,
-        }
+        return {**self._asdict(), "direction": self.marker}
 
 
 def f1_delta(baseline_f1: float, optimized_f1: float) -> float:

@@ -3,7 +3,9 @@
 Parses analyzer output and canonicalizes every result into a ``Finding``: a
 stable-identity record carrying the rule id, a normalized CWE id, the
 diagnostic message, the primary location, and the ordered source-to-sink
-trace taken from the result's first code flow.
+trace taken from the result's first code flow. A record's fields hold the
+values its ``findings.jsonl`` row holds; a step's kind is the upper-case
+name the row spells.
 
 Only ``codeFlows[0].threadFlows[0]`` is consumed; additional flows are
 counted in ``Finding.extra_flow_count`` but not otherwise retained.
@@ -11,12 +13,12 @@ counted in ``Finding.extra_flow_count`` but not otherwise retained.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
 import urllib.parse
-from enum import Enum
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 
 class MalformedJson(ValueError):
@@ -29,32 +31,35 @@ class NotSarif(ValueError):
 
 CWE_UNKNOWN = "CWE-UNKNOWN"
 
-_CWE_IN_TAG = re.compile(r"cwe[/-](\d+)", re.IGNORECASE)
-_CWE_ID = re.compile(r"^CWE-(\d+)$", re.IGNORECASE)
+_CWE_IN_TAG = re.compile(r"cwe[/-](\d+)", re.IGNORECASE | re.ASCII)
+_CWE_ID = re.compile(r"^CWE-(\d+)$", re.IGNORECASE | re.ASCII)
 
 
 def normalize_cwe(value: str) -> str:
-    """Normalize a CWE spelling to ``CWE-NNN`` with at least three digits.
+    """Normalize a CWE spelling to ``CWE-NNN`` with at least three ASCII
+    digits.
 
     Accepts bare numbers ("89"), prefixed ids ("cwe-89"), or analyzer tag
-    strings ("external/cwe/cwe-089"). Unrecognizable input degrades to
-    ``CWE-UNKNOWN``.
+    strings ("external/cwe/cwe-089"). Unrecognizable input, digits outside
+    ASCII included, degrades to ``CWE-UNKNOWN``.
     """
     text = value.strip()
     m = _CWE_ID.match(text)
     if m is None:
         m = _CWE_IN_TAG.search(text)
     if m is None:
-        if text.isdigit():
+        if text.isascii() and text.isdigit():
             return f"CWE-{text.zfill(3)}"
         return CWE_UNKNOWN
     return f"CWE-{m.group(1).zfill(3)}"
 
 
-class StepKind(str, Enum):
-    SOURCE = "SOURCE"
-    STEP = "STEP"
-    SINK = "SINK"
+def from_row(cls: Any, row: Mapping[str, Any], **nested: Callable[[Any], Any]) -> Any:
+    """The ``cls`` record of a JSON row: each field holds the row's value for
+    its name, passed through ``nested[name]`` where a field holds records.
+    A ``KeyError`` names a key the row lacks."""
+    values = {name: row[name] for name in cls._fields}
+    return cls(**{**values, **{name: f(values[name]) for name, f in nested.items()}})
 
 
 class CodeLocation(NamedTuple):
@@ -68,44 +73,14 @@ class CodeLocation(NamedTuple):
     start_column: int | None = None
     end_column: int | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return self._asdict()
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "CodeLocation":
-        return cls(
-            uri=d["uri"],
-            start_line=d["start_line"],
-            end_line=d["end_line"],
-            start_column=d.get("start_column"),
-            end_column=d.get("end_column"),
-        )
-
 
 class TraceStep(NamedTuple):
     """One step of a source-to-sink flow."""
 
     index: int  # 1-based position in the trace; hides ``tuple.index``
-    kind: StepKind
+    kind: str  # SOURCE (the first step), SINK (the last of several) or STEP
     location: CodeLocation
     step_message: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "kind": self.kind.value,
-            "location": self.location.to_dict(),
-            "step_message": self.step_message,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "TraceStep":
-        return cls(
-            index=d["index"],
-            kind=StepKind(d["kind"]),
-            location=CodeLocation.from_dict(d["location"]),
-            step_message=d.get("step_message", ""),
-        )
 
 
 class Finding(NamedTuple):
@@ -129,30 +104,18 @@ class Finding(NamedTuple):
         return [(None, self.primary_location)]
 
     def to_dict(self) -> dict[str, Any]:
-        # Key order is fixed and documented; findings.jsonl relies on it.
+        # Key order is field order; findings.jsonl relies on it.
         return {
-            "finding_id": self.finding_id,
-            "rule_id": self.rule_id,
-            "cwe_id": self.cwe_id,
-            "message": self.message,
-            "primary_location": self.primary_location.to_dict(),
-            "trace": [s.to_dict() for s in self.trace],
-            "origin_index": self.origin_index,
-            "extra_flow_count": self.extra_flow_count,
+            **self._asdict(),
+            "primary_location": self.primary_location._asdict(),
+            "trace": [{**s._asdict(), "location": s.location._asdict()} for s in self.trace],
         }
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Finding":
-        return cls(
-            finding_id=d["finding_id"],
-            rule_id=d["rule_id"],
-            cwe_id=d["cwe_id"],
-            message=d["message"],
-            primary_location=CodeLocation.from_dict(d["primary_location"]),
-            trace=tuple(TraceStep.from_dict(s) for s in d.get("trace", [])),
-            origin_index=d["origin_index"],
-            extra_flow_count=d.get("extra_flow_count", 0),
-        )
+        location = functools.partial(from_row, CodeLocation)
+        return from_row(cls, d, primary_location=location, trace=lambda steps: tuple(
+            from_row(TraceStep, s, location=location) for s in steps))
 
 
 class SarifResult(NamedTuple):
@@ -262,13 +225,13 @@ def _rule_cwes_from_driver(driver: Mapping[str, Any], where: str) -> dict[str, s
     return out
 
 
-def _step_kind(index: int, length: int) -> StepKind:
+def _step_kind(index: int, length: int) -> str:
     # Degenerate single-step traces render as SOURCE only.
     if index == 1:
-        return StepKind.SOURCE
+        return "SOURCE"
     if index == length:
-        return StepKind.SINK
-    return StepKind.STEP
+        return "SINK"
+    return "STEP"
 
 
 def _trace_step(obj: Any, index: int, length: int, where: str) -> TraceStep:
@@ -372,8 +335,8 @@ def compute_finding_id(
     payload = json.dumps(
         {
             "rule_id": rule_id,
-            "primary_location": primary_location.to_dict(),
-            "trace": [loc.to_dict() for loc in trace_locations],
+            "primary_location": primary_location._asdict(),
+            "trace": [loc._asdict() for loc in trace_locations],
             "origin_index": origin_index,
         },
         sort_keys=True,

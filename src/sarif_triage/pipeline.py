@@ -16,7 +16,9 @@ Every file goes to disk through ``write_file``, whole or not at all, and
 the stamp records the SHA-256 it returns instead of reading the file back.
 ``write_rows`` writes each stage's rows, from its types' ``to_dict``, as JSON
 Lines through it, and ``read_rows`` yields the rows of a ``*.jsonl`` artifact
-or the labels file back for ``from_dict``.
+or the labels file back. ``_records`` maps an artifact's rows through its
+type's ``from_dict``: a row without a key the record reads, as an older
+version may have written it, asks for the stage that writes the artifact.
 
 The run configuration (``RunConfig``, ``BackendConfig``, ``load_config``)
 lives in ``config``; this module re-exports it. Each stage imports the
@@ -273,6 +275,17 @@ def read_rows(path: Path) -> Iterator[dict[str, Any]]:
             yield row
 
 
+def _records(path: Path, cls: Any, producer: str) -> list[Any]:
+    """``cls.from_dict`` of each row of ``path``, an artifact ``producer``
+    writes; a ``ValueError`` that asks for ``producer`` again for a row
+    without a key the record reads, as an older version may have written."""
+    try:
+        return [cls.from_dict(row) for row in read_rows(path)]
+    except KeyError as exc:
+        raise ValueError(f"{path} has a row with no {exc}, as older versions wrote it; "
+                         f"run {producer} again") from exc
+
+
 def _vouched(config: RunConfig, name: str, producer: str) -> str:
     """The SHA-256 of the artifact ``name``, once the ``producer`` stage's
     stamp records that hash as written; a ``ValueError`` when the file is
@@ -323,7 +336,7 @@ def stage_ingest(config: RunConfig, resume: bool = False) -> None:
 def _load_findings(path: Path) -> list[Finding]:
     from .ingest import Finding
 
-    return [Finding.from_dict(row) for row in read_rows(path)]
+    return _records(path, Finding, "ingest")
 
 
 def _source_uris(findings: list[Finding]) -> list[str]:
@@ -392,8 +405,8 @@ def stage_prompts(config: RunConfig, resume: bool = False) -> None:
         findings = _load_findings(findings_path)
         store = load_rubrics(rubric_dir)
         contexts_by_mode = {
-            mode: {row["finding_id"]: CodeContext.from_dict(row)
-                   for row in read_rows(config.output_dir / _CONTEXT_FILES[mode])}
+            mode: {ctx.finding_id: ctx for ctx in _records(
+                config.output_dir / _CONTEXT_FILES[mode], CodeContext, "context")}
             for mode in config.modes()
         }
 
@@ -446,11 +459,7 @@ def stage_adjudicate(
             backoff_base_s=config.backend.backoff_base_s,
             **({"sleep": sleep} if sleep is not None else {}),
         )
-        try:
-            bundles = [PromptBundle.from_dict(row) for row in read_rows(prompts_path)]
-        except KeyError as exc:
-            raise ValueError(f"{prompts_path} has a row with no {exc}, "
-                             "as older versions wrote it; run prompts again") from exc
+        bundles = _records(prompts_path, PromptBundle, "prompts")
         audit_dir = config.output_dir / "audit"
         audit_dir.mkdir(exist_ok=True)
         outputs: dict[Path, str] = {}
@@ -506,7 +515,7 @@ def stage_evaluate(config: RunConfig, resume: bool = False) -> None:
         from . import evaluate as ev
 
         findings = _load_findings(findings_path)
-        results = [adj.AdjudicationResult.from_dict(row) for row in read_rows(adjudications_path)]
+        results = _records(adjudications_path, adj.AdjudicationResult, "adjudicate")
         truths = []
         row_of_id: dict[str, int] = {}  # the row that labels each finding_id
         for number, row in enumerate(read_rows(config.labels_path), 1):

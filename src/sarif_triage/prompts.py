@@ -21,8 +21,8 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Callable, Mapping, NamedTuple
 
-from .context import CodeContext, ContextSegment, SegmentReason, drop_longest_intermediate
-from .ingest import Finding, TraceStep
+from .context import CodeContext, ContextSegment, drop_longest_intermediate
+from .ingest import Finding, TraceStep, from_row
 from .rubrics import Rubric
 
 
@@ -87,13 +87,7 @@ class PromptBundle(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "PromptBundle":
-        return cls(
-            finding_id=d["finding_id"],
-            mode=d["mode"],
-            system_text=d["system_text"],
-            user_text=d["user_text"],
-            prompt_sha256=d["prompt_sha256"],
-        )
+        return from_row(cls, d)
 
 
 def prompt_sha256(system_text: str, user_text: str) -> str:
@@ -110,7 +104,7 @@ def _line_for_step(ctx: CodeContext, step: TraceStep) -> str | None:
     candidates = [s for s in ctx.segments if s.file == step.location.uri]
     for prefer_step_line in (True, False):
         for seg in candidates:
-            if prefer_step_line and seg.reason is not SegmentReason.STEP_LINE:
+            if prefer_step_line and seg.reason != "STEP_LINE":
                 continue
             if seg.start_line <= target <= seg.end_line:
                 return seg.text.split("\n")[target - seg.start_line]
@@ -144,14 +138,14 @@ def render_trace(finding: Finding, ctx: CodeContext) -> str:
         line = _line_for_step(ctx, step)
         header_body = LINE_UNAVAILABLE if line is None else _wrap_region(line, step)
         blocks.append(
-            f"[{step.index}] {step.kind.value}: {header_body}\n"
+            f"[{step.index}] {step.kind}: {header_body}\n"
             f"Message: {step.step_message}"
         )
     return "\n\n".join(blocks)
 
 
 def _render_segment(seg: ContextSegment) -> str:
-    header = f"--- {seg.file} lines {seg.start_line}-{seg.end_line} ({seg.reason.value}) ---"
+    header = f"--- {seg.file} lines {seg.start_line}-{seg.end_line} ({seg.reason}) ---"
     parts = [header, seg.text]
     if seg.elided_after:
         parts.append(f"... {seg.elided_after} lines elided ...")
@@ -179,7 +173,7 @@ def _optimized_text(finding: Finding, ctx: CodeContext, rubric: Rubric) -> Calla
     """The optimized user text as a function of the code snippet; the rest
     is rendered once, here."""
     rubric_text = "\n".join([f"{rubric.cwe_id}: {rubric.title}"]
-                            + [f"- [{rule.tag.value}] {rule.text}" for rule in rubric.rules])
+                            + [f"- [{rule.tag}] {rule.text}" for rule in rubric.rules])
     checklist = "\n".join(f"- {question}" for question in rubric.checklist)
     rule_id, message = _one_line(finding.rule_id), _one_line(finding.message)
     loc = finding.primary_location

@@ -17,20 +17,18 @@ from sarif_triage.adjudicate import (
     BadEnum,
     MissingField,
     NotJson,
-    Verdict,
     validate_response,
 )
-from sarif_triage.context import SegmentReason, SourceSnapshot, extract_context
+from sarif_triage.context import SourceSnapshot, extract_context
 from sarif_triage.evaluate import (
     ConfusionCounts,
     EvalReport,
     GroundTruth,
-    Label,
     build_report,
     compare_modes,
     f1,
 )
-from sarif_triage.ingest import CodeLocation, Finding, StepKind, TraceStep, canonicalize, parse_sarif
+from sarif_triage.ingest import CodeLocation, Finding, TraceStep, canonicalize, parse_sarif
 from sarif_triage.methods import locate_methods
 from sarif_triage.pipeline import SHIPPED_RUBRIC_DIR, load_config, run_all
 from sarif_triage.prompts import (
@@ -173,8 +171,8 @@ def _trace_finding(uri: str, lines: list[int]) -> Finding:
     steps = tuple(
         TraceStep(
             index=i + 1,
-            kind=StepKind.SOURCE if i == 0 else (
-                StepKind.SINK if i == len(lines) - 1 else StepKind.STEP
+            kind="SOURCE" if i == 0 else (
+                "SINK" if i == len(lines) - 1 else "STEP"
             ),
             location=CodeLocation(uri=uri, start_line=line, end_line=line),
             step_message="s",
@@ -194,17 +192,17 @@ def _trace_finding(uri: str, lines: list[int]) -> Finding:
 
 EXPECTED_CONTEXTS = {
     ("CrossMethodFlow.java", (10, 17)): [
-        (SegmentReason.STEP_LINE, 10, 10),
-        (SegmentReason.METHOD_SIGNATURE, 9, 9),
-        (SegmentReason.METHOD_SIGNATURE, 15, 15),
-        (SegmentReason.CALL_SITE, 12, 12),
-        (SegmentReason.STEP_LINE, 17, 17),
+        ("STEP_LINE", 10, 10),
+        ("METHOD_SIGNATURE", 9, 9),
+        ("METHOD_SIGNATURE", 15, 15),
+        ("CALL_SITE", 12, 12),
+        ("STEP_LINE", 17, 17),
     ],
     ("SameMethodFlow.java", (10, 15, 16)): [
-        (SegmentReason.STEP_LINE, 10, 10),
-        (SegmentReason.INTERMEDIATE, 11, 14),
-        (SegmentReason.STEP_LINE, 15, 15),
-        (SegmentReason.STEP_LINE, 16, 16),
+        ("STEP_LINE", 10, 10),
+        ("INTERMEDIATE", 11, 14),
+        ("STEP_LINE", 15, 15),
+        ("STEP_LINE", 16, 16),
     ],
 }
 
@@ -248,8 +246,8 @@ def _synthetic_finding(i: int, cwe: str) -> Finding:
     )
 
 
-def _synthetic_result(fid: str, verdict: Verdict | None) -> "object":
-    from sarif_triage.adjudicate import Adjudication, AdjudicationResult, Confidence
+def _synthetic_result(fid: str, verdict: str | None) -> "object":
+    from sarif_triage.adjudicate import Adjudication, AdjudicationResult
 
     if verdict is None:
         return AdjudicationResult(finding_id=fid, mode="OPTIMIZED", error="scripted")
@@ -258,7 +256,7 @@ def _synthetic_result(fid: str, verdict: Verdict | None) -> "object":
         mode="OPTIMIZED",
         adjudication=Adjudication(
             verdict=verdict,
-            confidence=Confidence.HIGH,
+            confidence="HIGH",
             reasoning="r",
             salvaged=False,
             raw_response="{}",
@@ -280,19 +278,19 @@ def test_criterion_6_metric_conservation():
         truths = []
         expected_unevaluated = 0
         expected_unmatched = 0
-        pairs: list[tuple[Verdict, Label]] = []
+        pairs: list[tuple[str, str]] = []
         for finding in findings:
             roll = rng.random()
             if roll < 0.05:
                 results.append(_synthetic_result(finding.finding_id, None))
                 expected_unevaluated += 1
                 continue
-            verdict = rng.choice([Verdict.TRUE_POSITIVE, Verdict.FALSE_POSITIVE])
+            verdict = rng.choice(["TRUE_POSITIVE", "FALSE_POSITIVE"])
             results.append(_synthetic_result(finding.finding_id, verdict))
             if roll < 0.10:
                 expected_unmatched += 1  # adjudicated but no label
                 continue
-            label = rng.choice([Label.TRUE_VULNERABILITY, Label.FALSE_POSITIVE])
+            label = rng.choice(["TRUE_VULNERABILITY", "FALSE_POSITIVE"])
             truths.append(GroundTruth(label=label, finding_id=finding.finding_id))
             pairs.append((verdict, label))
 
@@ -303,8 +301,8 @@ def test_criterion_6_metric_conservation():
         assert report.unmatched_count == expected_unmatched
 
         # micro-aggregation equals brute-force recomputation, exactly
-        says_fp = [v is Verdict.FALSE_POSITIVE for v, _ in pairs]
-        is_fp = [l is Label.FALSE_POSITIVE for _, l in pairs]
+        says_fp = [v == "FALSE_POSITIVE" for v, _ in pairs]
+        is_fp = [l == "FALSE_POSITIVE" for _, l in pairs]
         brute_tp = sum(s and i for s, i in zip(says_fp, is_fp))
         brute_fp = sum(s and not i for s, i in zip(says_fp, is_fp))
         brute_fn = sum(not s and i for s, i in zip(says_fp, is_fp))
@@ -383,8 +381,8 @@ def _fence_probe_finding(message: str = "Fence probe.", sink_message: str = "sin
         message=message,
         primary_location=sink,
         trace=(
-            TraceStep(1, StepKind.SOURCE, source, "getParameter(...) : String"),
-            TraceStep(2, StepKind.SINK, sink, sink_message),
+            TraceStep(1, "SOURCE", source, "getParameter(...) : String"),
+            TraceStep(2, "SINK", sink, sink_message),
         ),
         origin_index=0,
     )

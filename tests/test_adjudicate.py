@@ -13,10 +13,8 @@ from sarif_triage.adjudicate import (
     STATUS_UNEVALUATED,
     AdjudicationResult,
     BadEnum,
-    Confidence,
     MissingField,
     NotJson,
-    Verdict,
     adjudicate_all,
     validate_response,
 )
@@ -31,8 +29,8 @@ def test_canonical_response_validates_strictly():
     adjudication = validate_response(
         '{"verdict":"FALSE_POSITIVE","confidence":"High","reasoning":"value is list-constant"}'
     )
-    assert adjudication.verdict is Verdict.FALSE_POSITIVE
-    assert adjudication.confidence is Confidence.HIGH
+    assert adjudication.verdict == "FALSE_POSITIVE"
+    assert adjudication.confidence == "HIGH"
     assert adjudication.salvaged is False
     assert adjudication.reasoning == "value is list-constant"
 
@@ -41,7 +39,7 @@ def test_wrapped_prose_is_salvaged():
     adjudication = validate_response(
         'Sure! {"verdict":"TRUE_POSITIVE","confidence":"Low","reasoning":"tainted sink"}'
     )
-    assert adjudication.verdict is Verdict.TRUE_POSITIVE
+    assert adjudication.verdict == "TRUE_POSITIVE"
     assert adjudication.salvaged is True
 
 
@@ -52,6 +50,21 @@ def test_bad_enum_is_reported_with_field_and_value():
     assert info.value.value == "maybe"
     with pytest.raises(BadEnum):
         validate_response('{"verdict":"TRUE_POSITIVE","confidence":"sure","reasoning":"r"}')
+
+
+@pytest.mark.parametrize(
+    "field,reply",
+    [
+        # Upper-cased, a long s (U+017F) and a dotless i (U+0131) read as ASCII.
+        ("verdict", '{"verdict":"fal\u017fe_positive","confidence":"HIGH","reasoning":"r"}'),
+        ("verdict", '{"verdict":"true_pos\u0131tive","confidence":"HIGH","reasoning":"r"}'),
+        ("confidence", '{"verdict":"TRUE_POSITIVE","confidence":"h\u0131gh","reasoning":"r"}'),
+    ],
+)
+def test_enum_values_fold_case_in_ascii_only(field, reply):
+    with pytest.raises(BadEnum) as info:
+        validate_response(reply)
+    assert info.value.field_name == field
 
 
 def test_missing_fields_are_named():
@@ -76,7 +89,7 @@ def test_a_prose_wrapped_reply_whose_reasoning_holds_a_brace_and_a_quote_is_salv
            '"reasoning":"the sink sees \\"}\\" and \\\\ only"} -- and {not json}')
     adjudication = validate_response(raw)
     assert adjudication.salvaged is True
-    assert adjudication.verdict is Verdict.FALSE_POSITIVE
+    assert adjudication.verdict == "FALSE_POSITIVE"
     assert adjudication.reasoning == 'the sink sees "}" and \\ only'
 
 
@@ -98,8 +111,8 @@ def test_case_insensitive_enums_normalize_to_canonical():
     adjudication = validate_response(
         '{"verdict":"false_positive","confidence":"medium","reasoning":"r"}'
     )
-    assert adjudication.verdict is Verdict.FALSE_POSITIVE
-    assert adjudication.confidence is Confidence.MEDIUM
+    assert adjudication.verdict == "FALSE_POSITIVE"
+    assert adjudication.confidence == "MEDIUM"
 
 
 def _bundle(fid: str, mode="OPTIMIZED", user="user") -> PromptBundle:
@@ -127,7 +140,7 @@ def test_adjudicate_all_matches_scripted_labels():
     bundles = [_bundle(fid) for fid in verdicts]
     results, audits = adjudicate_all(bundles, backend, retry=NO_SLEEP)
     assert [r.finding_id for r in results] == ["f1", "f2", "f3"]
-    assert [r.adjudication.verdict.value for r in results] == list(verdicts.values())
+    assert [r.adjudication.verdict for r in results] == list(verdicts.values())
     assert len(audits) == len(bundles)
     for audit, bundle in zip(audits, bundles):
         assert audit["prompt_sha256"] == bundle.prompt_sha256

@@ -210,6 +210,9 @@ def test_run_config_json_echoes_flag_overrides_and_nested_sections_as_objects(
         # Outside the allowed set.
         ("prompt_mode", "fast"),
         ("baseline_style", "window9"),
+        # Upper-cased, a dotless i (U+0131) would read as an ASCII I.
+        ("prompt_mode", "optımızed"),
+        ("baseline_style", "wındow5"),
         ("backend.kind", "remote"),
     ],
 )
@@ -698,6 +701,31 @@ def test_adjudicate_asks_for_the_prompts_stage_on_an_old_layout_row(
     assert f"error: stage adjudicate: {tmp_path / 'out' / 'prompts.jsonl'} has a row with no " in err
     assert "is not the one" not in err
     assert "run prompts again" in err
+
+
+@pytest.mark.parametrize(
+    "stages,name,key,command",
+    [(["ingest"], "findings.jsonl", "rule_id", "context"),
+     (["ingest", "context"], "contexts.jsonl", "notes", "prompts")],
+)
+def test_a_stage_asks_for_the_producer_again_on_a_row_without_a_key(
+    corpus, tmp_path, capsys, stages, name, key, command
+):
+    # The re-stamp stands in for the stamp of an older version that wrote
+    # rows without the key.
+    producer = stages[-1]
+    out = tmp_path / "out"
+    config = write_config(corpus, out, with_labels=False)
+    for stage in stages:
+        assert main([stage, "--config", str(config)]) == EXIT_OK
+    path = out / name
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    del rows[-1][key]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    _restamp(out, producer, name)
+    assert main([command, "--config", str(config)]) == EXIT_STAGE_FAILURE
+    assert f"error: stage {command}: {path} has a row with no '{key}', as older versions " \
+        f"wrote it; run {producer} again" in capsys.readouterr().err
 
 
 def test_adjudicate_refuses_a_duplicated_prompt_row_without_a_backend_call(

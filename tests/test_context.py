@@ -11,12 +11,11 @@ from corpus import build_corpus, write_config
 from sarif_triage import context as context_module
 from sarif_triage.context import (
     ContextLimits,
-    SegmentReason,
     SourceSnapshot,
     extract_baseline_context,
     extract_context,
 )
-from sarif_triage.ingest import CodeLocation, Finding, StepKind, TraceStep
+from sarif_triage.ingest import CodeLocation, Finding, TraceStep
 from sarif_triage.methods import locate_methods
 from sarif_triage.pipeline import RunConfig, load_config, run_all, stage_context, stage_ingest
 
@@ -29,8 +28,8 @@ def _finding(uri, step_lines, fid="f" * 64, rule="java/sql-injection"):
     steps = tuple(
         TraceStep(
             index=i + 1,
-            kind=StepKind.SOURCE if i == 0 else (
-                StepKind.SINK if i == len(step_lines) - 1 else StepKind.STEP
+            kind="SOURCE" if i == 0 else (
+                "SINK" if i == len(step_lines) - 1 else "STEP"
             ),
             location=_loc(uri, line),
             step_message=f"step {i + 1}",
@@ -55,7 +54,7 @@ def _reasons(ctx):
 
 def test_single_step_trace_yields_one_step_line_segment():
     ctx = extract_context(_finding("SiblingMethods.java", [5]), SourceSnapshot(JAVA_DIR))
-    assert _reasons(ctx) == [(SegmentReason.STEP_LINE, 5, 5)]
+    assert _reasons(ctx) == [("STEP_LINE", 5, 5)]
     assert ctx.truncated is False
     assert ctx.total_lines == 1
     assert ctx.segments[0].text == "        return a + 1;"
@@ -64,9 +63,9 @@ def test_single_step_trace_yields_one_step_line_segment():
 def test_same_method_steps_get_intermediate_lines_between():
     ctx = extract_context(_finding("SameMethodFlow.java", [10, 15]), SourceSnapshot(JAVA_DIR))
     assert _reasons(ctx) == [
-        (SegmentReason.STEP_LINE, 10, 10),
-        (SegmentReason.INTERMEDIATE, 11, 14),
-        (SegmentReason.STEP_LINE, 15, 15),
+        ("STEP_LINE", 10, 10),
+        ("INTERMEDIATE", 11, 14),
+        ("STEP_LINE", 15, 15),
     ]
     intermediate = ctx.segments[1]
     assert intermediate.text.split("\n") == [
@@ -80,11 +79,11 @@ def test_same_method_steps_get_intermediate_lines_between():
 def test_cross_method_steps_get_signatures_and_call_site():
     ctx = extract_context(_finding("CrossMethodFlow.java", [10, 17]), SourceSnapshot(JAVA_DIR))
     assert _reasons(ctx) == [
-        (SegmentReason.STEP_LINE, 10, 10),
-        (SegmentReason.METHOD_SIGNATURE, 9, 9),
-        (SegmentReason.METHOD_SIGNATURE, 15, 15),
-        (SegmentReason.CALL_SITE, 12, 12),
-        (SegmentReason.STEP_LINE, 17, 17),
+        ("STEP_LINE", 10, 10),
+        ("METHOD_SIGNATURE", 9, 9),
+        ("METHOD_SIGNATURE", 15, 15),
+        ("CALL_SITE", 12, 12),
+        ("STEP_LINE", 17, 17),
     ]
     assert ctx.segments[3].text.strip() == "runSql(bar);"
 
@@ -92,14 +91,14 @@ def test_cross_method_steps_get_signatures_and_call_site():
 def test_adjacent_steps_produce_no_intermediate():
     ctx = extract_context(_finding("SameMethodFlow.java", [15, 16]), SourceSnapshot(JAVA_DIR))
     assert _reasons(ctx) == [
-        (SegmentReason.STEP_LINE, 15, 15),
-        (SegmentReason.STEP_LINE, 16, 16),
+        ("STEP_LINE", 15, 15),
+        ("STEP_LINE", 16, 16),
     ]
 
 
 def test_coincident_ranges_are_deduplicated():
     ctx = extract_context(_finding("SameMethodFlow.java", [10, 10, 15]), SourceSnapshot(JAVA_DIR))
-    step_lines = [s for s in ctx.segments if s.reason is SegmentReason.STEP_LINE]
+    step_lines = [s for s in ctx.segments if s.reason == "STEP_LINE"]
     assert [(s.start_line, s.end_line) for s in step_lines] == [(10, 10), (15, 15)]
 
 
@@ -112,7 +111,7 @@ def test_missing_file_marks_partial_never_fatal():
 
 def test_line_out_of_range_skips_segment_and_flags():
     ctx = extract_context(_finding("SiblingMethods.java", [5, 999]), SourceSnapshot(JAVA_DIR))
-    assert _reasons(ctx) == [(SegmentReason.STEP_LINE, 5, 5)]
+    assert _reasons(ctx) == [("STEP_LINE", 5, 5)]
     assert ctx.partial is True
     assert any("line out of range" in note for note in ctx.notes)
 
@@ -124,7 +123,7 @@ def test_empty_trace_uses_primary_location_only(minimal_finding):
 
     on_disk = _finding("SiblingMethods.java", [])
     ctx2 = extract_context(on_disk, SourceSnapshot(JAVA_DIR))
-    assert _reasons(ctx2) == [(SegmentReason.STEP_LINE, 1, 1)]
+    assert _reasons(ctx2) == [("STEP_LINE", 1, 1)]
     assert ctx2.segments[0].step_index is None
 
 
@@ -148,14 +147,14 @@ def test_long_intermediate_elided_to_head_and_tail(tmp_path):
     first, last = _long_method_tree(tmp_path, 100)
     ctx = extract_context(_finding("Big.java", [first, last]), SourceSnapshot(tmp_path))
     reasons = _reasons(ctx)
-    assert reasons[0] == (SegmentReason.STEP_LINE, first, first)
+    assert reasons[0] == ("STEP_LINE", first, first)
     head = ctx.segments[1]
     tail = ctx.segments[2]
-    assert head.reason is SegmentReason.INTERMEDIATE
+    assert head.reason == "INTERMEDIATE"
     assert head.line_count() == 20
     assert tail.line_count() == 20
     assert head.elided_after == (last - first - 1) - 40
-    assert reasons[-1] == (SegmentReason.STEP_LINE, last, last)
+    assert reasons[-1] == ("STEP_LINE", last, last)
     # per-segment text always covers exactly its recorded range
     for seg in ctx.segments:
         assert len(seg.text.split("\n")) == seg.line_count()
@@ -166,14 +165,14 @@ def test_total_lines_cap_drops_intermediates_and_flags_truncated(tmp_path):
     limits = ContextLimits(max_total_lines=10, intermediate_elide_threshold=200)
     ctx = extract_context(_finding("Big.java", [first, last]), SourceSnapshot(tmp_path), limits)
     assert ctx.truncated is True
-    assert all(s.reason is not SegmentReason.INTERMEDIATE for s in ctx.segments)
+    assert all(s.reason != "INTERMEDIATE" for s in ctx.segments)
     assert ctx.total_lines <= 10
 
 
 def test_the_line_cap_keeps_every_segment_when_no_intermediate_is_left_to_shed():
     limits = ContextLimits(max_total_lines=1)
     ctx = extract_context(_finding("SameMethodFlow.java", [10, 11]), SourceSnapshot(JAVA_DIR), limits)
-    assert _reasons(ctx) == [(SegmentReason.STEP_LINE, 10, 10), (SegmentReason.STEP_LINE, 11, 11)]
+    assert _reasons(ctx) == [("STEP_LINE", 10, 10), ("STEP_LINE", 11, 11)]
     assert ctx.truncated is True
     assert ctx.total_lines == 2
     assert ctx.notes == ()
@@ -189,7 +188,7 @@ def test_a_step_ending_past_the_file_is_clamped_with_a_note(tmp_path):
     finding = _finding("Wide.java", [98])
     step = finding.trace[0]._replace(location=_loc("Wide.java", 98, 120))
     ctx = extract_context(finding._replace(trace=(step,)), SourceSnapshot(tmp_path))
-    assert _reasons(ctx) == [(SegmentReason.STEP_LINE, 98, 100)]
+    assert _reasons(ctx) == [("STEP_LINE", 98, 100)]
     assert ctx.notes == ("end line clamped: Wide.java:120 -> 100 (step 1)",)
     assert ctx.partial is True
 
@@ -200,7 +199,7 @@ def test_window5_notes_a_missing_file_and_a_line_out_of_range(tmp_path):
     first = finding.trace[0]._replace(location=_loc("Nowhere.java", 3))
     finding = finding._replace(trace=(first, *finding.trace[1:]))
     ctx = extract_baseline_context(finding, SourceSnapshot(tmp_path), "WINDOW5")
-    assert _reasons(ctx) == [(SegmentReason.STEP_LINE, 45, 55)]
+    assert _reasons(ctx) == [("STEP_LINE", 45, 55)]
     assert ctx.notes == (
         "missing file: Nowhere.java (step 1)",
         "line out of range: Wide.java:500 (step 3, file has 100 lines)",
@@ -377,8 +376,8 @@ def test_context_using_an_unbalanced_files_methods_is_partial_and_names_it():
     assert ctx.notes == (
         "unbalanced braces: Unbalanced.java: file ends inside 2 unclosed brace block(s)",
     )
-    assert (SegmentReason.STEP_LINE, 5, 5) in _reasons(ctx)
-    assert (SegmentReason.STEP_LINE, 9, 9) in _reasons(ctx)
+    assert ("STEP_LINE", 5, 5) in _reasons(ctx)
+    assert ("STEP_LINE", 9, 9) in _reasons(ctx)
 
 
 def _two_method_flow(tmp_path, callee, calls, callee_first):
@@ -399,7 +398,7 @@ def _two_method_flow(tmp_path, callee, calls, callee_first):
 def test_the_call_site_is_found_wherever_the_callee_is_declared(tmp_path, callee_first):
     finding, lines = _two_method_flow(tmp_path, "load", ["load(s)"], callee_first)
     ctx = extract_context(finding, SourceSnapshot(tmp_path))
-    call_sites = [s for s in ctx.segments if s.reason is SegmentReason.CALL_SITE]
+    call_sites = [s for s in ctx.segments if s.reason == "CALL_SITE"]
     assert [(s.start_line, s.text) for s in call_sites] == [
         (lines.index("        load(s);") + 1, "        load(s);")
     ]
@@ -418,7 +417,7 @@ def test_the_call_site_pattern_bounds_the_name_by_identifier_characters(
 ):
     finding, _ = _two_method_flow(tmp_path, callee, calls, False)
     ctx = extract_context(finding, SourceSnapshot(tmp_path))
-    assert [s.text.strip() for s in ctx.segments if s.reason is SegmentReason.CALL_SITE] == found
+    assert [s.text.strip() for s in ctx.segments if s.reason == "CALL_SITE"] == found
 
 
 # A source, step and sink with four filler lines between each, in bodies
@@ -445,7 +444,7 @@ def test_a_step_pair_outside_every_method_record_says_so(tmp_path, body):
     if body == "ordinary-method":
         assert (len(ctx.segments), ctx.total_lines, ctx.partial, ctx.notes) == (5, 11, False, ())
         return
-    assert _reasons(ctx) == [(SegmentReason.STEP_LINE, line, line) for line in steps]
+    assert _reasons(ctx) == [("STEP_LINE", line, line) for line in steps]
     assert ctx.partial is True
     assert ctx.notes == tuple(f"no enclosing method: Flow.java:{line} (step {k})"
                               for k, line in enumerate(steps, 1))
@@ -490,7 +489,7 @@ def _pin_findings(tree, source, count=60):
                 uri = rng.choice(uris)
             elif steps and rng.random() < 0.7:
                 near = steps[-1].location.start_line
-            steps.append(TraceStep(index, StepKind.STEP, location(uri, near), ""))
+            steps.append(TraceStep(index, "STEP", location(uri, near), ""))
         primary = steps[-1].location if steps else location(uri)
         yield Finding(f"{number:064x}", "java/pin", "CWE-089", "msg", primary, tuple(steps), number)
 
@@ -519,7 +518,7 @@ def test_contexts_match_the_pinned_bytes():
     assert any("line out of range" in note for case, ctx in contexts.items()
                if case.endswith("/WINDOW5") for note in ctx.notes)
     segments = [s for ctx in contexts.values() for s in ctx.segments]
-    assert {s.reason for s in segments} == set(SegmentReason)
+    assert {s.reason for s in segments} == {"STEP_LINE", "INTERMEDIATE", "METHOD_SIGNATURE", "CALL_SITE"}
     assert any(s.elided_after for s in segments)
     assert any(ctx.truncated for case, ctx in contexts.items() if case.endswith("/extract-tight"))
     assert any(ctx.truncated for case, ctx in contexts.items() if case.endswith("/WHOLE_FILE"))

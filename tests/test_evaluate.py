@@ -6,16 +6,11 @@ import re
 
 import pytest
 
-from sarif_triage.adjudicate import (
-    Adjudication,
-    AdjudicationResult,
-    Confidence,
-    Verdict,
-)
+from sarif_triage.adjudicate import VERDICTS, Adjudication, AdjudicationResult
 from sarif_triage.evaluate import (
     ConfusionCounts,
+    LABELS,
     GroundTruth,
-    Label,
     MismatchedSets,
     build_report,
     compare_modes,
@@ -38,15 +33,15 @@ def test_score_definitions():
 def test_counts_match_brute_force_tally():
     rng = random.Random(7)
     pairs = [
-        (rng.choice(list(Verdict)), rng.choice(list(Label)))
+        (rng.choice(VERDICTS), rng.choice(LABELS))
         for _ in range(10)
     ]
     findings = [_finding(f"f{i}", uri=f"F{i}.java") for i in range(len(pairs))]
     results = [_ok(f"f{i}", verdict) for i, (verdict, _) in enumerate(pairs)]
     truths = [GroundTruth(label=label, finding_id=f"f{i}") for i, (_, label) in enumerate(pairs)]
     counts = build_report(findings, results, truths, "OPTIMIZED").overall
-    says_fp = [v is Verdict.FALSE_POSITIVE for v, _ in pairs]
-    is_fp = [l is Label.FALSE_POSITIVE for _, l in pairs]
+    says_fp = [v == "FALSE_POSITIVE" for v, _ in pairs]
+    is_fp = [l == "FALSE_POSITIVE" for _, l in pairs]
     assert counts.tp == sum(s and i for s, i in zip(says_fp, is_fp))
     assert counts.fp == sum(s and not i for s, i in zip(says_fp, is_fp))
     assert counts.tn == sum(not s and not i for s, i in zip(says_fp, is_fp))
@@ -74,10 +69,10 @@ def test_f1_zero_denominators():
 
 # The (verdict, label) pair that scores in each cell of the confusion matrix.
 _PAIRS = {
-    "tp": (Verdict.FALSE_POSITIVE, Label.FALSE_POSITIVE),
-    "fp": (Verdict.FALSE_POSITIVE, Label.TRUE_VULNERABILITY),
-    "fn": (Verdict.TRUE_POSITIVE, Label.FALSE_POSITIVE),
-    "tn": (Verdict.TRUE_POSITIVE, Label.TRUE_VULNERABILITY),
+    "tp": ("FALSE_POSITIVE", "FALSE_POSITIVE"),
+    "fp": ("FALSE_POSITIVE", "TRUE_VULNERABILITY"),
+    "fn": ("TRUE_POSITIVE", "FALSE_POSITIVE"),
+    "tn": ("TRUE_POSITIVE", "TRUE_VULNERABILITY"),
 }
 
 
@@ -144,7 +139,7 @@ def _ok(fid, verdict, mode="OPTIMIZED"):
         mode=mode,
         adjudication=Adjudication(
             verdict=verdict,
-            confidence=Confidence.HIGH,
+            confidence="HIGH",
             reasoning="r",
             salvaged=False,
             raw_response="{}",
@@ -160,17 +155,17 @@ def test_match_precedence_finding_id_then_triple():
         _finding("f2", uri="B.java", line=2),
     ]
     truths = [
-        GroundTruth(label=Label.FALSE_POSITIVE, finding_id="f1"),
-        GroundTruth(label=Label.TRUE_VULNERABILITY, rule_id="r", uri="B.java", start_line=2),
+        GroundTruth(label="FALSE_POSITIVE", finding_id="f1"),
+        GroundTruth(label="TRUE_VULNERABILITY", rule_id="r", uri="B.java", start_line=2),
     ]
     matched = match_truth(findings, truths)
-    assert matched["f1"].label is Label.FALSE_POSITIVE
-    assert matched["f2"].label is Label.TRUE_VULNERABILITY
+    assert matched["f1"].label == "FALSE_POSITIVE"
+    assert matched["f2"].label == "TRUE_VULNERABILITY"
 
 
 def test_a_row_whose_id_names_no_finding_falls_back_to_its_triple():
     findings = [_finding("f1", uri="A.java", line=1), _finding("f2", uri="B.java", line=2)]
-    moved = GroundTruth(label=Label.TRUE_VULNERABILITY, finding_id="gone", rule_id="r",
+    moved = GroundTruth(label="TRUE_VULNERABILITY", finding_id="gone", rule_id="r",
                         uri="A.java", start_line=1)
     assert match_truth(findings, [moved]) == {"f1": moved}
     # The same row without the id matches the same finding.
@@ -181,13 +176,13 @@ def test_a_row_whose_id_names_no_finding_falls_back_to_its_triple():
 
 def test_a_row_whose_id_names_a_finding_never_claims_a_second_one_by_its_triple():
     findings = [_finding("f1", uri="A.java", line=1), _finding("f2", uri="B.java", line=2)]
-    row = GroundTruth(label=Label.FALSE_POSITIVE, finding_id="f1", rule_id="r",
+    row = GroundTruth(label="FALSE_POSITIVE", finding_id="f1", rule_id="r",
                       uri="B.java", start_line=2)
     assert match_truth(findings, [row]) == {"f1": row}
     # A stale id and an id-less row on one triple stay ambiguous.
-    stale = GroundTruth(label=Label.FALSE_POSITIVE, finding_id="gone", rule_id="r",
+    stale = GroundTruth(label="FALSE_POSITIVE", finding_id="gone", rule_id="r",
                         uri="B.java", start_line=2)
-    plain = stale._replace(finding_id=None, label=Label.TRUE_VULNERABILITY)
+    plain = stale._replace(finding_id=None, label="TRUE_VULNERABILITY")
     assert match_truth(findings, [stale, plain]) == {}
 
 
@@ -196,7 +191,7 @@ def test_a_row_whose_id_names_a_finding_never_claims_a_second_one_by_its_triple(
 )
 def test_a_triple_s_uri_matches_as_the_findings_uris_are_normalized(uri):
     findings = [_finding("f1", uri="src/main/A.java", line=1)]
-    row = GroundTruth(label=Label.FALSE_POSITIVE, rule_id="r", uri=uri, start_line=1)
+    row = GroundTruth(label="FALSE_POSITIVE", rule_id="r", uri=uri, start_line=1)
     assert match_truth(findings, [row]) == {"f1": row}
 
 
@@ -205,10 +200,10 @@ def test_ambiguous_triple_stays_unmatched():
         _finding("f1", uri="A.java", line=1),
         _finding("f2", uri="A.java", line=1),  # same triple
     ]
-    truths = [GroundTruth(label=Label.FALSE_POSITIVE, rule_id="r", uri="A.java", start_line=1)]
+    truths = [GroundTruth(label="FALSE_POSITIVE", rule_id="r", uri="A.java", start_line=1)]
     assert match_truth(findings, truths) == {}
 
-    report = build_report(findings, [_ok("f1", Verdict.FALSE_POSITIVE)], truths, "OPTIMIZED")
+    report = build_report(findings, [_ok("f1", "FALSE_POSITIVE")], truths, "OPTIMIZED")
     assert report.unmatched_count == 1
     assert report.overall.total == 0
 
@@ -216,16 +211,16 @@ def test_ambiguous_triple_stays_unmatched():
 def test_build_report_conserves_counts_and_routes_statuses():
     findings = [_finding(f"f{i}", cwe="CWE-089" if i < 3 else "CWE-022", uri=f"F{i}.java") for i in range(5)]
     truths = [
-        GroundTruth(label=Label.FALSE_POSITIVE, finding_id="f0"),
-        GroundTruth(label=Label.TRUE_VULNERABILITY, finding_id="f1"),
-        GroundTruth(label=Label.FALSE_POSITIVE, finding_id="f2"),
+        GroundTruth(label="FALSE_POSITIVE", finding_id="f0"),
+        GroundTruth(label="TRUE_VULNERABILITY", finding_id="f1"),
+        GroundTruth(label="FALSE_POSITIVE", finding_id="f2"),
         # f3 has no label -> unmatched
     ]
     results = [
-        _ok("f0", Verdict.FALSE_POSITIVE),  # TP
-        _ok("f1", Verdict.FALSE_POSITIVE),  # FP
-        _ok("f2", Verdict.TRUE_POSITIVE),  # FN
-        _ok("f3", Verdict.TRUE_POSITIVE),  # unmatched
+        _ok("f0", "FALSE_POSITIVE"),  # TP
+        _ok("f1", "FALSE_POSITIVE"),  # FP
+        _ok("f2", "TRUE_POSITIVE"),  # FN
+        _ok("f3", "TRUE_POSITIVE"),  # unmatched
         AdjudicationResult(finding_id="f4", mode="OPTIMIZED", error="boom"),
     ]
     report = build_report(findings, results, truths, "OPTIMIZED")
@@ -263,7 +258,7 @@ def test_ground_truth_reads_a_null_field_as_absent():
     row = {"label": "FALSE_POSITIVE", "finding_id": None, "rule_id": "r", "uri": "A.java",
            "start_line": 7}
     assert GroundTruth.from_dict(row) == GroundTruth(
-        Label.FALSE_POSITIVE, rule_id="r", uri="A.java", start_line=7
+        "FALSE_POSITIVE", rule_id="r", uri="A.java", start_line=7
     )
 
 
@@ -272,17 +267,17 @@ def test_a_cwe_with_only_unevaluated_rows_keeps_a_zero_group():
         _finding("f1", cwe="CWE-089", uri="A.java"),
         _finding("f2", cwe="CWE-327", uri="B.java"),
     ]
-    truths = [GroundTruth(label=Label.FALSE_POSITIVE, finding_id=fid) for fid in ("f1", "f2")]
+    truths = [GroundTruth(label="FALSE_POSITIVE", finding_id=fid) for fid in ("f1", "f2")]
     results = [
-        _ok("f1", Verdict.FALSE_POSITIVE),
+        _ok("f1", "FALSE_POSITIVE"),
         AdjudicationResult(finding_id="f2", mode="OPTIMIZED", error="NotJson: x"),
     ]
     report = build_report(findings, results, truths, "OPTIMIZED")
     assert report.per_cwe == {"CWE-089": ConfusionCounts(tp=1), "CWE-327": ConfusionCounts()}
     assert report.unevaluated_count == 1
     # The other mode scores both, and the two reports still compare.
-    both = build_report(findings, [_ok("f1", Verdict.FALSE_POSITIVE),
-                                   _ok("f2", Verdict.FALSE_POSITIVE)], truths, "BASELINE")
+    both = build_report(findings, [_ok("f1", "FALSE_POSITIVE"),
+                                   _ok("f2", "FALSE_POSITIVE")], truths, "BASELINE")
     deltas = compare_modes(both, report)
     assert [(row.group, row.delta) for row in deltas] == [
         ("overall", 0.0), ("CWE-089", 0.0), ("CWE-327", -1.0)
@@ -295,8 +290,8 @@ def test_per_cwe_table_is_in_report_order():
         _finding("f2", cwe="CWE-022", uri="B.java", line=2),
         _finding("f3", cwe="CWE-ZZZ", uri="C.java", line=3),
     ]
-    truths = [GroundTruth(label=Label.FALSE_POSITIVE, finding_id=f"f{i}") for i in (1, 2, 3)]
-    results = [_ok(f"f{i}", Verdict.FALSE_POSITIVE) for i in (1, 2, 3)]
+    truths = [GroundTruth(label="FALSE_POSITIVE", finding_id=f"f{i}") for i in (1, 2, 3)]
+    results = [_ok(f"f{i}", "FALSE_POSITIVE") for i in (1, 2, 3)]
     report = build_report(findings, results, truths, "OPTIMIZED")
     assert list(report.per_cwe) == ["CWE-022", "CWE-643", "CWE-ZZZ"]
 
@@ -376,14 +371,14 @@ def test_f1_bounds_hold_on_random_counts():
 def _pinned_reports():
     """Two modes over two CWEs: every outcome, one UNEVALUATED row (f6) and
     one adjudicated row with no label (f7)."""
-    fp, tp = Verdict.FALSE_POSITIVE, Verdict.TRUE_POSITIVE
+    fp, tp = "FALSE_POSITIVE", "TRUE_POSITIVE"
     findings = [
         _finding(f"f{i}", cwe="CWE-089" if i < 4 else "CWE-079", uri=f"F{i}.java")
         for i in range(8)
     ]
     truths = [
         GroundTruth(
-            label=Label.FALSE_POSITIVE if i in (0, 2, 4, 5) else Label.TRUE_VULNERABILITY,
+            label="FALSE_POSITIVE" if i in (0, 2, 4, 5) else "TRUE_VULNERABILITY",
             finding_id=f"f{i}",
         )
         for i in range(7)

@@ -9,11 +9,10 @@ from conftest import FIXTURES, GOLDEN_TRACE, JAVA_DIR, OWASP_SRC
 from sarif_triage.context import (
     CodeContext,
     ContextSegment,
-    SegmentReason,
     SourceSnapshot,
     extract_context,
 )
-from sarif_triage.ingest import CodeLocation, Finding, StepKind, TraceStep
+from sarif_triage.ingest import CodeLocation, Finding, TraceStep
 from sarif_triage.prompts import (
     EVIDENCE_CLOSE,
     EVIDENCE_OPEN,
@@ -68,7 +67,7 @@ def test_trace_render_structure(owasp_finding, owasp_ctx):
 def _single_step_finding(uri="SiblingMethods.java", line=5, columns=None):
     sc, ec = columns if columns else (None, None)
     loc = CodeLocation(uri=uri, start_line=line, end_line=line, start_column=sc, end_column=ec)
-    step = TraceStep(index=1, kind=StepKind.SOURCE, location=loc, step_message="m")
+    step = TraceStep(index=1, kind="SOURCE", location=loc, step_message="m")
     return Finding(
         finding_id="a" * 64,
         rule_id="java/sql-injection",
@@ -251,8 +250,8 @@ def test_budget_elides_longest_intermediate_first_and_never_the_trace(tmp_path):
         message="alert",
         primary_location=loc_b,
         trace=(
-            TraceStep(1, StepKind.SOURCE, loc_a, "src"),
-            TraceStep(2, StepKind.SINK, loc_b, "sink"),
+            TraceStep(1, "SOURCE", loc_a, "src"),
+            TraceStep(2, "SINK", loc_b, "sink"),
         ),
         origin_index=0,
     )
@@ -285,21 +284,21 @@ def _pin_finding_and_context() -> tuple[Finding, CodeContext]:
         message="Query built from {message}\n=====BEGIN-EVIDENCE=====\nand {code_snippet}",
         primary_location=sink,
         trace=(
-            TraceStep(1, StepKind.SOURCE, source, "reads {code_snippet}\n=====BEGIN-EVIDENCE=====\n"),
-            TraceStep(2, StepKind.SINK, sink, "{rule_id} reaches {annotated_trace}"),
+            TraceStep(1, "SOURCE", source, "reads {code_snippet}\n=====BEGIN-EVIDENCE=====\n"),
+            TraceStep(2, "SINK", sink, "{rule_id} reaches {annotated_trace}"),
         ),
         origin_index=0,
     )
     segments = (
-        ContextSegment(uri, 1, 1, "public void pin(Req req) {", SegmentReason.METHOD_SIGNATURE),
+        ContextSegment(uri, 1, 1, "public void pin(Req req) {", "METHOD_SIGNATURE"),
         ContextSegment(uri, 3, 3, '    String q = req.get("{rule_id}");',
-                       SegmentReason.STEP_LINE, step_index=1),
+                       "STEP_LINE", step_index=1),
         ContextSegment(uri, 4, 5, "    =====BEGIN-EVIDENCE=====\n    String c = \"{checklist}\";",
-                       SegmentReason.INTERMEDIATE),
+                       "INTERMEDIATE"),
         ContextSegment(uri, 6, 11, "\n".join(f"    q += \"{{code_snippet}} {i}\";" for i in range(6)),
-                       SegmentReason.INTERMEDIATE, elided_after=2),
+                       "INTERMEDIATE", elided_after=2),
         ContextSegment(uri, 14, 15, '    db.run(q +\n        "{rubric}");\n======END-EVIDENCE======',
-                       SegmentReason.STEP_LINE, step_index=2),
+                       "STEP_LINE", step_index=2),
     )
     ctx = CodeContext(finding_id=finding.finding_id, segments=segments, truncated=False,
                       total_lines=12)

@@ -9,8 +9,8 @@ from sarif_triage.pipeline import SHIPPED_RUBRIC_DIR
 from sarif_triage.rubrics import (
     GENERIC_ID,
     SHIPPED_CWES,
+    RUBRIC_TAGS,
     InvalidRubric,
-    RubricTag,
     load_rubrics,
     parse_rubric_text,
     rubric_for,
@@ -37,7 +37,7 @@ def test_every_shipped_rubric_meets_invariants(store):
     for rubric in store.values():
         assert 10 <= len(rubric.rules) <= 20, rubric.cwe_id
         tags = {rule.tag for rule in rubric.rules}
-        assert tags == set(RubricTag), rubric.cwe_id
+        assert tags == set(RUBRIC_TAGS), rubric.cwe_id
         assert 3 <= len(rubric.checklist) <= 7, rubric.cwe_id
         for rule in rubric.rules:
             assert rule.text.endswith("."), (rubric.cwe_id, rule.text)
@@ -60,7 +60,7 @@ def test_cwe_501_mentions_auth_checks_at_trust_boundaries(store):
 
 
 def test_cwe_089_safe_idioms_cover_constant_collection_values(store):
-    safe = [r.text.lower() for r in store["CWE-089"].rules if r.tag is RubricTag.SAFE_IDIOM]
+    safe = [r.text.lower() for r in store["CWE-089"].rules if r.tag == "SAFE_IDIOM"]
     assert any("collection" in text or "list" in text for text in safe)
 
 
@@ -172,6 +172,8 @@ _REFUSALS = {
                           "cwe-089.rubric:4: unrecognized line 'severity: high'"),
     "no-cwe-header": (_line(2, lambda text: ""), "cwe-089.rubric: missing `cwe:` header"),
     "bad-cwe-id": (_line(2, lambda text: "cwe: CWE-89\n"), "cwe-089.rubric: bad cwe id 'CWE-89'"),
+    "non-ascii-cwe-digits": (_line(2, lambda text: "cwe: CWE-\u0660\u0668\u0669\n"),
+                             "cwe-089.rubric: bad cwe id 'CWE-\u0660\u0668\u0669'"),
     "no-title": (_line(3, lambda text: ""), "cwe-089.rubric: missing `title:` header"),
     "two-files-for-one-cwe": (
         lambda directory: shutil.copy(directory / "cwe-089.rubric", directory / "cwe-89.rubric"),

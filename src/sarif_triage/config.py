@@ -145,11 +145,7 @@ def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) ->
             data[key] = str(Path(value).absolute()) if key == "output_dir" and value else value
         elif isinstance(data.setdefault(section, {}), dict):  # else the table names it
             data[section] = {**data[section], name: value}
-    return config_from_dict(data, base_dir=path.parent)
-
-
-def config_from_dict(data: Mapping[str, Any], base_dir: Path | None = None) -> RunConfig:
-    config = _record(RunConfig, data, Path(base_dir or ""), "")
+    config = _record(RunConfig, data, path.parent, "")
     _check(config)
     return config
 

@@ -21,10 +21,6 @@ from .rubrics import SHIPPED_CWES
 LABELS = ("TRUE_VULNERABILITY", "FALSE_POSITIVE")
 
 
-class MismatchedSets(ValueError):
-    """compare_modes was given reports over different finding sets."""
-
-
 class GroundTruth(NamedTuple):
     label: str  # one of LABELS
     finding_id: str | None = None
@@ -76,7 +72,8 @@ class ConfusionCounts(NamedTuple):
 
     @property
     def f1(self) -> float:
-        return f1(self.precision, self.recall)
+        p, r = self.precision, self.recall
+        return 2 * p * r / (p + r) if (p + r) else 0.0
 
     def to_dict(self) -> dict[str, Any]:
         rates = {"precision": self.precision, "recall": self.recall, "f1": self.f1}
@@ -99,10 +96,6 @@ class EvalReport(NamedTuple):
     def to_dict(self) -> dict[str, Any]:
         return {**self._asdict(), "overall": self.overall.to_dict(),
                 "per_cwe": {cwe: m.to_dict() for cwe, m in self.per_cwe.items()}}
-
-
-def f1(p: float, r: float) -> float:
-    return 2 * p * r / (p + r) if (p + r) else 0.0
 
 
 def cwe_sort_key(cwe_id: str) -> tuple[bool, str]:
@@ -206,41 +199,20 @@ class DeltaRow(NamedTuple):
     optimized_f1: float
     delta: float  # optimized - baseline, rounded to 3 decimals
 
-    @property
-    def marker(self) -> str:
-        if self.delta > 0:
-            return "up"
-        if self.delta < 0:
-            return "down"
-        return "flat"
-
-    def rendered(self) -> str:
-        return f"{self.delta:+.3f}"
-
     def to_dict(self) -> dict[str, Any]:
-        return {**self._asdict(), "direction": self.marker}
-
-
-def f1_delta(baseline_f1: float, optimized_f1: float) -> float:
-    return round(optimized_f1 - baseline_f1, 3)
+        direction = "up" if self.delta > 0 else "down" if self.delta < 0 else "flat"
+        return {**self._asdict(), "direction": direction}
 
 
 def compare_modes(
     report_baseline: EvalReport, report_optimized: EvalReport
 ) -> list[DeltaRow]:
     """Per-group F1 deltas (optimized minus baseline), overall first then
-    per CWE in reporting order. Raises ``MismatchedSets`` when the reports
-    cover different finding sets."""
-    if report_baseline.total_findings != report_optimized.total_findings:
-        raise MismatchedSets(
-            f"baseline covers {report_baseline.total_findings} findings, "
-            f"optimized covers {report_optimized.total_findings}"
-        )
-    if set(report_baseline.per_cwe) != set(report_optimized.per_cwe):
-        raise MismatchedSets("per-CWE groups differ between reports")
+    per CWE in reporting order. The two reports cover the same findings,
+    so ``build_report`` gave them the same groups."""
     optimized = dict(report_optimized.groups())
     return [
-        DeltaRow(group, base.f1, optimized[group].f1, f1_delta(base.f1, optimized[group].f1))
+        DeltaRow(group, base.f1, optimized[group].f1, round(optimized[group].f1 - base.f1, 3))
         for group, base in report_baseline.groups()
     ]
 
@@ -270,7 +242,7 @@ def render_report_text(
         for row in deltas:
             lines.append(
                 f"{row.group:<14} baseline={row.baseline_f1:.3f} "
-                f"optimized={row.optimized_f1:.3f} delta={row.rendered()}"
+                f"optimized={row.optimized_f1:.3f} delta={row.delta:+.3f}"
             )
         lines.append("")
     return "\n".join(lines)

@@ -18,7 +18,8 @@ the stamp records the SHA-256 it returns instead of reading the file back.
 Lines through it, and ``read_rows`` yields the rows of a ``*.jsonl`` artifact
 or the labels file back. ``_records`` maps an artifact's rows through its
 type's ``from_dict``: a row without a key the record reads, as an older
-version may have written it, asks for the stage that writes the artifact.
+version may have written it, or of a shape the record cannot be read from,
+names its row and asks for the stage that writes the artifact.
 
 The run configuration (``RunConfig``, ``BackendConfig``, ``load_config``)
 lives in ``config``; this module re-exports it. Each stage imports the
@@ -33,17 +34,19 @@ byte-identical across reruns except ``audit/``, which records wall-clock
 timestamps, and ``.stamps/adjudicate.json``, which hashes those records.
 
 Each stage is one ``_run_stage`` call of a function that hashes its inputs
-and a body that writes its outputs; any failure in either, a file it cannot
-hash included, is one ``StageError`` naming the stage. ``--resume`` skips
-it only when those inputs and the outputs recorded in its stamp still
-hash-match. A stage that runs deletes the outputs its previous stamp
-recorded and it no longer writes. A stamp that cannot be decoded counts as
-absent. A stage reads an artifact of the run only through ``_vouched``: the
-SHA-256 it takes of the file for its own stamp must be the one the
-producer's stamp recorded, or it stops before any work. As two vouched
-files may come from different runs, ``prompts`` checks that each finding
-has a context and ``evaluate`` that each mode's rows cover the findings
-once each. The inputs each stamp keys on:
+and a body that writes its outputs; any failure in either or in writing the
+stamp, a file it cannot hash included, is one ``StageError`` naming the
+stage (exit 1). ``write_config_echo`` runs before any stage; an
+``output_dir`` it cannot make or write ``run_config.json`` in is a
+``ConfigError`` (exit 2). ``--resume`` skips a stage only when its inputs
+and the outputs recorded in its stamp still hash-match. A stage that runs
+deletes the outputs its previous stamp recorded and it no longer writes. A
+stamp that cannot be decoded counts as absent. A stage reads an artifact of
+the run only through ``_vouched``: the SHA-256 it takes of the file for its
+own stamp must be the one the producer's stamp recorded, or it stops before
+any work. As two vouched files may come from different runs, ``prompts``
+checks that each finding has a context and ``evaluate`` that each mode's
+rows cover the findings once each. The inputs each stamp keys on:
 
     ingest      the SARIF file, cwe_map
     context     findings.jsonl, every source file a finding's context reads
@@ -106,10 +109,6 @@ def __getattr__(name: str) -> Any:
 
 class StageError(RuntimeError):
     """A pipeline stage failed; maps to exit code 1."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"stage {stage}: {message}")
-        self.stage = stage
 
 
 def build_backend(config: RunConfig) -> Backend:
@@ -187,8 +186,9 @@ def _run_stage(
     """Run ``body`` unless ``resume`` is set and the stage's stamp still
     matches what ``inputs`` returns; then delete what the previous stamp
     recorded and ``body`` no longer wrote, and stamp the inputs with the
-    ``{path: sha256}`` of each file ``body`` wrote. Any failure in
-    ``inputs`` or ``body`` surfaces as a ``StageError`` naming ``stage``."""
+    ``{path: sha256}`` of each file ``body`` wrote. Any failure on the way,
+    the stamp's own write included, surfaces as a ``StageError`` naming
+    ``stage``."""
     previous = _read_stamp(config, stage)
     try:
         hashed = inputs()
@@ -196,17 +196,17 @@ def _run_stage(
             return
         config.output_dir.mkdir(parents=True, exist_ok=True)
         outputs = body()
+        if previous is not None:
+            _remove_stale_outputs(config, previous, outputs)
+        stamp = {
+            "inputs": hashed,
+            "outputs": {str(p.relative_to(config.output_dir)): sha for p, sha in outputs.items()},
+        }
+        path = _stamp_path(config, stage)
+        path.parent.mkdir(exist_ok=True)
+        write_file(path, [json.dumps(stamp, indent=2, sort_keys=True) + "\n"])
     except Exception as exc:
-        raise StageError(stage, str(exc)) from exc
-    if previous is not None:
-        _remove_stale_outputs(config, previous, outputs)
-    stamp = {
-        "inputs": hashed,
-        "outputs": {str(p.relative_to(config.output_dir)): sha for p, sha in outputs.items()},
-    }
-    path = _stamp_path(config, stage)
-    path.parent.mkdir(exist_ok=True)
-    write_file(path, [json.dumps(stamp, indent=2, sort_keys=True) + "\n"])
+        raise StageError(f"stage {stage}: {exc}") from exc
 
 
 def _remove_stale_outputs(config: RunConfig, stamp: Stamp, outputs: Iterable[Path]) -> None:
@@ -277,13 +277,21 @@ def read_rows(path: Path) -> Iterator[dict[str, Any]]:
 
 def _records(path: Path, cls: Any, producer: str) -> list[Any]:
     """``cls.from_dict`` of each row of ``path``, an artifact ``producer``
-    writes; a ``ValueError`` that asks for ``producer`` again for a row
-    without a key the record reads, as an older version may have written."""
-    try:
-        return [cls.from_dict(row) for row in read_rows(path)]
-    except KeyError as exc:
-        raise ValueError(f"{path} has a row with no {exc}, as older versions wrote it; "
-                         f"run {producer} again") from exc
+    writes one row a line; a ``ValueError`` naming the path and the row, and
+    asking for ``producer`` again, for a row without a key the record reads,
+    as an older version may have written, or one ``from_dict`` cannot walk:
+    not an object, or a nested value of another shape."""
+    records = []
+    for number, row in enumerate(read_rows(path), 1):
+        try:
+            records.append(cls.from_dict(row))
+        except KeyError as exc:
+            raise ValueError(f"{path}, row {number}: no {exc}, as older versions wrote it; "
+                             f"run {producer} again") from exc
+        except TypeError as exc:
+            raise ValueError(f"{path}, row {number}: {cls.__name__}.from_dict cannot read it "
+                             f"({exc}); run {producer} again") from exc
+    return records
 
 
 def _vouched(config: RunConfig, name: str, producer: str) -> str:
@@ -313,8 +321,11 @@ def write_config_echo(config: RunConfig) -> None:
         config.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # say, a component longer than the OS allows
         raise ConfigError(f"output_dir cannot be made a directory: {exc}") from exc
-    write_file(config.output_dir / "run_config.json",
-               [json.dumps(echo, indent=2, sort_keys=True, default=str) + "\n"])
+    try:
+        write_file(config.output_dir / "run_config.json",
+                   [json.dumps(echo, indent=2, sort_keys=True, default=str) + "\n"])
+    except OSError as exc:  # say, a directory in the file's place
+        raise ConfigError(f"output_dir cannot hold run_config.json: {exc}") from exc
 
 
 def stage_ingest(config: RunConfig, resume: bool = False) -> None:

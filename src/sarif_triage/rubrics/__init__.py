@@ -13,9 +13,10 @@ ships its CWE, listed first in reports. The format is line-oriented:
     check: <one interpretation question>
 
 Each rubric must carry 10-20 rules with every tag represented at least
-once and 3-7 checklist questions. Rubric text may not contain curly
-braces. A rule's tag is the name the file spells, checked against
-``RUBRIC_TAGS`` as the file is read; a CWE id has ASCII digits only.
+once and 3-7 checklist questions. A rule's tag is the name the file
+spells, checked against ``RUBRIC_TAGS`` as the file is read; a CWE id has
+ASCII digits only. Rubric text goes into a prompt as written, so a rule
+may quote code, braces included.
 
 The shipped rubric content is editorial: drafted from the public CWE
 definitions and common analyzer false-positive patterns, not model
@@ -58,11 +59,6 @@ class Rubric(NamedTuple):
     checklist: tuple[str, ...]
 
 
-def _reject_braces(text: str, source: str, what: str) -> None:
-    if "{" in text or "}" in text:
-        raise InvalidRubric(f"{source}: {what} contains a curly brace: {text!r}")
-
-
 def parse_rubric_text(text: str, source: str) -> Rubric:
     cwe_id: str | None = None
     title: str | None = None
@@ -92,13 +88,11 @@ def parse_rubric_text(text: str, source: str) -> Rubric:
                     f"{where}: rule {len(rules) + 1} must be a single declarative "
                     f"sentence ending with a period"
                 )
-            _reject_braces(sentence, where, f"rule {len(rules) + 1}")
             rules.append(RubricRule(tag=tag_name, text=sentence))
         elif line.startswith("check:"):
             question = line[len("check:"):].strip()
             if not question.endswith("?"):
                 raise InvalidRubric(f"{where}: checklist entries must be questions")
-            _reject_braces(question, where, "checklist entry")
             checklist.append(question)
         else:
             raise InvalidRubric(f"{where}: unrecognized line {line!r}")
@@ -109,7 +103,6 @@ def parse_rubric_text(text: str, source: str) -> Rubric:
         raise InvalidRubric(f"{source}: bad cwe id {cwe_id!r}")
     if not title:
         raise InvalidRubric(f"{source}: missing `title:` header")
-    _reject_braces(title, source, "title")
     if not (MIN_RULES <= len(rules) <= MAX_RULES):
         raise InvalidRubric(
             f"{source}: {len(rules)} rules, expected {MIN_RULES}-{MAX_RULES}"

@@ -26,7 +26,6 @@ from sarif_triage.evaluate import (
     GroundTruth,
     build_report,
     compare_modes,
-    f1,
 )
 from sarif_triage.ingest import CodeLocation, Finding, TraceStep, canonicalize, parse_sarif
 from sarif_triage.methods import locate_methods
@@ -39,7 +38,7 @@ from sarif_triage.prompts import (
 )
 from sarif_triage.rubrics import load_rubrics, rubric_for
 
-from test_evaluate import counts_with_f1
+from test_evaluate import counts_with_f1, counts_with_rates, delta_lines
 from test_prompts import split_fences
 
 
@@ -79,7 +78,7 @@ def test_criterion_1_f1_reproduction():
     started = time.perf_counter()
     assert len(REPORTED_PRF) == 20
     for model, dataset, p, r, reported in REPORTED_PRF:
-        computed = f1(p, r)
+        computed = counts_with_rates(p, r).f1
         assert abs(computed - reported) <= 0.005, (model, dataset, computed, reported)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -127,7 +126,8 @@ def test_criterion_2_delta_reproduction():
     assert len(REPORTED_DELTAS) == 20
     for model, dataset, baseline, optimized, printed in REPORTED_DELTAS:
         rows = compare_modes(_report_from_f1(baseline), _report_from_f1(optimized))
-        assert rows[0].rendered() == printed, (model, dataset, rows[0].rendered(), printed)
+        [line] = delta_lines(rows)
+        assert line.endswith(f" delta={printed}"), (model, dataset, line, printed)
     _ok(2, "all 20 reported baseline-vs-optimized deltas reproduced exactly at 3 decimals")
 
 

@@ -313,6 +313,30 @@ def test_an_output_dir_that_is_a_file_or_lies_under_one_exits_2(
     assert occupied.read_text(encoding="utf-8") == "a file\n"
 
 
+@pytest.mark.parametrize("command", ["run", "ingest", "evaluate"])
+def test_a_run_config_json_that_cannot_be_written_exits_2(corpus, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    (out / "run_config.json").mkdir(parents=True)
+    config = write_config(corpus, out)
+    assert main([command, "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: output_dir cannot hold run_config.json: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
+
+def test_a_stamp_that_cannot_be_written_stops_the_stage(corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".stamps").write_text("a file\n", encoding="utf-8")
+    config = write_config(corpus, out)
+    assert main(["run", "--config", str(config)]) == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stage ingest: [Errno {errno.EEXIST}] ")
+    assert err.count("\n") == 1
+    assert (out / ".stamps").read_text(encoding="utf-8") == "a file\n"
+
+
 @pytest.mark.parametrize("command", ["run", "context", "evaluate"])
 def test_an_output_dir_the_os_will_not_make_exits_2(corpus, tmp_path, capsys, command):
     out = tmp_path / ("x" * 300)  # one component past every file system's name limit
@@ -698,7 +722,7 @@ def test_adjudicate_asks_for_the_prompts_stage_on_an_old_layout_row(
     assert _adjudicate_rewritten_prompts(corpus, tmp_path, monkeypatch, rewrite, restamp=True) \
         == EXIT_STAGE_FAILURE
     err = capsys.readouterr().err
-    assert f"error: stage adjudicate: {tmp_path / 'out' / 'prompts.jsonl'} has a row with no " in err
+    assert f"error: stage adjudicate: {tmp_path / 'out' / 'prompts.jsonl'}, row 1: no " in err
     assert "is not the one" not in err
     assert "run prompts again" in err
 
@@ -724,8 +748,41 @@ def test_a_stage_asks_for_the_producer_again_on_a_row_without_a_key(
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     _restamp(out, producer, name)
     assert main([command, "--config", str(config)]) == EXIT_STAGE_FAILURE
-    assert f"error: stage {command}: {path} has a row with no '{key}', as older versions " \
+    assert f"error: stage {command}: {path}, row {len(rows)}: no '{key}', as older versions " \
         f"wrote it; run {producer} again" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,producer,line,command,problem",
+    [("findings.jsonl", "ingest", "[1]", "context",
+      "list indices must be integers or slices, not str"),
+     ("contexts.jsonl", "context", "null", "prompts", "'NoneType' object is not subscriptable"),
+     ("prompts.jsonl", "prompts", '"text"', "adjudicate", "string indices must be integers"),
+     ("findings.jsonl", "ingest", {"trace": 5}, "evaluate", "'int' object is not iterable"),
+     ("adjudications.jsonl", "adjudicate", "7", "evaluate", "'int' object is not subscriptable")],
+)
+def test_a_stage_names_the_file_and_row_of_a_row_it_cannot_read(
+    corpus, tmp_path, capsys, name, producer, line, command, problem
+):
+    # Row 2 is replaced by one that is not an object, or by the row with a
+    # nested value of another shape; the re-stamp vouches for the file.
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="BOTH")
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    path = out / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if isinstance(line, dict):
+        line = json.dumps({**json.loads(lines[1]), **line})
+    lines[1] = line
+    path.write_text("".join(f"{text}\n" for text in lines), encoding="utf-8")
+    _restamp(out, producer, name)
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stage {command}: {path}, row 2: ")
+    assert f".from_dict cannot read it ({problem}" in err
+    assert err.endswith(f"; run {producer} again\n")
+    assert err.count("\n") == 1
 
 
 def test_adjudicate_refuses_a_duplicated_prompt_row_without_a_backend_call(

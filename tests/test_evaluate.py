@@ -11,11 +11,8 @@ from sarif_triage.evaluate import (
     ConfusionCounts,
     LABELS,
     GroundTruth,
-    MismatchedSets,
     build_report,
     compare_modes,
-    f1,
-    f1_delta,
     match_truth,
     render_report_csv,
     render_report_text,
@@ -58,13 +55,23 @@ def test_counts_match_brute_force_tally():
     ],
 )
 def test_f1_reproduces_reported_values(p, r, expected):
-    assert abs(f1(p, r) - expected) <= 0.005
+    counts = counts_with_rates(p, r)
+    assert (counts.precision, counts.recall) == (p, r)
+    assert abs(counts.f1 - expected) <= 0.005
 
 
 def test_f1_zero_denominators():
-    assert f1(0.0, 0.0) == 0.0
+    assert ConfusionCounts(fp=3, fn=2).f1 == 0.0
     zero = ConfusionCounts()
     assert zero.precision == 0.0 and zero.recall == 0.0 and zero.f1 == 0.0
+
+
+def counts_with_rates(p: float, r: float) -> ConfusionCounts:
+    """Counts whose precision is ``p`` and recall ``r`` (three decimals
+    each): with a = 1000p and b = 1000r, tp = ab, tp + fp = 1000b and
+    tp + fn = 1000a."""
+    a, b = round(p * 1000), round(r * 1000)
+    return ConfusionCounts(tp=a * b, fp=1000 * b - a * b, fn=1000 * a - a * b)
 
 
 # The (verdict, label) pair that scores in each cell of the confusion matrix.
@@ -316,44 +323,44 @@ def _report_with_f1(value, total=10, cwe_f1s=None):
     )
 
 
+def delta_lines(rows) -> list[str]:
+    """The mode-delta lines ``report.txt`` prints for ``rows``."""
+    return render_report_text({}, rows).split("\n")[1:-1]
+
+
 def test_compare_modes_reports_signed_deltas():
     baseline = _report_with_f1(0.690, cwe_f1s={"CWE-089": 0.900})
     optimized = _report_with_f1(0.884, cwe_f1s={"CWE-089": 0.800})
     rows = compare_modes(baseline, optimized)
-    assert rows[0].group == "overall"
-    assert rows[0].delta == pytest.approx(0.194)
-    assert rows[0].rendered() == "+0.194"
-    assert rows[0].to_dict()["direction"] == "up"
-    assert rows[1].group == "CWE-089"
-    assert rows[1].delta == pytest.approx(-0.1)
-    assert rows[1].rendered() == "-0.100"
-    assert rows[1].to_dict()["direction"] == "down"
+    assert [row.to_dict() for row in rows] == [
+        pytest.approx({"group": "overall", "baseline_f1": 0.69, "optimized_f1": 0.884,
+                       "delta": 0.194, "direction": "up"}),
+        pytest.approx({"group": "CWE-089", "baseline_f1": 0.9, "optimized_f1": 0.8,
+                       "delta": -0.1, "direction": "down"}),
+    ]
+    assert delta_lines(rows) == [
+        "overall        baseline=0.690 optimized=0.884 delta=+0.194",
+        "CWE-089        baseline=0.900 optimized=0.800 delta=-0.100",
+    ]
 
 
 def test_compare_modes_zero_delta_on_equal_reports():
     report = _report_with_f1(0.5, cwe_f1s={"CWE-089": 0.5})
     rows = compare_modes(report, report)
-    assert all(row.delta == 0.0 for row in rows)
+    assert all(row.delta == 0.0 and row.to_dict()["direction"] == "flat" for row in rows)
+    assert all(line.endswith(" delta=+0.000") for line in delta_lines(rows))
 
 
 def test_compare_modes_small_positive_delta():
     rows = compare_modes(_report_with_f1(0.892), _report_with_f1(0.910))
-    assert rows[0].rendered() == "+0.018"
-
-
-def test_compare_modes_rejects_mismatched_sets():
-    with pytest.raises(MismatchedSets):
-        compare_modes(_report_with_f1(0.5, total=10), _report_with_f1(0.5, total=11))
-    with pytest.raises(MismatchedSets):
-        compare_modes(
-            _report_with_f1(0.5, cwe_f1s={"CWE-089": 0.4}),
-            _report_with_f1(0.5, cwe_f1s={"CWE-022": 0.4}),
-        )
+    assert rows[0].to_dict()["delta"] == 0.018
+    assert delta_lines(rows) == ["overall        baseline=0.892 optimized=0.910 delta=+0.018"]
 
 
 def test_f1_delta_rounds_to_three_decimals():
-    assert f1_delta(0.690, 0.884) == 0.194
-    assert f1_delta(0.895, 0.791) == -0.104
+    for baseline, optimized, delta in ((0.690, 0.884, 0.194), (0.895, 0.791, -0.104)):
+        [row] = compare_modes(_report_with_f1(baseline), _report_with_f1(optimized))
+        assert row.to_dict()["delta"] == delta
 
 
 def test_f1_bounds_hold_on_random_counts():

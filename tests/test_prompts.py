@@ -24,7 +24,7 @@ from sarif_triage.prompts import (
     render_trace,
 )
 from sarif_triage.pipeline import SHIPPED_RUBRIC_DIR
-from sarif_triage.rubrics import load_rubrics, rubric_for
+from sarif_triage.rubrics import RUBRIC_TAGS, load_rubrics, parse_rubric_text, rubric_for
 
 RUBRICS = load_rubrics(SHIPPED_RUBRIC_DIR)
 
@@ -139,6 +139,22 @@ def test_a_prompt_mode_the_table_does_not_name_is_refused(owasp_finding, owasp_c
     rubric = rubric_for(owasp_finding.cwe_id, RUBRICS)
     with pytest.raises(KeyError, match=mode):
         compile_prompt(owasp_finding, owasp_ctx, rubric, mode)
+
+
+def test_a_rubric_may_quote_braces_and_they_reach_the_prompt_verbatim(owasp_finding, owasp_ctx):
+    title = "SQL Injection {cwe_id}"
+    rule = "Double-brace initialization such as new HashMap<>() {{ put(k, v); }} runs no query."
+    check = "Does {rule_id} name a format placeholder or a literal?"
+    text = "\n".join([
+        "cwe: CWE-089", f"title: {title}", f"rule SAFE_IDIOM: {rule}",
+        *(f"rule {tag}: Sentence {i}." for i, tag in enumerate(RUBRIC_TAGS * 3)),
+        f"check: {check}", "check: Second?", "check: Third?",
+    ])
+    rubric = parse_rubric_text(text, "braces.rubric")
+    assert (rubric.title, rubric.rules[0].text, rubric.checklist[0]) == (title, rule, check)
+    user_text = compile_prompt(owasp_finding, owasp_ctx, rubric, "OPTIMIZED").user_text
+    assert f"CWE-089: {title}\n- [SAFE_IDIOM] {rule}\n" in user_text
+    assert f"- {check}\n" in user_text
 
 
 def test_compile_is_deterministic(owasp_finding, owasp_ctx):

@@ -96,7 +96,7 @@ class AdjudicationResult(NamedTuple):
     def from_dict(cls, d: Mapping[str, Any]) -> "AdjudicationResult":
         # Only an OK row holds the adjudication's keys; only a failed one, "error".
         adjudication = from_row(Adjudication, d) if d["status"] == STATUS_OK else None
-        return cls(d["finding_id"], d["mode"], adjudication, d.get("error"))
+        return from_row(cls, {**d, "adjudication": adjudication, "error": d.get("error")})
 
 
 def _validate_object(obj: Any) -> tuple[str, str, str]:

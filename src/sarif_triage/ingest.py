@@ -54,11 +54,32 @@ def normalize_cwe(value: str) -> str:
     return f"CWE-{m.group(1).zfill(3)}"
 
 
+_SCALARS = {"str": str, "int": int, "bool": bool, "None": type(None)}
+
+
+@functools.cache
+def _scalar_fields(cls: Any) -> dict[str, tuple[str, tuple[type, ...]]]:
+    """Each field of ``cls`` annotated with scalars only (``int``, ``str |
+    None``; ``NamedTuple`` keeps the text in a ``ForwardRef``), with that
+    text and the JSON value types it admits."""
+    fields = {}
+    for name, ref in cls.__annotations__.items():
+        text = getattr(ref, "__forward_arg__", ref)
+        kinds = tuple(map(_SCALARS.get, text.split(" | ")))
+        if None not in kinds:
+            fields[name] = (text, kinds)
+    return fields
+
+
 def from_row(cls: Any, row: Mapping[str, Any], **nested: Callable[[Any], Any]) -> Any:
     """The ``cls`` record of a JSON row: each field holds the row's value for
     its name, passed through ``nested[name]`` where a field holds records.
-    A ``KeyError`` names a key the row lacks."""
+    A ``KeyError`` names a key the row lacks, and a ``TypeError`` a scalar
+    field whose value is of another type (a JSON ``true`` is no ``int``)."""
     values = {name: row[name] for name in cls._fields}
+    for name, (annotation, kinds) in _scalar_fields(cls).items():
+        if type(values[name]) not in kinds:
+            raise TypeError(f"{cls.__name__}.{name} is {values[name]!r}, not {annotation}")
     return cls(**{**values, **{name: f(values[name]) for name, f in nested.items()}})
 
 

@@ -1,4 +1,5 @@
-"""Pipeline orchestration: stage execution, artifact layout, and resume.
+"""Pipeline orchestration: the stage table and its engine, the artifact
+layout, and resume.
 
 Artifact tree under ``output_dir``::
 
@@ -14,72 +15,53 @@ Artifact tree under ``output_dir``::
 
 Every file goes to disk through ``write_file``, whole or not at all, and
 the stamp records the SHA-256 it returns instead of reading the file back.
-``write_rows`` writes each stage's rows, from its types' ``to_dict``, as JSON
-Lines through it, and ``read_rows`` yields the rows of a ``*.jsonl`` artifact
-or the labels file back. ``_records`` maps an artifact's rows through its
-type's ``from_dict``: a row without a key the record reads, as an older
-version may have written it, or of a shape the record cannot be read from,
-names its row and asks for the stage that writes the artifact.
+``write_rows`` writes rows as JSON Lines through it, and ``read_rows``
+yields the rows of a ``*.jsonl`` artifact or the labels file back.
 
 The run configuration (``RunConfig``, ``BackendConfig``, ``load_config``)
-lives in ``config``; this module re-exports it. Each stage imports the
-modules it runs on (``ingest``, ``context``, ``prompts``, ``rubrics``,
-``adjudicate``, ``backend``, ``evaluate``) only when its body runs, so a
-``--resume`` loads only the modules of the stages it runs; one that skips
-every stage loads none of them.
-
-Each stage reads its inputs from disk, so deleting a downstream artifact
-and re-running reproduces it. With the mock backend every artifact is
+lives in ``config``; this module re-exports it. A stage imports the modules
+it runs on only when its body runs, so a ``--resume`` that skips every
+stage loads none of them. With the mock backend every artifact is
 byte-identical across reruns except ``audit/``, which records wall-clock
 timestamps, and ``.stamps/adjudicate.json``, which hashes those records.
 
-Each stage is one ``_run_stage`` call of a function that hashes its inputs
-and a body that writes its outputs; any failure in either or in writing the
-stamp, a file it cannot hash included, is one ``StageError`` naming the
-stage (exit 1). ``write_config_echo`` runs before any stage; an
-``output_dir`` it cannot make or write ``run_config.json`` in is a
-``ConfigError`` (exit 2). ``--resume`` skips a stage only when its inputs
-and the outputs recorded in its stamp still hash-match. A stage that runs
-deletes the outputs its previous stamp recorded and it no longer writes. A
-stamp that cannot be decoded counts as absent. A stage reads an artifact of
-the run only through ``_vouched``: the SHA-256 it takes of the file for its
-own stamp must be the one the producer's stamp recorded, or it stops before
-any work. As two vouched files may come from different runs, ``prompts``
+A run is one loop over ``_STAGES``, whose rows name the artifacts each
+stage reads, the other inputs its stamp keys on, its body, and when it runs
+(``evaluate``: when labels are configured). ``_run_stage`` runs a row. It
+reads each artifact once, and their SHA-256 must be the one the producer's
+stamp recorded as written, or the stage stops before any work. ``--resume``
+skips the stage while its inputs and the outputs its stamp recorded still
+hash-match; a stamp that cannot be decoded counts as absent. Otherwise the
+rows are decoded through their type's ``from_dict``, at most once per
+process for the bytes they hold (a row that cannot be read names its row
+and asks for the producer again), the body writes the outputs, what the
+previous stamp recorded and the body no longer wrote is deleted, and the
+stamp is written. A stage that does not run has what an earlier run left of
+it deleted. Any failure on the way is one ``StageError`` naming the stage
+(exit 1). As two vouched files may come from different runs, ``prompts``
 checks that each finding has a context and ``evaluate`` that each mode's
-rows cover the findings once each. The inputs each stamp keys on:
-
-    ingest      the SARIF file, cwe_map
-    context     findings.jsonl, every source file a finding's context reads
-                (``Finding.steps``), limits, baseline_style, prompt_mode
-    prompts     findings.jsonl, the contexts*.jsonl of its modes, every
-                rubric file, prompt_mode, prompt_char_budget
-    adjudicate  prompts.jsonl, the backend config, the mock script,
-                max_output_chars
-    evaluate    findings.jsonl, adjudications.jsonl, the labels file,
-                write_csv
-
-While ``findings.jsonl`` still hashes to the value the context stamp
-recorded, ``--resume`` takes the source files to hash from that stamp's
-``src:<uri>`` keys instead of parsing the findings to list them again.
+rows cover the findings once each. A stamp keys on its row's ``reads`` and
+``keys``; while ``findings.jsonl`` still hashes to the value the context
+stamp recorded, ``--resume`` takes the source files to hash from that
+stamp's ``src:<uri>`` keys instead of parsing the findings to list them.
 """
 
 from __future__ import annotations
 
 import codecs
-import functools
 import hashlib
 import importlib
 import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
 from .config import BackendConfig, ConfigError, RunConfig, load_config  # noqa: F401 (re-exported)
+from .source import SourceSnapshot
 
 if TYPE_CHECKING:
     from .backend import Backend
-    from .ingest import Finding
 
 # The stage functions a stage body calls by these names, looked up on this
 # module when called: a wrapper set here (a tracer, a test's counter) is the
@@ -123,16 +105,19 @@ def build_backend(config: RunConfig) -> Backend:
 # Resume stamps
 
 
+def _read_hashed(path: Path) -> tuple[bytes, str]:
+    """The bytes of ``path`` and their SHA-256: every file this module
+    hashes is read through here, once."""
+    data = path.read_bytes()
+    return data, hashlib.sha256(data).hexdigest()
+
+
 def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return _read_hashed(path)[1]
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _sha256_json(value: Any) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 # {"inputs": {name: hash or value}, "outputs": {path under output_dir: hash}}
@@ -176,43 +161,13 @@ def _stamp_matches(config: RunConfig, stamp: Stamp, inputs: dict[str, str]) -> b
     return True
 
 
-def _run_stage(
-    config: RunConfig,
-    stage: str,
-    resume: bool,
-    inputs: Callable[[], dict[str, str]],
-    body: Callable[[], dict[Path, str]],
-) -> None:
-    """Run ``body`` unless ``resume`` is set and the stage's stamp still
-    matches what ``inputs`` returns; then delete what the previous stamp
-    recorded and ``body`` no longer wrote, and stamp the inputs with the
-    ``{path: sha256}`` of each file ``body`` wrote. Any failure on the way,
-    the stamp's own write included, surfaces as a ``StageError`` naming
-    ``stage``."""
-    previous = _read_stamp(config, stage)
-    try:
-        hashed = inputs()
-        if resume and previous is not None and _stamp_matches(config, previous, hashed):
-            return
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        outputs = body()
-        if previous is not None:
-            _remove_stale_outputs(config, previous, outputs)
-        stamp = {
-            "inputs": hashed,
-            "outputs": {str(p.relative_to(config.output_dir)): sha for p, sha in outputs.items()},
-        }
-        path = _stamp_path(config, stage)
-        path.parent.mkdir(exist_ok=True)
-        write_file(path, [json.dumps(stamp, indent=2, sort_keys=True) + "\n"])
-    except Exception as exc:
-        raise StageError(f"stage {stage}: {exc}") from exc
-
-
-def _remove_stale_outputs(config: RunConfig, stamp: Stamp, outputs: Iterable[Path]) -> None:
-    """Delete each file ``stamp`` recorded that is not in ``outputs``, and
-    any directory that leaves empty. Paths that lexically leave
-    ``output_dir`` are never touched."""
+def _remove_stale_outputs(config: RunConfig, stamp: Stamp | None,
+                          outputs: Iterable[Path]) -> None:
+    """Delete each file ``stamp``, if any, recorded that is not in
+    ``outputs``, and any directory that leaves empty. Paths that lexically
+    leave ``output_dir`` are never touched."""
+    if stamp is None:
+        return
     root = os.path.abspath(config.output_dir)
     kept = {os.path.abspath(p) for p in outputs}
     emptied = set()
@@ -253,59 +208,84 @@ def write_rows(path: Path, rows: Iterable[dict[str, Any]]) -> str:
     return write_file(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
-def read_rows(path: Path) -> Iterator[dict[str, Any]]:
-    """The JSON object on each non-blank line of ``path``, in order, past a
-    UTF-8 byte-order mark that opens the file; a ``ValueError`` naming the
-    path and the line for one that is not UTF-8, not JSON, or past the
-    decoder's depth or digit limit."""
-    with path.open("rb") as fh:
-        for number, line in enumerate(fh, 1):
-            if number == 1:
-                line = line.removeprefix(codecs.BOM_UTF8)
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line.decode("utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}, line {number}: not JSON: {exc.msg} (column {exc.colno})"
-                ) from exc
-            except (ValueError, RecursionError) as exc:  # not UTF-8, or past a decoder limit
-                raise ValueError(f"{path}, line {number}: not JSON: {exc}") from exc
-            yield row
-
-
-def _records(path: Path, cls: Any, producer: str) -> list[Any]:
-    """``cls.from_dict`` of each row of ``path``, an artifact ``producer``
-    writes one row a line; a ``ValueError`` naming the path and the row, and
-    asking for ``producer`` again, for a row without a key the record reads,
-    as an older version may have written, or one ``from_dict`` cannot walk:
-    not an object, or a nested value of another shape."""
-    records = []
-    for number, row in enumerate(read_rows(path), 1):
+def read_rows(path: Path, data: bytes | None = None) -> Iterator[dict[str, Any]]:
+    """The JSON object on each non-blank line of ``path``, or of ``data``,
+    its bytes as already read, in order, past a UTF-8 byte-order mark that
+    opens the file; a ``ValueError`` naming the path and the line for one
+    that is not UTF-8, not JSON, or past the decoder's depth or digit
+    limit."""
+    data = path.read_bytes() if data is None else data
+    for number, line in enumerate(data.removeprefix(codecs.BOM_UTF8).split(b"\n"), 1):
+        if not line.strip():
+            continue
         try:
-            records.append(cls.from_dict(row))
-        except KeyError as exc:
-            raise ValueError(f"{path}, row {number}: no {exc}, as older versions wrote it; "
-                             f"run {producer} again") from exc
-        except TypeError as exc:
-            raise ValueError(f"{path}, row {number}: {cls.__name__}.from_dict cannot read it "
-                             f"({exc}); run {producer} again") from exc
-    return records
+            row = json.loads(line.decode("utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path}, line {number}: not JSON: {exc.msg} (column {exc.colno})"
+            ) from exc
+        except (ValueError, RecursionError) as exc:  # not UTF-8, or past a decoder limit
+            raise ValueError(f"{path}, line {number}: not JSON: {exc}") from exc
+        yield row
 
 
-def _vouched(config: RunConfig, name: str, producer: str) -> str:
-    """The SHA-256 of the artifact ``name``, once the ``producer`` stage's
-    stamp records that hash as written; a ``ValueError`` when the file is
-    missing or is not the one it wrote."""
-    path = config.output_dir / name
-    if not path.is_file():
-        raise ValueError(f"missing input {path}; run {producer} first")
-    sha = _sha256_file(path)
-    stamp = _read_stamp(config, producer)
-    if stamp is None or stamp["outputs"].get(name) != sha:
-        raise ValueError(f"{path} is not the one {producer} wrote; run {producer} again")
-    return sha
+# artifact: (the stage that writes it, the key its hash has in the stamp of a
+# stage that reads it, the module and type of its rows)
+_ARTIFACTS = {
+    "findings.jsonl": ("ingest", "findings", "ingest", "Finding"),
+    "contexts.jsonl": ("context", "contexts.jsonl", "context", "CodeContext"),
+    "contexts_baseline.jsonl": ("context", "contexts_baseline.jsonl", "context", "CodeContext"),
+    "prompts.jsonl": ("prompts", "prompts", "prompts", "PromptBundle"),
+    "adjudications.jsonl": ("adjudicate", "adjudications", "adjudicate", "AdjudicationResult"),
+}
+_CONTEXT_FILES = {"OPTIMIZED": "contexts.jsonl", "BASELINE": "contexts_baseline.jsonl"}
+
+# artifact: (the SHA-256 of the bytes last decoded, their records). Keyed by
+# content, an entry is never stale; one per artifact, it stays bounded.
+_decoded: dict[str, tuple[str, tuple[Any, ...]]] = {}
+
+
+class _Reads:
+    """What one run of a stage reads: the bytes and SHA-256 of each artifact
+    it names, read once; their records, decoded when first asked for; the
+    stage's previous stamp when resuming; and one view of the source tree."""
+
+    def __init__(self, config: RunConfig, names: Iterable[str], stamp: Stamp | None):
+        self.config, self.stamp, self.data = config, stamp, {}
+        self.source = SourceSnapshot(config.source_root)
+        for name in names:
+            # Only the file the producer's stamp records as written is read.
+            producer, path = _ARTIFACTS[name][0], config.output_dir / name
+            if not path.is_file():
+                raise ValueError(f"missing input {path}; run {producer} first")
+            _, sha = self.data[name] = _read_hashed(path)
+            written = _read_stamp(config, producer)
+            if written is None or written["outputs"].get(name) != sha:
+                raise ValueError(f"{path} is not the one {producer} wrote; run {producer} again")
+
+    def __getitem__(self, name: str) -> tuple[Any, ...]:
+        """The ``from_dict`` of each row of the artifact ``name``, decoded at
+        most once per process for its bytes; a ``ValueError`` naming the row
+        and asking for the producer again for a row without a key, as an
+        older version may have written it, or one ``from_dict`` cannot read."""
+        data, sha = self.data[name]
+        cached = _decoded.get(name)
+        if cached is None or cached[0] != sha:
+            producer, _, module, type_name = _ARTIFACTS[name]
+            path = self.config.output_dir / name
+            cls = getattr(importlib.import_module(f".{module}", __package__), type_name)
+            records = []
+            for number, row in enumerate(read_rows(path, data), 1):
+                try:
+                    records.append(cls.from_dict(row))
+                except KeyError as exc:
+                    raise ValueError(f"{path}, row {number}: no {exc}, as older versions wrote "
+                                     f"it; run {producer} again") from exc
+                except TypeError as exc:
+                    raise ValueError(f"{path}, row {number}: {type_name}.from_dict cannot read "
+                                     f"it ({exc}); run {producer} again") from exc
+            cached = _decoded[name] = (sha, tuple(records))
+        return cached[1]
 
 
 # --------------------------------------------------------------------------
@@ -328,265 +308,254 @@ def write_config_echo(config: RunConfig) -> None:
         raise ConfigError(f"output_dir cannot hold run_config.json: {exc}") from exc
 
 
+def _ingest(config: RunConfig, reads: _Reads) -> dict[Path, str]:
+    results = _module.parse_sarif(config.sarif_path.read_bytes())
+    findings = _module.canonicalize(results, config.cwe_map)
+    path = config.output_dir / "findings.jsonl"
+    return {path: write_rows(path, (f.to_dict() for f in findings))}
+
+
+def _context_keys(config: RunConfig, reads: _Reads) -> dict[str, str]:
+    stamp = reads.stamp
+    if stamp is not None and stamp["inputs"].get("findings") == reads.data["findings.jsonl"][1]:
+        # The stamp of these same findings lists the files they name.
+        uris = [key[len("src:"):] for key in stamp["inputs"] if key.startswith("src:")]
+    else:
+        uris = sorted({loc.uri for f in reads["findings.jsonl"] for _, loc in f.steps()})
+    return {
+        **{f"src:{uri}": reads.source.sha256(uri) for uri in uris},
+        "limits": _sha256_json(config.limits._asdict()),
+        "baseline_style": config.baseline_style,
+        "prompt_mode": config.prompt_mode,
+    }
+
+
+def _context(config: RunConfig, reads: _Reads) -> dict[Path, str]:
+    source, style, limits = reads.source, config.baseline_style, config.limits
+    extract = {
+        "OPTIMIZED": lambda f: _module.extract_context(f, source, limits),
+        "BASELINE": lambda f: _module.extract_baseline_context(f, source, style, limits),
+    }
+    return {
+        path: write_rows(path, (extract[mode](f).to_dict() for f in reads["findings.jsonl"]))
+        for mode in config.modes()
+        for path in [config.output_dir / _CONTEXT_FILES[mode]]
+    }
+
+
+def _rubric_dir(config: RunConfig) -> Path:
+    return Path(config.rubric_dir or SHIPPED_RUBRIC_DIR)
+
+
+def _prompts(config: RunConfig, reads: _Reads) -> dict[Path, str]:
+    from .rubrics import load_rubrics, rubric_for
+
+    store = load_rubrics(_rubric_dir(config))
+    contexts_by_mode = {mode: {ctx.finding_id: ctx for ctx in reads[_CONTEXT_FILES[mode]]}
+                        for mode in config.modes()}
+
+    def rows() -> Iterator[dict[str, Any]]:
+        for finding in reads["findings.jsonl"]:
+            for mode in config.modes():
+                ctx = contexts_by_mode[mode].get(finding.finding_id)
+                if ctx is None:
+                    raise ValueError(
+                        f"{config.output_dir / _CONTEXT_FILES[mode]} holds no context for "
+                        f"finding {finding.finding_id} of {config.output_dir / 'findings.jsonl'}; "
+                        "run context again")
+                rubric = rubric_for(finding.cwe_id, store)
+                yield _module.compile_prompt(
+                    finding, ctx, rubric, mode, config.prompt_char_budget).to_dict()
+
+    path = config.output_dir / "prompts.jsonl"
+    return {path: write_rows(path, rows())}
+
+
+def _adjudicate(
+    config: RunConfig, reads: _Reads, sleep: Callable[[float], None] | None = None
+) -> dict[Path, str]:
+    """Send every prompt of ``prompts.jsonl`` to the backend. Each call's
+    audit record is written to ``audit/<fid>.<mode>.json`` as soon as the
+    call returns, so an interrupt keeps every record already received;
+    ``adjudications.jsonl`` is written once every call is back, and then
+    every other file directly under ``audit/`` is deleted."""
+    from . import adjudicate as adj
+    from .backend import RetryPolicy
+
+    retry = RetryPolicy(attempt_cap=config.backend.attempt_cap,
+                        backoff_base_s=config.backend.backoff_base_s,
+                        **({"sleep": sleep} if sleep is not None else {}))
+    audit_dir = config.output_dir / "audit"
+    audit_dir.mkdir(exist_ok=True)
+    outputs: dict[Path, str] = {}
+
+    def write_audit(record: dict[str, Any]) -> None:
+        path = audit_dir / f"{record['finding_id']}.{record['mode'].lower()}.json"
+        text = json.dumps(record, ensure_ascii=False, indent=2) + "\n"
+        outputs[path] = write_file(path, [text])
+
+    backend = build_backend(config)
+    try:
+        results, _ = adj.adjudicate_all(
+            list(reads["prompts.jsonl"]), backend, parallelism=config.parallelism,
+            model=config.backend.model, retry=retry, max_output_chars=config.max_output_chars,
+            max_prompt_chars=config.backend.max_prompt_chars, on_audit=write_audit)
+    finally:
+        backend.close()
+    path = config.output_dir / "adjudications.jsonl"
+    outputs[path] = write_rows(path, (r.to_dict() for r in results))
+    # audit/ holds this run's records only: an interrupted run's record of
+    # a (finding, mode) this run no longer has goes, as does a killed
+    # write's temporary file.
+    for stray in audit_dir.iterdir():
+        if stray not in outputs and not stray.is_dir():
+            stray.unlink()
+    return outputs
+
+
+def _evaluate(config: RunConfig, reads: _Reads) -> dict[Path, str]:
+    from . import evaluate as ev
+
+    truths = []
+    row_of_id: dict[str, int] = {}  # the row that labels each finding_id
+    for number, row in enumerate(read_rows(config.labels_path), 1):
+        try:
+            truth = ev.GroundTruth.from_dict(row)
+            if truth.finding_id in row_of_id:
+                raise ValueError(f"finding_id {truth.finding_id!r} is already labelled "
+                                 f"at row {row_of_id[truth.finding_id]}")
+        except ValueError as exc:
+            raise ValueError(f"labels file {config.labels_path}, row {number}: {exc}") from exc
+        if truth.finding_id:
+            row_of_id[truth.finding_id] = number
+        truths.append(truth)
+
+    findings, results = reads["findings.jsonl"], reads["adjudications.jsonl"]
+    ids = sorted(f.finding_id for f in findings)
+    reports: dict[str, ev.EvalReport] = {}
+    for mode in config.modes():
+        mode_rows = [r for r in results if r.mode == mode]
+        if sorted(r.finding_id for r in mode_rows) != ids:
+            raise ValueError(f"{config.output_dir / 'adjudications.jsonl'} does not hold one "
+                             f"{mode} row per finding of {config.output_dir / 'findings.jsonl'}; "
+                             "run adjudicate again")
+        reports[mode] = ev.build_report(list(findings), mode_rows, truths, mode)
+
+    both = "BASELINE" in reports and "OPTIMIZED" in reports
+    deltas = ev.compare_modes(reports["BASELINE"], reports["OPTIMIZED"]) if both else None
+    payload: dict[str, Any] = {"modes": {mode: r.to_dict() for mode, r in reports.items()}}
+    if deltas is not None:
+        payload["delta"] = [row.to_dict() for row in deltas]
+    out = config.output_dir
+    texts = {
+        "report.json": json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
+        "report.txt": ev.render_report_text(reports, deltas),
+    }
+    if config.write_csv:
+        texts["report.csv"] = ev.render_report_csv(reports)
+    return {out / name: write_file(out / name, [text]) for name, text in texts.items()}
+
+
+class _Stage(NamedTuple):
+    """One row of the stage table."""
+
+    reads: Callable[[RunConfig], Iterable[str]]  # the artifacts it reads
+    keys: Callable[[RunConfig, _Reads], dict[str, str]]  # the stamp's other inputs
+    body: Callable[..., dict[Path, str]]  # writes the outputs: {path: sha256}
+    when: Callable[[RunConfig], bool] = lambda config: True
+
+
+# The stages in the order they run.
+_STAGES = {
+    "ingest": _Stage(reads=lambda config: (), keys=lambda config, reads: {
+        "sarif": _sha256_file(config.sarif_path),
+        "cwe_map": _sha256_json(config.cwe_map),
+    }, body=_ingest),
+    "context": _Stage(reads=lambda config: ["findings.jsonl"], keys=_context_keys, body=_context),
+    "prompts": _Stage(
+        reads=lambda config: ["findings.jsonl", *map(_CONTEXT_FILES.get, config.modes())],
+        keys=lambda config, reads: {
+            **{f"rubric:{p.name}": _sha256_file(p)
+               for p in sorted(_rubric_dir(config).glob("*.rubric"))},
+            "prompt_mode": config.prompt_mode, "budget": str(config.prompt_char_budget),
+        }, body=_prompts),
+    "adjudicate": _Stage(reads=lambda config: ["prompts.jsonl"], keys=lambda config, reads: {
+        "backend": _sha256_json(config.backend._asdict()),
+        "max_output_chars": str(config.max_output_chars),
+        **({"script": _sha256_file(Path(config.backend.script_path))}
+           if config.backend.kind == "mock" and config.backend.script_path else {}),
+    }, body=_adjudicate),
+    "evaluate": _Stage(
+        reads=lambda config: ["findings.jsonl", "adjudications.jsonl"],
+        keys=lambda config, reads: {"labels": _sha256_file(config.labels_path),
+                                    "write_csv": str(config.write_csv)},
+        body=_evaluate, when=lambda config: config.labels_path is not None),
+}
+
+
+def _run_stage(name: str, config: RunConfig, resume: bool, **options: Any) -> None:
+    """Run the stage ``name`` of ``_STAGES``, its body with ``options``, as
+    the module docstring says; any failure is a ``StageError`` naming it."""
+    stage = _STAGES[name]
+    try:
+        previous = _read_stamp(config, name)
+        if not stage.when(config):
+            _remove_stale_outputs(config, previous, [])
+            _stamp_path(config, name).unlink(missing_ok=True)
+            return
+        reads = _Reads(config, stage.reads(config), previous if resume else None)
+        inputs = {**{_ARTIFACTS[read][1]: sha for read, (_, sha) in reads.data.items()},
+                  **stage.keys(config, reads)}
+        if resume and previous is not None and _stamp_matches(config, previous, inputs):
+            return
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+        outputs = stage.body(config, reads, **options)
+        _remove_stale_outputs(config, previous, outputs)
+        stamp = {"inputs": inputs, "outputs": {
+            str(p.relative_to(config.output_dir)): sha for p, sha in outputs.items()}}
+        path = _stamp_path(config, name)
+        path.parent.mkdir(exist_ok=True)
+        write_file(path, [json.dumps(stamp, indent=2, sort_keys=True) + "\n"])
+    except Exception as exc:
+        raise StageError(f"stage {name}: {exc}") from exc
+
+
 def stage_ingest(config: RunConfig, resume: bool = False) -> None:
-    def inputs() -> dict[str, str]:
-        return {
-            "sarif": _sha256_file(config.sarif_path),
-            "cwe_map": _sha256_text(json.dumps(config.cwe_map, sort_keys=True)),
-        }
-
-    def body() -> dict[Path, str]:
-        results = _module.parse_sarif(config.sarif_path.read_bytes())
-        findings = _module.canonicalize(results, config.cwe_map)
-        path = config.output_dir / "findings.jsonl"
-        return {path: write_rows(path, (f.to_dict() for f in findings))}
-
-    _run_stage(config, "ingest", resume, inputs, body)
-
-
-def _load_findings(path: Path) -> list[Finding]:
-    from .ingest import Finding
-
-    return _records(path, Finding, "ingest")
-
-
-def _source_uris(findings: list[Finding]) -> list[str]:
-    """Every file a finding's context reads, sorted."""
-    return sorted({loc.uri for f in findings for _, loc in f.steps()})
-
-
-_CONTEXT_FILES = {"OPTIMIZED": "contexts.jsonl", "BASELINE": "contexts_baseline.jsonl"}
+    _run_stage("ingest", config, resume)
 
 
 def stage_context(config: RunConfig, resume: bool = False) -> None:
-    from .source import SourceSnapshot
-
-    source = SourceSnapshot(config.source_root)
-    findings = functools.cache(lambda: _load_findings(config.output_dir / "findings.jsonl"))
-
-    def inputs() -> dict[str, str]:
-        findings_sha = _vouched(config, "findings.jsonl", "ingest")
-        stamp = _read_stamp(config, "context") if resume else None
-        if stamp is not None and stamp["inputs"].get("findings") == findings_sha:
-            # The stamp of these same findings lists the files they name.
-            uris = [key[len("src:"):] for key in stamp["inputs"] if key.startswith("src:")]
-        else:
-            uris = _source_uris(findings())
-        return {
-            "findings": findings_sha,
-            **{f"src:{uri}": source.sha256(uri) for uri in uris},
-            "limits": _sha256_text(json.dumps(config.limits._asdict(), sort_keys=True)),
-            "baseline_style": config.baseline_style,
-            "prompt_mode": config.prompt_mode,
-        }
-
-    def body() -> dict[Path, str]:
-        style = config.baseline_style
-        extract = {
-            "OPTIMIZED": lambda f: _module.extract_context(f, source, config.limits),
-            "BASELINE": lambda f: _module.extract_baseline_context(f, source, style, config.limits),
-        }
-        return {
-            path: write_rows(path, (extract[mode](f).to_dict() for f in findings()))
-            for mode in config.modes()
-            for path in [config.output_dir / _CONTEXT_FILES[mode]]
-        }
-
-    _run_stage(config, "context", resume, inputs, body)
+    _run_stage("context", config, resume)
 
 
 def stage_prompts(config: RunConfig, resume: bool = False) -> None:
-    rubric_dir = Path(config.rubric_dir or SHIPPED_RUBRIC_DIR)
-
-    def inputs() -> dict[str, str]:
-        return {
-            "findings": _vouched(config, "findings.jsonl", "ingest"),
-            **{f"rubric:{p.name}": _sha256_file(p) for p in sorted(rubric_dir.glob("*.rubric"))},
-            "prompt_mode": config.prompt_mode,
-            "budget": str(config.prompt_char_budget),
-            **{name: _vouched(config, name, "context")
-               for name in map(_CONTEXT_FILES.get, config.modes())},
-        }
-
-    def body() -> dict[Path, str]:
-        from .context import CodeContext
-        from .rubrics import load_rubrics, rubric_for
-
-        findings_path = config.output_dir / "findings.jsonl"
-        findings = _load_findings(findings_path)
-        store = load_rubrics(rubric_dir)
-        contexts_by_mode = {
-            mode: {ctx.finding_id: ctx for ctx in _records(
-                config.output_dir / _CONTEXT_FILES[mode], CodeContext, "context")}
-            for mode in config.modes()
-        }
-
-        def rows() -> Iterator[dict[str, Any]]:
-            for finding in findings:
-                for mode in config.modes():
-                    ctx = contexts_by_mode[mode].get(finding.finding_id)
-                    if ctx is None:
-                        raise ValueError(
-                            f"{config.output_dir / _CONTEXT_FILES[mode]} holds no context for "
-                            f"finding {finding.finding_id} of {findings_path}; run context again")
-                    rubric = rubric_for(finding.cwe_id, store)
-                    bundle = _module.compile_prompt(
-                        finding, ctx, rubric, mode, config.prompt_char_budget
-                    )
-                    yield bundle.to_dict()
-
-        path = config.output_dir / "prompts.jsonl"
-        return {path: write_rows(path, rows())}
-
-    _run_stage(config, "prompts", resume, inputs, body)
+    _run_stage("prompts", config, resume)
 
 
 def stage_adjudicate(
     config: RunConfig, resume: bool = False, sleep: Callable[[float], None] | None = None
 ) -> None:
-    """Send every prompt of ``prompts.jsonl`` to the backend. Each call's
-    audit record is written to ``audit/<fid>.<mode>.json`` as soon as the
-    call returns, so an interrupt keeps every record already received;
-    ``adjudications.jsonl`` is written once every call is back. A stage
-    that completes then deletes every other file directly under ``audit/``."""
-    prompts_path = config.output_dir / "prompts.jsonl"
-
-    def inputs() -> dict[str, str]:
-        script = config.backend.kind == "mock" and config.backend.script_path
-        return {
-            "prompts": _vouched(config, "prompts.jsonl", "prompts"),
-            "backend": _sha256_text(json.dumps(config.backend._asdict(), sort_keys=True)),
-            "max_output_chars": str(config.max_output_chars),
-            **({"script": _sha256_file(Path(script))} if script else {}),
-        }
-
-    def body() -> dict[Path, str]:
-        from . import adjudicate as adj
-        from .backend import RetryPolicy
-        from .prompts import PromptBundle
-
-        retry = RetryPolicy(
-            attempt_cap=config.backend.attempt_cap,
-            backoff_base_s=config.backend.backoff_base_s,
-            **({"sleep": sleep} if sleep is not None else {}),
-        )
-        bundles = _records(prompts_path, PromptBundle, "prompts")
-        audit_dir = config.output_dir / "audit"
-        audit_dir.mkdir(exist_ok=True)
-        outputs: dict[Path, str] = {}
-
-        def write_audit(record: dict[str, Any]) -> None:
-            path = audit_dir / f"{record['finding_id']}.{record['mode'].lower()}.json"
-            text = json.dumps(record, ensure_ascii=False, indent=2) + "\n"
-            outputs[path] = write_file(path, [text])
-
-        backend = build_backend(config)
-        try:
-            results, _ = adj.adjudicate_all(
-                bundles,
-                backend,
-                parallelism=config.parallelism,
-                model=config.backend.model,
-                retry=retry,
-                max_output_chars=config.max_output_chars,
-                max_prompt_chars=config.backend.max_prompt_chars,
-                on_audit=write_audit,
-            )
-        finally:
-            backend.close()
-        path = config.output_dir / "adjudications.jsonl"
-        outputs[path] = write_rows(path, (r.to_dict() for r in results))
-        # audit/ holds this run's records only: an interrupted run's record of
-        # a (finding, mode) this run no longer has goes, as does a killed
-        # write's temporary file.
-        for stray in audit_dir.iterdir():
-            if stray not in outputs and not stray.is_dir():
-                stray.unlink()
-        return outputs
-
-    _run_stage(config, "adjudicate", resume, inputs, body)
+    _run_stage("adjudicate", config, resume, sleep=sleep)
 
 
 def stage_evaluate(config: RunConfig, resume: bool = False) -> None:
-    if config.labels_path is None:
+    if not _STAGES["evaluate"].when(config):
         raise ConfigError("evaluate requires labels_path in the config")
-    findings_path = config.output_dir / "findings.jsonl"
-    adjudications_path = config.output_dir / "adjudications.jsonl"
-
-    def inputs() -> dict[str, str]:
-        return {
-            "findings": _vouched(config, "findings.jsonl", "ingest"),
-            "adjudications": _vouched(config, "adjudications.jsonl", "adjudicate"),
-            "labels": _sha256_file(config.labels_path),
-            "write_csv": str(config.write_csv),
-        }
-
-    def body() -> dict[Path, str]:
-        from . import adjudicate as adj
-        from . import evaluate as ev
-
-        findings = _load_findings(findings_path)
-        results = _records(adjudications_path, adj.AdjudicationResult, "adjudicate")
-        truths = []
-        row_of_id: dict[str, int] = {}  # the row that labels each finding_id
-        for number, row in enumerate(read_rows(config.labels_path), 1):
-            try:
-                truth = ev.GroundTruth.from_dict(row)
-                if truth.finding_id in row_of_id:
-                    raise ValueError(f"finding_id {truth.finding_id!r} is already labelled "
-                                     f"at row {row_of_id[truth.finding_id]}")
-            except ValueError as exc:
-                raise ValueError(f"labels file {config.labels_path}, row {number}: {exc}") from exc
-            if truth.finding_id:
-                row_of_id[truth.finding_id] = number
-            truths.append(truth)
-
-        ids = sorted(f.finding_id for f in findings)
-        reports: dict[str, ev.EvalReport] = {}
-        for mode in config.modes():
-            mode_rows = [r for r in results if r.mode == mode]
-            if sorted(r.finding_id for r in mode_rows) != ids:
-                raise ValueError(f"{adjudications_path} does not hold one {mode} row per "
-                                 f"finding of {findings_path}; run adjudicate again")
-            reports[mode] = ev.build_report(findings, mode_rows, truths, mode)
-
-        deltas = None
-        if "BASELINE" in reports and "OPTIMIZED" in reports:
-            deltas = ev.compare_modes(reports["BASELINE"], reports["OPTIMIZED"])
-
-        payload: dict[str, Any] = {
-            "modes": {mode: report.to_dict() for mode, report in reports.items()},
-        }
-        if deltas is not None:
-            payload["delta"] = [row.to_dict() for row in deltas]
-        out = config.output_dir
-        texts = {
-            "report.json": json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-            "report.txt": ev.render_report_text(reports, deltas),
-        }
-        if config.write_csv:
-            texts["report.csv"] = ev.render_report_csv(reports)
-        return {out / name: write_file(out / name, [text]) for name, text in texts.items()}
-
-    _run_stage(config, "evaluate", resume, inputs, body)
+    _run_stage("evaluate", config, resume)
 
 
 def run_all(
     config: RunConfig, resume: bool = False, sleep: Callable[[float], None] | None = None
 ) -> None:
-    """Execute ingest -> context -> prompts -> adjudicate (-> evaluate when
-    labels are configured), writing every stage's outputs before the next
-    stage begins. Without labels, the report an earlier run left is deleted
-    so that it cannot pass for this run's."""
+    """Run each stage of ``_STAGES`` in order through the ``stage_<name>``
+    this module holds when it is called. One whose ``when`` is false
+    (evaluate without labels) has what an earlier run left of it deleted,
+    so a report cannot pass for this run's."""
     write_config_echo(config)
-    stage_ingest(config, resume)
-    stage_context(config, resume)
-    stage_prompts(config, resume)
-    stage_adjudicate(config, resume, sleep=sleep)
-    if config.labels_path is not None:
-        stage_evaluate(config, resume)
-    else:
-        previous = _read_stamp(config, "evaluate")
-        if previous is not None:
-            _remove_stale_outputs(config, previous, [])
-        _stamp_path(config, "evaluate").unlink(missing_ok=True)
+    for name, stage in _STAGES.items():
+        if not stage.when(config):
+            _run_stage(name, config, resume)
+        elif name == "adjudicate":
+            _module.stage_adjudicate(config, resume, sleep=sleep)
+        else:
+            getattr(_module, f"stage_{name}")(config, resume)

@@ -785,6 +785,47 @@ def test_a_stage_names_the_file_and_row_of_a_row_it_cannot_read(
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "name,producer,member,value,command,field",
+    [("findings.jsonl", "ingest", "primary_location.start_line", "x", "context",
+      "CodeLocation.start_line is 'x', not int"),
+     ("findings.jsonl", "ingest", "origin_index", True, "evaluate",
+      "Finding.origin_index is True, not int"),
+     ("findings.jsonl", "ingest", "trace.0.step_message", None, "prompts",
+      "TraceStep.step_message is None, not str"),
+     ("contexts.jsonl", "context", "truncated", 0, "prompts",
+      "CodeContext.truncated is 0, not bool"),
+     ("contexts.jsonl", "context", "segments.0.step_index", 1.0, "prompts",
+      "ContextSegment.step_index is 1.0, not int | None"),
+     ("prompts.jsonl", "prompts", "user_text", ["text"], "adjudicate",
+      "PromptBundle.user_text is ['text'], not str"),
+     ("adjudications.jsonl", "adjudicate", "attempt_count", "1", "evaluate",
+      "Adjudication.attempt_count is '1', not int"),
+     ("adjudications.jsonl", "adjudicate", "finding_id", 5, "evaluate",
+      "AdjudicationResult.finding_id is 5, not str")],
+)
+def test_a_stage_names_the_file_row_and_field_of_a_scalar_of_the_wrong_type(
+    corpus, tmp_path, capsys, name, producer, member, value, command, field
+):
+    # Row 2 gets a scalar of another JSON type than its record's field
+    # holds; the re-stamp vouches for the file. A JSON true is no integer.
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="BOTH")
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    path = out / name
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    _set_at(rows[1], member, value)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    _restamp(out, producer, name)
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stage {command}: {path}, row 2: ")
+    assert field in err
+    assert err.endswith(f"; run {producer} again\n")
+    assert err.count("\n") == 1
+
+
 def test_adjudicate_refuses_a_duplicated_prompt_row_without_a_backend_call(
     corpus, tmp_path, capsys, monkeypatch
 ):
@@ -1332,14 +1373,14 @@ def test_a_fresh_run_rereads_no_output_it_wrote_and_resume_rehashes_every_one(
     out = tmp_path / "out"
     config = write_config(corpus, out)
     hashed: list[str] = []
-    sha256_file = pipeline._sha256_file
+    read_hashed = pipeline._read_hashed
 
     def counting(path):
         if path.is_relative_to(out):
             hashed.append(str(path.relative_to(out)))
-        return sha256_file(path)
+        return read_hashed(path)
 
-    monkeypatch.setattr(pipeline, "_sha256_file", counting)
+    monkeypatch.setattr(pipeline, "_read_hashed", counting)
     assert main(["run", "--config", str(config)]) == EXIT_OK
     # Only the stage inputs: findings for context, prompts and evaluate.
     assert Counter(hashed) == {"findings.jsonl": 3, "contexts.jsonl": 1, "prompts.jsonl": 1,
@@ -1468,9 +1509,46 @@ _INPUT_EDITS = {
     "mock-script": (_edit_mock_script, {"adjudicate", "evaluate"}),
 }
 
+# edited config key, dotted inside a section: (its new value, or None to
+# drop the key; the stages whose outputs the resume rewrites; the stages
+# some of whose outputs it deletes)
+_CONFIG_EDITS = {
+    # Over the cap, the baseline windows are flagged truncated but keep their
+    # lines, and the prompts show no flag, so adjudicate keeps its verdicts.
+    "limits.max_total_lines": (5, {"context", "prompts"}, set()),
+    "prompt_char_budget": (3000, {"prompts", "adjudicate"}, set()),
+    "max_output_chars": (10, {"adjudicate", "evaluate"}, set()),
+    "backend.max_prompt_chars": (4000, {"adjudicate", "evaluate"}, set()),
+    # The model is no column of adjudications.jsonl, so evaluate keeps its report.
+    "backend.model": ("another-model", {"adjudicate"}, set()),
+    "baseline_style": ("WHOLE_FILE", {"context", "prompts", "adjudicate"}, set()),
+    # Each corpus alert's rule tags its CWE, which the map does not override.
+    "cwe_map": ({"java/xss": "CWE-080"}, {"ingest"}, set()),
+    "write_csv": (True, {"evaluate"}, set()),
+    "parallelism": (3, set(), set()),
+    "prompt_mode": ("OPTIMIZED", {"context", "prompts", "adjudicate", "evaluate"},
+                    {"context", "adjudicate"}),
+    "labels_path": (None, set(), {"evaluate"}),
+}
 
-@pytest.mark.parametrize("edit", sorted(_INPUT_EDITS))
+
+def _edit_config(config: Path, key: str, value) -> None:
+    data = json.loads(config.read_text(encoding="utf-8"))
+    *section, leaf = key.split(".")
+    target = data.setdefault(section[0], {}) if section else data
+    if value is None:
+        del target[leaf]
+    else:
+        target[leaf] = value
+    config.write_text(json.dumps(data), encoding="utf-8")
+
+
+@pytest.mark.parametrize("edit", sorted(_INPUT_EDITS) + sorted(_CONFIG_EDITS))
 def test_resume_reruns_exactly_the_stages_an_edited_input_reaches(tmp_path, edit):
+    # Build Systems a la Carte calls an incremental build correct when it
+    # equals a clean one: after each edit, a resume must write what a clean
+    # run of the edited inputs writes, rerunning only the stages the edit
+    # reaches, and so must the stage commands run in order.
     corpus = build_corpus(tmp_path / "corpus")
     _move_a_location_to_a_helper(corpus)
     rubric_dir = tmp_path / "rubrics"
@@ -1483,10 +1561,26 @@ def test_resume_reruns_exactly_the_stages_an_edited_input_reaches(tmp_path, edit
     assert "src:gen/Helper.java" in json.loads(_stamp_texts(out)["context"])["inputs"]
     outputs = _stage_outputs(out)
     _backdate(outputs)
-    change, stages = _INPUT_EDITS[edit]
-    change(corpus, rubric_dir)
+    if edit in _INPUT_EDITS:
+        change, stages = _INPUT_EDITS[edit]
+        change(corpus, rubric_dir)
+        deleted = set()
+    else:
+        value, stages, deleted = _CONFIG_EDITS[edit]
+        _edit_config(config, edit, value)
     assert main(["run", "--config", str(config), "--resume"]) == EXIT_OK
-    assert _rewritten(outputs) == stages
+    kept = {stage: [p for p in paths if p.exists()] for stage, paths in outputs.items()}
+    assert {stage for stage in outputs if kept[stage] != outputs[stage]} == deleted
+    assert _rewritten(kept) == stages
+    resumed = _artifacts(out)
+    shutil.rmtree(out)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    assert _artifacts(out) == resumed
+    shutil.rmtree(out)
+    labelled = "labels_path" in json.loads(config.read_text(encoding="utf-8"))
+    for stage in _STAGES if labelled else _STAGES[:-1]:
+        assert main([stage, "--config", str(config)]) == EXIT_OK
+    assert _artifacts(out) == resumed
 
 
 def test_resume_after_a_sarif_edit_watches_the_files_the_new_findings_name(tmp_path):
@@ -1619,6 +1713,24 @@ def test_unlabelled_rerun_removes_the_earlier_report(corpus, tmp_path):
     for name in ("report.json", "report.txt", "report.csv", ".stamps/evaluate.json"):
         assert not (out / name).exists(), name
     assert _prompt_modes(out) == {"BASELINE": 20}
+
+
+def test_an_unlabelled_run_that_cannot_remove_the_evaluate_stamp_exits_1(
+    corpus, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    config = write_config(corpus, out)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    stamp = out / ".stamps" / "evaluate.json"
+    stamp.unlink()
+    stamp.mkdir()
+    config = write_config(corpus, out, with_labels=False)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage evaluate: ")
+    assert err.count("\n") == 1
+    assert stamp.is_dir()
 
 
 def test_rerun_deletes_nothing_outside_the_output_dir(corpus, tmp_path):

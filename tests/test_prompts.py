@@ -157,6 +157,20 @@ def test_a_rubric_may_quote_braces_and_they_reach_the_prompt_verbatim(owasp_find
     assert f"- {check}\n" in user_text
 
 
+def test_a_cwe_328_finding_s_optimized_prompt_carries_the_weak_hash_rubric(
+    owasp_finding, owasp_ctx
+):
+    finding = owasp_finding._replace(cwe_id="CWE-328")
+    rubric = rubric_for(finding.cwe_id, RUBRICS)
+    assert rubric.cwe_id == "CWE-328"
+    user_text = compile_prompt(finding, owasp_ctx, rubric, "OPTIMIZED").user_text
+    assert "CWE-328: Use of Weak Hash\n" in user_text
+    for rule in rubric.rules:
+        assert f"- [{rule.tag}] {rule.text}\n" in user_text
+    for check in rubric.checklist:
+        assert f"- {check}\n" in user_text
+
+
 def test_compile_is_deterministic(owasp_finding, owasp_ctx):
     rubric = rubric_for(owasp_finding.cwe_id, RUBRICS)
     a = compile_prompt(owasp_finding, owasp_ctx, rubric, "OPTIMIZED")

@@ -382,19 +382,22 @@ class MockBackend(Backend):
         self._lock = threading.Lock()
 
     @classmethod
-    def from_script_file(cls, path: Path | str) -> "MockBackend":
-        """The backend a script file describes; a ``ValueError`` naming the
-        file for one that is not UTF-8 JSON of the shape above."""
+    def from_script_file(cls, path: Path | str, data: bytes | None = None) -> "MockBackend":
+        """The backend a script file describes, parsed from ``data``, its
+        bytes as already read, when given; a ``ValueError`` naming the file
+        for one that is not UTF-8 JSON of the shape above."""
+        if data is None:
+            data = Path(path).read_bytes()
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-            if not isinstance(data, dict):
+            script = json.loads(data.decode("utf-8-sig"))
+            if not isinstance(script, dict):
                 raise ValueError("not a JSON object")
-            for key in sorted(data.keys() - {"responses", "default"}):
+            for key in sorted(script.keys() - {"responses", "default"}):
                 raise ValueError(f"unknown key {key!r}")
-            responses = data.get("responses", {})
+            responses = script.get("responses", {})
             if not isinstance(responses, dict):
                 raise ValueError("`responses` is not an object")
-            return cls(responses=responses, default=data.get("default"))
+            return cls(responses=responses, default=script.get("default"))
         except (ValueError, RecursionError) as exc:  # RecursionError: past json's depth
             raise ValueError(f"mock script {path}: {exc}") from exc
 

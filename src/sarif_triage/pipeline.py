@@ -15,7 +15,7 @@ Artifact tree under ``output_dir``::
 
 Every file goes to disk through ``write_file``, whole or not at all, and
 the stamp records the SHA-256 it returns instead of reading the file back.
-``write_rows`` writes rows as JSON Lines through it, and ``read_rows``
+``write_rows`` writes records as JSON Lines through it, and ``read_rows``
 yields the rows of a ``*.jsonl`` artifact or the labels file back.
 
 The run configuration (``RunConfig``, ``BackendConfig``, ``load_config``)
@@ -32,18 +32,22 @@ reads each artifact once, and their SHA-256 must be the one the producer's
 stamp recorded as written, or the stage stops before any work. ``--resume``
 skips the stage while its inputs and the outputs its stamp recorded still
 hash-match; a stamp that cannot be decoded counts as absent. Otherwise the
-rows are decoded through their type's ``from_dict``, at most once per
-process for the bytes they hold (a row that cannot be read names its row
-and asks for the producer again), the body writes the outputs, what the
-previous stamp recorded and the body no longer wrote is deleted, and the
-stamp is written. A stage that does not run has what an earlier run left of
-it deleted. Any failure on the way is one ``StageError`` naming the stage
-(exit 1). As two vouched files may come from different runs, ``prompts``
-checks that each finding has a context and ``evaluate`` that each mode's
-rows cover the findings once each. A stamp keys on its row's ``reads`` and
-``keys``; while ``findings.jsonl`` still hashes to the value the context
-stamp recorded, ``--resume`` takes the source files to hash from that
-stamp's ``src:<uri>`` keys instead of parsing the findings to list them.
+body is handed each artifact's records: the ones ``write_rows`` kept when
+this process wrote those same bytes, so a ``run`` decodes no artifact it
+wrote, else the rows decoded through their type's ``from_dict``, at most
+once per process for the bytes they hold (a row that cannot be read names
+its row and asks for the producer again). Each outside input the stamp
+keys on is read once, and the body parses the bytes the stamp hashed. The
+body writes the outputs, what the previous stamp recorded and the body no
+longer wrote is deleted, and the stamp is written. A stage that does not
+run has what an earlier run left of it deleted. Any failure on the way is
+one ``StageError`` naming the stage (exit 1). As two vouched files may come
+from different runs, ``prompts`` checks that each finding has a context and
+``evaluate`` that each mode's rows cover the findings once each. A stamp
+keys on its row's ``reads`` and ``keys``; while ``findings.jsonl`` still
+hashes to the value the context stamp recorded, ``--resume`` takes the
+source files to hash from that stamp's ``src:<uri>`` keys instead of
+parsing the findings to list them.
 """
 
 from __future__ import annotations
@@ -93,11 +97,14 @@ class StageError(RuntimeError):
     """A pipeline stage failed; maps to exit code 1."""
 
 
-def build_backend(config: RunConfig) -> Backend:
+def build_backend(config: RunConfig, reads: _Reads) -> Backend:
+    """The backend ``config`` names; a mock's script is parsed from the
+    bytes ``reads`` hashed for the stamp."""
     from .backend import HttpBackend, MockBackend
 
     if config.backend.kind == "mock":
-        return MockBackend.from_script_file(config.backend.script_path)
+        script = config.backend.script_path
+        return MockBackend.from_script_file(script, reads.file(Path(script))[0])
     return HttpBackend(config.backend.endpoint, config.backend.key_env)
 
 
@@ -203,9 +210,16 @@ def write_file(path: Path, chunks: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
-def write_rows(path: Path, rows: Iterable[dict[str, Any]]) -> str:
-    """``write_file`` of ``rows`` as JSON Lines, non-ASCII kept."""
-    return write_file(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+def write_rows(path: Path, records: Iterable[Any]) -> str:
+    """``write_file`` of each record's ``to_dict`` as JSON Lines, non-ASCII
+    kept. Once every row of an artifact is on disk, its records are what a
+    stage of this process that reads those bytes is handed: they are the
+    records the rows decode to, so the file is not decoded again."""
+    records = tuple(records)
+    sha = write_file(path, (json.dumps(r.to_dict(), ensure_ascii=False) + "\n" for r in records))
+    if path.name in _ARTIFACTS:
+        _decoded[path.name] = (sha, records)
+    return sha
 
 
 def read_rows(path: Path, data: bytes | None = None) -> Iterator[dict[str, Any]]:
@@ -240,18 +254,22 @@ _ARTIFACTS = {
 }
 _CONTEXT_FILES = {"OPTIMIZED": "contexts.jsonl", "BASELINE": "contexts_baseline.jsonl"}
 
-# artifact: (the SHA-256 of the bytes last decoded, their records). Keyed by
-# content, an entry is never stale; one per artifact, it stays bounded.
+# artifact: (the SHA-256 of the bytes last written or decoded, their
+# records). Keyed by content, an entry is never stale; one per artifact, it
+# stays bounded.
 _decoded: dict[str, tuple[str, tuple[Any, ...]]] = {}
 
 
 class _Reads:
     """What one run of a stage reads: the bytes and SHA-256 of each artifact
     it names, read once; their records, decoded when first asked for; the
-    stage's previous stamp when resuming; and one view of the source tree."""
+    bytes and SHA-256 of each outside input, read once when first asked for;
+    the stage's previous stamp when resuming; and one view of the source
+    tree."""
 
     def __init__(self, config: RunConfig, names: Iterable[str], stamp: Stamp | None):
         self.config, self.stamp, self.data = config, stamp, {}
+        self.files: dict[Path, tuple[bytes, str]] = {}
         self.source = SourceSnapshot(config.source_root)
         for name in names:
             # Only the file the producer's stamp records as written is read.
@@ -263,11 +281,19 @@ class _Reads:
             if written is None or written["outputs"].get(name) != sha:
                 raise ValueError(f"{path} is not the one {producer} wrote; run {producer} again")
 
+    def file(self, path: Path) -> tuple[bytes, str]:
+        """The bytes and SHA-256 of the outside input ``path``: the stamp
+        keys on the hash, and the body parses the same bytes."""
+        if path not in self.files:
+            self.files[path] = _read_hashed(path)
+        return self.files[path]
+
     def __getitem__(self, name: str) -> tuple[Any, ...]:
-        """The ``from_dict`` of each row of the artifact ``name``, decoded at
-        most once per process for its bytes; a ``ValueError`` naming the row
-        and asking for the producer again for a row without a key, as an
-        older version may have written it, or one ``from_dict`` cannot read."""
+        """The ``from_dict`` of each row of the artifact ``name``: the records
+        this process last wrote or decoded as these same bytes, else decoded
+        from them; a ``ValueError`` naming the row and asking for the
+        producer again for a row without a key, as an older version may have
+        written it, or one ``from_dict`` cannot read."""
         data, sha = self.data[name]
         cached = _decoded.get(name)
         if cached is None or cached[0] != sha:
@@ -309,10 +335,10 @@ def write_config_echo(config: RunConfig) -> None:
 
 
 def _ingest(config: RunConfig, reads: _Reads) -> dict[Path, str]:
-    results = _module.parse_sarif(config.sarif_path.read_bytes())
+    results = _module.parse_sarif(reads.file(config.sarif_path)[0])
     findings = _module.canonicalize(results, config.cwe_map)
     path = config.output_dir / "findings.jsonl"
-    return {path: write_rows(path, (f.to_dict() for f in findings))}
+    return {path: write_rows(path, findings)}
 
 
 def _context_keys(config: RunConfig, reads: _Reads) -> dict[str, str]:
@@ -337,7 +363,7 @@ def _context(config: RunConfig, reads: _Reads) -> dict[Path, str]:
         "BASELINE": lambda f: _module.extract_baseline_context(f, source, style, limits),
     }
     return {
-        path: write_rows(path, (extract[mode](f).to_dict() for f in reads["findings.jsonl"]))
+        path: write_rows(path, map(extract[mode], reads["findings.jsonl"]))
         for mode in config.modes()
         for path in [config.output_dir / _CONTEXT_FILES[mode]]
     }
@@ -350,11 +376,12 @@ def _rubric_dir(config: RunConfig) -> Path:
 def _prompts(config: RunConfig, reads: _Reads) -> dict[Path, str]:
     from .rubrics import load_rubrics, rubric_for
 
-    store = load_rubrics(_rubric_dir(config))
+    # The only outside inputs the stamp hashed are the rubric files.
+    store = load_rubrics(_rubric_dir(config), {p: data for p, (data, _) in reads.files.items()})
     contexts_by_mode = {mode: {ctx.finding_id: ctx for ctx in reads[_CONTEXT_FILES[mode]]}
                         for mode in config.modes()}
 
-    def rows() -> Iterator[dict[str, Any]]:
+    def bundles() -> Iterator[Any]:
         for finding in reads["findings.jsonl"]:
             for mode in config.modes():
                 ctx = contexts_by_mode[mode].get(finding.finding_id)
@@ -364,11 +391,10 @@ def _prompts(config: RunConfig, reads: _Reads) -> dict[Path, str]:
                         f"finding {finding.finding_id} of {config.output_dir / 'findings.jsonl'}; "
                         "run context again")
                 rubric = rubric_for(finding.cwe_id, store)
-                yield _module.compile_prompt(
-                    finding, ctx, rubric, mode, config.prompt_char_budget).to_dict()
+                yield _module.compile_prompt(finding, ctx, rubric, mode, config.prompt_char_budget)
 
     path = config.output_dir / "prompts.jsonl"
-    return {path: write_rows(path, rows())}
+    return {path: write_rows(path, bundles())}
 
 
 def _adjudicate(
@@ -394,7 +420,7 @@ def _adjudicate(
         text = json.dumps(record, ensure_ascii=False, indent=2) + "\n"
         outputs[path] = write_file(path, [text])
 
-    backend = build_backend(config)
+    backend = build_backend(config, reads)
     try:
         results, _ = adj.adjudicate_all(
             list(reads["prompts.jsonl"]), backend, parallelism=config.parallelism,
@@ -403,7 +429,7 @@ def _adjudicate(
     finally:
         backend.close()
     path = config.output_dir / "adjudications.jsonl"
-    outputs[path] = write_rows(path, (r.to_dict() for r in results))
+    outputs[path] = write_rows(path, results)
     # audit/ holds this run's records only: an interrupted run's record of
     # a (finding, mode) this run no longer has goes, as does a killed
     # write's temporary file.
@@ -418,14 +444,15 @@ def _evaluate(config: RunConfig, reads: _Reads) -> dict[Path, str]:
 
     truths = []
     row_of_id: dict[str, int] = {}  # the row that labels each finding_id
-    for number, row in enumerate(read_rows(config.labels_path), 1):
+    labels = config.labels_path
+    for number, row in enumerate(read_rows(labels, reads.file(labels)[0]), 1):
         try:
             truth = ev.GroundTruth.from_dict(row)
             if truth.finding_id in row_of_id:
                 raise ValueError(f"finding_id {truth.finding_id!r} is already labelled "
                                  f"at row {row_of_id[truth.finding_id]}")
         except ValueError as exc:
-            raise ValueError(f"labels file {config.labels_path}, row {number}: {exc}") from exc
+            raise ValueError(f"labels file {labels}, row {number}: {exc}") from exc
         if truth.finding_id:
             row_of_id[truth.finding_id] = number
         truths.append(truth)
@@ -468,26 +495,26 @@ class _Stage(NamedTuple):
 # The stages in the order they run.
 _STAGES = {
     "ingest": _Stage(reads=lambda config: (), keys=lambda config, reads: {
-        "sarif": _sha256_file(config.sarif_path),
+        "sarif": reads.file(config.sarif_path)[1],
         "cwe_map": _sha256_json(config.cwe_map),
     }, body=_ingest),
     "context": _Stage(reads=lambda config: ["findings.jsonl"], keys=_context_keys, body=_context),
     "prompts": _Stage(
         reads=lambda config: ["findings.jsonl", *map(_CONTEXT_FILES.get, config.modes())],
         keys=lambda config, reads: {
-            **{f"rubric:{p.name}": _sha256_file(p)
+            **{f"rubric:{p.name}": reads.file(p)[1]
                for p in sorted(_rubric_dir(config).glob("*.rubric"))},
             "prompt_mode": config.prompt_mode, "budget": str(config.prompt_char_budget),
         }, body=_prompts),
     "adjudicate": _Stage(reads=lambda config: ["prompts.jsonl"], keys=lambda config, reads: {
         "backend": _sha256_json(config.backend._asdict()),
         "max_output_chars": str(config.max_output_chars),
-        **({"script": _sha256_file(Path(config.backend.script_path))}
+        **({"script": reads.file(Path(config.backend.script_path))[1]}
            if config.backend.kind == "mock" and config.backend.script_path else {}),
     }, body=_adjudicate),
     "evaluate": _Stage(
         reads=lambda config: ["findings.jsonl", "adjudications.jsonl"],
-        keys=lambda config, reads: {"labels": _sha256_file(config.labels_path),
+        keys=lambda config, reads: {"labels": reads.file(config.labels_path)[1],
                                     "write_csv": str(config.write_csv)},
         body=_evaluate, when=lambda config: config.labels_path is not None),
 }

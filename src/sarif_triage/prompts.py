@@ -159,6 +159,8 @@ def render_snippet(segments: tuple[ContextSegment, ...] | list[ContextSegment]) 
 
 
 def _fence_safe(evidence: str) -> str:
+    if EVIDENCE_OPEN not in evidence and EVIDENCE_CLOSE not in evidence:
+        return evidence  # no line of it can be a fence
     return "".join(
         FENCE_LOOKALIKE + line if line.strip() in (EVIDENCE_OPEN, EVIDENCE_CLOSE) else line
         for line in evidence.splitlines(keepends=True)

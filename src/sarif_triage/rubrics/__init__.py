@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 GENERIC_ID = "GENERIC"
 
@@ -121,18 +121,23 @@ def parse_rubric_text(text: str, source: str) -> Rubric:
     )
 
 
-def load_rubrics(directory: Path | str) -> dict[str, Rubric]:
-    """Load and validate every ``*.rubric`` file in ``directory``.
+def load_rubrics(
+    directory: Path | str, files: Mapping[Path, bytes] | None = None
+) -> dict[str, Rubric]:
+    """Load and validate every ``*.rubric`` file in ``directory``, or, given
+    ``files``, each of those paths from its bytes as already read.
 
     Returns a map keyed by CWE id (plus ``GENERIC``). Loading is
     order-independent; a missing GENERIC rubric is an error because
     ``rubric_for`` relies on it as the total fallback.
     """
     directory = Path(directory)
+    if files is None:
+        files = {path: path.read_bytes() for path in directory.glob("*.rubric")}
     store: dict[str, Rubric] = {}
-    for path in sorted(directory.glob("*.rubric")):
+    for path in sorted(files):
         try:
-            text = path.read_text(encoding="utf-8-sig")
+            text = files[path].decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise InvalidRubric(f"{path.name}: not UTF-8: {exc}") from exc
         rubric = parse_rubric_text(text, path.name)

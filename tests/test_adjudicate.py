@@ -192,7 +192,7 @@ def test_parallelism_does_not_change_serialized_output(tmp_path):
         assert [r.adjudication.attempt_count for r in results][:4] == [2, 1, 1, 3]
         assert seen.saw_each_once(audits)
         path = tmp_path / f"adjudications_{parallelism}.jsonl"
-        write_rows(path, (r.to_dict() for r in results))
+        write_rows(path, results)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -294,7 +294,7 @@ def test_adjudications_jsonl_round_trip(tmp_path):
     backend = MockBackend(responses=_oracle_script({"f1": "FALSE_POSITIVE"}))
     results, _ = adjudicate_all([_bundle("f1")], backend, retry=NO_SLEEP)
     path = tmp_path / "adjudications.jsonl"
-    write_rows(path, (r.to_dict() for r in results))
+    write_rows(path, results)
     loaded = [AdjudicationResult.from_dict(row) for row in read_rows(path)]
     assert loaded == results
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import codecs
 import errno
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -1394,6 +1395,73 @@ def test_a_fresh_run_rereads_no_output_it_wrote_and_resume_rehashes_every_one(
     assert Counter(hashed) == inputs + stamped
 
 
+# The step messages of the hand-off test: a carriage return, non-ASCII text
+# and a lone surrogate, which the SARIF file holds as a ``\udc80`` escape.
+_AWKWARD_MESSAGES = ["tainted\r\nvalue : String", "naïve — ✓ 値 : String", "bad \udc80 byte"]
+
+
+def test_a_run_hands_each_stage_the_records_a_reader_decodes_from_the_bytes(tmp_path):
+    corpus = build_corpus(tmp_path / "corpus")
+    sarif = json.loads(corpus.sarif_path.read_text(encoding="utf-8"))
+    steps = sarif["runs"][0]["results"][0]["codeFlows"][0]["threadFlows"][0]["locations"]
+    for step, text in zip(steps, _AWKWARD_MESSAGES):
+        step["location"]["message"]["text"] = text
+    corpus.sarif_path.write_text(json.dumps(sarif, indent=2) + "\n", encoding="utf-8")
+    assert b"\\udc80" in corpus.sarif_path.read_bytes()
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="BOTH")
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    findings = pipeline._decoded["findings.jsonl"][1]
+    assert set(_AWKWARD_MESSAGES) <= {step.step_message for f in findings for step in f.trace}
+    for name, (producer, _, module, type_name) in pipeline._ARTIFACTS.items():
+        cls = getattr(importlib.import_module(f"sarif_triage.{module}"), type_name)
+        sha, records = pipeline._decoded[name]
+        decoded = tuple(cls.from_dict(row) for row in pipeline.read_rows(out / name))
+        assert records == decoded, name
+        assert [type(r) for r in records] == [type(r) for r in decoded], name
+        stamp = json.loads((out / ".stamps" / f"{producer}.json").read_text())
+        assert sha == stamp["outputs"][name]
+        assert sha == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+
+def test_a_run_decodes_only_the_labels_and_reads_each_outside_input_once(
+    corpus, tmp_path, monkeypatch
+):
+    rubric_dir = tmp_path / "rubrics"
+    rubric_dir.mkdir()
+    for path in pipeline.SHIPPED_RUBRIC_DIR.glob("*.rubric"):
+        shutil.copy(path, rubric_dir)
+    out = tmp_path / "out"
+    config = write_config(corpus, out, prompt_mode="BOTH", extra={"rubric_dir": str(rubric_dir)})
+    hashed: Counter[Path] = Counter()
+    decoded: Counter[str] = Counter()
+    read_hashed, read_rows = pipeline._read_hashed, pipeline.read_rows
+
+    def counting_hashed(path):
+        if not path.is_relative_to(out):
+            hashed[path] += 1
+        return read_hashed(path)
+
+    def counting_rows(path, data=None):
+        decoded[path.name] += 1
+        return read_rows(path, data)
+
+    monkeypatch.setattr(pipeline, "_read_hashed", counting_hashed)
+    monkeypatch.setattr(pipeline, "read_rows", counting_rows)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    assert hashed == Counter([corpus.sarif_path, *rubric_dir.glob("*.rubric"),
+                              corpus.mock_script_path, corpus.labels_path])
+    assert decoded == {corpus.labels_path.name: 1}
+    rubric = rubric_dir / "cwe-089.rubric"
+    rubric.write_text(rubric.read_text(encoding="utf-8").replace("title: ", "title: Edited "),
+                      encoding="utf-8")
+    pipeline._decoded.clear()  # as a new process starts
+    decoded.clear()
+    assert main(["run", "--config", str(config), "--resume"]) == EXIT_OK
+    # prompts runs again; the verdicts, and so evaluate, stay as they were.
+    assert decoded == {"findings.jsonl": 1, "contexts.jsonl": 1, "contexts_baseline.jsonl": 1}
+
+
 # Stamps of the wrong shape, made from the real one, or that cannot be
 # decoded at all.
 _WRONG_SHAPES = {
@@ -1866,8 +1934,8 @@ def test_adjudicate_closes_the_backend_it_built(corpus, tmp_path, monkeypatch):
     closed = []
     build_backend = pipeline.build_backend
 
-    def spy(config):
-        backend = build_backend(config)
+    def spy(config, reads):
+        backend = build_backend(config, reads)
         backend.close = lambda: closed.append(backend)
         return backend
 

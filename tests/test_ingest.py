@@ -194,7 +194,7 @@ def test_round_trip_and_jsonl_serialization(tmp_path, owasp_finding, minimal_fin
     assert once == twice
 
     path = tmp_path / "findings.jsonl"
-    write_rows(path, (f.to_dict() for f in [owasp_finding, minimal_finding]))
+    write_rows(path, [owasp_finding, minimal_finding])
     loaded = [Finding.from_dict(row) for row in read_rows(path)]
     assert loaded == [owasp_finding, minimal_finding]
     # documented fixed key order

@@ -95,7 +95,7 @@ def test_a_record_is_on_disk_while_later_calls_are_still_to_come(corpus, tmp_pat
             waited.append(record.is_file())
 
     backend = _Calls(before_call=before_call)
-    monkeypatch.setattr(pipeline, "build_backend", lambda config: backend)
+    monkeypatch.setattr(pipeline, "build_backend", lambda config, reads: backend)
     assert main(["adjudicate", "--config", str(config)]) == EXIT_OK
     assert waited == [True]
     assert sorted(backend.tags) == sorted(tags)
@@ -111,7 +111,7 @@ def test_an_audit_record_that_cannot_be_written_stops_the_run(
     blocked = out / "audit" / f"{fid}.{mode.lower()}.json"
     blocked.mkdir(parents=True)
     backend = _Calls(delay_s=0.02)
-    monkeypatch.setattr(pipeline, "build_backend", lambda config: backend)
+    monkeypatch.setattr(pipeline, "build_backend", lambda config, reads: backend)
     write_file = pipeline.write_file
     calls_at_failure: list[int] = []
 

@@ -16,7 +16,10 @@ Artifact tree under ``output_dir``::
 Every file goes to disk through ``write_file``, whole or not at all, and
 the stamp records the SHA-256 it returns instead of reading the file back.
 ``write_rows`` writes records as JSON Lines through it, and ``read_rows``
-yields the rows of a ``*.jsonl`` artifact or the labels file back.
+yields the rows of a ``*.jsonl`` artifact or the labels file back. Every
+file a stage hashes, and every stamp, comes back through
+``source.read_file``, which checks the open descriptor: a path that holds
+no regular file reads as None, and no read waits on a FIFO.
 
 The run configuration (``RunConfig``, ``BackendConfig``, ``load_config``)
 lives in ``config``; this module re-exports it. A stage imports the modules
@@ -62,7 +65,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
 from .config import BackendConfig, ConfigError, RunConfig, load_config  # noqa: F401 (re-exported)
-from .source import SourceSnapshot
+from .source import SourceSnapshot, read_file
 
 if TYPE_CHECKING:
     from .backend import Backend
@@ -112,15 +115,11 @@ def build_backend(config: RunConfig, reads: _Reads) -> Backend:
 # Resume stamps
 
 
-def _read_hashed(path: Path) -> tuple[bytes, str]:
-    """The bytes of ``path`` and their SHA-256: every file this module
-    hashes is read through here, once."""
-    data = path.read_bytes()
-    return data, hashlib.sha256(data).hexdigest()
-
-
-def _sha256_file(path: Path) -> str:
-    return _read_hashed(path)[1]
+def _read_hashed(path: Path) -> tuple[bytes, str] | None:
+    """The bytes of ``path`` and their SHA-256, or None when it holds no
+    regular file: every file this module hashes is read through here, once."""
+    data = read_file(path)
+    return None if data is None else (data, hashlib.sha256(data).hexdigest())
 
 
 def _sha256_json(value: Any) -> str:
@@ -145,11 +144,11 @@ def _read_stamp(config: RunConfig, stage: str) -> Stamp | None:
     """The stage's stamp, or None, so the stage runs again, when there is
     none, it cannot be decoded, or it is not an object whose ``inputs`` and
     ``outputs`` map strings to strings."""
-    path = _stamp_path(config, stage)
-    if not path.is_file():
+    data = read_file(_stamp_path(config, stage))
+    if data is None:
         return None
     try:
-        stamp = json.loads(path.read_text(encoding="utf-8"))
+        stamp = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError):  # not UTF-8, not JSON, or past a decoder limit
         return None
     if not (isinstance(stamp, dict) and _is_str_map(stamp.get("inputs"))
@@ -162,8 +161,8 @@ def _stamp_matches(config: RunConfig, stamp: Stamp, inputs: dict[str, str]) -> b
     if stamp["inputs"] != inputs:
         return False
     for rel, expected in stamp["outputs"].items():
-        target = config.output_dir / rel
-        if not target.is_file() or _sha256_file(target) != expected:
+        read = _read_hashed(config.output_dir / rel)
+        if read is None or read[1] != expected:
             return False
     return True
 
@@ -274,18 +273,21 @@ class _Reads:
         for name in names:
             # Only the file the producer's stamp records as written is read.
             producer, path = _ARTIFACTS[name][0], config.output_dir / name
-            if not path.is_file():
+            if (read := _read_hashed(path)) is None:
                 raise ValueError(f"missing input {path}; run {producer} first")
-            _, sha = self.data[name] = _read_hashed(path)
+            _, sha = self.data[name] = read
             written = _read_stamp(config, producer)
             if written is None or written["outputs"].get(name) != sha:
                 raise ValueError(f"{path} is not the one {producer} wrote; run {producer} again")
 
     def file(self, path: Path) -> tuple[bytes, str]:
         """The bytes and SHA-256 of the outside input ``path``: the stamp
-        keys on the hash, and the body parses the same bytes."""
+        keys on the hash, and the body parses the same bytes. A
+        ``ValueError`` naming it when it holds no regular file."""
         if path not in self.files:
-            self.files[path] = _read_hashed(path)
+            if (read := _read_hashed(path)) is None:
+                raise ValueError(f"input {path} is missing or not a regular file")
+            self.files[path] = read
         return self.files[path]
 
     def __getitem__(self, name: str) -> tuple[Any, ...]:

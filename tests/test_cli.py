@@ -16,12 +16,14 @@ from pathlib import Path
 
 import pytest
 
+from conftest import PATH_SHAPES, main_in_child, put_shape
 from corpus import build_corpus, write_config
+from sarif_triage import config as config_module
 from sarif_triage import pipeline
 from sarif_triage.cli import _COMMANDS, EXIT_OK, EXIT_STAGE_FAILURE, EXIT_USAGE, main
 from sarif_triage.context import ContextLimits
 from sarif_triage.ingest import canonicalize, parse_sarif
-from sarif_triage.pipeline import BackendConfig, load_config
+from sarif_triage.pipeline import BackendConfig, RunConfig, load_config
 
 
 @pytest.fixture(scope="module")
@@ -349,21 +351,24 @@ def test_an_output_dir_the_os_will_not_make_exits_2(corpus, tmp_path, capsys, co
     assert str(errno.ENAMETOOLONG) in err
 
 
-@pytest.mark.parametrize("shape", ["dangling-symlink", "directory"])
-def test_a_rubric_file_that_cannot_be_hashed_stops_prompts_naming_it(
-    corpus, tmp_path, capsys, shape
-):
+@pytest.mark.parametrize("shape", ["dangling-symlink", "directory", "fifo"])
+def test_a_rubric_file_that_cannot_be_hashed_stops_prompts_naming_it(corpus, tmp_path, shape):
     rubric_dir = tmp_path / "rubrics"
     shutil.copytree(pipeline.SHIPPED_RUBRIC_DIR, rubric_dir, ignore=shutil.ignore_patterns("*.py"))
     if shape == "directory":
         (rubric_dir / "dir.rubric").mkdir()
         name = "dir.rubric"
+    elif shape == "fifo":
+        name = "cwe-998.rubric"
+        put_shape(rubric_dir / name, "fifo", b"")
     else:
         (rubric_dir / "cwe-999.rubric").symlink_to(tmp_path / "nowhere")
         name = "cwe-999.rubric"
     config = write_config(corpus, tmp_path / "out", extra={"rubric_dir": str(rubric_dir)})
-    assert main(["run", "--config", str(config)]) == EXIT_STAGE_FAILURE
-    [line] = capsys.readouterr().err.splitlines()
+    # In a child process: reading a FIFO can wait for a writer forever.
+    code, err = main_in_child(["run", "--config", str(config)])
+    assert code == EXIT_STAGE_FAILURE
+    [line] = err.splitlines()
     assert line.startswith("error: stage prompts: ") and name in line
 
 
@@ -1577,9 +1582,25 @@ _INPUT_EDITS = {
     "mock-script": (_edit_mock_script, {"adjudicate", "evaluate"}),
 }
 
+
+def _a_copy(original):
+    """A config value: a copy, with the same bytes, of the file or directory
+    ``original(corpus, rubric_dir)`` names."""
+    def copy(corpus, rubric_dir) -> str:
+        source = original(corpus, rubric_dir)
+        target = source.with_name(f"copy-of-{source.name}")
+        if source.is_dir():
+            shutil.copytree(source, target)
+        else:
+            shutil.copyfile(source, target)
+        return str(target)
+    return copy
+
+
 # edited config key, dotted inside a section: (its new value, or None to
-# drop the key; the stages whose outputs the resume rewrites; the stages
-# some of whose outputs it deletes)
+# drop the key, or a function of the corpus and the rubric directory that
+# returns it; the stages whose outputs the resume rewrites; the stages some
+# of whose outputs it deletes)
 _CONFIG_EDITS = {
     # Over the cap, the baseline windows are flagged truncated but keep their
     # lines, and the prompts show no flag, so adjudicate keeps its verdicts.
@@ -1597,7 +1618,39 @@ _CONFIG_EDITS = {
     "prompt_mode": ("OPTIMIZED", {"context", "prompts", "adjudicate", "evaluate"},
                     {"context", "adjudicate"}),
     "labels_path": (None, set(), {"evaluate"}),
+    # No corpus method is long enough to elide, so the contexts keep their bytes.
+    "limits.intermediate_elide_threshold": (45, {"context"}, set()),
+    "limits.elide_head_lines": (10, {"context"}, set()),
+    "limits.elide_tail_lines": (10, {"context"}, set()),
+    # The backend key hashes every backend setting, those that cannot change
+    # a mock verdict included.
+    "backend.attempt_cap": (2, {"adjudicate"}, set()),
+    "backend.backoff_base_s": (0.25, {"adjudicate"}, set()),
+    "backend.key_env": ("ANOTHER_KEY_ENV", {"adjudicate"}, set()),
+    # A stamp keys on an input file's bytes, not on its path, but the backend
+    # key holds the mock script's path.
+    "backend.script_path": (_a_copy(lambda corpus, rubric_dir: corpus.mock_script_path),
+                            {"adjudicate"}, set()),
+    "sarif_path": (_a_copy(lambda corpus, rubric_dir: corpus.sarif_path), set(), set()),
+    "source_root": (_a_copy(lambda corpus, rubric_dir: corpus.source_root), set(), set()),
+    "rubric_dir": (_a_copy(lambda corpus, rubric_dir: rubric_dir), set(), set()),
 }
+
+# config keys no edit above covers: why a resume cannot be tested on them here
+_CONFIG_KEYS_NOT_EDITED = {
+    "output_dir": "another output directory holds a fresh run, not a resumed one",
+    "backend.kind": "a live backend needs a server to call",
+    "backend.endpoint": "only a live backend calls an endpoint, and it needs a server",
+}
+
+
+def test_the_resume_edits_cover_every_config_key():
+    keys = set()
+    for name, field in config_module._FIELDS[RunConfig].items():
+        section = config_module._FIELDS.get(field.convert)
+        keys |= {f"{name}.{key}" for key in section} if section else {name}
+    assert not _CONFIG_EDITS.keys() & _CONFIG_KEYS_NOT_EDITED.keys()
+    assert sorted(_CONFIG_EDITS.keys() | _CONFIG_KEYS_NOT_EDITED.keys()) == sorted(keys)
 
 
 def _edit_config(config: Path, key: str, value) -> None:
@@ -1635,7 +1688,7 @@ def test_resume_reruns_exactly_the_stages_an_edited_input_reaches(tmp_path, edit
         deleted = set()
     else:
         value, stages, deleted = _CONFIG_EDITS[edit]
-        _edit_config(config, edit, value)
+        _edit_config(config, edit, value(corpus, rubric_dir) if callable(value) else value)
     assert main(["run", "--config", str(config), "--resume"]) == EXIT_OK
     kept = {stage: [p for p in paths if p.exists()] for stage, paths in outputs.items()}
     assert {stage for stage in outputs if kept[stage] != outputs[stage]} == deleted
@@ -1682,6 +1735,86 @@ def test_resume_ignores_a_file_that_only_a_traced_finding_s_primary_location_nam
     _edit_helper(corpus, None)
     assert main(["run", "--config", str(config), "--resume"]) == EXIT_OK
     assert _rewritten(outputs) == set()
+
+
+def _cli(args: list[str], capsys, shape: str) -> tuple[int, str]:
+    """The exit code and stderr of ``main(args)``; for a FIFO, in a child
+    process, as opening one to read can wait for a writer forever."""
+    if shape == "fifo":
+        return main_in_child(args)
+    capsys.readouterr()
+    return main(args), capsys.readouterr().err
+
+
+# Each place the pipeline reads a file it hashes, given each shape of path:
+# only a regular file is read, and no shape blocks or raises.
+
+
+@pytest.mark.parametrize("shape", PATH_SHAPES)
+def test_a_stamped_output_that_is_no_regular_file_reruns_its_stage(
+    corpus, tmp_path, capsys, shape
+):
+    out = tmp_path / "out"
+    config = write_config(corpus, out)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    outputs = _stage_outputs(out)
+    _backdate(outputs)
+    # A file the prompts stamp records and the stage no longer writes, as an
+    # older layout's (_OLD_LAYOUTS): a rerun removes it only if it is a
+    # regular file, so it can take every shape, a directory included.
+    stamp_path = out / ".stamps" / "prompts.json"
+    stamp = json.loads(stamp_path.read_text())
+    stamp["outputs"]["old/out.txt"] = hashlib.sha256(b"old\n").hexdigest()
+    stamp_path.write_text(json.dumps(stamp))
+    (out / "old").mkdir()
+    put_shape(out / "old" / "out.txt", shape, b"old\n")
+    assert _cli(["run", "--resume", "--config", str(config)], capsys, shape) == (EXIT_OK, "")
+    assert _rewritten(outputs) == (set() if shape == "file" else {"prompts"})
+    recorded = json.loads(stamp_path.read_text())["outputs"]
+    assert ("old/out.txt" in recorded) == (shape == "file")
+
+
+@pytest.mark.parametrize("shape", PATH_SHAPES)
+def test_an_artifact_that_is_no_regular_file_asks_for_its_producer_again(
+    corpus, tmp_path, capsys, shape
+):
+    out = tmp_path / "out"
+    config = write_config(corpus, out, with_labels=False)
+    for stage in ("ingest", "context"):
+        assert main([stage, "--config", str(config)]) == EXIT_OK
+    path = out / "contexts.jsonl"
+    data = path.read_bytes()
+    path.unlink()
+    put_shape(path, shape, data)
+    code, err = _cli(["prompts", "--config", str(config)], capsys, shape)
+    if shape == "file":
+        assert (code, err) == (EXIT_OK, "")
+    else:
+        assert (code, err) == (EXIT_STAGE_FAILURE, f"error: stage prompts: missing input {path}; "
+                                                   "run context first\n")
+
+
+@pytest.mark.parametrize("shape", PATH_SHAPES)
+def test_a_source_file_that_is_no_regular_file_reads_as_missing(corpus, tmp_path, capsys, shape):
+    source_root = tmp_path / "src"
+    shutil.copytree(corpus.source_root, source_root)
+    finding = corpus.findings[0]
+    uri = finding.trace[0].location.uri
+    path = source_root / uri
+    data = path.read_bytes()
+    path.unlink()
+    put_shape(path, shape, data)
+    out = tmp_path / "out"
+    config = write_config(corpus, out, with_labels=False,
+                          extra={"source_root": str(source_root)})
+    assert main(["ingest", "--config", str(config)]) == EXIT_OK
+    assert _cli(["context", "--config", str(config)], capsys, shape) == (EXIT_OK, "")
+    [row] = [row for row in pipeline.read_rows(out / "contexts.jsonl")
+             if row["finding_id"] == finding.finding_id]
+    missing = [note for note in row["notes"] if note.startswith(f"missing file: {uri}")]
+    assert bool(missing) == (shape != "file")
+    src_key = json.loads((out / ".stamps" / "context.json").read_text())["inputs"][f"src:{uri}"]
+    assert src_key == (hashlib.sha256(data).hexdigest() if shape == "file" else "missing")
 
 
 def test_rerun_removes_artifacts_the_new_config_no_longer_writes(corpus, tmp_path):
@@ -1763,7 +1896,7 @@ def test_a_plain_run_deletes_the_per_alert_context_copies_an_old_run_left(
         path = out / rel
         path.parent.mkdir(exist_ok=True)
         path.write_text(text, encoding="utf-8", newline="\n")
-        stamp["outputs"][rel] = pipeline._sha256_file(path)
+        stamp["outputs"][rel] = hashlib.sha256(path.read_bytes()).hexdigest()
     stamp_path.write_text(json.dumps(stamp))
     assert main(["run", "--config", str(config)]) == EXIT_OK
     for directory in {rel.split("/")[0] for rel, _ in files}:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 
 import pytest
@@ -366,6 +367,38 @@ def test_snapshot_keeps_absolute_uris_and_symlinks_inside_the_root(tmp_path):
     assert source.lines("../shared/B.java") is None
     assert source.sha256("../shared/B.java") == "missing"
     assert source.sha256("app/Nowhere.java") == "missing"
+
+
+def test_snapshot_reads_a_uri_that_leaves_the_root_as_missing(tmp_path):
+    root = tmp_path / "src"
+    (root / "app").mkdir(parents=True)
+    (root / "app" / "A.java").write_text("class A {}\n")
+    # A sibling whose name the root's name begins with: a test of the path's
+    # prefix that leaves out the separator takes it for part of the root.
+    (tmp_path / "src2").mkdir()
+    (tmp_path / "src2" / "X.java").write_text("class X {}\n")
+    (tmp_path / "Y.java").write_text("class Y {}\n")
+    outside = ["../src2/X.java", "app/../../src2/X.java", "../Y.java", "..", "app/../..",
+               str(tmp_path / "src2" / "X.java"), str(tmp_path / "Y.java"), "/", "", ".",
+               "app", "app/A.java/x", "app/A.java\0", "x" * 300 + ".java"]
+    for root_spelling in (root, f"{root}{os.sep}", f"{root}{os.sep}app{os.sep}.."):
+        source = SourceSnapshot(root_spelling)
+        for uri in outside:
+            assert source.sha256(uri) == "missing", (root_spelling, uri)
+            assert source.lines(uri) is None, (root_spelling, uri)
+        assert source.lines("app/A.java") == ["class A {}"]
+        assert source.lines(str(root / "app" / "A.java")) == ["class A {}"]
+
+
+def test_snapshot_reads_through_a_symlinked_root_and_a_symlinked_directory(tmp_path):
+    (tmp_path / "real" / "app").mkdir(parents=True)
+    (tmp_path / "real" / "app" / "A.java").write_text("class A {}\n")
+    (tmp_path / "root").symlink_to(tmp_path / "real")
+    (tmp_path / "real" / "linked").symlink_to(tmp_path / "real" / "app")
+    source = SourceSnapshot(tmp_path / "root")
+    assert source.lines("app/A.java") == ["class A {}"]
+    assert source.lines("linked/A.java") == ["class A {}"]
+    assert source.lines("../real/app/A.java") is None
 
 
 def test_context_using_an_unbalanced_files_methods_is_partial_and_names_it():

@@ -40,7 +40,6 @@ import os
 import threading
 import time
 import urllib.parse
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 from .config import parse_endpoint
@@ -382,12 +381,10 @@ class MockBackend(Backend):
         self._lock = threading.Lock()
 
     @classmethod
-    def from_script_file(cls, path: Path | str, data: bytes | None = None) -> "MockBackend":
-        """The backend a script file describes, parsed from ``data``, its
-        bytes as already read, when given; a ``ValueError`` naming the file
-        for one that is not UTF-8 JSON of the shape above."""
-        if data is None:
-            data = Path(path).read_bytes()
+    def from_script_file(cls, path: str | os.PathLike[str], data: bytes) -> "MockBackend":
+        """The backend the script file ``path`` describes, parsed from
+        ``data``, its bytes as the caller read them; a ``ValueError`` naming
+        the file for one that is not UTF-8 JSON of the shape above."""
         try:
             script = json.loads(data.decode("utf-8-sig"))
             if not isinstance(script, dict):

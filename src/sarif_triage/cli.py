@@ -30,16 +30,20 @@ EXIT_USAGE = 2
 
 def _ingest_summary(config: RunConfig) -> str:
     from .pipeline import read_rows
+    from .source import read_file
 
-    by_cwe = Counter(row["cwe_id"] for row in read_rows(config.output_dir / "findings.jsonl"))
+    path = config.output_dir / "findings.jsonl"
+    by_cwe = Counter(row["cwe_id"] for row in read_rows(path, read_file(path) or b""))
     return "\n".join([f"ingested {by_cwe.total()} findings from {config.sarif_path}",
                       *(f"  {cwe}: {by_cwe[cwe]}" for cwe in sorted(by_cwe))])
 
 
 def _report(config: RunConfig) -> str:
     """The text report after a blank line, or nothing when there is none."""
-    path = config.output_dir / "report.txt"
-    return "\n" + path.read_text(encoding="utf-8") if path.is_file() else ""
+    from .source import read_file
+
+    data = read_file(config.output_dir / "report.txt")
+    return "" if data is None else "\n" + data.decode("utf-8")
 
 
 # command: (help text, what it prints once done). ``run`` runs

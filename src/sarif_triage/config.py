@@ -127,7 +127,9 @@ def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) ->
     """Read a JSON config file and apply flag overrides (flags win; a key
     in a section is written ``backend.kind``). A relative ``output_dir``
     override is taken from the working directory, where the flag was given;
-    an empty one stays empty, so it is refused as an empty config value is."""
+    an empty one stays empty, so it is refused as an empty config value is.
+    It reads the file itself: ``source.read_file`` would load ``hashlib``
+    into a process that only checks a config. ``is_file`` refuses a FIFO."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")

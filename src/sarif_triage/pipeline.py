@@ -16,10 +16,11 @@ Artifact tree under ``output_dir``::
 Every file goes to disk through ``write_file``, whole or not at all, and
 the stamp records the SHA-256 it returns instead of reading the file back.
 ``write_rows`` writes records as JSON Lines through it, and ``read_rows``
-yields the rows of a ``*.jsonl`` artifact or the labels file back. Every
-file a stage hashes, and every stamp, comes back through
-``source.read_file``, which checks the open descriptor: a path that holds
-no regular file reads as None, and no read waits on a FIFO.
+parses the rows of a ``*.jsonl`` artifact or the labels file from bytes, as
+``load_rubrics`` and ``MockBackend.from_script_file`` parse theirs. Every
+file read but the config comes through ``source.read_file``, which checks
+the open descriptor: a path that holds no regular file reads as None, and
+no read waits on a FIFO.
 
 The run configuration (``RunConfig``, ``BackendConfig``, ``load_config``)
 lives in ``config``; this module re-exports it. A stage imports the modules
@@ -221,13 +222,12 @@ def write_rows(path: Path, records: Iterable[Any]) -> str:
     return sha
 
 
-def read_rows(path: Path, data: bytes | None = None) -> Iterator[dict[str, Any]]:
-    """The JSON object on each non-blank line of ``path``, or of ``data``,
-    its bytes as already read, in order, past a UTF-8 byte-order mark that
-    opens the file; a ``ValueError`` naming the path and the line for one
+def read_rows(path: Path, data: bytes) -> Iterator[dict[str, Any]]:
+    """The JSON object on each non-blank line of ``data``, the bytes of
+    ``path`` as the caller read them, in order, past a UTF-8 byte-order mark
+    that opens them; a ``ValueError`` naming the path and the line for one
     that is not UTF-8, not JSON, or past the decoder's depth or digit
     limit."""
-    data = path.read_bytes() if data is None else data
     for number, line in enumerate(data.removeprefix(codecs.BOM_UTF8).split(b"\n"), 1):
         if not line.strip():
             continue
@@ -509,7 +509,8 @@ _STAGES = {
             "prompt_mode": config.prompt_mode, "budget": str(config.prompt_char_budget),
         }, body=_prompts),
     "adjudicate": _Stage(reads=lambda config: ["prompts.jsonl"], keys=lambda config, reads: {
-        "backend": _sha256_json(config.backend._asdict()),
+        # The script is keyed by its bytes below, not by its path.
+        "backend": _sha256_json(config.backend._replace(script_path=None)._asdict()),
         "max_output_chars": str(config.max_output_chars),
         **({"script": reads.file(Path(config.backend.script_path))[1]}
            if config.backend.kind == "mock" and config.backend.script_path else {}),

@@ -121,19 +121,14 @@ def parse_rubric_text(text: str, source: str) -> Rubric:
     )
 
 
-def load_rubrics(
-    directory: Path | str, files: Mapping[Path, bytes] | None = None
-) -> dict[str, Rubric]:
-    """Load and validate every ``*.rubric`` file in ``directory``, or, given
-    ``files``, each of those paths from its bytes as already read.
+def load_rubrics(directory: Path | str, files: Mapping[Path, bytes]) -> dict[str, Rubric]:
+    """Validate the ``*.rubric`` files of ``directory`` from ``files``, each
+    path's bytes as the caller read them; this opens no file.
 
     Returns a map keyed by CWE id (plus ``GENERIC``). Loading is
     order-independent; a missing GENERIC rubric is an error because
     ``rubric_for`` relies on it as the total fallback.
     """
-    directory = Path(directory)
-    if files is None:
-        files = {path: path.read_bytes() for path in directory.glob("*.rubric")}
     store: dict[str, Rubric] = {}
     for path in sorted(files):
         try:

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from sarif_triage.ingest import Finding, canonicalize, parse_sarif
+from sarif_triage.pipeline import read_rows
+from sarif_triage.rubrics import Rubric, load_rubrics
 
 try:
     from hypothesis import HealthCheck, settings
@@ -29,6 +31,18 @@ OWASP_SRC = FIXTURES / "src_owasp"
 GOLDEN_TRACE = FIXTURES / "golden_trace_owasp205.txt"
 BOUNDARY_TABLE = FIXTURES / "java_boundaries.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def rows_in(path: Path) -> list[dict]:
+    """The rows of the JSON Lines file ``path``: ``read_rows`` parses bytes,
+    so the test reads them."""
+    return list(read_rows(path, path.read_bytes()))
+
+
+def rubrics_in(directory: Path) -> dict[str, Rubric]:
+    """``load_rubrics`` of the ``*.rubric`` files in ``directory``, which the
+    test reads, as the prompts stage does."""
+    return load_rubrics(directory, {p: p.read_bytes() for p in directory.glob("*.rubric")})
 
 
 def python_in_child(code: str, *args: str) -> subprocess.CompletedProcess[str]:

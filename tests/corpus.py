@@ -64,6 +64,11 @@ _SINK_OFFSET = {"sql": 3, "xss": 2, "path": 2, "cmd": 2, "crypto": 0}
 
 BODY_START_LINE = 7  # first body line inside handle()
 
+# Shapes a case may take beyond its template: a code flow whose thread flow
+# has no step, a source file the SARIF names but the corpus never writes, and
+# an alert and a step message that span lines.
+ODD_SHAPES = ("zero-step", "missing-source", "multi-line-message")
+
 
 def _java_text(class_name: str, shape: str, param: str) -> str:
     body = [line.replace("{p}", param) for line in _BODIES[shape]]
@@ -118,25 +123,32 @@ class Corpus:
         return digest.hexdigest()
 
 
-def build_corpus(root: Path, flaky_first: int = 0) -> Corpus:
-    """Write the 20-case corpus under ``root``.
+def build_corpus(root: Path, flaky_first: int = 0,
+                 plan: list[tuple[str, str, str]] = CASE_PLAN,
+                 odd: dict[int, str] | None = None) -> Corpus:
+    """Write a corpus of one case per row of ``plan`` (by default the 20
+    cases of ``CASE_PLAN``) under ``root``.
 
     ``flaky_first`` scripts that many transport failures before success for
-    the first finding's mock entry, exercising the retry path.
+    the first finding's mock entry, exercising the retry path. ``odd`` gives
+    a case, by its index, one of ``ODD_SHAPES``.
     """
     root = Path(root)
     source_root = root / "src"
+    (source_root / "gen").mkdir(parents=True, exist_ok=True)
     rules_seen: dict[str, str] = {}
     results = []
-    for i, (rule_id, tag, shape) in enumerate(CASE_PLAN):
+    for i, (rule_id, tag, shape) in enumerate(plan):
+        odd_shape = (odd or {}).get(i)
         class_name = f"Case{i:02d}"
         param = f"p{i:02d}"
         uri = f"gen/{class_name}.java"
         text = _java_text(class_name, shape, param)
-        path = source_root / uri
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        if odd_shape != "missing-source":
+            (source_root / uri).write_text(text, encoding="utf-8")
         lines = text.split("\n")
+        # A multi-line-message case adds a line to its alert and step messages.
+        more = "\nsecond line" if odd_shape == "multi-line-message" else ""
         rules_seen[rule_id] = tag
 
         sink_line = BODY_START_LINE + _SINK_OFFSET[shape]
@@ -144,7 +156,7 @@ def build_corpus(root: Path, flaky_first: int = 0) -> Corpus:
         sink_needle = sink_needle.replace("{p}", param)
         result = {
             "ruleId": rule_id,
-            "message": {"text": f"Synthetic alert {i:02d} for {rule_id}."},
+            "message": {"text": f"Synthetic alert {i:02d} for {rule_id}.{more}"},
             "locations": [
                 {
                     "physicalLocation": {
@@ -165,11 +177,13 @@ def build_corpus(root: Path, flaky_first: int = 0) -> Corpus:
                             "artifactLocation": {"uri": uri},
                             "region": _region(lines, lineno, needle),
                         },
-                        "message": {"text": f"{needle.split('(')[0]} : String"},
+                        "message": {"text": f"{needle.split('(')[0]} : String{more}"},
                     }
                 }
             )
-        if steps:
+        if odd_shape == "zero-step":
+            result["codeFlows"] = [{"threadFlows": [{"locations": []}]}]
+        elif steps:
             result["codeFlows"] = [{"threadFlows": [{"locations": steps}]}]
         results.append(result)
 

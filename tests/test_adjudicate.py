@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from conftest import rows_in
 from sarif_triage.adjudicate import (
     STATUS_OK,
     STATUS_UNEVALUATED,
@@ -19,7 +20,7 @@ from sarif_triage.adjudicate import (
     validate_response,
 )
 from sarif_triage.backend import BackendError, MockBackend, RateLimited, RetryPolicy
-from sarif_triage.pipeline import read_rows, write_rows
+from sarif_triage.pipeline import write_rows
 from sarif_triage.prompts import PromptBundle, prompt_sha256
 
 NO_SLEEP = RetryPolicy(attempt_cap=4, backoff_base_s=0.0, sleep=lambda _: None)
@@ -295,7 +296,7 @@ def test_adjudications_jsonl_round_trip(tmp_path):
     results, _ = adjudicate_all([_bundle("f1")], backend, retry=NO_SLEEP)
     path = tmp_path / "adjudications.jsonl"
     write_rows(path, results)
-    loaded = [AdjudicationResult.from_dict(row) for row in read_rows(path)]
+    loaded = [AdjudicationResult.from_dict(row) for row in rows_in(path)]
     assert loaded == results
 
 

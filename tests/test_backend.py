@@ -148,7 +148,7 @@ def test_mock_script_file_round_trip(tmp_path):
     }
     path = tmp_path / "script.json"
     path.write_text(json.dumps(script))
-    backend = MockBackend.from_script_file(path)
+    backend = MockBackend.from_script_file(path, path.read_bytes())
     result = send(_request(), backend, NO_SLEEP)
     assert result.text == "ok"
     assert result.attempt_count == 2
@@ -157,7 +157,7 @@ def test_mock_script_file_round_trip(tmp_path):
     # refused instead of losing it.
     path.write_text(json.dumps({**script, "max_prompt_chars": 1000}))
     with pytest.raises(ValueError, match="unknown key 'max_prompt_chars'"):
-        MockBackend.from_script_file(path)
+        MockBackend.from_script_file(path, path.read_bytes())
 
 
 @pytest.mark.parametrize(
@@ -189,7 +189,7 @@ def test_a_bad_mock_script_is_refused_naming_the_file(tmp_path, content, reason)
     path = tmp_path / "script.json"
     path.write_bytes(content)
     with pytest.raises(ValueError) as info:
-        MockBackend.from_script_file(path)
+        MockBackend.from_script_file(path, path.read_bytes())
     assert str(info.value).startswith(f"mock script {path}: ")
     assert reason in str(info.value)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PATH_SHAPES, main_in_child, put_shape
+from conftest import PATH_SHAPES, main_in_child, put_shape, rows_in
 from corpus import build_corpus, write_config
 from sarif_triage import config as config_module
 from sarif_triage import pipeline
@@ -1035,7 +1035,7 @@ def test_a_prompt_over_max_prompt_chars_is_unevaluated_without_a_request(
     config = _config_with(corpus, tmp_path / "run", backend={"max_prompt_chars": 1})
     assert main(["run", "--config", str(config)]) == EXIT_OK
     out = tmp_path / "run" / "out"
-    rows = list(pipeline.read_rows(out / "adjudications.jsonl"))
+    rows = rows_in(out / "adjudications.jsonl")
     assert len(rows) == 20
     for row in rows:
         assert row["status"] == "UNEVALUATED"
@@ -1080,7 +1080,7 @@ _BAD_LABEL_ROWS = {
 @pytest.mark.parametrize("case", sorted(_BAD_LABEL_ROWS))
 def test_a_bad_labels_row_exits_1_naming_the_file_and_the_row(corpus, tmp_path, capsys, case):
     row, problem = _BAD_LABEL_ROWS[case]
-    labels = [*pipeline.read_rows(corpus.labels_path), row]
+    labels = [*rows_in(corpus.labels_path), row]
     config = _config_with(corpus, tmp_path / "run", labels=labels)
     assert main(["run", "--config", str(config)]) == EXIT_STAGE_FAILURE
     err = capsys.readouterr().err
@@ -1094,7 +1094,7 @@ def test_a_bad_labels_row_exits_1_naming_the_file_and_the_row(corpus, tmp_path, 
 def test_a_labels_file_that_labels_a_finding_twice_exits_1_naming_both_rows(
     corpus, tmp_path, capsys, flip
 ):
-    labels = list(pipeline.read_rows(corpus.labels_path))
+    labels = rows_in(corpus.labels_path)
     first = labels[0]
     label = first["label"]
     if flip:
@@ -1120,7 +1120,7 @@ _BAD_LABEL_LINES = {
 def test_a_labels_line_that_is_not_json_exits_1_naming_the_file_and_the_line(
     corpus, tmp_path, capsys
 ):
-    config = _config_with(corpus, tmp_path / "run", labels=pipeline.read_rows(corpus.labels_path))
+    config = _config_with(corpus, tmp_path / "run", labels=rows_in(corpus.labels_path))
     labels_path = tmp_path / "run" / "labels.jsonl"
     labels = labels_path.read_bytes()
     for line, reason in _BAD_LABEL_LINES.items():
@@ -1134,7 +1134,7 @@ def test_a_labels_line_that_is_not_json_exits_1_naming_the_file_and_the_line(
 def test_blank_lines_and_crlf_ends_in_the_labels_file_change_no_score_and_no_row_number(
     corpus, tmp_path, capsys
 ):
-    config = _config_with(corpus, tmp_path / "run", labels=pipeline.read_rows(corpus.labels_path))
+    config = _config_with(corpus, tmp_path / "run", labels=rows_in(corpus.labels_path))
     out = tmp_path / "run" / "out"
     assert main(["run", "--config", str(config)]) == EXIT_OK
     report = (out / "report.json").read_bytes()
@@ -1164,7 +1164,7 @@ def test_a_byte_order_mark_opening_a_file_the_user_writes_changes_no_artifact(
     corpus, tmp_path, name
 ):
     root = tmp_path / "run"
-    config_path = _config_with(corpus, root, labels=pipeline.read_rows(corpus.labels_path),
+    config_path = _config_with(corpus, root, labels=rows_in(corpus.labels_path),
                                script=json.loads(corpus.mock_script_path.read_text()))
     shutil.copy(corpus.sarif_path, root / "alerts.sarif")
     shutil.copytree(pipeline.SHIPPED_RUBRIC_DIR, root / "rubrics",
@@ -1255,9 +1255,9 @@ _UNDECODABLE_REPLIES = {
 def test_a_reply_the_json_decoder_cannot_finish_leaves_one_row_unevaluated(
     corpus, tmp_path, case
 ):
-    clean = list(pipeline.read_rows(_run_with(corpus, tmp_path / "clean") / "adjudications.jsonl"))
+    clean = rows_in(_run_with(corpus, tmp_path / "clean") / "adjudications.jsonl")
     out = _run_with(corpus, tmp_path / "bad", reply=_UNDECODABLE_REPLIES[case])
-    rows = list(pipeline.read_rows(out / "adjudications.jsonl"))
+    rows = rows_in(out / "adjudications.jsonl")
     assert rows[0]["status"] == "UNEVALUATED"
     assert rows[0]["error"].startswith("NotJson: ")
     assert rows[1:] == clean[1:]
@@ -1271,12 +1271,12 @@ def test_a_lone_surrogate_from_outside_reaches_every_artifact_as_an_escape(
     text = "bad \ud800 text"
     if where == "sarif-message":
         out = _run_with(corpus, tmp_path / "run", message=text)
-        (finding, *_) = pipeline.read_rows(out / "findings.jsonl")
+        (finding, *_) = rows_in(out / "findings.jsonl")
         assert finding["message"] == text
     else:
         reply = f'{{"verdict": "TRUE_POSITIVE", "confidence": "HIGH", "reasoning": "{text}"}}'
         out = _run_with(corpus, tmp_path / "run", reply=reply)
-        (row, *_) = pipeline.read_rows(out / "adjudications.jsonl")
+        (row, *_) = rows_in(out / "adjudications.jsonl")
         assert (row["status"], row["reasoning"]) == ("OK", text)
     for path in out.rglob("*"):
         if path.is_file():
@@ -1421,7 +1421,7 @@ def test_a_run_hands_each_stage_the_records_a_reader_decodes_from_the_bytes(tmp_
     for name, (producer, _, module, type_name) in pipeline._ARTIFACTS.items():
         cls = getattr(importlib.import_module(f"sarif_triage.{module}"), type_name)
         sha, records = pipeline._decoded[name]
-        decoded = tuple(cls.from_dict(row) for row in pipeline.read_rows(out / name))
+        decoded = tuple(cls.from_dict(row) for row in rows_in(out / name))
         assert records == decoded, name
         assert [type(r) for r in records] == [type(r) for r in decoded], name
         stamp = json.loads((out / ".stamps" / f"{producer}.json").read_text())
@@ -1447,7 +1447,7 @@ def test_a_run_decodes_only_the_labels_and_reads_each_outside_input_once(
             hashed[path] += 1
         return read_hashed(path)
 
-    def counting_rows(path, data=None):
+    def counting_rows(path, data):
         decoded[path.name] += 1
         return read_rows(path, data)
 
@@ -1498,16 +1498,21 @@ def test_resume_reruns_a_stage_whose_stamp_has_the_wrong_shape(corpus, tmp_path,
     assert _tree_bytes(out, *artifacts) == artifacts
 
 
-def _move_a_location_to_a_helper(corpus, primary: bool = False) -> None:
-    """Move the middle trace step of the corpus's first finding (or, with
-    ``primary``, its primary location) to ``gen/Helper.java``, a file no
-    other location names; the labels and the mock script follow the
-    finding's new id."""
+def _write_helper(corpus) -> None:
+    """Write ``gen/Helper.java``, which no location of the corpus names."""
     helper = corpus.source_root / "gen" / "Helper.java"
     helper.write_text("package gen;\n\nclass Helper {\n    String pass(String v) {\n"
                       "        return v.trim();\n    }\n}\n", encoding="utf-8")
+
+
+def _move_a_location_to_a_helper(corpus, primary: bool = False, index: int = 0) -> None:
+    """Move the middle trace step of the corpus's finding ``index`` (or, with
+    ``primary``, its primary location) to ``gen/Helper.java``, a file no
+    other location names; the labels and the mock script follow the
+    finding's new id."""
+    _write_helper(corpus)
     sarif = json.loads(corpus.sarif_path.read_text(encoding="utf-8"))
-    result = sarif["runs"][0]["results"][0]
+    result = sarif["runs"][0]["results"][index]
     moved = (result["locations"][0] if primary
              else result["codeFlows"][0]["threadFlows"][0]["locations"][1]["location"])
     moved["physicalLocation"] = {
@@ -1515,8 +1520,8 @@ def _move_a_location_to_a_helper(corpus, primary: bool = False) -> None:
         "region": {"startLine": 5, "endLine": 5, "startColumn": 16, "endColumn": 24},
     }
     corpus.sarif_path.write_text(json.dumps(sarif, indent=2) + "\n", encoding="utf-8")
-    old_id = corpus.findings[0].finding_id
-    new_id = canonicalize(parse_sarif(corpus.sarif_path.read_bytes()))[0].finding_id
+    old_id = corpus.findings[index].finding_id
+    new_id = canonicalize(parse_sarif(corpus.sarif_path.read_bytes()))[index].finding_id
     for path in (corpus.labels_path, corpus.mock_script_path):
         path.write_text(path.read_text(encoding="utf-8").replace(old_id, new_id),
                         encoding="utf-8")
@@ -1551,7 +1556,7 @@ def _reformat_sarif(corpus, rubric_dir):
 
 def _edit_sarif_message(corpus, rubric_dir):
     sarif = json.loads(corpus.sarif_path.read_text())
-    sarif["runs"][0]["results"][3]["message"]["text"] = "Edited alert text."
+    sarif["runs"][0]["results"][-1]["message"]["text"] = "Edited alert text."
     corpus.sarif_path.write_text(json.dumps(sarif))
 
 
@@ -1569,7 +1574,7 @@ def _edit_label(corpus, rubric_dir):
 
 def _edit_mock_script(corpus, rubric_dir):
     path = corpus.mock_script_path
-    path.write_text(path.read_text().replace("verdict for case 05", "verdict for case five"))
+    path.write_text(path.read_text().replace("verdict for case 00", "verdict for case zero"))
 
 
 # edited input: (the edit, the stages whose outputs the resume rewrites)
@@ -1622,15 +1627,15 @@ _CONFIG_EDITS = {
     "limits.intermediate_elide_threshold": (45, {"context"}, set()),
     "limits.elide_head_lines": (10, {"context"}, set()),
     "limits.elide_tail_lines": (10, {"context"}, set()),
-    # The backend key hashes every backend setting, those that cannot change
-    # a mock verdict included.
+    # The backend key hashes every backend setting but the script's path,
+    # those that cannot change a mock verdict included.
     "backend.attempt_cap": (2, {"adjudicate"}, set()),
     "backend.backoff_base_s": (0.25, {"adjudicate"}, set()),
     "backend.key_env": ("ANOTHER_KEY_ENV", {"adjudicate"}, set()),
-    # A stamp keys on an input file's bytes, not on its path, but the backend
-    # key holds the mock script's path.
+    # A stamp keys on an input file's bytes, not on its path: the mock
+    # script, like every other input file.
     "backend.script_path": (_a_copy(lambda corpus, rubric_dir: corpus.mock_script_path),
-                            {"adjudicate"}, set()),
+                            set(), set()),
     "sarif_path": (_a_copy(lambda corpus, rubric_dir: corpus.sarif_path), set(), set()),
     "source_root": (_a_copy(lambda corpus, rubric_dir: corpus.source_root), set(), set()),
     "rubric_dir": (_a_copy(lambda corpus, rubric_dir: rubric_dir), set(), set()),
@@ -1726,7 +1731,7 @@ def test_resume_ignores_a_file_that_only_a_traced_finding_s_primary_location_nam
     out = tmp_path / "out"
     config = write_config(corpus, out)
     assert main(["run", "--config", str(config)]) == EXIT_OK
-    [moved] = [row for row in pipeline.read_rows(out / "findings.jsonl")
+    [moved] = [row for row in rows_in(out / "findings.jsonl")
                if row["primary_location"]["uri"] == "gen/Helper.java"]
     assert moved["trace"]
     assert "src:gen/Helper.java" not in json.loads(_stamp_texts(out)["context"])["inputs"]
@@ -1809,7 +1814,7 @@ def test_a_source_file_that_is_no_regular_file_reads_as_missing(corpus, tmp_path
                           extra={"source_root": str(source_root)})
     assert main(["ingest", "--config", str(config)]) == EXIT_OK
     assert _cli(["context", "--config", str(config)], capsys, shape) == (EXIT_OK, "")
-    [row] = [row for row in pipeline.read_rows(out / "contexts.jsonl")
+    [row] = [row for row in rows_in(out / "contexts.jsonl")
              if row["finding_id"] == finding.finding_id]
     missing = [note for note in row["notes"] if note.startswith(f"missing file: {uri}")]
     assert bool(missing) == (shape != "file")

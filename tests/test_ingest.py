@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import SARIF_DIR
+from conftest import SARIF_DIR, rows_in
 from sarif_triage.ingest import (
     CWE_UNKNOWN,
     CodeLocation,
@@ -17,7 +17,7 @@ from sarif_triage.ingest import (
     normalize_cwe,
     parse_sarif,
 )
-from sarif_triage.pipeline import read_rows, write_rows
+from sarif_triage.pipeline import write_rows
 
 OWASP_GOLDEN_ID = "ed24fe20eea0c733ea6ac7cbf739c8b1a4997ac666722f4856d411f334c5ea75"
 
@@ -195,7 +195,7 @@ def test_round_trip_and_jsonl_serialization(tmp_path, owasp_finding, minimal_fin
 
     path = tmp_path / "findings.jsonl"
     write_rows(path, [owasp_finding, minimal_finding])
-    loaded = [Finding.from_dict(row) for row in read_rows(path)]
+    loaded = [Finding.from_dict(row) for row in rows_in(path)]
     assert loaded == [owasp_finding, minimal_finding]
     # documented fixed key order
     first = json.loads(path.read_text().splitlines()[0])

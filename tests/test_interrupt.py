@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import sarif_triage
+from conftest import rows_in
 from corpus import build_corpus, write_config
 from sarif_triage import pipeline
 from sarif_triage.backend import BackendReply, MockBackend
@@ -51,7 +52,7 @@ def _prompt_tags(config: Path, out: Path) -> list[str]:
     """Run the stages before adjudicate; the tag of each prompt, in order."""
     for command in ("ingest", "context", "prompts"):
         assert main([command, "--config", str(config)]) == EXIT_OK
-    rows = pipeline.read_rows(out / "prompts.jsonl")
+    rows = rows_in(out / "prompts.jsonl")
     return [f"{row['finding_id']}.{row['mode']}" for row in rows]
 
 
@@ -241,5 +242,5 @@ def test_ctrl_c_keeps_the_records_received_and_resume_completes_the_run(
     assert main(["run", "--resume", "--config", str(config_path)]) == EXIT_OK
     expected = sorted(f"{f.finding_id}.optimized.json" for f in corpus.findings)
     assert _audit_names(out) == expected
-    rows = list(pipeline.read_rows(out / "adjudications.jsonl"))
+    rows = rows_in(out / "adjudications.jsonl")
     assert sorted(f"{r['finding_id']}.optimized.json" for r in rows) == expected

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from conftest import FIXTURES, GOLDEN_TRACE, JAVA_DIR, OWASP_SRC
+from conftest import FIXTURES, GOLDEN_TRACE, JAVA_DIR, OWASP_SRC, rubrics_in
 from sarif_triage.context import (
     CodeContext,
     ContextSegment,
@@ -24,9 +24,9 @@ from sarif_triage.prompts import (
     render_trace,
 )
 from sarif_triage.pipeline import SHIPPED_RUBRIC_DIR
-from sarif_triage.rubrics import RUBRIC_TAGS, load_rubrics, parse_rubric_text, rubric_for
+from sarif_triage.rubrics import RUBRIC_TAGS, parse_rubric_text, rubric_for
 
-RUBRICS = load_rubrics(SHIPPED_RUBRIC_DIR)
+RUBRICS = rubrics_in(SHIPPED_RUBRIC_DIR)
 
 
 def split_fences(user_text: str) -> tuple[str, str]:

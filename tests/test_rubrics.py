@@ -5,13 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import rubrics_in
 from sarif_triage.pipeline import SHIPPED_RUBRIC_DIR
 from sarif_triage.rubrics import (
     GENERIC_ID,
     SHIPPED_CWES,
     RUBRIC_TAGS,
     InvalidRubric,
-    load_rubrics,
     parse_rubric_text,
     rubric_for,
 )
@@ -19,7 +19,7 @@ from sarif_triage.rubrics import (
 
 @pytest.fixture(scope="module")
 def store():
-    return load_rubrics(SHIPPED_RUBRIC_DIR)
+    return rubrics_in(SHIPPED_RUBRIC_DIR)
 
 
 # The OWASP Benchmark's eleven categories, which the paper evaluates on.
@@ -69,7 +69,7 @@ def test_lookup_exact_then_generic_fallback(store):
 
 
 def test_loading_is_order_independent(store):
-    again = load_rubrics(SHIPPED_RUBRIC_DIR)
+    again = rubrics_in(SHIPPED_RUBRIC_DIR)
     assert again == store
 
 
@@ -116,21 +116,21 @@ def test_checklist_bounds_enforced():
 def test_missing_generic_rubric_fails_load(tmp_path):
     (tmp_path / "cwe-089.rubric").write_text(_rubric_text(), encoding="utf-8")
     with pytest.raises(InvalidRubric, match="generic"):
-        load_rubrics(tmp_path)
+        rubrics_in(tmp_path)
 
 
 def test_custom_directory_overrides_shipped(tmp_path):
     (tmp_path / "cwe-089.rubric").write_text(_rubric_text(), encoding="utf-8")
     generic = _rubric_text().replace("cwe: CWE-089", "cwe: GENERIC")
     (tmp_path / "generic.rubric").write_text(generic, encoding="utf-8")
-    store = load_rubrics(tmp_path)
+    store = rubrics_in(tmp_path)
     assert set(store) == {"CWE-089", GENERIC_ID}
 
 
 def test_a_rubric_that_is_not_utf8_is_invalid_naming_the_file(tmp_path):
     (tmp_path / "cwe-999.rubric").write_bytes(b"# a comment, then \xff\n")
     with pytest.raises(InvalidRubric, match=r"^cwe-999\.rubric: not UTF-8: .*0xff"):
-        load_rubrics(tmp_path)
+        rubrics_in(tmp_path)
 
 
 def _line(number: int, new):
@@ -179,9 +179,9 @@ _REFUSALS = {
 def test_an_edited_shipped_rubric_is_refused_naming_the_file_and_line(tmp_path, case):
     for name in ("cwe-089.rubric", "generic.rubric"):
         shutil.copy(SHIPPED_RUBRIC_DIR / name, tmp_path)
-    load_rubrics(tmp_path)
+    rubrics_in(tmp_path)
     edit, message = _REFUSALS[case]
     edit(tmp_path)
     with pytest.raises(InvalidRubric) as refused:
-        load_rubrics(tmp_path)
+        rubrics_in(tmp_path)
     assert str(refused.value) == message.format(directory=tmp_path)

@@ -170,46 +170,47 @@ def _adjudicate_one(
     """The result for one bundle and its audit record, the dict written to
     ``audit/<fid>.<mode>.json``. A prompt over ``max_prompt_chars`` sends
     no request; a reply over ``max_output_chars`` is not kept."""
-    audit: dict[str, Any] = {
-        "finding_id": bundle.finding_id,
-        "mode": bundle.mode,
-        "prompt_sha256": bundle.prompt_sha256,
-        "model": model,
-        "requested_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
-        "raw_response": None,
-        "status": STATUS_UNEVALUATED,
-        "parsed": None,
-        "error": None,
-        "latency_ms": 0,
-        "attempt_count": 0,
-    }
+    requested_at = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
     request = BackendRequest(model, bundle.system_text, bundle.user_text,
                              tag=f"{bundle.finding_id}.{bundle.mode}")
+    raw_response: str | None = None
+    latency_ms = attempt_count = 0
     adjudication: Adjudication | None = None
+    error: str | None = None
     try:
         chars = len(bundle.system_text) + len(bundle.user_text)
         if max_prompt_chars is not None and chars > max_prompt_chars:
             raise ContextOverflow(f"prompt is {chars} chars, limit is {max_prompt_chars}")
         reply = send(request, backend, retry, slots)
-        audit.update(raw_response=reply.text, latency_ms=reply.latency_ms,
-                     attempt_count=reply.attempt_count)
+        raw_response, latency_ms, attempt_count = reply.text, reply.latency_ms, reply.attempt_count
         if len(reply.text) > max_output_chars:
             raise ResponseValidationError(
                 f"response is {len(reply.text)} chars, limit is {max_output_chars}"
             )
         adjudication = validate_response(reply.text, reply.latency_ms, reply.attempt_count)
-        audit["status"] = STATUS_OK
-        audit["parsed"] = {
+    except BackendError as exc:
+        error, attempt_count = f"{type(exc).__name__}: {exc}", exc.attempt_count
+    except ResponseValidationError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    result = AdjudicationResult(bundle.finding_id, bundle.mode, adjudication, error)
+    audit = {
+        "finding_id": bundle.finding_id,
+        "mode": bundle.mode,
+        "prompt_sha256": bundle.prompt_sha256,
+        "model": model,
+        "requested_at": requested_at,
+        "raw_response": raw_response,
+        "status": result.status,
+        "parsed": None if adjudication is None else {
             "verdict": adjudication.verdict,
             "confidence": adjudication.confidence,
             "reasoning": adjudication.reasoning,
             "salvaged": adjudication.salvaged,
-        }
-    except BackendError as exc:
-        audit.update(error=f"{type(exc).__name__}: {exc}", attempt_count=exc.attempt_count)
-    except ResponseValidationError as exc:
-        audit["error"] = f"{type(exc).__name__}: {exc}"
-    result = AdjudicationResult(bundle.finding_id, bundle.mode, adjudication, audit["error"])
+        },
+        "error": error,
+        "latency_ms": latency_ms,
+        "attempt_count": attempt_count,
+    }
     return result, audit
 
 

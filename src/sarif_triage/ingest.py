@@ -1,11 +1,13 @@
 """SARIF 2.1.0 ingestion.
 
-Parses analyzer output and canonicalizes every result into a ``Finding``: a
-stable-identity record carrying the rule id, a normalized CWE id, the
-diagnostic message, the primary location, and the ordered source-to-sink
-trace taken from the result's first code flow. A record's fields hold the
-values its ``findings.jsonl`` row holds; a step's kind is the upper-case
-name the row spells.
+``parse_sarif`` reads every result of analyzer output straight into a
+``Finding``: a stable-identity record carrying the rule id, the CWE id its
+run's driver tags name (``CWE-UNKNOWN`` when they name none), the diagnostic
+message, the primary location, and the ordered source-to-sink trace taken
+from the result's first code flow. ``canonicalize`` then applies the run
+config's ``cwe_map`` to the findings whose rule the tags left unknown. A
+record's fields hold the values its ``findings.jsonl`` row holds; a step's
+kind is the upper-case name the row spells.
 
 Only ``codeFlows[0].threadFlows[0]`` is consumed; additional flows are
 counted in ``Finding.extra_flow_count`` but not otherwise retained.
@@ -139,17 +141,6 @@ class Finding(NamedTuple):
             from_row(TraceStep, s, location=location) for s in steps))
 
 
-class SarifResult(NamedTuple):
-    """One result as read from the document, before it gets its id."""
-
-    rule_id: str
-    cwe_id: str | None  # from the run's driver metadata
-    message: str
-    primary_location: CodeLocation
-    trace: tuple[TraceStep, ...]  # from codeFlows[0].threadFlows[0]
-    code_flow_count: int
-
-
 def normalize_uri(uri: str) -> str:
     """``uri`` as a finding holds it: ``/`` separators, no ``file://`` or
     ``./`` prefix, percent-escapes decoded."""
@@ -266,7 +257,7 @@ def _trace_step(obj: Any, index: int, length: int, where: str) -> TraceStep:
     )
 
 
-def _parse_result(obj: Any, where: str, rule_cwes: Mapping[str, str]) -> SarifResult:
+def _parse_result(obj: Any, where: str, rule_cwes: Mapping[str, str], origin_index: int) -> Finding:
     obj = _object(obj, where)
     rule_id = _string(obj, "ruleId", where)
     if not rule_id:
@@ -287,22 +278,28 @@ def _parse_result(obj: Any, where: str, rule_cwes: Mapping[str, str]) -> SarifRe
         if thread_flows:
             flow_where += ".threadFlows[0]"
             steps = _items(_object(thread_flows[0], flow_where), "locations", flow_where)
-    return SarifResult(
+    trace = tuple(
+        _trace_step(step, j + 1, len(steps), f"{flow_where}.locations[{j}]")
+        for j, step in enumerate(steps)
+    )
+    return Finding(
+        finding_id=compute_finding_id(
+            rule_id, locations[0], (s.location for s in trace), origin_index
+        ),
         rule_id=rule_id,
-        cwe_id=rule_cwes.get(rule_id),
+        cwe_id=rule_cwes.get(rule_id, CWE_UNKNOWN),
         message=message,
         primary_location=locations[0],
-        trace=tuple(
-            _trace_step(step, j + 1, len(steps), f"{flow_where}.locations[{j}]")
-            for j, step in enumerate(steps)
-        ),
-        code_flow_count=len(code_flows),
+        trace=trace,
+        origin_index=origin_index,
+        extra_flow_count=max(0, len(code_flows) - 1),
     )
 
 
-def parse_sarif(raw: bytes | str) -> tuple[SarifResult, ...]:
-    """Parse a SARIF 2.1.0 document into every run's results, in file order;
-    a UTF-8 byte-order mark that opens a byte stream is skipped.
+def parse_sarif(raw: bytes) -> tuple[Finding, ...]:
+    """Parse a SARIF 2.1.0 document into one ``Finding`` for each result of
+    every run, in file order, its ``origin_index`` counted across runs; a
+    UTF-8 byte-order mark that opens the bytes is skipped.
 
     Raises ``MalformedJson`` for byte streams that are not JSON and
     ``NotSarif`` for JSON that violates the SARIF shape this pipeline
@@ -315,13 +312,10 @@ def parse_sarif(raw: bytes | str) -> tuple[SarifResult, ...]:
     and columns integers >= 1 (not booleans), and ``endLine`` no less than
     ``startLine``. The error names the JSON path.
     """
-    if isinstance(raw, bytes):
-        try:
-            raw = raw.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise MalformedJson(f"input is not UTF-8: {exc}") from exc
     try:
-        data = json.loads(raw)
+        data = json.loads(raw.decode("utf-8-sig"))
+    except UnicodeDecodeError as exc:
+        raise MalformedJson(f"input is not UTF-8: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # or a number or nest past the decoder's limits
         raise MalformedJson(f"input is not JSON: {exc}") from exc
 
@@ -332,17 +326,15 @@ def parse_sarif(raw: bytes | str) -> tuple[SarifResult, ...]:
     if not isinstance(data.get("version"), str) or not data["version"]:
         raise NotSarif("missing `version` string")
 
-    results: list[SarifResult] = []
+    findings: list[Finding] = []
     for r, run in enumerate(data["runs"]):
         where = f"runs[{r}]"
         run = _object(run, where)
         driver = _member(_member(run, "tool", where), "driver", f"{where}.tool")
         rule_cwes = _rule_cwes_from_driver(driver, f"{where}.tool.driver")
-        results.extend(
-            _parse_result(res, f"{where}.results[{i}]", rule_cwes)
-            for i, res in enumerate(_items(run, "results", where))
-        )
-    return tuple(results)
+        for i, res in enumerate(_items(run, "results", where)):
+            findings.append(_parse_result(res, f"{where}.results[{i}]", rule_cwes, len(findings)))
+    return tuple(findings)
 
 
 def compute_finding_id(
@@ -367,36 +359,15 @@ def compute_finding_id(
 
 
 def canonicalize(
-    results: Iterable[SarifResult], cwe_map: Mapping[str, str] | None = None
+    findings: Iterable[Finding], cwe_map: Mapping[str, str] | None = None
 ) -> list[Finding]:
-    """Canonicalize every result ``parse_sarif`` returned into a ``Finding``.
-
-    One finding per result, in file order. The CWE id is resolved from the
-    rule's driver metadata tags, then from ``cwe_map``, else degrades to
-    ``CWE-UNKNOWN``; canonicalization never drops a result.
-    """
+    """Every finding ``parse_sarif`` returned, in file order, with the CWE id
+    ``cwe_map`` names for its rule when the driver tags named none. A rule
+    neither names stays ``CWE-UNKNOWN``; no finding is dropped."""
     cwe_map = cwe_map or {}
-    findings: list[Finding] = []
-    for origin_index, result in enumerate(results):
-        cwe = result.cwe_id
-        if cwe is None:
-            fallback = cwe_map.get(result.rule_id)
-            cwe = CWE_UNKNOWN if fallback is None else normalize_cwe(fallback)
-        findings.append(
-            Finding(
-                finding_id=compute_finding_id(
-                    result.rule_id,
-                    result.primary_location,
-                    (s.location for s in result.trace),
-                    origin_index,
-                ),
-                rule_id=result.rule_id,
-                cwe_id=cwe,
-                message=result.message,
-                primary_location=result.primary_location,
-                trace=result.trace,
-                origin_index=origin_index,
-                extra_flow_count=max(0, result.code_flow_count - 1),
-            )
-        )
-    return findings
+    return [
+        finding._replace(cwe_id=normalize_cwe(cwe_map[finding.rule_id]))
+        if finding.cwe_id == CWE_UNKNOWN and finding.rule_id in cwe_map
+        else finding
+        for finding in findings
+    ]

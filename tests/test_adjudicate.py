@@ -291,6 +291,64 @@ def test_oversized_reply_is_rejected():
     assert "limit is 100" in results[0].error
 
 
+_REPLY = json.dumps({"verdict": "FALSE_POSITIVE", "confidence": "LOW", "reasoning": "r"})
+_WRAPPED = f"Verdict follows. {_REPLY} Done."
+_LONG = json.dumps({"verdict": "FALSE_POSITIVE", "confidence": "LOW", "reasoning": "x" * 100})
+
+
+def _verdict(raw: str, salvaged: bool = False) -> tuple[dict, dict]:
+    """The audit record's outcome keys and the row of a reply that passed."""
+    parsed = {"verdict": "FALSE_POSITIVE", "confidence": "LOW", "reasoning": "r",
+              "salvaged": salvaged}
+    audit = {"raw_response": raw, "status": STATUS_OK, "parsed": parsed, "error": None,
+             "latency_ms": 0, "attempt_count": 1}
+    row = {"status": STATUS_OK, **parsed, "raw_response": raw, "latency_ms": 0,
+           "attempt_count": 1}
+    return audit, row
+
+
+def _failure(raw: str | None, error: str, attempt_count: int) -> tuple[dict, dict]:
+    """The audit record's outcome keys and the row of a call that failed."""
+    audit = {"raw_response": raw, "status": STATUS_UNEVALUATED, "parsed": None, "error": error,
+             "latency_ms": 0, "attempt_count": attempt_count}
+    return audit, {"status": STATUS_UNEVALUATED, "error": error}
+
+
+@pytest.mark.parametrize("entry,limits,expected", [
+    pytest.param(_REPLY, {}, _verdict(_REPLY), id="ok"),
+    pytest.param(_WRAPPED, {}, _verdict(_WRAPPED, salvaged=True), id="salvaged"),
+    pytest.param("not json", {}, _failure(
+        "not json", "NotJson: no JSON object found in response", 1), id="not-json"),
+    pytest.param(_LONG, {"max_output_chars": 100}, _failure(
+        _LONG, f"ResponseValidationError: response is {len(_LONG)} chars, limit is 100", 1),
+        id="reply-over-max-output-chars"),
+    # "system" and "user" make a 10-char prompt.
+    pytest.param(_REPLY, {"max_prompt_chars": 9}, _failure(
+        None, "ContextOverflow: prompt is 10 chars, limit is 9", 0),
+        id="prompt-over-max-prompt-chars"),
+    pytest.param({"response": _REPLY, "fail_first": 99}, {}, _failure(
+        None, "Exhausted: gave up after 4 attempts: scripted transport failure for f1",
+        NO_SLEEP.attempt_cap), id="exhausted-at-the-attempt-cap"),
+])
+def test_each_outcome_writes_its_whole_audit_record_and_row(entry, limits, expected):
+    audit_outcome, row_outcome = expected
+    results, audits = adjudicate_all([_bundle("f1")], MockBackend(responses={"f1": entry}),
+                                     retry=NO_SLEEP, **limits)
+    audit = audits[0]
+    assert time.strptime(audit["requested_at"], "%Y-%m-%dT%H:%M:%S+00:00")
+    # Key order included: the record is written as this dict.
+    assert list(audit.items()) == list({
+        "finding_id": "f1",
+        "mode": "OPTIMIZED",
+        "prompt_sha256": prompt_sha256("system", "user"),
+        "model": "mock",
+        "requested_at": audit["requested_at"],
+        **audit_outcome,
+    }.items())
+    row = {"finding_id": "f1", "mode": "OPTIMIZED", **row_outcome}
+    assert list(results[0].to_dict().items()) == list(row.items())
+
+
 def test_adjudications_jsonl_round_trip(tmp_path):
     backend = MockBackend(responses=_oracle_script({"f1": "FALSE_POSITIVE"}))
     results, _ = adjudicate_all([_bundle("f1")], backend, retry=NO_SLEEP)

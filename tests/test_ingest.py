@@ -33,7 +33,7 @@ def _sarif(results, rules=None, version="2.1.0"):
                 }
             ],
         }
-    )
+    ).encode("utf-8")
 
 
 def _result(rule_id="java/x", uri="A.java", line=3, flows=None):
@@ -71,7 +71,7 @@ def _flow(steps):
 
 
 def test_empty_runs_yield_zero_results():
-    doc = parse_sarif('{"version": "2.1.0", "runs": []}')
+    doc = parse_sarif(b'{"version": "2.1.0", "runs": []}')
     assert doc == ()
     assert canonicalize(doc) == []
 
@@ -103,18 +103,18 @@ def test_malformed_json_and_not_sarif_are_distinct():
     with pytest.raises(MalformedJson):
         parse_sarif(b"this is not json")
     with pytest.raises(NotSarif):
-        parse_sarif('{"version": "2.1.0"}')
+        parse_sarif(b'{"version": "2.1.0"}')
     with pytest.raises(NotSarif):
-        parse_sarif('{"runs": []}')  # missing version
+        parse_sarif(b'{"runs": []}')  # missing version
     with pytest.raises(MalformedJson):
         parse_sarif(b"\xff\xfe\x00broken")
 
 
 def test_json_beyond_the_decoders_limits_is_malformed():
     with pytest.raises(MalformedJson):
-        parse_sarif('{"version": "2.1.0", "runs": [], "n": ' + "1" * 5000 + "}")
+        parse_sarif(b'{"version": "2.1.0", "runs": [], "n": ' + b"1" * 5000 + b"}")
     with pytest.raises(MalformedJson):
-        parse_sarif("[" * 100_000 + "]" * 100_000)
+        parse_sarif(b"[" * 100_000 + b"]" * 100_000)
 
 
 def test_result_without_rule_or_location_is_schema_error():
@@ -134,6 +134,22 @@ def test_cwe_falls_back_to_map_then_unknown():
     doc = parse_sarif(_sarif([_result(rule_id="vendor/rule")]))
     assert canonicalize(doc, {"vendor/rule": "CWE-79"})[0].cwe_id == "CWE-079"
     assert canonicalize(doc)[0].cwe_id == CWE_UNKNOWN
+
+
+@pytest.mark.parametrize(
+    "tags,cwe_map,expected",
+    [
+        (["external/cwe/cwe-089"], {"java/x": "CWE-79"}, "CWE-089"),
+        (["security"], {"java/x": "CWE-79"}, "CWE-079"),
+        (["security"], {"java/x": "not-a-cwe"}, CWE_UNKNOWN),
+    ],
+    ids=["a-driver-tag-wins-over-the-map", "tags-naming-no-cwe-leave-the-map",
+         "a-map-value-naming-no-cwe-is-unknown"],
+)
+def test_cwe_precedence_is_driver_tag_then_cwe_map_then_unknown(tags, cwe_map, expected):
+    rules = [{"id": "java/x", "properties": {"tags": tags}}]
+    doc = parse_sarif(_sarif([_result(rule_id="java/x")], rules=rules))
+    assert [finding.cwe_id for finding in canonicalize(doc, cwe_map)] == [expected]
 
 
 def test_no_code_flows_means_empty_trace():
@@ -243,7 +259,7 @@ def test_origin_index_continues_across_runs():
                     {"tool": {"driver": {"name": "B"}}, "results": [_result()]},
                 ],
             }
-        )
+        ).encode("utf-8")
     )
     findings = canonicalize(doc)
     assert [f.origin_index for f in findings] == [0, 1, 2]

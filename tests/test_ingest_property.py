@@ -47,7 +47,7 @@ def _paths(value, path=()):
 
 
 @st.composite
-def _damaged_sarif(draw) -> str:
+def _damaged_sarif(draw) -> bytes:
     doc = copy.deepcopy(_FIXTURES[draw(st.sampled_from(sorted(_FIXTURES)))])
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
@@ -63,7 +63,7 @@ def _damaged_sarif(draw) -> str:
             del owner[leaf]
         else:
             owner[leaf] = [owner[leaf]] if op == "wrap" else draw(_JSON)
-    return json.dumps(doc)
+    return json.dumps(doc).encode("utf-8")
 
 
 @given(_damaged_sarif())
@@ -77,7 +77,7 @@ def test_damaged_sarif_raises_only_sarif_errors(raw):
 _VERDICT = json.dumps({"verdict": "TRUE_POSITIVE", "confidence": "LOW", "reasoning": "r"})
 
 
-def _result_count(raw: str) -> int:
+def _result_count(raw: bytes) -> int:
     return sum(len(run.get("results") or []) for run in json.loads(raw)["runs"])
 
 
@@ -87,7 +87,7 @@ def _result_count(raw: str) -> int:
 def test_the_cli_exits_0_or_2_on_damaged_sarif(raw, command):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        (root / "in.sarif").write_text(raw, encoding="utf-8")
+        (root / "in.sarif").write_bytes(raw)
         (root / "mock.json").write_text(json.dumps({"default": _VERDICT}), encoding="utf-8")
         config = root / "config.json"
         config.write_text(json.dumps({
